@@ -67,7 +67,6 @@ class Transfer(enum.Enum):
 
 
 class Direction(enum.Enum):
-    ENCODE = "Encode"
     DECODE = "Decode"
 
 
@@ -132,9 +131,9 @@ def pq_encode(nits):
 def pq_decode(signal):
     """SMPTE ST 2084 EOTF: [0, 1] signal -> absolute nits."""
     v = np.asarray(signal, dtype=np.float64)
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        bad = int(np.argmax((v < 0.0) | (v > 1.0)))
-        raise DomainError(f"PQ decode input outside [0,1] at flat index {bad}")
+    bad = ~((v >= 0.0) & (v <= 1.0))
+    if np.any(bad):
+        raise DomainError(f"PQ decode input outside [0,1] at flat index {int(np.argmax(bad))}")
     vp = np.power(v, 1.0 / PQ_M2)
     num = np.maximum(vp - PQ_C1, 0.0)
     den = PQ_C2 - PQ_C3 * vp
@@ -153,31 +152,26 @@ def bt709_eotf(signal):
     return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
 
 
-def apply_transfer(img, direction, transfer=None):
-    """Encode linear pixels with a curve, or decode encoded pixels to linear.
+def apply_transfer(img, direction):
+    """Decode encoded pixels to linear light with the tag's transfer curve.
 
-    Decode requires encoded samples in [0, 1] and uses the tag's transfer;
-    Encode takes the target curve explicitly. The output tag flips between
-    Linear and the encoded transfer.
+    Direction.DECODE is the only direction; encoding takes an explicit
+    target curve and lives in encode_transfer. Samples must lie in [0, 1];
+    a non-finite sample fails the check.
     """
     tag = img.tag
-    if direction is Direction.DECODE:
-        if tag.transfer is Transfer.LINEAR:
-            raise TagError("image is already linear")
-        bad = (img.pixels < 0.0) | (img.pixels > 1.0)
-        if np.any(bad):
-            idx = np.argwhere(bad)[0]
-            raise DomainError(f"encoded sample outside [0,1] at pixel {tuple(idx)}")
-        if tag.transfer is Transfer.PQ:
-            out = pq_decode(img.pixels)
-        else:
-            # SDR: relative signal scaled to the tagged peak
-            out = bt709_eotf(img.pixels) * tag.peak_nits
-        return img.with_pixels(out, replace(tag, transfer=Transfer.LINEAR))
-
-    if transfer is None:
-        raise TagError("encode requires an explicit target transfer")
-    return encode_transfer(img, transfer)
+    if tag.transfer is Transfer.LINEAR:
+        raise TagError("image is already linear")
+    bad = ~((img.pixels >= 0.0) & (img.pixels <= 1.0))
+    if np.any(bad):
+        idx = tuple(int(k) for k in np.argwhere(bad)[0])
+        raise DomainError(f"encoded sample outside [0,1] at pixel {idx}")
+    if tag.transfer is Transfer.PQ:
+        out = pq_decode(img.pixels)
+    else:
+        # SDR: relative signal scaled to the tagged peak
+        out = bt709_eotf(img.pixels) * tag.peak_nits
+    return img.with_pixels(out, replace(tag, transfer=Transfer.LINEAR))
 
 
 def encode_transfer(img, transfer):

@@ -117,15 +117,10 @@ def spectral_descriptor(y_map, k_bands=8):
     y_map = np.asarray(y_map, dtype=np.float64)
     rows, cols = y_map.shape
     spec = tc.rfft2(y_map)
-    power = np.abs(spec.bins) ** 2
-    weights = np.full(spec.bins.shape[1], 2.0)
-    weights[0] = 1.0
-    if cols % 2 == 0:
-        weights[-1] = 1.0
     fr = np.fft.fftfreq(rows)[:, None]
     fc = np.arange(spec.bins.shape[1])[None, :] / cols
     radius = np.sqrt(fr**2 + fc**2)
     band = np.minimum((radius / 0.5 * k_bands).astype(int), k_bands - 1)
     energies = np.zeros(k_bands)
-    np.add.at(energies, band.reshape(-1), (power * weights[None, :]).reshape(-1))
+    np.add.at(energies, band.reshape(-1), spec.weighted_power().reshape(-1))
     return SpectralDescriptor(r=energies / (rows * cols) ** 2)

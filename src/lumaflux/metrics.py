@@ -82,10 +82,12 @@ def pu21_range():
 
 def psnr_pu21(ref, test, luma_only=False):
     """PSNR over PU21-encoded nits, all channels or luminance only."""
-    if ref.pixels.shape != test.pixels.shape:
+    return _psnr_linear(_decode_to_nits(ref), _decode_to_nits(test), luma_only)
+
+
+def _psnr_linear(ref_lin, test_lin, luma_only):
+    if ref_lin.pixels.shape != test_lin.pixels.shape:
         raise DimensionError("psnr_pu21: image extents differ")
-    ref_lin = _decode_to_nits(ref)
-    test_lin = _decode_to_nits(test)
     if luma_only:
         a = cm.pu21_encode(cm.luma2020(ref_lin))
         b = cm.pu21_encode(cm.luma2020(test_lin))
@@ -103,8 +105,8 @@ def metric_report(ref, test, clamp_fraction=0.0):
     ref_lin = _decode_to_nits(ref)
     test_lin = _decode_to_nits(test)
     return MetricReport(
-        psnr_pu21=psnr_pu21(ref, test, luma_only=False),
-        psnr_y_pu21=psnr_pu21(ref, test, luma_only=True),
+        psnr_pu21=_psnr_linear(ref_lin, test_lin, luma_only=False),
+        psnr_y_pu21=_psnr_linear(ref_lin, test_lin, luma_only=True),
         delta_e_itp_mean=cm.delta_e_itp(ref_lin, test_lin),
         clamp_fraction=clamp_fraction,
     )

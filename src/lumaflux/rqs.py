@@ -179,12 +179,13 @@ def smooth_penalty(p):
     return float(np.sum(d * d))
 
 
-def forward_param_grad(p, y, dloss_df):
-    """Accumulate dloss wrt (knots_x, knots_y, slopes) given dloss/df per sample.
+def forward_param_grad(p, y):
+    """Spline values at y, plus a pullback from dloss/df per sample to the knots.
 
-    Hand-derived chain rule through the rational-quadratic bin formula;
-    pinned boundary knots still receive entries, the caller decides which
-    coordinates are free.
+    The pullback maps dloss/df onto gradients wrt (knots_x, knots_y,
+    slopes) by the hand-derived chain rule through the rational-quadratic
+    bin formula; pinned boundary knots still receive entries, the caller
+    decides which coordinates are free.
     """
     y = _clamp_input(y)
     i, a, b, c, d, s0, s1, w, u, dy, delta = _bin_locals(p, y)
@@ -206,16 +207,19 @@ def forward_param_grad(p, y, dloss_df):
     d_a = d_u * (u - 1.0) / w + d_delta * delta / w
     d_b = -(d_u * u + d_delta * delta) / w
 
-    gx = np.zeros_like(p.knots_x)
-    gy = np.zeros_like(p.knots_y)
-    gs = np.zeros_like(p.slopes)
-    np.add.at(gx, i, dloss_df * d_a)
-    np.add.at(gx, i + 1, dloss_df * d_b)
-    np.add.at(gy, i, dloss_df * d_c)
-    np.add.at(gy, i + 1, dloss_df * d_d)
-    np.add.at(gs, i, dloss_df * d_s0)
-    np.add.at(gs, i + 1, dloss_df * d_s1)
-    return gx, gy, gs
+    # each sample touches knots i and i+1; one bincount over both keeps
+    # the sequential summation order of an in-place scatter-add
+    knots = np.concatenate((i, i + 1))
+    jx = np.concatenate((d_a, d_b))
+    jy = np.concatenate((d_c, d_d))
+    js = np.concatenate((d_s0, d_s1))
+    n = p.knots_x.size
+
+    def pullback(dloss_df):
+        g = np.concatenate((dloss_df, dloss_df))
+        return tuple(np.bincount(knots, weights=g * j, minlength=n) for j in (jx, jy, js))
+
+    return c + dy * num / den, pullback
 
 
 def constrain_backward(raw, K, gx, gy, gs):
@@ -353,7 +357,7 @@ class FitConfig:
 def fit_loss_and_grad(raw, K, y_in, target, cfg):
     """Smoothed-L1 data term plus slope-smoothness penalty, with gradient."""
     p = constrain(raw, K)
-    pred = rqs_forward(p, y_in)
+    pred, pullback = forward_param_grad(p, y_in)
     e = pred - target
     root = np.sqrt(e * e + cfg.l1_delta**2)
     data = float(np.mean(root))
@@ -361,7 +365,7 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     loss = cfg.lambda_l1 * data + cfg.lambda_smooth * pen
 
     dpred = cfg.lambda_l1 * (e / root) / e.size
-    gx, gy, gs = forward_param_grad(p, y_in, dpred)
+    gx, gy, gs = pullback(dpred)
     s = p.slopes
     gpen = np.zeros_like(s)
     gpen[:-1] -= 2.0 * np.diff(s)

@@ -1,7 +1,7 @@
-"""Minimal dense numeric kernels shared by the rest of the package.
+"""Small numeric kernels shared by the rest of the package.
 
-All kernels operate on float64 numpy arrays and keep a deterministic
-reduction order so that repeated runs produce byte-identical results.
+Row softmax, layer norm, the half-plane real 2-D DFT and the
+central-difference gradient oracle, all on float64 numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -9,25 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, EvaluationError
-
-
-def matmul(a, b):
-    """Matrix product with a fixed left-to-right accumulation over k.
-
-    Accumulating one rank-1 update per inner index keeps the summation
-    order independent of BLAS threading, which the reproducibility
-    guarantees elsewhere rely on.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner extents differ: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += np.outer(a[:, k], b[k, :])
-    return out
 
 
 def softmax_rows(m):
@@ -64,14 +45,21 @@ class Spectrum2D:
     cols: int
     bins: np.ndarray
 
-    def full_plane_power(self):
-        """Sum of |F|^2 over the implied full plane (conjugate bins counted)."""
-        p = np.abs(self.bins) ** 2
+    def weighted_power(self):
+        """|F|^2 per half-plane bin, doubled where a conjugate bin is implied.
+
+        Only the DC column and, for even widths, the Nyquist column have
+        no conjugate partner, so they count once.
+        """
         weights = np.full(self.bins.shape[1], 2.0)
         weights[0] = 1.0
         if self.cols % 2 == 0:
             weights[-1] = 1.0
-        return float(np.sum(p * weights[None, :]))
+        return np.abs(self.bins) ** 2 * weights[None, :]
+
+    def full_plane_power(self):
+        """Sum of |F|^2 over the implied full plane (conjugate bins counted)."""
+        return float(np.sum(self.weighted_power()))
 
 
 def rfft2(field):

@@ -167,6 +167,21 @@ class TestGradients:
         for group, entry in report["groups"].items():
             assert entry["max_rel_error"] <= 1e-4, (group, entry)
 
+    def test_one_percent_gradient_error_is_caught(self, backbone, inputs, monkeypatch):
+        backward = ad.block_backward
+
+        def skewed(*args, **kwargs):
+            grads = backward(*args, **kwargs)
+            grads.a_v *= 1.01
+            return grads
+
+        monkeypatch.setattr(ad, "block_backward", skewed)
+        state = ad.AdapterState.seeded(CFG, seed=1)
+        report = ad.grad_check_adapters(backbone, state, CFG, inputs=inputs)
+        assert not report["passed"]
+        assert not report["groups"]["a_v"]["pass"]
+        assert all(entry["pass"] for group, entry in report["groups"].items() if group != "a_v")
+
     def test_zeroed_av_kills_bv_gradient(self, backbone, inputs):
         state = ad.AdapterState.seeded(CFG, seed=13)
         state.a_v[:] = 0.0

@@ -8,6 +8,11 @@ import pytest
 from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
+from test_acceptance import synthetic_hdr
+
+# SHA-256 of the synthesize output tree for the A5 input frame; a change
+# that moves it changes output bits and must say why
+A5_TREE_SHA256 = "a1192abbec8261955d6da614e301aa694e22493cd6580c4e0d336f31ec37b1ea"
 
 
 def write_hdr(path, seed=0, size=64, peak=1000.0):
@@ -31,6 +36,16 @@ def tree_digest(root):
 @pytest.fixture
 def hdr_frame(tmp_path):
     return write_hdr(tmp_path / "hdr.pfm")
+
+
+@pytest.fixture
+def nan_frame(tmp_path):
+    hdr = synthetic_hdr(size=64)
+    px = hdr.pixels.copy()
+    px[3, 5, 1] = np.nan
+    path = str(tmp_path / "nan.pfm")
+    pfm.write_tagged(path, hdr.with_pixels(px), seed=7)
+    return path
 
 
 class TestSynthesize:
@@ -62,6 +77,22 @@ class TestSynthesize:
             doc = json.load(fh)
         assert "degradation" in doc and doc["degradation"]["crf"] in (23, 31, 39)
         assert doc["tag"]["transfer"] == "Gamma709"
+
+    def test_a5_tree_digest_is_pinned(self, tmp_path, capsys):
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, synthetic_hdr(size=64), seed=7)
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
+        assert tree_digest(str(out)) == A5_TREE_SHA256
+
+    def test_non_finite_sample_is_numerical_failure(self, tmp_path, nan_frame, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["synthesize", nan_frame, "--output-dir", str(out)])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "pixel (3, 5, 1)" in captured.err
+        assert not [f for f in os.listdir(out) if f.endswith(".pfm")]
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = cli.main(["synthesize", str(tmp_path / "nope.pfm"),
@@ -126,6 +157,15 @@ class TestMetrics:
     def test_missing_file(self, tmp_path, hdr_frame, capsys):
         assert cli.main(["metrics", hdr_frame, str(tmp_path / "nope.pfm")]) == 2
 
+    def test_non_finite_sample_is_numerical_failure(self, tmp_path, nan_frame, capsys):
+        clean = str(tmp_path / "clean.pfm")
+        pfm.write_tagged(clean, synthetic_hdr(size=64), seed=7)
+        dst = tmp_path / "report.json"
+        for ref, test in ((clean, nan_frame), (nan_frame, clean)):
+            assert cli.main(["metrics", ref, test, "--output", str(dst)]) == 4
+            assert capsys.readouterr().out == ""
+        assert not dst.exists()
+
 
 class TestFeatures:
     def test_descriptor_json(self, tmp_path, hdr_frame, capsys):
@@ -177,3 +217,9 @@ class TestAdapterDemo:
         assert doc["rank_ok"] is True
         assert doc["gradients"]["passed"] is True
         assert doc["svd_tail_beyond_rank"] <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 10, 11, 12])
+    def test_seeds_with_small_gradients_pass(self, seed, capsys):
+        # small gradients on these seeds fail a check whose step sits at round-off
+        assert cli.main(["adapter-demo", "--seed", str(seed)]) == 0
+        assert json.loads(capsys.readouterr().out)["gradients"]["passed"] is True

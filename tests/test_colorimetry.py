@@ -104,17 +104,25 @@ class TestTransferDispatch:
 
     def test_encode_round_trip_gamma709(self):
         img = tagged([[[10.0, 40.0, 90.0]]], primaries=cm.Primaries.BT709, peak=100.0)
-        enc = cm.apply_transfer(img, cm.Direction.ENCODE, cm.Transfer.GAMMA709)
+        enc = cm.encode_transfer(img, cm.Transfer.GAMMA709)
         dec = cm.apply_transfer(enc, cm.Direction.DECODE)
         np.testing.assert_allclose(dec.pixels, img.pixels, atol=1e-9)
+
+    def test_decode_rejects_non_finite(self):
+        img = tagged([[[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]], transfer=cm.Transfer.PQ)
+        with pytest.raises(DomainError, match=r"pixel \(0, 1, 1\)"):
+            cm.apply_transfer(img, cm.Direction.DECODE)
+        with pytest.raises(DomainError, match="flat index 4"):
+            cm.pq_decode(img.pixels)
 
     def test_decode_rejects_linear(self):
         with pytest.raises(TagError):
             cm.apply_transfer(tagged([[[1.0, 1.0, 1.0]]]), cm.Direction.DECODE)
 
     def test_encode_requires_target(self):
+        # Linear is not an encoding curve
         with pytest.raises(TagError):
-            cm.apply_transfer(tagged([[[1.0, 1.0, 1.0]]]), cm.Direction.ENCODE)
+            cm.encode_transfer(tagged([[[1.0, 1.0, 1.0]]]), cm.Transfer.LINEAR)
 
 
 class TestLumaIctcp:

@@ -135,6 +135,29 @@ class TestEvaluation:
         np.testing.assert_allclose(v, [0.0, 0.5, 1.0], atol=1e-12)
 
 
+class TestFitLoss:
+    def setup_method(self):
+        rng = np.random.default_rng(9)
+        self.raw = rng.normal(0.0, 0.5, 3 * 6 + 1)
+        self.x = rng.uniform(0.0, 1.0, 256)
+        self.tgt = rng.uniform(0.0, 1.0, 256)
+        self.cfg = rqs.FitConfig()
+
+    def test_loss_matches_forward_and_penalty(self):
+        p = rqs.constrain(self.raw, 6)
+        e = rqs.rqs_forward(p, self.x) - self.tgt
+        data = float(np.mean(np.sqrt(e * e + self.cfg.l1_delta**2)))
+        expected = self.cfg.lambda_l1 * data + self.cfg.lambda_smooth * rqs.smooth_penalty(p)
+        assert rqs.fit_loss_and_grad(self.raw, 6, self.x, self.tgt, self.cfg)[0] == expected
+
+    def test_one_evaluation_counts_each_clamp_once(self):
+        x = self.x.copy()
+        x[[0, 7, 100]] = [-0.2, 1.3, 2.0]
+        before = rqs.clamp_counter["count"]
+        rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.cfg)
+        assert rqs.clamp_counter["count"] == before + 3
+
+
 class TestSmoothPenalty:
     def test_constant_slopes_zero(self):
         assert rqs.smooth_penalty(rqs.identity_params(8)) == 0.0

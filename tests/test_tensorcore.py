@@ -5,18 +5,6 @@ from lumaflux import tensorcore as tc
 from lumaflux.errors import DimensionError, DomainError, EvaluationError
 
 
-def naive_matmul(a, b):
-    """Triple-loop oracle, no vectorization."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
 def naive_dft2(field):
     """Direct double-sum 2-D DFT oracle."""
     rows, cols = field.shape
@@ -29,39 +17,6 @@ def naive_dft2(field):
                     acc += field[r, c] * np.exp(-2j * np.pi * (u * r / rows + v * c / cols))
             out[u, v] = acc
     return out
-
-
-class TestMatmul:
-    def test_against_naive_oracle(self):
-        rng = np.random.default_rng(0)
-        for m, k, n in [(3, 4, 5), (1, 7, 2), (6, 1, 6)]:
-            a = rng.normal(size=(m, k))
-            b = rng.normal(size=(k, n))
-            np.testing.assert_allclose(tc.matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_identity(self):
-        a = np.random.default_rng(1).normal(size=(4, 4))
-        np.testing.assert_array_equal(tc.matmul(a, np.eye(4)), a)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(2)
-        a, b, c = (rng.normal(size=(4, 4)) for _ in range(3))
-        left = tc.matmul(tc.matmul(a, b), c)
-        right = tc.matmul(a, tc.matmul(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-12)
-
-    def test_deterministic_reruns(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(16, 16))
-        b = rng.normal(size=(16, 16))
-        first = tc.matmul(a, b)
-        assert np.array_equal(first, tc.matmul(a, b))
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            tc.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(DimensionError):
-            tc.matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 class TestSoftmaxRows:

@@ -1,8 +1,10 @@
 """Command-line surface: synthesize, fit-expand, metrics, features, adapter-demo.
 
 Exit codes: 0 ok, 2 I/O failure, 3 invalid config, 4 numerical failure.
-LUMAFLUX_THREADS caps frame-level parallelism; outputs are independent of
-the worker count because every frame derives its own seed.
+LUMAFLUX_THREADS caps how many tone operators `synthesize` runs at once;
+the CRF variants of one operator share one decode-to-quantize chain.
+Outputs are independent of the worker count because every frame derives
+its own seed.
 """
 
 import argparse
@@ -74,12 +76,16 @@ def cmd_synthesize(args):
         return 3
     try:
         crfs = [int(c) for c in cfg["crfs"]]
-        specs = []
-        for i, tmo_doc in enumerate(cfg["tmos"]):
+        # one job per tone operator: its CRF variants share one chain up to the codec
+        jobs = []
+        idx = 0
+        for tmo_doc in cfg["tmos"]:
             op = tm.ToneOperator.from_json(tmo_doc)
+            specs = []
             for crf in crfs:
-                idx = len(specs)
                 specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
+                idx += 1
+            jobs.append((op, specs))
     except (ConfigError, KeyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
@@ -96,16 +102,20 @@ def cmd_synthesize(args):
     hash_cfg = {k: v for k, v in cfg.items() if k != "output_dir"}
 
     def run(job):
-        idx, spec = job
-        sdr = tm.degrade(hdr, spec)
-        name = f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm"
-        path = os.path.join(cfg["output_dir"], name)
-        pfm.write_tagged(path, sdr, seed=spec.seed, config=hash_cfg,
-                         extra={"degradation": spec.to_json()})
-        return path
+        op, specs = job
+        encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
+        paths = []
+        for idx, spec in specs:
+            sdr = tm.codec_proxy(encoded, spec.crf)
+            name = f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm"
+            path = os.path.join(cfg["output_dir"], name)
+            pfm.write_tagged(path, sdr, seed=spec.seed, config=hash_cfg,
+                             extra={"degradation": spec.to_json()})
+            paths.append(path)
+        return paths
 
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        paths = list(pool.map(run, specs))
+        paths = [path for batch in pool.map(run, jobs) for path in batch]
     print(json.dumps({"frames": sorted(paths)}, indent=2))
     return 0
 

@@ -16,6 +16,10 @@ class DomainError(LumaFluxError, ValueError):
     """Sample values outside the valid domain of an operation."""
 
 
+class FrameFormatError(LumaFluxError, ValueError):
+    """A PFM frame or its JSON sidecar is malformed; an I/O failure."""
+
+
 class TagError(LumaFluxError, ValueError):
     """Image carries the wrong color-space tag for this operation."""
 

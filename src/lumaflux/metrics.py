@@ -10,7 +10,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import colorimetry as cm
-from .errors import DimensionError, TagError
+from .errors import DimensionError, EvaluationError, TagError
 
 PSNR_CAP_DB = 99.0
 REPORT_SCHEMA_VERSION = 1
@@ -95,6 +95,9 @@ def _psnr_linear(ref_lin, test_lin, luma_only):
         a = cm.pu21_encode(ref_lin.pixels)
         b = cm.pu21_encode(test_lin.pixels)
     mse = float(np.mean((a - b) ** 2))
+    if not np.isfinite(mse):
+        # min(PSNR_CAP_DB, nan) would return the identical-image cap
+        raise EvaluationError(f"psnr_pu21: non-finite mean squared error {mse}")
     if mse == 0.0:
         return PSNR_CAP_DB
     return min(PSNR_CAP_DB, 20.0 * np.log10(pu21_range()) - 10.0 * np.log10(mse))

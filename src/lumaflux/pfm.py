@@ -3,18 +3,38 @@
 PFM stores float32 samples, little-endian (negative scale), rows
 bottom-up. PFM has no colorimetry header, so every frame travels with a
 sidecar JSON recording its color-space tag, the tool version, a config
-hash, and the seed used to produce it.
+hash, and the seed used to produce it. Both files are written to a
+temporary name and renamed into place, so a failed write never leaves a
+partial file under the final name. Malformed input raises
+FrameFormatError.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 
 from . import __version__
 from . import colorimetry as cm
-from .errors import DimensionError
+from .errors import DimensionError, FrameFormatError
+
+
+def _write_atomic(path, chunks):
+    """Write byte chunks to a temporary file next to path, then rename it over path."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_pfm(path, pixels):
@@ -22,22 +42,27 @@ def write_pfm(path, pixels):
     if px.ndim != 3 or px.shape[2] != 3:
         raise DimensionError("write_pfm expects HxWx3 samples")
     h, w, _ = px.shape
-    with open(path, "wb") as fh:
-        fh.write(b"PF\n")
-        fh.write(f"{w} {h}\n".encode())
-        fh.write(b"-1.0\n")
-        fh.write(px[::-1, :, :].astype("<f4").tobytes())
+    header = f"PF\n{w} {h}\n-1.0\n".encode()
+    _write_atomic(path, (header, px[::-1, :, :].astype("<f4").tobytes()))
 
 
 def read_pfm(path):
     with open(path, "rb") as fh:
-        header = fh.readline().strip()
-        if header != b"PF":
-            raise DimensionError(f"{path}: not a 3-channel PFM file")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline())
-        data = np.frombuffer(fh.read(), dtype="<f4" if scale < 0 else ">f4")
+        if fh.readline().strip() != b"PF":
+            raise FrameFormatError(f"{path}: not a 3-channel PFM file")
+        try:
+            w, h = (int(v) for v in fh.readline().split())
+            scale = float(fh.readline())
+        except ValueError:
+            raise FrameFormatError(f"{path}: malformed PFM dimensions or scale") from None
+        if w <= 0 or h <= 0 or scale == 0.0 or not np.isfinite(scale):
+            raise FrameFormatError(f"{path}: invalid PFM header {w}x{h}, scale {scale}")
+        payload = fh.read()
+    expected = w * h * 3 * 4
+    if len(payload) != expected:
+        raise FrameFormatError(
+            f"{path}: {len(payload)} payload bytes for a {w}x{h} frame, expected {expected}")
+    data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4")
     px = data.reshape(h, w, 3)[::-1, :, :]
     return np.ascontiguousarray(px, dtype=np.float64)
 
@@ -59,15 +84,18 @@ def write_sidecar(frame_path, tag, seed=0, config=None, extra=None):
     }
     if extra:
         doc.update(extra)
-    with open(sidecar_path(frame_path), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_atomic(sidecar_path(frame_path), (json.dumps(doc, indent=2, sort_keys=True).encode(),))
 
 
 def read_tagged(frame_path):
     pixels = read_pfm(frame_path)
-    with open(sidecar_path(frame_path)) as fh:
-        doc = json.load(fh)
-    return cm.TaggedImage(pixels, cm.ColorSpaceTag.from_json(doc["tag"]))
+    side = sidecar_path(frame_path)
+    try:
+        with open(side) as fh:
+            tag = cm.ColorSpaceTag.from_json(json.load(fh)["tag"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FrameFormatError(f"{side}: no valid color-space tag ({exc!r})") from None
+    return cm.TaggedImage(pixels, tag)
 
 
 def write_tagged(frame_path, img, seed=0, config=None, extra=None):

@@ -224,11 +224,11 @@ def _blockwise_dct_quant(plane, step):
     hh, ww = padded.shape
     blocks = padded.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N)
     blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, _DCT_N, _DCT_N)
-    coefs = np.einsum("ik,nkl,jl->nij", DCT8, blocks, DCT8)
+    coefs = DCT8 @ blocks @ DCT8.T
     # deadzone: round magnitudes toward zero so AC energy never grows; DC kept
-    quant = np.sign(coefs) * np.floor(np.abs(coefs) / step[None, :, :]) * step[None, :, :]
+    quant = np.sign(coefs) * np.floor(np.abs(coefs) / step) * step
     quant[:, 0, 0] = coefs[:, 0, 0]
-    rec = np.einsum("ki,nkl,lj->nij", DCT8, quant, DCT8)
+    rec = DCT8.T @ quant @ DCT8
     rec = rec.reshape(hh // _DCT_N, ww // _DCT_N, _DCT_N, _DCT_N)
     rec = rec.transpose(0, 2, 1, 3).reshape(hh, ww)
     return rec[:h, :w]
@@ -256,16 +256,19 @@ def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
+    # each stage rebinds `img`, so an intermediate is freed once the next exists
     linear = cm.apply_transfer(img_pq, cm.Direction.DECODE)
-    mapped = tone_map(spec.tmo, linear)
-    sdr709, _ = cm.convert_gamut(mapped, cm.Primaries.BT709)
-    clipped = sdr709.with_pixels(
-        np.clip(sdr709.pixels, 0.0, 1.0),
-        cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0),
+    img = tone_map(spec.tmo, linear)
+    del linear
+    img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
+    # convert_gamut returns a fresh array, so clip and scale it in place;
+    # encode operates on relative linear light, peak the SDR nominal 100 nits
+    px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
+    px *= 100.0
+    img = cm.encode_transfer(
+        img.with_pixels(px, cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)),
+        cm.Transfer.GAMMA709,
     )
-    # encode operates on relative linear light; peak is the SDR nominal 100 nits
-    encoded = cm.encode_transfer(
-        clipped.with_pixels(clipped.pixels * 100.0, clipped.tag), cm.Transfer.GAMMA709
-    )
-    quantized = quantize(encoded, 8)
-    return codec_proxy(quantized, spec.crf)
+    del px
+    img = quantize(img, 8)
+    return codec_proxy(img, spec.crf)

@@ -8,7 +8,9 @@ import pytest
 from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
+from lumaflux import tonemap as tm
 from test_acceptance import synthetic_hdr
+from test_pfm import damaged_frame
 
 # SHA-256 of the synthesize output tree for the A5 input frame; a change
 # that moves it changes output bits and must say why
@@ -58,6 +60,34 @@ class TestSynthesize:
         assert len(frames) == 24 and len(sidecars) == 24
         listing = json.loads(capsys.readouterr().out)
         assert len(listing["frames"]) == 24
+
+    def test_leaves_no_temporary_files(self, tmp_path, hdr_frame, capsys):
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", hdr_frame, "--output-dir", str(out)]) == 0
+        names = os.listdir(out)
+        assert len(names) == 48
+        assert sum(n.endswith(".pfm") for n in names) == 24
+        assert sum(n.endswith(".json") for n in names) == 24
+
+    def test_frames_equal_public_chain(self, tmp_path, capsys):
+        # the shared per-operator chain writes what degrade + write_tagged write
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, synthetic_hdr(size=64), seed=7)
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
+        hdr = pfm.read_tagged(src)
+        hash_cfg = {k: v for k, v in cli.DEFAULT_CONFIG.items() if k != "output_dir"}
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        frames = sorted(f for f in os.listdir(out) if f.endswith(".pfm"))
+        assert len(frames) == 24
+        for name in frames:
+            with open(pfm.sidecar_path(str(out / name))) as fh:
+                spec = tm.DegradationSpec.from_json(json.load(fh)["degradation"])
+            pfm.write_tagged(str(ref / name), tm.degrade(hdr, spec), seed=spec.seed,
+                             config=hash_cfg, extra={"degradation": spec.to_json()})
+            for path in (name, pfm.sidecar_path(name)):
+                assert (ref / path).read_bytes() == (out / path).read_bytes(), path
 
     def test_byte_exact_across_reruns_and_thread_counts(self, tmp_path, hdr_frame,
                                                         monkeypatch, capsys):
@@ -185,6 +215,23 @@ class TestFeatures:
         # feeding an HDR frame to the SDR feature extractor is a numerical/tag failure
         rc = cli.main(["features", hdr_frame])
         assert rc == 4
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("damage", ["truncated", "bad_json", "no_tag"])
+    @pytest.mark.parametrize("command", ["synthesize", "metrics", "features"])
+    def test_is_io_error(self, tmp_path, command, damage, capsys):
+        tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+        bad = damaged_frame(tmp_path / "bad.pfm", damage, tag=tag)
+        argv = {
+            "synthesize": ["synthesize", bad, "--output-dir", str(tmp_path / "o")],
+            "metrics": ["metrics", bad, bad],
+            "features": ["features", bad],
+        }[command]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot read" in captured.err
 
 
 class TestArgParsing:

@@ -3,7 +3,7 @@ import pytest
 
 from lumaflux import colorimetry as cm
 from lumaflux import metrics as mt
-from lumaflux.errors import DimensionError, TagError
+from lumaflux.errors import DimensionError, EvaluationError, TagError
 
 
 def pq_image(nits):
@@ -61,6 +61,17 @@ class TestPsnrPu21:
                                               cm.Transfer.LINEAR, cm.PQ_PEAK_NITS))
         with pytest.raises(TagError):
             mt.psnr_pu21(a, lin)
+
+
+    @pytest.mark.parametrize("luma_only", [False, True])
+    def test_non_finite_mse_is_evaluation_error(self, luma_only):
+        # min(PSNR_CAP_DB, nan) is the cap; a NaN sample must not score 99 dB
+        tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
+        ref = cm.TaggedImage(np.full((4, 4, 3), 100.0), tag)
+        px = ref.pixels.copy()
+        px[1, 2, 0] = np.nan
+        with pytest.raises(EvaluationError):
+            mt._psnr_linear(ref, ref.with_pixels(px), luma_only)
 
 
 class TestReport:

@@ -1,11 +1,44 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
-from lumaflux.errors import DimensionError
+from lumaflux.errors import DimensionError, FrameFormatError
+
+SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
+
+
+def _rewrite(path, edit):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(data))
+
+
+# name -> damage applied to a valid 5x4 tagged frame at `path`
+DAMAGE = {
+    "truncated": lambda path: _rewrite(path, lambda b: b[:-4]),
+    "extra_payload": lambda path: _rewrite(path, lambda b: b + bytes(4)),
+    "bad_dims": lambda path: _rewrite(path, lambda b: b.replace(b"4 5\n", b"4 x\n", 1)),
+    "zero_dims": lambda path: _rewrite(path, lambda b: b.replace(b"4 5\n", b"0 5\n", 1)),
+    "bad_magic": lambda path: _rewrite(path, lambda b: b"Pf" + b[2:]),
+    "bad_json": lambda path: _rewrite(pfm.sidecar_path(path), lambda b: b[:-3]),
+    "no_tag": lambda path: _rewrite(pfm.sidecar_path(path), lambda b: b'{"seed": 0}'),
+    "invalid_tag": lambda path: _rewrite(pfm.sidecar_path(path),
+                                         lambda b: b.replace(b'"BT709"', b'"BT601"')),
+    "not_an_object": lambda path: _rewrite(pfm.sidecar_path(path), lambda b: b"[1, 2]"),
+}
+
+
+def damaged_frame(path, damage, tag=SDR_TAG):
+    """Write a valid 5x4 tagged frame at path, then apply one DAMAGE entry."""
+    pfm.write_tagged(str(path), cm.TaggedImage(np.full((5, 4, 3), 0.5), tag))
+    DAMAGE[damage](str(path))
+    return str(path)
 
 
 def test_pfm_round_trip(tmp_path):
@@ -59,3 +92,53 @@ def test_sidecar_contents(tmp_path):
 def test_config_hash_stable_under_key_order():
     assert pfm.config_hash({"a": 1, "b": 2}) == pfm.config_hash({"b": 2, "a": 1})
     assert pfm.config_hash({"a": 1}) != pfm.config_hash({"a": 2})
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_malformed_input_is_frame_format_error(tmp_path, damage):
+    path = damaged_frame(tmp_path / "frame.pfm", damage)
+    with pytest.raises(FrameFormatError):
+        pfm.read_tagged(path)
+
+
+def test_failed_write_keeps_existing_frame(tmp_path, monkeypatch):
+    path = str(tmp_path / "frame.pfm")
+    pfm.write_pfm(path, np.zeros((4, 4, 3)))
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    class FullDisk:
+        """File stand-in that accepts 40 bytes, then fails: header plus part of the payload."""
+
+        def __init__(self, fh):
+            self.fh = fh
+            self.room = 40
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            self.fh.write(chunk[:self.room])
+            if len(chunk) > self.room:
+                raise OSError(errno.ENOSPC, "no space left on device")
+            self.room -= len(chunk)
+
+    real_open = open
+    monkeypatch.setattr(pfm, "open", lambda p, mode: FullDisk(real_open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        pfm.write_pfm(path, np.ones((4, 4, 3)))
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["frame.pfm"]
+
+
+def test_write_replaces_existing_frame(tmp_path):
+    path = str(tmp_path / "frame.pfm")
+    pfm.write_pfm(path, np.zeros((4, 4, 3)))
+    pfm.write_pfm(path, np.ones((2, 3, 3)))
+    np.testing.assert_array_equal(pfm.read_pfm(path), np.ones((2, 3, 3)))
+    assert os.listdir(tmp_path) == ["frame.pfm"]

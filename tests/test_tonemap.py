@@ -171,6 +171,29 @@ class TestCodecProxy:
         with pytest.raises(ConfigError):
             tm.codec_proxy(img, 30)
 
+    def test_matches_per_block_reference(self):
+        # a plain loop over edge-padded 8x8 blocks with its own DCT-II basis;
+        # 37x53 needs padding on both axes and catches swapped transposes
+        px = np.random.default_rng(4).uniform(0, 1, (37, 53, 3))
+        u = np.arange(8)[:, None]
+        n = np.arange(8)[None, :]
+        basis = np.cos(np.pi * (2 * n + 1) * u / 16) * np.where(u == 0, np.sqrt(1 / 8), 0.5)
+        for crf in tm.VALID_CRF:
+            step = tm.JPEG_BASE / 255.0 * 0.25 * tm.crf_quality_scale(crf)
+            expected = np.empty_like(px)
+            for ch in range(3):
+                plane = np.pad(px[:, :, ch], ((0, 3), (0, 3)), mode="edge")
+                rec = np.empty_like(plane)
+                for r in range(0, plane.shape[0], 8):
+                    for c in range(0, plane.shape[1], 8):
+                        coef = basis @ plane[r:r + 8, c:c + 8] @ basis.T
+                        quant = np.trunc(coef / step) * step
+                        quant[0, 0] = coef[0, 0]
+                        rec[r:r + 8, c:c + 8] = basis.T @ quant @ basis
+                expected[:, :, ch] = rec[:37, :53]
+            got = tm.codec_proxy(self.encoded(px), crf).pixels
+            np.testing.assert_allclose(got, np.clip(expected, 0.0, 1.0), rtol=0, atol=1e-12)
+
 
 class TestDegrade:
     def test_output_contract(self):

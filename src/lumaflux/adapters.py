@@ -152,8 +152,7 @@ class AdapterState:
         return state
 
     def zeros_like(self):
-        out = AdapterState(**{f.name: np.zeros_like(getattr(self, f.name)) for f in fields(self)})
-        return out
+        return AdapterState(**{f.name: np.zeros_like(getattr(self, f.name)) for f in fields(self)})
 
 
 def sinusoid_features(t, n_sin):
@@ -282,15 +281,12 @@ def coupler(z_res, t_phys_tokens, conn, state, mod):
 
 
 def block_forward(z, t_phys_tokens, phys_vec, r_spec, t_perc, backbone, state, cfg,
-                  t=0.5, layer=0, mod_override=None):
+                  t=0.5, layer=0):
     """One adapted transformer block; returns (output, cache)."""
     n, d = z.shape
     if d != cfg.d or n != cfg.n_tokens:
         raise DimensionError(f"latent must be {cfg.n_tokens}x{cfg.d}")
-    if mod_override is None:
-        mod, psi_cache = psi(t, layer, state, cfg)
-    else:
-        mod, psi_cache = mod_override, None
+    mod, psi_cache = psi(t, layer, state, cfg)
 
     r_mat, pga_cache = pga_residual(state, phys_vec, r_spec, mod, cfg)
 
@@ -360,11 +356,10 @@ def block_backward(cache, backbone, state, cfg, d_out):
     d_r = cache["x1"].T @ d_v
     d_alpha_pga, d_beta_pga, d_nspec = pga_backward(cache["pga_cache"], state, grads, d_r, cfg)
 
-    if cache["psi_cache"] is not None:
-        psi_backward(
-            cache["psi_cache"], state, grads,
-            [d_alpha_pga, d_beta_pga, d_alpha_pcm, d_beta_pcm, d_nspec, d_lam],
-        )
+    psi_backward(
+        cache["psi_cache"], state, grads,
+        [d_alpha_pga, d_beta_pga, d_alpha_pcm, d_beta_pcm, d_nspec, d_lam],
+    )
     return grads
 
 
@@ -394,7 +389,7 @@ def perceptual_stub(sdr, d_p, seed=0, patch=16):
     """
     if d_p < 4:
         raise ConfigError("d_p must be at least 4")
-    h, w = sdr.height, sdr.width
+    h, w = sdr.pixels.shape[:2]
     if h < patch or w < patch:
         raise ConfigError("image smaller than one patch")
     rows = h // patch
@@ -480,7 +475,7 @@ def low_rank_svd_tail(state, cfg):
     return float(sv[cfg.rank]) if sv.size > cfg.rank else 0.0
 
 
-def pool_phys_tokens(feats, cfg, conv_channels=None):
+def pool_phys_tokens(feats, cfg):
     """Patch-pool a physical descriptor map into n_tokens tokens.
 
     The grid is assumed square (n_tokens a perfect square) and the map is

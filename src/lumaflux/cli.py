@@ -1,6 +1,12 @@
 """Command-line surface: synthesize, fit-expand, metrics, features, adapter-demo.
 
-Exit codes: 0 ok, 2 I/O failure, 3 invalid config, 4 numerical failure.
+Exit codes: 0 ok, 2 I/O failure (a missing or malformed input, an
+unwritable output), 3 invalid config (malformed JSON, an unknown key, a
+value of the wrong type or range, an unknown tone-operator parameter),
+4 numerical failure. `main` alone maps exceptions to codes: OSError -> 2,
+LumaFluxError -> its `exit_code`. `--config` takes a JSON object whose
+keys are those of DEFAULT_CONFIG.
+
 LUMAFLUX_THREADS caps how many tone operators `synthesize` runs at once;
 the CRF variants of one operator share one decode-to-quantize chain.
 Outputs are independent of the worker count because every frame derives
@@ -23,7 +29,7 @@ from . import metrics as mt
 from . import pfm
 from . import rqs
 from . import tonemap as tm
-from .errors import ConfigError, FitError, LumaFluxError
+from .errors import ConfigError, FitError, FrameFormatError, LumaFluxError
 
 DEFAULT_CONFIG = {
     "tmos": [
@@ -42,7 +48,6 @@ DEFAULT_CONFIG = {
     "k_bands": 8,
     "peak_nits": 1000.0,
     "lambda_l1": 1.0,
-    "lambda_rgb": 0.0,
     "lambda_smooth": 1e-2,
     "fit_iterations": 800,
     "fit_samples": 16384,
@@ -51,14 +56,46 @@ DEFAULT_CONFIG = {
 }
 
 
+# lower bounds beyond the type check; a spline and a band split need two bins
+_AT_LEAST = {"spline_knots": 2, "k_bands": 2, "fit_iterations": 1, "fit_samples": 1,
+             "feature_seed": 0, "lambda_l1": 0, "lambda_smooth": 0}
+
+
+def _conforms(val, like):
+    """True when `val` has the JSON type of `like`; an int may stand for a float."""
+    if isinstance(like, list):
+        return isinstance(val, list) and bool(val) and all(_conforms(v, like[0]) for v in val)
+    if isinstance(like, float):
+        return tm.is_finite_number(val)
+    return isinstance(val, type(like)) and not isinstance(val, bool)
+
+
 def load_config(path=None, overrides=None):
+    """DEFAULT_CONFIG, then the JSON object at `path`, then `overrides`; checked, not rewritten."""
     cfg = dict(DEFAULT_CONFIG)
     if path:
         with open(path) as fh:
-            cfg.update(json.load(fh))
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            cfg[key] = val
+            try:
+                doc = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+                raise ConfigError(f"{path}: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object")
+        cfg.update(doc)
+    cfg.update((key, val) for key, val in (overrides or {}).items() if val is not None)
+    for key, val in cfg.items():
+        like = DEFAULT_CONFIG.get(key)
+        if like is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        if not _conforms(val, like):
+            sample = like[:1] if isinstance(like, list) else like
+            raise ConfigError(f"{key}: expected a value like {json.dumps(sample)}, got {val!r}")
+        if key in _AT_LEAST and val < _AT_LEAST[key]:
+            raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}, got {val!r}")
+    if not 0 < cfg["peak_nits"] <= cm.PQ_PEAK_NITS:
+        raise ConfigError(f"peak_nits must be in (0, 10000], got {cfg['peak_nits']!r}")
+    for doc in cfg["tmos"]:
+        tm.ToneOperator.from_json(doc)
     return cfg
 
 
@@ -71,32 +108,19 @@ def _max_workers():
 
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed, "output_dir": args.output_dir})
-    if not cfg["tmos"]:
-        print("config error: empty tmo list", file=sys.stderr)
-        return 3
-    try:
-        crfs = [int(c) for c in cfg["crfs"]]
-        # one job per tone operator: its CRF variants share one chain up to the codec
-        jobs = []
-        idx = 0
-        for tmo_doc in cfg["tmos"]:
-            op = tm.ToneOperator.from_json(tmo_doc)
-            specs = []
-            for crf in crfs:
-                specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
-                idx += 1
-            jobs.append((op, specs))
-    except (ConfigError, KeyError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    try:
-        hdr = pfm.read_tagged(args.hdr_input)
-    except (OSError, LumaFluxError) as exc:
-        print(f"cannot read {args.hdr_input}: {exc}", file=sys.stderr)
-        return 2
+    # one job per tone operator: its CRF variants share one chain up to the codec
+    jobs = []
+    idx = 0
+    for tmo_doc in cfg["tmos"]:
+        op = tm.ToneOperator.from_json(tmo_doc)
+        specs = []
+        for crf in cfg["crfs"]:
+            specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
+            idx += 1
+        jobs.append((op, specs))
+    hdr = pfm.read_tagged(args.hdr_input)
     if hdr.tag.transfer is not cm.Transfer.PQ or hdr.tag.primaries is not cm.Primaries.BT2020:
-        print("input must carry a PQ/BT.2020 tag", file=sys.stderr)
-        return 2
+        raise FrameFormatError(f"{args.hdr_input}: input must carry a PQ/BT.2020 tag")
     os.makedirs(cfg["output_dir"], exist_ok=True)
     # hash only the generative parameters, not where the frames land
     hash_cfg = {k: v for k, v in cfg.items() if k != "output_dir"}
@@ -154,41 +178,34 @@ def refine_chroma(expanded, ref_linear):
 
 
 def cmd_fit_expand(args):
-    cfg = load_config(args.config, {})
-    try:
-        sdr = pfm.read_tagged(args.sdr)
-        ref = pfm.read_tagged(args.hdr_ref)
-    except (OSError, LumaFluxError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    sdr = pfm.read_tagged(args.sdr)
+    ref = pfm.read_tagged(args.hdr_ref)
     if sdr.pixels.shape != ref.pixels.shape:
-        print("input extents differ", file=sys.stderr)
-        return 2
-    peak = float(cfg["peak_nits"])
+        raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} differs from "
+                               f"{args.hdr_ref} {ref.pixels.shape}")
+    peak = cfg["peak_nits"]
     wide = ft.linearize_sdr(sdr)
     y_sdr = cm.luma2020(wide).reshape(-1)
     ref_linear = cm.apply_transfer(ref, cm.Direction.DECODE)
     y_ref = np.clip(cm.luma2020(ref_linear).reshape(-1) / peak, 0.0, 1.0)
-    stride = max(1, y_sdr.size // int(cfg["fit_samples"]))
-    fit_cfg = rqs.FitConfig(
-        lambda_l1=float(cfg["lambda_l1"]),
-        lambda_smooth=float(cfg["lambda_smooth"]),
-        iterations=int(cfg["fit_iterations"]),
-    )
+    stride = max(1, y_sdr.size // cfg["fit_samples"])
+    fit_cfg = rqs.FitConfig(lambda_l1=cfg["lambda_l1"], lambda_smooth=cfg["lambda_smooth"],
+                            iterations=cfg["fit_iterations"])
     try:
         params, raw, trace = rqs.fit_rqs(
-            y_sdr[::stride], y_ref[::stride], K=int(cfg["spline_knots"]), cfg=fit_cfg
+            y_sdr[::stride], y_ref[::stride], K=cfg["spline_knots"], cfg=fit_cfg
         )
     except FitError as exc:
         trace_path = args.output + ".trace.csv"
         np.savetxt(trace_path, getattr(exc, "trace", np.array([])),
                    header="loss", comments="")
-        print(f"fit diverged: {exc} (trace at {trace_path})", file=sys.stderr)
-        return 4
+        print(f"fit diverged, loss trace at {trace_path}", file=sys.stderr)
+        raise
     expanded = expand_sdr(sdr, params, peak)
     refined = refine_chroma(expanded, ref_linear)
     out_pq = cm.encode_transfer(refined, cm.Transfer.PQ)
-    pfm.write_tagged(args.output, out_pq, seed=int(cfg["seed"]), config=cfg)
+    pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
     rqs.save_fit(args.output + ".rqs.json", params, raw, fit_cfg)
     np.savetxt(args.output + ".trace.csv", trace, header="loss", comments="")
     print(json.dumps({"output": args.output, "final_loss": float(trace[-1])}, indent=2))
@@ -196,23 +213,19 @@ def cmd_fit_expand(args):
 
 
 def cmd_metrics(args):
-    try:
-        ref = pfm.read_tagged(args.ref)
-        test = pfm.read_tagged(args.test)
-    except (OSError, LumaFluxError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
-        return 2
+    ref = pfm.read_tagged(args.ref)
+    test = pfm.read_tagged(args.test)
     report = mt.metric_report(ref, test)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    print(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(doc + "\n")
+    print(doc)
     return 0
 
 
 def feature_weights(cfg):
-    rng = np.random.default_rng(int(cfg["feature_seed"]))
+    rng = np.random.default_rng(cfg["feature_seed"])
     c_phys = 8
     d_g = 4
     conv = rng.normal(0.0, 0.2, (c_phys, 3, 3, 3))
@@ -233,15 +246,11 @@ def _map_summary(name, arr):
 
 
 def cmd_features(args):
-    cfg = load_config(args.config, {})
-    try:
-        sdr = pfm.read_tagged(args.frame)
-    except (OSError, LumaFluxError) as exc:
-        print(f"cannot read {args.frame}: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    sdr = pfm.read_tagged(args.frame)
     conv, mlp = feature_weights(cfg)
     feats = ft.extract_phys(sdr, conv, mlp)
-    desc = ft.spectral_descriptor(feats.y_map, int(cfg["k_bands"]))
+    desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),
         "g": feats.g.tolist(),
@@ -342,12 +351,13 @@ def main(argv=None):
         raise
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
+    except OSError as exc:
+        print(f"I/O failure: {exc}", file=sys.stderr)
+        return 2
     except LumaFluxError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+        label = {2: "cannot read", 3: "config error"}.get(exc.exit_code, "numerical failure")
+        print(f"{label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -109,14 +109,6 @@ class TaggedImage:
             raise DimensionError(f"expected HxWx3 pixels, got {px.shape}")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def height(self):
-        return self.pixels.shape[0]
-
-    @property
-    def width(self):
-        return self.pixels.shape[1]
-
     def with_pixels(self, pixels, tag=None):
         return TaggedImage(pixels=pixels, tag=tag if tag is not None else self.tag)
 
@@ -213,19 +205,14 @@ def gamut_matrix(src, dst):
     return m
 
 
-def convert_gamut(img, dst, clamp_negative=True):
-    """Convert a linear image to new primaries; returns (image, clamp_fraction)."""
+def convert_gamut(img, dst):
+    """Linear image to new primaries with negatives clamped; returns (image, clamp_fraction)."""
     if img.tag.transfer is not Transfer.LINEAR:
         raise TagError("gamut conversion operates on linear images")
-    m = gamut_matrix(img.tag.primaries, dst)
-    out = img.pixels @ m.T
-    clamp_fraction = 0.0
-    if clamp_negative:
-        below = out < 0.0
-        clamp_fraction = float(np.mean(np.any(below, axis=-1)))
-        out = np.maximum(out, 0.0)
+    out = img.pixels @ gamut_matrix(img.tag.primaries, dst).T
+    clamp_fraction = float(np.mean(np.any(out < 0.0, axis=-1)))
     tag = replace(img.tag, primaries=dst)
-    return img.with_pixels(out, tag), clamp_fraction
+    return img.with_pixels(np.maximum(out, 0.0), tag), clamp_fraction
 
 
 def luma2020(img):

@@ -1,11 +1,11 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: I/O -> 2, config -> 3, numerical -> 4.
+Each class carries its CLI exit code: frame format (I/O) -> 2, config -> 3, numerical -> 4.
 """
 
 
 class LumaFluxError(Exception):
-    pass
+    exit_code = 4
 
 
 class DimensionError(LumaFluxError, ValueError):
@@ -17,7 +17,8 @@ class DomainError(LumaFluxError, ValueError):
 
 
 class FrameFormatError(LumaFluxError, ValueError):
-    """A PFM frame or its JSON sidecar is malformed; an I/O failure."""
+    """A PFM frame or its JSON sidecar is malformed or unusable; an I/O failure."""
+    exit_code = 2
 
 
 class TagError(LumaFluxError, ValueError):
@@ -26,6 +27,7 @@ class TagError(LumaFluxError, ValueError):
 
 class ConfigError(LumaFluxError, ValueError):
     """Invalid configuration value."""
+    exit_code = 3
 
 
 class EvaluationError(LumaFluxError, RuntimeError):

@@ -44,11 +44,9 @@ def linearize_sdr(sdr):
 
 def gradient_magnitude(y_map):
     """Central differences with replicate borders."""
-    gy_r = np.empty_like(y_map)
-    gy_c = np.empty_like(y_map)
     padded = np.pad(y_map, 1, mode="edge")
-    gy_r[:] = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
-    gy_c[:] = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    gy_r = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    gy_c = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     return np.sqrt(gy_r**2 + gy_c**2)
 
 

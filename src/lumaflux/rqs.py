@@ -114,8 +114,8 @@ def _clamp_input(y):
     return out
 
 
-def _bin_locals(p, y):
-    i = _bin_index(p, y)
+def _bin_locals(p, y, i=None):
+    i = _bin_index(p, y) if i is None else i
     a = p.knots_x[i]
     b = p.knots_x[i + 1]
     c = p.knots_y[i]
@@ -153,15 +153,7 @@ def rqs_inverse(p, yhat):
     """Closed-form bin-local inversion of the spline."""
     yhat = _clamp_input(yhat)
     i = np.clip(np.searchsorted(p.knots_y, yhat, side="right") - 1, 0, p.num_bins - 1)
-    a = p.knots_x[i]
-    b = p.knots_x[i + 1]
-    c = p.knots_y[i]
-    d = p.knots_y[i + 1]
-    s0 = p.slopes[i]
-    s1 = p.slopes[i + 1]
-    w = b - a
-    dy = d - c
-    delta = dy / w
+    _, a, _, c, _, s0, s1, w, _, dy, delta = _bin_locals(p, yhat, i)
     rel = yhat - c
     term = rel * (s0 + s1 - 2.0 * delta)
     qa = dy * (delta - s0) + term

@@ -8,6 +8,7 @@ in for real HEVC encodes at the three CRF working points.
 """
 
 import enum
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,12 +53,37 @@ class ToneOperator:
     kind: ToneKind
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", ToneKind(self.kind))
+        except ValueError:
+            raise ConfigError(f"unknown tone operator kind {self.kind!r}") from None
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"{self.kind.value} params must be an object, got {self.params!r}")
+        declared = _CURVES[self.kind].__kwdefaults__
+        for name, val in self.params.items():
+            if name not in declared:
+                raise ConfigError(f"{self.kind.value} has no parameter {name!r}; "
+                                  f"it takes {', '.join(declared)}")
+            if not is_finite_number(val) or name.endswith("_nits") and val <= 0:
+                raise ConfigError(f"{self.kind.value} {name} must be a finite number, "
+                                  f"> 0 for a luminance, got {val!r}")
+        object.__setattr__(self, "params", dict(self.params))
+
     def to_json(self):
         return {"kind": self.kind.value, "params": dict(self.params)}
 
     @classmethod
     def from_json(cls, doc):
-        return cls(kind=ToneKind(doc["kind"]), params=dict(doc.get("params", {})))
+        if not isinstance(doc, dict) or "kind" not in doc or set(doc) - {"kind", "params"}:
+            raise ConfigError(f'a tone operator is {{"kind": ..., "params": {{...}}}}, got {doc!r}')
+        return cls(kind=doc["kind"], params=doc.get("params", {}))
+
+
+def is_finite_number(val):
+    """True for a JSON number that converts to a finite float; bool is not a number."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -82,19 +108,16 @@ class DegradationSpec:
         )
 
 
-def _curve_reinhard(lum, params):
-    peak = params.get("peak_in_nits", 1000.0)
-    ln = lum / peak
+def _curve_reinhard(lum, *, peak_in_nits=1000.0):
+    ln = lum / peak_in_nits
     return ln / (1.0 + ln)
 
 
-def _curve_bt2446a(lum, params):
+def _curve_bt2446a(lum, *, peak_in_nits=1000.0, peak_out_nits=100.0):
     """ITU-R BT.2446 method A luminance mapping, HDR peak -> SDR peak."""
-    l_hdr = params.get("peak_in_nits", 1000.0)
-    l_sdr = params.get("peak_out_nits", 100.0)
-    yp = np.power(np.clip(lum / l_hdr, 0.0, 1.0), 1.0 / 2.4)
-    rho_hdr = 1.0 + 32.0 * np.power(l_hdr / 10000.0, 1.0 / 2.4)
-    rho_sdr = 1.0 + 32.0 * np.power(l_sdr / 10000.0, 1.0 / 2.4)
+    yp = np.power(np.clip(lum / peak_in_nits, 0.0, 1.0), 1.0 / 2.4)
+    rho_hdr = 1.0 + 32.0 * np.power(peak_in_nits / 10000.0, 1.0 / 2.4)
+    rho_sdr = 1.0 + 32.0 * np.power(peak_out_nits / 10000.0, 1.0 / 2.4)
     yp = np.log1p((rho_hdr - 1.0) * yp) / np.log(rho_hdr)
     yc = np.where(
         yp <= 0.7399,
@@ -105,29 +128,28 @@ def _curve_bt2446a(lum, params):
     return np.clip(np.power(ysdr, 2.4), 0.0, 1.0)
 
 
-def _curve_bt2446c(lum, params):
+# BT.2446-C-style linear segment: its slope and knee (relative luminance)
+BT2446C_SLOPE, BT2446C_KNEE = 4.0, 0.08
+
+
+def _curve_bt2446c(lum, *, peak_in_nits=1000.0):
     """BT.2446 method C style: linear segment with exponential shoulder."""
-    peak = params.get("peak_in_nits", 1000.0)
-    a = params.get("slope", 4.0)
-    k = params.get("knee", 0.08)
-    x = lum / peak
+    a, k = BT2446C_SLOPE, BT2446C_KNEE
+    x = lum / peak_in_nits
     yk = a * k
     shoulder = yk + (1.0 - yk) * (1.0 - np.exp(-a * (x - k) / (1.0 - yk)))
     return np.where(x <= k, a * x, shoulder)
 
 
-def _curve_hardclip(lum, params):
-    peak_out = params.get("peak_out_nits", 100.0)
-    return np.clip(lum / peak_out, 0.0, 1.0)
+def _curve_hardclip(lum, *, peak_out_nits=100.0):
+    return np.clip(lum / peak_out_nits, 0.0, 1.0)
 
 
-def _curve_bt2390(lum, params):
+def _curve_bt2390(lum, *, peak_in_nits=1000.0, peak_out_nits=100.0):
     """BT.2390 EETF: Hermite knee roll-off applied in the PQ domain."""
-    src_peak = params.get("peak_in_nits", 1000.0)
-    dst_peak = params.get("peak_out_nits", 100.0)
-    e_src = cm.pq_encode(src_peak)
-    max_lum = cm.pq_encode(dst_peak) / e_src
-    e1 = cm.pq_encode(np.clip(lum, 0.0, src_peak)) / e_src
+    e_src = cm.pq_encode(peak_in_nits)
+    max_lum = cm.pq_encode(peak_out_nits) / e_src
+    e1 = cm.pq_encode(np.clip(lum, 0.0, peak_in_nits)) / e_src
     if max_lum >= 1.0:
         e2 = e1
     else:
@@ -140,35 +162,28 @@ def _curve_bt2390(lum, params):
         )
         e2 = np.where(e1 < ks, e1, spline)
     out_nits = cm.pq_decode(np.clip(e2 * e_src, 0.0, 1.0))
-    return np.clip(out_nits / dst_peak, 0.0, 1.0)
+    return np.clip(out_nits / peak_out_nits, 0.0, 1.0)
 
 
-def _curve_logc(lum, params):
+# LogC-style curve: c*log10(a*x + b) + d above `cut`, a linear toe slope*x + off below
+LOGC_A, LOGC_B, LOGC_C, LOGC_D = 5.555556, 0.052272, 0.247190, 0.385537
+LOGC_CUT, LOGC_SLOPE, LOGC_OFF = 0.010591, 5.367655, 0.092809
+
+
+def _curve_logc(lum, *, peak_in_nits=1000.0):
     """LogC-style log curve with a linear toe, normalized to [0, 1]."""
-    peak = params.get("peak_in_nits", 1000.0)
-    a = params.get("a", 5.555556)
-    b = params.get("b", 0.052272)
-    c = params.get("c", 0.247190)
-    d = params.get("d", 0.385537)
-    cut = params.get("cut", 0.010591)
-    slope = params.get("slope", 5.367655)
-    off = params.get("off", 0.092809)
-    x = lum / peak
+    a, b, c, d = LOGC_A, LOGC_B, LOGC_C, LOGC_D
+    cut, slope, off = LOGC_CUT, LOGC_SLOPE, LOGC_OFF
+    x = lum / peak_in_nits
     y = np.where(x > cut, c * np.log10(a * x + b) + d, slope * x + off)
     y0 = slope * 0.0 + off
     y1 = c * np.log10(a + b) + d
     return np.clip((y - y0) / (y1 - y0), 0.0, 1.0)
 
 
-def _curve_expert_stub(lum, params):
+def _curve_expert_stub(lum, *, peak_in_nits=1000.0, gamma=0.85, mix=0.2):
     """Configurable smooth grade for pipeline testing; not a published TMO."""
-    if params.get("passthrough"):
-        peak = params.get("peak_in_nits", 100.0)
-        return np.clip(lum / peak, 0.0, 1.0)
-    peak = params.get("peak_in_nits", 1000.0)
-    gamma = params.get("gamma", 0.85)
-    mix = params.get("mix", 0.2)
-    x = np.clip(lum / peak, 0.0, 1.0)
+    x = np.clip(lum / peak_in_nits, 0.0, 1.0)
     return (1.0 - mix) * np.power(x, gamma) + mix * (3.0 * x * x - 2.0 * x**3)
 
 
@@ -188,7 +203,7 @@ def tone_curve(op, lum_nits):
     lum = np.asarray(lum_nits, dtype=np.float64)
     if np.any(lum < 0.0):
         raise DomainError("tone curve input must be nonnegative")
-    return _CURVES[op.kind](lum, op.params)
+    return _CURVES[op.kind](lum, **op.params)
 
 
 def tone_map(op, img):

@@ -4,17 +4,20 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
 from lumaflux import tonemap as tm
+from lumaflux.errors import ConfigError
 from test_acceptance import synthetic_hdr
 from test_pfm import damaged_frame
 
 # SHA-256 of the synthesize output tree for the A5 input frame; a change
 # that moves it changes output bits and must say why
-A5_TREE_SHA256 = "a1192abbec8261955d6da614e301aa694e22493cd6580c4e0d336f31ec37b1ea"
+A5_TREE_SHA256 = "82dff2f4ddc524e2a906f55f6b4f51d8c20291792b449ccd8b9ae33f566765b5"
 
 
 def write_hdr(path, seed=0, size=64, peak=1000.0):
@@ -232,6 +235,129 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot read" in captured.err
+
+
+def files_under(root):
+    return {(d, f, os.path.getsize(os.path.join(d, f)))
+            for d, _, names in os.walk(root) for f in names}
+
+
+# (command, config file text or None, fault, exit code): malformed configs and
+# unusable outputs, each of which must exit 2 or 3 with no traceback and no output
+BAD_RUNS = [
+    ("synthesize", '{"crfs": [null]}', None, 3),
+    ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": 5}]}', None, 3),
+    ("synthesize", '{"seed": "x"}', None, 3),
+    ("synthesize", '{"tmos": "Reinhard"}', None, 3),
+    ("synthesize", "[1, 2]", None, 3),
+    ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": {"peak_in_nits": "5"}}]}', None, 3),
+    ("synthesize", "{bad", None, 3),
+    ("fit-expand", '{"fit_samples": "abc"}', None, 3),
+    ("features", '{"k_bands": "x"}', None, 3),
+    ("fit-expand", '{"fit_samples": 0}', None, 3),
+    ("synthesize", None, "missing_config", 2),
+    ("synthesize", None, "output_is_file", 2),
+    ("fit-expand", '{"fit_iterations": 10}', "no_output_dir", 2),
+    ("metrics", None, "no_output_dir", 2),
+    ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": {"peak_in_nit": 5}}]}', None, 3),
+    ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": {"peak_in_nits": -5}}]}', None, 3),
+    ("fit-expand", '{"peak_nits": -1000}', None, 3),
+    ("fit-expand", '{"fit_iterations": -5}', None, 3),
+    ("fit-expand", '{"spline_knots": 8.5}', None, 3),
+]
+
+
+class TestBadConfigOrOutput:
+    @pytest.mark.parametrize("command,config,fault,code", BAD_RUNS)
+    def test_exit_code_and_no_output(self, tmp_path, command, config, fault, code, capsys):
+        hdr = write_hdr(tmp_path / "hdr.pfm")
+        sdr = str(tmp_path / "sdr.pfm")
+        op = tm.ToneOperator(tm.ToneKind.REINHARD, {})
+        pfm.write_tagged(sdr, tm.degrade(pfm.read_tagged(hdr), tm.DegradationSpec(op, 23)))
+        out = tmp_path / "out"
+        if fault == "output_is_file":
+            out.write_text("")
+        elif fault != "no_output_dir":
+            out.mkdir()
+        argv = {
+            "synthesize": ["synthesize", hdr, "--output-dir", str(out)],
+            "fit-expand": ["fit-expand", sdr, hdr, "--output", str(out / "x.pfm")],
+            "metrics": ["metrics", hdr, hdr, "--output", str(out / "r.json")],
+            "features": ["features", sdr],
+        }[command]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        elif fault == "missing_config":
+            argv += ["--config", str(tmp_path / "missing.json")]
+        before = files_under(tmp_path)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        label = "config error" if code == 3 else ("cannot read", "I/O failure")
+        assert captured.err.startswith(label)
+        assert files_under(tmp_path) == before
+
+
+class TestLoadConfig:
+    def test_defaults_pass(self):
+        assert cli.load_config() == cli.DEFAULT_CONFIG
+
+    def test_values_kept_as_given(self, tmp_path):
+        doc = {"peak_nits": 1000, "crfs": [39, 23], "fit_samples": 4096}
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        cfg = cli.load_config(str(tmp_path / "cfg.json"))
+        assert {k: cfg[k] for k in doc} == doc
+        assert isinstance(cfg["peak_nits"], int)
+
+    @pytest.mark.parametrize("doc", [
+        {"lambda_rgb": 0.0}, {"seed": True}, {"peak_nits": 10001.0}, {"peak_nits": 0},
+        {"lambda_smooth": -1e-3}, {"k_bands": 0}, {"feature_seed": -1}, {"tmos": []},
+        {"crfs": [23.0]}, {"output_dir": 5}, {"tmos": [{"kind": "Reinhard", "param": {}}]},
+    ])
+    def test_rejects(self, tmp_path, doc):
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            cli.load_config(str(tmp_path / "cfg.json"))
+
+    @pytest.mark.parametrize("text", ['{"lambda_l1": NaN}', "[" * 100000 + "]" * 100000])
+    def test_rejects_text(self, tmp_path, text):
+        (tmp_path / "cfg.json").write_text(text)
+        with pytest.raises(ConfigError):
+            cli.load_config(str(tmp_path / "cfg.json"))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+PARAM_NAMES = sorted({name for curve in tm._CURVES.values() for name in curve.__kwdefaults__})
+TMO_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from([k.value for k in tm.ToneKind]) | JSON_VALUES},
+    optional={"params": st.dictionaries(st.sampled_from(PARAM_NAMES) | st.text(max_size=4),
+                                        JSON_VALUES | st.floats(0.0, 2e4), max_size=3)
+              | JSON_VALUES},
+) | JSON_VALUES
+CONFIG_DOCS = st.dictionaries(
+    st.sampled_from(sorted(cli.DEFAULT_CONFIG)) | st.text(max_size=8),
+    JSON_VALUES | st.lists(TMO_DOCS, max_size=3) | st.integers(-2, 40) | st.floats(-1.0, 2e4),
+    max_size=4,
+) | JSON_VALUES
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=CONFIG_DOCS, tmo=TMO_DOCS)
+def test_config_and_operator_parsing_raise_only_config_error(tmp_path_factory, doc, tmo):
+    path = tmp_path_factory.getbasetemp() / "property_cfg.json"
+    path.write_text(json.dumps(doc))
+    for parse, arg in ((cli.load_config, str(path)), (tm.ToneOperator.from_json, tmo)):
+        try:
+            parse(arg)
+        except ConfigError:
+            pass
 
 
 class TestArgParsing:

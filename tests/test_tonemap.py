@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -57,15 +59,61 @@ class TestCurves:
         lum = np.array([1.0, 5.0, 10.0])
         np.testing.assert_allclose(tm.tone_curve(op, lum), lum / 100.0, rtol=1e-6)
 
-    def test_expert_stub_passthrough(self):
-        op = tm.ToneOperator(tm.ToneKind.EXPERT_STUB,
-                             {"passthrough": True, "peak_in_nits": 100.0})
-        lum = np.linspace(0.0, 100.0, 64)
-        np.testing.assert_allclose(tm.tone_curve(op, lum), lum / 100.0, atol=1e-12)
-
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             tm.tone_curve(ALL_OPS[0], np.array([-1.0]))
+
+
+class TestToneOperator:
+    def test_default_config_operators_construct(self):
+        from lumaflux.cli import DEFAULT_CONFIG
+        ops = [tm.ToneOperator.from_json(doc) for doc in DEFAULT_CONFIG["tmos"]]
+        assert [op.to_json() for op in ops] == DEFAULT_CONFIG["tmos"]
+
+    def test_params_kept_as_given(self):
+        doc = {"kind": "Reinhard", "params": {"peak_in_nits": 1000}}
+        assert tm.ToneOperator.from_json(doc).to_json() == doc
+
+    def test_settable_parameters(self):
+        names = [n for curve in tm._CURVES.values() for n in curve.__kwdefaults__]
+        assert len(names) == 11
+
+    def test_readme_table_matches_signatures(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        for kind in tm.ToneKind:
+            row = next(line for line in readme if line.startswith(f"| `{kind.value}` |"))
+            cells = ", ".join(f"`{name}` ({default:g})"
+                              for name, default in tm._CURVES[kind].__kwdefaults__.items())
+            assert row == f"| `{kind.value}` | {cells} |"
+
+    @pytest.mark.parametrize("kind,params", [
+        ("Reinhardt", {}),
+        (None, {}),
+        ("Reinhard", 5),
+        ("Reinhard", [("peak_in_nits", 5.0)]),
+        ("Reinhard", {"peak_in_nit": 5.0}),
+        ("LogC", {"cut": 0.02}),
+        ("BT2446C_GM", {"knee": 0.1}),
+        ("ExpertStub", {"passthrough": True}),
+        ("Reinhard", {"peak_in_nits": "5"}),
+        ("ExpertStub", {"gamma": True}),
+        ("ExpertStub", {"mix": float("nan")}),
+        ("ExpertStub", {"gamma": float("inf")}),
+        ("BT2446A", {"peak_in_nits": 10**400}),
+        ("Reinhard", {"peak_in_nits": -5.0}),
+        ("HardClipGM", {"peak_out_nits": 0}),
+        ("BT2390EETF_GM", {"peak_out_nits": -100.0}),
+    ])
+    def test_rejects(self, kind, params):
+        with pytest.raises(ConfigError):
+            tm.ToneOperator(kind, params)
+
+    @pytest.mark.parametrize("doc", [
+        "Reinhard", ["Reinhard"], {"params": {}}, {"kind": "Reinhard", "param": {}},
+    ])
+    def test_rejects_malformed_document(self, doc):
+        with pytest.raises(ConfigError):
+            tm.ToneOperator.from_json(doc)
 
 
 class TestToneMap:
@@ -212,12 +260,11 @@ class TestDegrade:
         assert np.array_equal(a.pixels, b.pixels)
 
     def test_passthrough_chain_recovers_sdr_range_input(self):
-        # an SDR-range achromatic frame through the passthrough grade and no
+        # an SDR-range achromatic frame through the 100-nit hard clip and no
         # codec comes back limited only by 8-bit quantization
         nits = np.linspace(5.0, 95.0, 64).reshape(8, 8, 1) * np.ones((8, 8, 3))
         hdr = make_hdr(nits)
-        op = tm.ToneOperator(tm.ToneKind.EXPERT_STUB,
-                             {"passthrough": True, "peak_in_nits": 100.0})
+        op = tm.ToneOperator(tm.ToneKind.HARDCLIP_GM, {"peak_out_nits": 100.0})
         sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
         lin = cm.apply_transfer(sdr, cm.Direction.DECODE)
         np.testing.assert_allclose(lin.pixels, nits, atol=0.5)

@@ -26,16 +26,8 @@ def _silu(x):
 
 
 def _silu_prime(x):
-    s = 1.0 / (1.0 + np.exp(-x))
+    s = tc.sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -176,8 +168,8 @@ def psi(t, layer, state, cfg):
         beta_pga=float(raw[1]),
         alpha_pcm=float(raw[2]),
         beta_pcm=float(raw[3]),
-        n_spec=float(_softplus(raw[4])),
-        lam=float(_softplus(raw[5])),
+        n_spec=float(tc.softplus(raw[4])),
+        lam=float(tc.softplus(raw[5])),
     )
     cache = {"sf": sf, "feat": feat, "hv": hv, "raw": raw, "layer": layer}
     return mod, cache
@@ -187,8 +179,8 @@ def psi_backward(cache, state, grads, d_mod):
     """d_mod: gradient wrt the six emitted scalars (post softplus)."""
     raw = cache["raw"]
     dr = np.array(d_mod, dtype=np.float64)
-    dr[4] *= _sigmoid(raw[4])
-    dr[5] *= _sigmoid(raw[5])
+    dr[4] *= tc.sigmoid(raw[4])
+    dr[5] *= tc.sigmoid(raw[5])
     grads.psi_w_head += np.outer(dr, cache["hv"])
     grads.psi_b_head += dr
     dhv = state.psi_w_head.T @ dr
@@ -205,9 +197,9 @@ def pga_residual(state, phys_vec, r_spec, mod, cfg):
     if r_spec.shape != (cfg.k_bands,):
         raise DimensionError("r_spec must have k_bands entries")
     u_gate = state.p_v @ phys_vec + state.b_pv
-    gate = _sigmoid(u_gate)
+    gate = tc.sigmoid(u_gate)
     u_spec = state.w_r @ r_spec
-    sg = _softplus(u_spec)
+    sg = tc.softplus(u_spec)
     gvec = np.repeat(sg, cfg.d // cfg.heads)
     cs = gate * (1.0 + mod.n_spec * gvec)
     ab = state.a_v @ state.b_v
@@ -237,7 +229,7 @@ def pga_backward(cache, state, grads, d_r, cfg):
     grads.p_v += np.outer(du_gate, cache["phys_vec"])
     grads.b_pv += du_gate
     dsg = dgvec.reshape(cfg.heads, cfg.d // cfg.heads).sum(axis=1)
-    du_spec = dsg * _sigmoid(cache["u_spec"])
+    du_spec = dsg * tc.sigmoid(cache["u_spec"])
     grads.w_r += np.outer(du_spec, cache["r_spec"])
     return d_alpha, d_beta, d_nspec
 
@@ -475,13 +467,12 @@ def low_rank_svd_tail(state, cfg):
     return float(sv[cfg.rank]) if sv.size > cfg.rank else 0.0
 
 
-def pool_phys_tokens(feats, cfg):
-    """Patch-pool a physical descriptor map into n_tokens tokens.
+def pool_phys_tokens(t_phys, cfg):
+    """Patch-pool an H x W x C descriptor map into n_tokens tokens.
 
-    The grid is assumed square (n_tokens a perfect square) and the map is
-    split into equal tiles averaged per channel.
+    The grid is square (n_tokens a perfect square); the map is split into
+    equal tiles, remainder rows and columns dropped, averaged per channel.
     """
-    t_phys = feats.t_phys
     side = int(round(math.sqrt(cfg.n_tokens)))
     if side * side != cfg.n_tokens:
         raise ConfigError("n_tokens must be a perfect square for pooling")
@@ -489,17 +480,15 @@ def pool_phys_tokens(feats, cfg):
     th, twd = h // side, w // side
     if th == 0 or twd == 0:
         raise ConfigError("feature map smaller than the token grid")
-    tokens = np.zeros((cfg.n_tokens, c))
-    for i in range(side):
-        for j in range(side):
-            tile = t_phys[i * th : (i + 1) * th, j * twd : (j + 1) * twd, :]
-            tokens[i * side + j] = tile.mean(axis=(0, 1))
-    return tokens
+    tiles = t_phys[: side * th, : side * twd].reshape(side, th, side, twd, c)
+    return tiles.mean(axis=(1, 3)).reshape(cfg.n_tokens, c)
 
 
-def toy_block_forward(z, feats, spec_desc, t_perc, backbone, state, cfg, t=0.5, layer=0):
-    """Block forward fed from extracted image features (pipeline wrapper)."""
-    tokens = pool_phys_tokens(feats, cfg)
+def toy_block_forward(z, feats, conv_weights, spec_desc, t_perc, backbone, state, cfg,
+                      t=0.5, layer=0):
+    """Block forward fed from image features; tokens pool conv3x3 of the y/loggrad/sat maps."""
+    stack = np.stack([feats.y_map, feats.loggrad_map, feats.sat_map], axis=-1)
+    tokens = pool_phys_tokens(ft.conv3x3(stack, conv_weights), cfg)
     if tokens.shape[1] != cfg.c_phys:
         raise DimensionError("conv channel count must equal c_phys")
     g = np.asarray(feats.g, dtype=np.float64)[: cfg.d_g]

@@ -100,14 +100,20 @@ def load_config(path=None, overrides=None):
 
 
 def _max_workers():
+    """LUMAFLUX_THREADS (default 4); anything but an integer >= 1 is a config error."""
+    text = os.environ.get("LUMAFLUX_THREADS", "4")
     try:
-        return max(1, int(os.environ.get("LUMAFLUX_THREADS", "4")))
+        workers = int(text)
     except ValueError:
-        return 4
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"LUMAFLUX_THREADS must be an integer >= 1, got {text!r}")
+    return workers
 
 
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed, "output_dir": args.output_dir})
+    workers = _max_workers()
     # one job per tone operator: its CRF variants share one chain up to the codec
     jobs = []
     idx = 0
@@ -138,7 +144,7 @@ def cmd_synthesize(args):
             paths.append(path)
         return paths
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         paths = [path for batch in pool.map(run, jobs) for path in batch]
     print(json.dumps({"frames": sorted(paths)}, indent=2))
     return 0
@@ -248,8 +254,8 @@ def _map_summary(name, arr):
 def cmd_features(args):
     cfg = load_config(args.config)
     sdr = pfm.read_tagged(args.frame)
-    conv, mlp = feature_weights(cfg)
-    feats = ft.extract_phys(sdr, conv, mlp)
+    _, mlp = feature_weights(cfg)
+    feats = ft.extract_phys(sdr, mlp)
     desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),

@@ -2,7 +2,8 @@
 
 The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
-target.
+target. The mixed 3x3 conv descriptor (`conv3x3`) is computed where it is
+read, in the adapter token path (`adapters.toy_block_forward`).
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,6 @@ class PhysFeatures:
     y_map: np.ndarray  # H x W luminance
     loggrad_map: np.ndarray  # H x W, log(1 + |grad Y|)
     sat_map: np.ndarray  # H x W saturation in [0, 1]
-    t_phys: np.ndarray  # H x W x C mixed descriptor
     s_g: np.ndarray  # [mean, std, p95, p99]
     g: np.ndarray  # global embedding
 
@@ -86,20 +86,18 @@ def global_mlp(s_g, w1, b1, w2, b2):
     return w2 @ hidden + b2
 
 
-def extract_phys(sdr, conv_weights, mlp_weights=None):
-    """Assemble physical maps, the mixed conv descriptor, and global stats."""
+def extract_phys(sdr, mlp_weights=None):
+    """Assemble physical maps and global stats."""
     wide = linearize_sdr(sdr)
     y = cm.luma2020(wide)
     loggrad = np.log1p(gradient_magnitude(y))
     sat = saturation(wide.pixels)
-    stack = np.stack([y, loggrad, sat], axis=-1)
-    t_phys = conv3x3(stack, conv_weights)
     s_g = global_stats(y)
     if mlp_weights is not None:
         g = global_mlp(s_g, *mlp_weights)
     else:
         g = s_g.copy()
-    return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, t_phys=t_phys, s_g=s_g, g=g)
+    return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=s_g, g=g)
 
 
 def spectral_descriptor(y_map, k_bands=8):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, EvaluationError, FitError
 
 MIN_BIN = 1e-3
@@ -22,14 +23,6 @@ MIN_SLOPE = 1e-3
 
 # counts inputs clamped back into [0, 1] by evaluation ops
 clamp_counter = {"count": 0}
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def constrain(raw, K):
     ys = np.concatenate(([0.0], np.cumsum(heights)))
     xs[-1] = 1.0
     ys[-1] = 1.0
-    slopes = _softplus(raw[2 * K :]) + MIN_SLOPE
+    slopes = tc.softplus(raw[2 * K :]) + MIN_SLOPE
     return RqsParams(xs, ys, slopes)
 
 
@@ -219,7 +212,7 @@ def constrain_backward(raw, K, gx, gy, gs):
     grad = np.zeros_like(raw)
     grad[: K] = _bins_backward(raw[:K], K, gx)
     grad[K : 2 * K] = _bins_backward(raw[K : 2 * K], K, gy)
-    grad[2 * K :] = gs * _sigmoid(raw[2 * K :])
+    grad[2 * K :] = gs * tc.sigmoid(raw[2 * K :])
     return grad
 
 
@@ -381,6 +374,8 @@ def fit_rqs(y_in, target, K=8, cfg=None):
         raise DimensionError("sample arrays must have matching length")
     if y_in.size < 64:
         raise ConfigError("fit_rqs needs at least 64 sample pairs")
+    if K < 2:
+        raise ConfigError("K must be at least 2")
     degenerate = bool(np.ptp(target) < 1e-9)
 
     raw = warm_start_raw(y_in, target, K)

@@ -1,7 +1,7 @@
 """Small numeric kernels shared by the rest of the package.
 
-Row softmax, layer norm, the half-plane real 2-D DFT and the
-central-difference gradient oracle, all on float64 numpy arrays.
+Softplus, sigmoid, row softmax, layer norm, the half-plane real 2-D DFT
+and the central-difference gradient oracle, all on float64 numpy arrays.
 """
 
 from dataclasses import dataclass
@@ -9,6 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, EvaluationError
+
+
+def softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax_rows(m):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lumaflux import cli
 from lumaflux import colorimetry as cm
+from lumaflux import features as ft
 from lumaflux import pfm
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError
@@ -214,6 +215,21 @@ class TestFeatures:
         assert doc["s_g"][2] <= doc["s_g"][3]
         assert min(doc["r"]) >= 0.0
 
+    def test_does_not_reach_conv(self, tmp_path, hdr_frame, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cli.main(["synthesize", hdr_frame, "--output-dir", str(out)])
+        capsys.readouterr()
+        sdr = str(out / sorted(f for f in os.listdir(out) if f.endswith(".pfm"))[0])
+        assert cli.main(["features", sdr]) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args):
+            raise AssertionError("features computed the conv descriptor")
+
+        monkeypatch.setattr(ft, "conv3x3", refuse)
+        assert cli.main(["features", sdr]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_wrong_tag_fails(self, tmp_path, hdr_frame, capsys):
         # feeding an HDR frame to the SDR feature extractor is a numerical/tag failure
         rc = cli.main(["features", hdr_frame])
@@ -242,8 +258,9 @@ def files_under(root):
             for d, _, names in os.walk(root) for f in names}
 
 
-# (command, config file text or None, fault, exit code): malformed configs and
-# unusable outputs, each of which must exit 2 or 3 with no traceback and no output
+# (command, config file text or None, fault, exit code): malformed configs, a
+# bad LUMAFLUX_THREADS and unusable outputs, each of which must exit 2 or 3
+# with no traceback and no output
 BAD_RUNS = [
     ("synthesize", '{"crfs": [null]}', None, 3),
     ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": 5}]}', None, 3),
@@ -264,12 +281,16 @@ BAD_RUNS = [
     ("fit-expand", '{"peak_nits": -1000}', None, 3),
     ("fit-expand", '{"fit_iterations": -5}', None, 3),
     ("fit-expand", '{"spline_knots": 8.5}', None, 3),
+    ("synthesize", None, "LUMAFLUX_THREADS=abc", 3),
+    ("synthesize", None, "LUMAFLUX_THREADS=0", 3),
+    ("synthesize", None, "LUMAFLUX_THREADS=-2", 3),
 ]
 
 
 class TestBadConfigOrOutput:
     @pytest.mark.parametrize("command,config,fault,code", BAD_RUNS)
-    def test_exit_code_and_no_output(self, tmp_path, command, config, fault, code, capsys):
+    def test_exit_code_and_no_output(self, tmp_path, command, config, fault, code, capsys,
+                                     monkeypatch):
         hdr = write_hdr(tmp_path / "hdr.pfm")
         sdr = str(tmp_path / "sdr.pfm")
         op = tm.ToneOperator(tm.ToneKind.REINHARD, {})
@@ -290,6 +311,8 @@ class TestBadConfigOrOutput:
             argv += ["--config", str(tmp_path / "cfg.json")]
         elif fault == "missing_config":
             argv += ["--config", str(tmp_path / "missing.json")]
+        elif fault and fault.startswith("LUMAFLUX_THREADS="):
+            monkeypatch.setenv(*fault.split("=", 1))
         before = files_under(tmp_path)
         assert cli.main(argv) == code
         captured = capsys.readouterr()

@@ -44,7 +44,7 @@ class TestLinearize:
 
 class TestMaps:
     def test_flat_field(self):
-        feats = ft.extract_phys(sdr_image(np.full((8, 8, 3), 0.25)), delta_kernel())
+        feats = ft.extract_phys(sdr_image(np.full((8, 8, 3), 0.25)))
         np.testing.assert_allclose(feats.loggrad_map, 0.0, atol=1e-12)
         np.testing.assert_allclose(feats.sat_map, 0.0, atol=1e-9)
         assert feats.s_g[1] == pytest.approx(0.0, abs=1e-12)  # sigma
@@ -61,21 +61,21 @@ class TestMaps:
         w = 32
         y = np.tile(np.arange(w) / w, (8, 1))
         rgb = cm.bt709_oetf(np.stack([y, y, y], axis=-1))
-        feats = ft.extract_phys(sdr_image(rgb), delta_kernel())
+        feats = ft.extract_phys(sdr_image(rgb))
         interior = feats.loggrad_map[2:-2, 2:-2]
         np.testing.assert_allclose(interior, np.log1p(1.0 / w), atol=1e-9)
 
     def test_saturation_range(self):
         rng = np.random.default_rng(1)
-        feats = ft.extract_phys(sdr_image(rng.uniform(0, 1, (8, 8, 3))), delta_kernel())
+        feats = ft.extract_phys(sdr_image(rng.uniform(0, 1, (8, 8, 3))))
         assert feats.sat_map.min() >= 0.0 and feats.sat_map.max() <= 1.0
 
     def test_translation_equivariance_interior(self):
         rng = np.random.default_rng(2)
         px = rng.uniform(0.0, 1.0, (16, 16, 3))
         shifted = np.roll(px, 3, axis=1)
-        f0 = ft.extract_phys(sdr_image(px), delta_kernel())
-        f1 = ft.extract_phys(sdr_image(shifted), delta_kernel())
+        f0 = ft.extract_phys(sdr_image(px))
+        f1 = ft.extract_phys(sdr_image(shifted))
         a = np.roll(f0.y_map, 3, axis=1)[2:-2, 5:-2]
         b = f1.y_map[2:-2, 5:-2]
         np.testing.assert_array_equal(a, b)

@@ -248,3 +248,9 @@ class TestFit:
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
             rqs.fit_rqs(np.linspace(0, 1, 10), np.linspace(0, 1, 10), K=4)
+
+    @pytest.mark.parametrize("K", [1, 0, -3])
+    def test_too_few_knots(self, K):
+        x = np.random.default_rng(5).uniform(0.0, 1.0, 500)
+        with pytest.raises(ConfigError):
+            rqs.fit_rqs(x, x**2, K=K)

@@ -6,6 +6,8 @@ projection, FiLM modulation of the MLP-branch input driven by perceptual
 embeddings, and an additive residual coupler. Backbone weights stay
 frozen; all adapter gradients are hand-derived reverse accumulation
 through this fixed graph, verified against the central-difference oracle.
+The block takes its physical and perceptual tokens as arrays;
+`demo_inputs` draws seeded random ones for the self-checks.
 """
 
 import math
@@ -14,7 +16,6 @@ from functools import partial
 
 import numpy as np
 
-from . import features as ft
 from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, DomainError
 
@@ -373,33 +374,6 @@ def vanilla_block_forward(z, backbone, heads):
     return z + attn_out + mlp_out
 
 
-def perceptual_stub(sdr, d_p, seed=0, patch=16):
-    """Deterministic stand-in for a frozen perceptual encoder.
-
-    One token per 16x16 patch: mean color plus four radial band energies
-    of the patch luma, projected by a seeded fixed random matrix.
-    """
-    if d_p < 4:
-        raise ConfigError("d_p must be at least 4")
-    h, w = sdr.pixels.shape[:2]
-    if h < patch or w < patch:
-        raise ConfigError("image smaller than one patch")
-    rows = h // patch
-    cols = w // patch
-    feats = []
-    for i in range(rows):
-        for j in range(cols):
-            tile = sdr.pixels[i * patch : (i + 1) * patch, j * patch : (j + 1) * patch, :]
-            mean_rgb = tile.mean(axis=(0, 1))
-            luma = tile.mean(axis=2)
-            bands = ft.spectral_descriptor(luma, 4).r
-            feats.append(np.concatenate([mean_rgb, bands]))
-    feats = np.array(feats)
-    rng = np.random.default_rng(seed)
-    proj = rng.normal(0.0, 1.0 / math.sqrt(feats.shape[1]), (feats.shape[1], d_p))
-    return feats @ proj
-
-
 GRAD_GROUPS = {
     "a_v": ["a_v"],
     "b_v": ["b_v"],
@@ -466,35 +440,3 @@ def low_rank_svd_tail(state, cfg):
     sv = np.linalg.svd(state.a_v @ state.b_v, compute_uv=False)
     return float(sv[cfg.rank]) if sv.size > cfg.rank else 0.0
 
-
-def pool_phys_tokens(t_phys, cfg):
-    """Patch-pool an H x W x C descriptor map into n_tokens tokens.
-
-    The grid is square (n_tokens a perfect square); the map is split into
-    equal tiles, remainder rows and columns dropped, averaged per channel.
-    """
-    side = int(round(math.sqrt(cfg.n_tokens)))
-    if side * side != cfg.n_tokens:
-        raise ConfigError("n_tokens must be a perfect square for pooling")
-    h, w, c = t_phys.shape
-    th, twd = h // side, w // side
-    if th == 0 or twd == 0:
-        raise ConfigError("feature map smaller than the token grid")
-    tiles = t_phys[: side * th, : side * twd].reshape(side, th, side, twd, c)
-    return tiles.mean(axis=(1, 3)).reshape(cfg.n_tokens, c)
-
-
-def toy_block_forward(z, feats, conv_weights, spec_desc, t_perc, backbone, state, cfg,
-                      t=0.5, layer=0):
-    """Block forward fed from image features; tokens pool conv3x3 of the y/loggrad/sat maps."""
-    stack = np.stack([feats.y_map, feats.loggrad_map, feats.sat_map], axis=-1)
-    tokens = pool_phys_tokens(ft.conv3x3(stack, conv_weights), cfg)
-    if tokens.shape[1] != cfg.c_phys:
-        raise DimensionError("conv channel count must equal c_phys")
-    g = np.asarray(feats.g, dtype=np.float64)[: cfg.d_g]
-    if g.size < cfg.d_g:
-        g = np.pad(g, (0, cfg.d_g - g.size))
-    phys_vec = np.concatenate([tokens.mean(axis=0), g])
-    r_spec = np.asarray(spec_desc.r, dtype=np.float64)[: cfg.k_bands]
-    out, _ = block_forward(z, tokens, phys_vec, r_spec, t_perc, backbone, state, cfg, t=t, layer=layer)
-    return out

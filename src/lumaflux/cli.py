@@ -150,9 +150,8 @@ def cmd_synthesize(args):
     return 0
 
 
-def expand_sdr(sdr, params, peak_nits):
-    """Apply a fitted tone spline to an SDR frame; returns linear BT.2020 nits."""
-    wide = ft.linearize_sdr(sdr)
+def expand_sdr(wide, params, peak_nits):
+    """Apply a fitted tone spline to a linearized SDR frame; returns linear BT.2020 nits."""
     y_sdr = cm.luma2020(wide)
     y_hat = rqs.rqs_forward(params, y_sdr)
     ratio = np.where(y_sdr > 1e-8, y_hat / np.maximum(y_sdr, 1e-8), 0.0)
@@ -208,7 +207,7 @@ def cmd_fit_expand(args):
                    header="loss", comments="")
         print(f"fit diverged, loss trace at {trace_path}", file=sys.stderr)
         raise
-    expanded = expand_sdr(sdr, params, peak)
+    expanded = expand_sdr(wide, params, peak)
     refined = refine_chroma(expanded, ref_linear)
     out_pq = cm.encode_transfer(refined, cm.Transfer.PQ)
     pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
@@ -231,15 +230,13 @@ def cmd_metrics(args):
 
 
 def feature_weights(cfg):
+    """Seeded weights of the global-stats MLP: 4 stats -> 16 hidden -> 4 outputs."""
     rng = np.random.default_rng(cfg["feature_seed"])
-    c_phys = 8
     d_g = 4
-    conv = rng.normal(0.0, 0.2, (c_phys, 3, 3, 3))
-    mlp = (
+    return (
         rng.normal(0.0, 0.3, (16, 4)), np.zeros(16),
         rng.normal(0.0, 0.3, (d_g, 16)), np.zeros(d_g),
     )
-    return conv, mlp
 
 
 def _map_summary(name, arr):
@@ -254,8 +251,7 @@ def _map_summary(name, arr):
 def cmd_features(args):
     cfg = load_config(args.config)
     sdr = pfm.read_tagged(args.frame)
-    _, mlp = feature_weights(cfg)
-    feats = ft.extract_phys(sdr, mlp)
+    feats = ft.extract_phys(sdr, feature_weights(cfg))
     desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),

@@ -77,8 +77,8 @@ class ColorSpaceTag:
     peak_nits: float
 
     def __post_init__(self):
-        if self.peak_nits <= 0:
-            raise DomainError("peak_nits must be positive")
+        if not 0 < self.peak_nits < np.inf:  # False for NaN too
+            raise DomainError(f"peak_nits must be finite and positive, got {self.peak_nits!r}")
         if self.transfer is Transfer.PQ and self.peak_nits > PQ_PEAK_NITS:
             raise DomainError("PQ caps peak luminance at 10^4 cd/m^2")
 

@@ -2,8 +2,7 @@
 
 The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
-target. The mixed 3x3 conv descriptor (`conv3x3`) is computed where it is
-read, in the adapter token path (`adapters.toy_block_forward`).
+target.
 """
 
 from dataclasses import dataclass
@@ -54,21 +53,6 @@ def saturation(rgb):
     mx = np.max(rgb, axis=-1)
     mn = np.min(rgb, axis=-1)
     return (mx - mn) / (mx + 1e-6)
-
-
-def conv3x3(stack, weights):
-    """3x3 convolution with replicate padding; stack is H x W x Cin."""
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 4 or weights.shape[1:3] != (3, 3) or weights.shape[3] != stack.shape[2]:
-        raise DimensionError(f"conv weights must be Cx3x3x{stack.shape[2]}")
-    padded = np.pad(stack, ((1, 1), (1, 1), (0, 0)), mode="edge")
-    h, w, cin = stack.shape
-    out = np.zeros((h, w, weights.shape[0]))
-    for dr in range(3):
-        for dc in range(3):
-            patch = padded[dr : dr + h, dc : dc + w, :]
-            out += np.einsum("hwi,ci->hwc", patch, weights[:, dr, dc, :])
-    return out
 
 
 def global_stats(y_map):

@@ -13,40 +13,27 @@ from . import colorimetry as cm
 from .errors import DimensionError, EvaluationError, TagError
 
 PSNR_CAP_DB = 99.0
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
-# field name -> allowed JSON types, in fixed emission order
+# field name -> Python types its JSON value may take, in fixed emission order
 REPORT_SCHEMA = {
-    "psnr_pu21": ("number",),
-    "psnr_y_pu21": ("number",),
-    "delta_e_itp_mean": ("number",),
-    "clamp_fraction": ("number",),
-    "pu21_variant": ("string",),
-    "peak_nits": ("number",),
-    "ssim": ("null", "number"),
-    "hdr_vdp3": ("null", "number"),
-    "hdr_lpips": ("null", "number"),
-    "fr_hidrovqa": ("null", "number"),
-    "schema_version": ("integer",),
+    "psnr_pu21": (int, float),
+    "psnr_y_pu21": (int, float),
+    "delta_e_itp_mean": (int, float),
+    "pu21_variant": str,
+    "peak_nits": (int, float),
+    "schema_version": int,
 }
 
 
 def validate_report(doc):
     """Check a report dict against REPORT_SCHEMA; returns a list of problems."""
     problems = []
-    for key, kinds in REPORT_SCHEMA.items():
+    for key, types in REPORT_SCHEMA.items():
         if key not in doc:
             problems.append(f"missing field {key}")
-            continue
-        val = doc[key]
-        ok = (
-            ("null" in kinds and val is None)
-            or ("number" in kinds and isinstance(val, (int, float)) and val is not None)
-            or ("integer" in kinds and isinstance(val, int))
-            or ("string" in kinds and isinstance(val, str))
-        )
-        if not ok:
-            problems.append(f"field {key} has invalid type {type(val).__name__}")
+        elif not isinstance(doc[key], types):
+            problems.append(f"field {key} has invalid type {type(doc[key]).__name__}")
     problems.extend(f"unknown field {k}" for k in doc if k not in REPORT_SCHEMA)
     return problems
 
@@ -56,14 +43,8 @@ class MetricReport:
     psnr_pu21: float
     psnr_y_pu21: float
     delta_e_itp_mean: float
-    clamp_fraction: float
     pu21_variant: str = "banding_glare"
     peak_nits: float = cm.PQ_PEAK_NITS
-    # out-of-scope columns kept for schema completeness
-    ssim: None = None
-    hdr_vdp3: None = None
-    hdr_lpips: None = None
-    fr_hidrovqa: None = None
     schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json(self):
@@ -103,7 +84,7 @@ def _psnr_linear(ref_lin, test_lin, luma_only):
     return min(PSNR_CAP_DB, 20.0 * np.log10(pu21_range()) - 10.0 * np.log10(mse))
 
 
-def metric_report(ref, test, clamp_fraction=0.0):
+def metric_report(ref, test):
     """Assemble every in-scope metric into a machine-readable report."""
     ref_lin = _decode_to_nits(ref)
     test_lin = _decode_to_nits(test)
@@ -111,5 +92,4 @@ def metric_report(ref, test, clamp_fraction=0.0):
         psnr_pu21=_psnr_linear(ref_lin, test_lin, luma_only=False),
         psnr_y_pu21=_psnr_linear(ref_lin, test_lin, luma_only=True),
         delta_e_itp_mean=cm.delta_e_itp(ref_lin, test_lin),
-        clamp_fraction=clamp_fraction,
     )

@@ -324,16 +324,19 @@ def warm_start_raw(y_in, target, K):
     return candidates[int(np.argmin(losses))]
 
 
+# fixed settings of the fitter
+L1_DELTA = 1e-6  # smoothing width of sqrt(e^2 + delta^2)
+MOMENTUM = 0.85
+INIT_STEP = 0.5
+MAX_BACKTRACKS = 40
+ARMIJO = 1e-4
+
+
 @dataclass
 class FitConfig:
     lambda_l1: float = 1.0
     lambda_smooth: float = 1e-2
-    l1_delta: float = 1e-6  # smoothing width of sqrt(e^2 + delta^2)
     iterations: int = 2000
-    momentum: float = 0.85
-    init_step: float = 0.5
-    max_backtracks: int = 40
-    armijo: float = 1e-4
 
     def to_json(self):
         return dict(self.__dict__)
@@ -344,7 +347,7 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     p = constrain(raw, K)
     pred, pullback = forward_param_grad(p, y_in)
     e = pred - target
-    root = np.sqrt(e * e + cfg.l1_delta**2)
+    root = np.sqrt(e * e + L1_DELTA**2)
     data = float(np.mean(root))
     pen = smooth_penalty(p)
     loss = cfg.lambda_l1 * data + cfg.lambda_smooth * pen
@@ -380,7 +383,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
 
     raw = warm_start_raw(y_in, target, K)
     vel = np.zeros_like(raw)
-    step = cfg.init_step
+    step = INIT_STEP
     trace = []
     loss, grad = fit_loss_and_grad(raw, K, y_in, target, cfg)
     for it in range(cfg.iterations):
@@ -389,7 +392,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
             err.trace = np.array(trace)
             raise err
         trace.append(loss)
-        dirn = cfg.momentum * vel - grad
+        dirn = MOMENTUM * vel - grad
         slope = float(np.dot(grad, dirn))
         if slope >= 0.0:
             dirn = -grad
@@ -397,10 +400,10 @@ def fit_rqs(y_in, target, K=8, cfg=None):
             slope = -float(np.dot(grad, grad))
         step = min(step * 2.0, 1e3)
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = raw + step * dirn
             cand_loss, cand_grad = fit_loss_and_grad(cand, K, y_in, target, cfg)
-            if np.isfinite(cand_loss) and cand_loss <= loss + cfg.armijo * step * slope:
+            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO * step * slope:
                 accepted = True
                 break
             step *= 0.5

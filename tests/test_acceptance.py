@@ -114,7 +114,7 @@ def test_a3_end_to_end_tone_recovery(capsys):
     stride = max(1, y_sdr.size // 8192)
     params, _, _ = rqs.fit_rqs(y_sdr[::stride], y_ref[::stride], K=8,
                                cfg=rqs.FitConfig(iterations=400))
-    expanded = cli.refine_chroma(cli.expand_sdr(sdr, params, peak), ref_lin)
+    expanded = cli.refine_chroma(cli.expand_sdr(wide, params, peak), ref_lin)
 
     l1 = float(np.mean(np.abs(cm.luma2020(expanded) - cm.luma2020(ref_lin))))
     de_fit = cm.delta_e_itp(ref_lin, expanded)

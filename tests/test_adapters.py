@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from lumaflux import adapters as ad
-from lumaflux import colorimetry as cm
-from lumaflux import features as ft
 from lumaflux.errors import ConfigError, DimensionError, DomainError
 
 CFG = ad.ToyBlockConfig(d=8, n_tokens=8, heads=4, layers=2, rank=4,
@@ -202,86 +200,3 @@ class TestGradients:
         # only the active layer's embedding receives gradient
         assert np.all(grads.psi_emb[0] == 0.0)
         assert np.any(grads.psi_emb[1] != 0.0)
-
-
-class TestPerceptualStub:
-    def test_deterministic(self):
-        rng = np.random.default_rng(15)
-        sdr = cm.TaggedImage(rng.uniform(0, 1, (32, 32, 3)),
-                             cm.ColorSpaceTag(cm.Primaries.BT709,
-                                              cm.Transfer.GAMMA709, 100.0))
-        a = ad.perceptual_stub(sdr, d_p=8, seed=3)
-        b = ad.perceptual_stub(sdr, d_p=8, seed=3)
-        assert np.array_equal(a, b)
-        assert a.shape == (4, 8)
-
-    def test_seed_changes_projection(self):
-        rng = np.random.default_rng(16)
-        sdr = cm.TaggedImage(rng.uniform(0, 1, (16, 16, 3)),
-                             cm.ColorSpaceTag(cm.Primaries.BT709,
-                                              cm.Transfer.GAMMA709, 100.0))
-        assert not np.allclose(ad.perceptual_stub(sdr, 8, seed=0),
-                               ad.perceptual_stub(sdr, 8, seed=1))
-
-    def test_too_small_image(self):
-        sdr = cm.TaggedImage(np.zeros((8, 8, 3)),
-                             cm.ColorSpaceTag(cm.Primaries.BT709,
-                                              cm.Transfer.GAMMA709, 100.0))
-        with pytest.raises(ConfigError):
-            ad.perceptual_stub(sdr, 8)
-
-
-class TestPipelineWrapper:
-    def setup_method(self):
-        self.cfg = ad.ToyBlockConfig(d=8, n_tokens=4, heads=2, layers=2, rank=2,
-                                     d_p=8, c_phys=3, d_g=4, k_bands=4, psi_hidden=8)
-        rng = np.random.default_rng(17)
-        # odd extents: pooling drops the remainder row and column
-        self.sdr = cm.TaggedImage(rng.uniform(0, 1, (33, 35, 3)),
-                                  cm.ColorSpaceTag(cm.Primaries.BT709,
-                                                   cm.Transfer.GAMMA709, 100.0))
-        self.w = rng.normal(0.0, 0.2, (3, 3, 3, 3))
-        self.feats = ft.extract_phys(self.sdr)
-        self.stack = np.stack([self.feats.y_map, self.feats.loggrad_map,
-                               self.feats.sat_map], axis=-1)
-        self.z = rng.normal(size=(self.cfg.n_tokens, self.cfg.d))
-
-    def reference_tokens(self):
-        conv = ft.conv3x3(self.stack, self.w)
-        tokens = []
-        for i in range(2):
-            for j in range(2):
-                tile = conv[i * 16 : (i + 1) * 16, j * 17 : (j + 1) * 17, :]
-                tokens.append(tile.mean(axis=(0, 1)))
-        return np.array(tokens)
-
-    def test_pooled_tokens_are_tile_means_of_conv(self):
-        tokens = ad.pool_phys_tokens(ft.conv3x3(self.stack, self.w), self.cfg)
-        np.testing.assert_allclose(tokens, self.reference_tokens(), rtol=0, atol=1e-12)
-
-    def test_feature_fed_block(self):
-        cfg = self.cfg
-        desc = ft.spectral_descriptor(self.feats.y_map, cfg.k_bands)
-        t_perc = ad.perceptual_stub(self.sdr, cfg.d_p, seed=0)[: cfg.n_tokens]
-        backbone = ad.BackboneWeights.seeded(cfg, 0)
-        state = ad.AdapterState.seeded(cfg, 1)
-        out = ad.toy_block_forward(self.z, self.feats, self.w, desc, t_perc, backbone,
-                                   state, cfg)
-        assert out.shape == self.z.shape
-        assert np.all(np.isfinite(out))
-        tokens = self.reference_tokens()
-        phys_vec = np.concatenate([tokens.mean(axis=0), self.feats.g])
-        expected, _ = ad.block_forward(self.z, tokens, phys_vec, desc.r, t_perc,
-                                       backbone, state, cfg)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10)
-
-    @pytest.mark.parametrize("n_tokens,shape", [(3, (8, 8, 3)), (4, (1, 8, 3))])
-    def test_pooling_rejects_bad_grid(self, n_tokens, shape):
-        cfg = ad.ToyBlockConfig(d=8, n_tokens=n_tokens, heads=2)
-        with pytest.raises(ConfigError):
-            ad.pool_phys_tokens(np.zeros(shape), cfg)
-
-    def test_conv_channels_must_match_c_phys(self):
-        with pytest.raises(DimensionError):
-            ad.toy_block_forward(self.z, self.feats, self.w[:2], None, None, None, None,
-                                 self.cfg)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lumaflux import colorimetry as cm
 from lumaflux.errors import DimensionError, DomainError, TagError
@@ -46,6 +49,18 @@ class TestPQ:
         with pytest.raises(DomainError):
             cm.pq_decode(np.array([0.5, 1.5]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(nits=arrays(np.float64, 16, elements=st.floats(0.0, cm.PQ_PEAK_NITS)))
+    def test_property_encode_decode(self, nits):
+        back = cm.pq_decode(cm.pq_encode(nits))
+        assert np.all(np.abs(back - nits) <= 1e-6 * np.maximum(nits, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sig=arrays(np.float64, 16, elements=st.floats(0.0, 1.0)))
+    def test_property_decode_encode(self, sig):
+        # signals below the PQ floor pq_encode(0) decode to 0 nits
+        assert np.max(np.abs(cm.pq_encode(cm.pq_decode(sig)) - sig)) < 1e-6
+
 
 class TestBT709Transfer:
     def test_round_trip(self):
@@ -60,6 +75,11 @@ class TestBT709Transfer:
         # must still be nondecreasing and invert exactly on both branches
         x = np.linspace(0.0, 0.04, 2001)
         assert np.all(np.diff(cm.bt709_oetf(x)) >= 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(np.float64, 16, elements=st.floats(0.0, 1.0)))
+    def test_property_round_trip(self, x):
+        np.testing.assert_allclose(cm.bt709_eotf(cm.bt709_oetf(x)), x, rtol=0, atol=1e-9)
 
 
 class TestGamut:

@@ -3,20 +3,12 @@ import pytest
 
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
-from lumaflux.errors import ConfigError, DimensionError, TagError
+from lumaflux.errors import ConfigError, TagError
 
 
 def sdr_image(pixels):
     tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
     return cm.TaggedImage(np.asarray(pixels, dtype=np.float64), tag)
-
-
-def delta_kernel(cin=3, cout=3):
-    """3x3 conv weights that copy each input channel through unchanged."""
-    w = np.zeros((cout, 3, 3, cin))
-    for c in range(min(cin, cout)):
-        w[c, 1, 1, c] = 1.0
-    return w
 
 
 class TestLinearize:
@@ -79,23 +71,6 @@ class TestMaps:
         a = np.roll(f0.y_map, 3, axis=1)[2:-2, 5:-2]
         b = f1.y_map[2:-2, 5:-2]
         np.testing.assert_array_equal(a, b)
-
-
-class TestConv:
-    def test_delta_kernel_is_identity(self):
-        rng = np.random.default_rng(3)
-        stack = rng.normal(size=(8, 8, 3))
-        out = ft.conv3x3(stack, delta_kernel())
-        np.testing.assert_allclose(out, stack, atol=1e-12)
-
-    def test_box_kernel_on_constant(self):
-        w = np.full((1, 3, 3, 3), 1.0)
-        out = ft.conv3x3(np.full((6, 6, 3), 2.0), w)
-        np.testing.assert_allclose(out, 2.0 * 27.0, atol=1e-12)
-
-    def test_shape_validation(self):
-        with pytest.raises(DimensionError):
-            ft.conv3x3(np.zeros((4, 4, 3)), np.zeros((2, 3, 3, 5)))
 
 
 class TestGlobalStats:

@@ -79,13 +79,11 @@ class TestReport:
         rng = np.random.default_rng(2)
         a = pq_image(rng.uniform(1.0, 500.0, (8, 8, 3)))
         b = pq_image(rng.uniform(1.0, 500.0, (8, 8, 3)))
-        rep = mt.metric_report(a, b, clamp_fraction=0.25)
-        doc = rep.to_json()
-        assert doc["schema_version"] == 1
+        doc = mt.metric_report(a, b).to_json()
+        assert sorted(doc) == ["delta_e_itp_mean", "peak_nits", "psnr_pu21", "psnr_y_pu21",
+                               "pu21_variant", "schema_version"]
+        assert doc["schema_version"] == 2
         assert doc["pu21_variant"] == "banding_glare"
-        assert doc["clamp_fraction"] == 0.25
-        for reserved in ("ssim", "hdr_vdp3", "hdr_lpips", "fr_hidrovqa"):
-            assert doc[reserved] is None
         assert doc["delta_e_itp_mean"] > 0.0
         assert doc["psnr_pu21"] <= mt.PSNR_CAP_DB
 

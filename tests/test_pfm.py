@@ -4,6 +4,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
@@ -19,6 +22,15 @@ def _rewrite(path, edit):
         fh.write(edit(data))
 
 
+def _set_peak(path, value):
+    def edit(data):
+        doc = json.loads(data)
+        doc["tag"]["peak_nits"] = value
+        return json.dumps(doc).encode()
+
+    _rewrite(pfm.sidecar_path(path), edit)
+
+
 # name -> damage applied to a valid 5x4 tagged frame at `path`
 DAMAGE = {
     "truncated": lambda path: _rewrite(path, lambda b: b[:-4]),
@@ -31,6 +43,8 @@ DAMAGE = {
     "invalid_tag": lambda path: _rewrite(pfm.sidecar_path(path),
                                          lambda b: b.replace(b'"BT709"', b'"BT601"')),
     "not_an_object": lambda path: _rewrite(pfm.sidecar_path(path), lambda b: b"[1, 2]"),
+    "nan_peak": lambda path: _set_peak(path, float("nan")),
+    "inf_peak": lambda path: _set_peak(path, float("inf")),
 }
 
 
@@ -73,6 +87,26 @@ def test_tagged_round_trip(tmp_path):
     back = pfm.read_tagged(path)
     assert back.tag == tag
     np.testing.assert_array_equal(back.pixels, img.pixels)
+
+
+@st.composite
+def tags(draw):
+    transfer = draw(st.sampled_from(cm.Transfer))
+    cap = cm.PQ_PEAK_NITS if transfer is cm.Transfer.PQ else 1e6
+    peak = draw(st.floats(1e-3, cap))
+    return cm.ColorSpaceTag(draw(st.sampled_from(cm.Primaries)), transfer, peak)
+
+
+@settings(max_examples=100, deadline=None)
+@given(px=arrays(np.float32, st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3)),
+                 elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+       tag=tags())
+def test_property_tagged_round_trip(tmp_path_factory, px, tag):
+    path = str(tmp_path_factory.getbasetemp() / "property.pfm")
+    pfm.write_tagged(path, cm.TaggedImage(px.astype(np.float64), tag))
+    back = pfm.read_tagged(path)
+    assert back.tag == tag
+    np.testing.assert_array_equal(back.pixels, px.astype(np.float64))
 
 
 def test_sidecar_contents(tmp_path):

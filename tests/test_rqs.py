@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lumaflux import rqs
 from lumaflux import tensorcore as tc
@@ -127,6 +130,16 @@ class TestEvaluation:
         fd = (rqs.rqs_forward(p, y + h) - rqs.rqs_forward(p, y - h)) / (2 * h)
         np.testing.assert_allclose(rqs.rqs_derivative(p, y), fd, rtol=1e-5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 12))
+    def test_property_monotone_and_invertible(self, data, K):
+        raw = data.draw(arrays(np.float64, 3 * K + 1, elements=st.floats(-5.0, 5.0)))
+        x = data.draw(arrays(np.float64, 32, elements=st.floats(0.0, 1.0)))
+        p = rqs.constrain(raw, K)
+        assert np.all(np.diff(rqs.rqs_forward(p, np.linspace(0.0, 1.0, 1025))) > 0)
+        np.testing.assert_allclose(rqs.rqs_inverse(p, rqs.rqs_forward(p, x)), x,
+                                   rtol=0, atol=1e-9)
+
     def test_out_of_range_clamped_and_counted(self):
         p = rqs.identity_params(4)
         before = rqs.clamp_counter["count"]
@@ -146,7 +159,7 @@ class TestFitLoss:
     def test_loss_matches_forward_and_penalty(self):
         p = rqs.constrain(self.raw, 6)
         e = rqs.rqs_forward(p, self.x) - self.tgt
-        data = float(np.mean(np.sqrt(e * e + self.cfg.l1_delta**2)))
+        data = float(np.mean(np.sqrt(e * e + rqs.L1_DELTA**2)))
         expected = self.cfg.lambda_l1 * data + self.cfg.lambda_smooth * rqs.smooth_penalty(p)
         assert rqs.fit_loss_and_grad(self.raw, 6, self.x, self.tgt, self.cfg)[0] == expected
 

@@ -66,7 +66,7 @@ def _conforms(val, like):
     if isinstance(like, list):
         return isinstance(val, list) and bool(val) and all(_conforms(v, like[0]) for v in val)
     if isinstance(like, float):
-        return tm.is_finite_number(val)
+        return cm.is_finite_number(val)
     return isinstance(val, type(like)) and not isinstance(val, bool)
 
 

@@ -7,6 +7,7 @@ inputs instead of guessing.
 """
 
 import enum
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +55,12 @@ PU21_COEFFS = np.array([
 PU21_MIN_NITS = 0.005
 
 
+def is_finite_number(val):
+    """True for a JSON number that converts to a finite float; bool is not a number."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 class Primaries(enum.Enum):
     BT709 = "BT709"
     BT2020 = "BT2020"
@@ -91,10 +98,13 @@ class ColorSpaceTag:
 
     @classmethod
     def from_json(cls, doc):
+        peak = doc["peak_nits"]
+        if not is_finite_number(peak):
+            raise DomainError(f"peak_nits must be a finite JSON number, got {peak!r}")
         return cls(
             primaries=Primaries(doc["primaries"]),
             transfer=Transfer(doc["transfer"]),
-            peak_nits=float(doc["peak_nits"]),
+            peak_nits=float(peak),
         )
 
 
@@ -115,9 +125,18 @@ class TaggedImage:
 
 def pq_encode(nits):
     """SMPTE ST 2084 inverse EOTF: absolute nits -> [0, 1] signal."""
-    y = np.clip(np.asarray(nits, dtype=np.float64), 0.0, PQ_PEAK_NITS) / PQ_PEAK_NITS
-    ym = np.power(y, PQ_M1)
-    return np.power((PQ_C1 + PQ_C2 * ym) / (1.0 + PQ_C3 * ym), PQ_M2)
+    x = np.asarray(nits, dtype=np.float64)
+    # y is our own array, also for a scalar, so every later step runs in place
+    y = np.clip(x, 0.0, PQ_PEAK_NITS, out=np.empty_like(x))
+    y /= PQ_PEAK_NITS
+    y **= PQ_M1
+    num = y * PQ_C2
+    num += PQ_C1
+    y *= PQ_C3
+    y += 1.0
+    np.divide(num, y, out=y)
+    y **= PQ_M2
+    return y[()]  # a scalar for a scalar input
 
 
 def pq_decode(signal):
@@ -126,10 +145,16 @@ def pq_decode(signal):
     bad = ~((v >= 0.0) & (v <= 1.0))
     if np.any(bad):
         raise DomainError(f"PQ decode input outside [0,1] at flat index {int(np.argmax(bad))}")
-    vp = np.power(v, 1.0 / PQ_M2)
-    num = np.maximum(vp - PQ_C1, 0.0)
-    den = PQ_C2 - PQ_C3 * vp
-    return np.power(num / den, 1.0 / PQ_M1) * PQ_PEAK_NITS
+    # num is our own array, also for a scalar, so every later step runs in place
+    num = np.power(v, 1.0 / PQ_M2, out=np.empty_like(v))
+    den = num * -PQ_C3  # PQ_C2 - PQ_C3 * num, bit for bit
+    den += PQ_C2
+    num -= PQ_C1
+    np.maximum(num, 0.0, out=num)
+    num /= den
+    num **= 1.0 / PQ_M1
+    num *= PQ_PEAK_NITS
+    return num[()]
 
 
 def bt709_oetf(linear):
@@ -245,6 +270,16 @@ def delta_e_itp(a, b):
 def pu21_encode(nits):
     """PU21 banding+glare perceptual encoding of absolute luminance."""
     p = PU21_COEFFS
-    y = np.clip(np.asarray(nits, dtype=np.float64), PU21_MIN_NITS, PQ_PEAK_NITS)
-    ym = np.power(y, p[3])
-    return p[6] * (np.power((p[0] + p[1] * ym) / (1.0 + p[2] * ym), p[4]) - p[5])
+    x = np.asarray(nits, dtype=np.float64)
+    # y is our own array, also for a scalar, so every later step runs in place
+    y = np.clip(x, PU21_MIN_NITS, PQ_PEAK_NITS, out=np.empty_like(x))
+    y **= p[3]
+    num = y * p[1]
+    num += p[0]
+    y *= p[2]
+    y += 1.0
+    np.divide(num, y, out=y)
+    y **= p[4]
+    y -= p[5]
+    y *= p[6]
+    return y[()]

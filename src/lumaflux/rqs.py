@@ -6,7 +6,8 @@ slopes, which together give a strictly increasing, C1, invertible map.
 Free parameters live in an unconstrained vector of length 3K+1 and are
 mapped onto valid knots by `constrain`. Fitting runs momentum gradient
 descent with a backtracking line search on hand-derived analytic
-gradients.
+gradients. A loss evaluation returns the gradient as a pullback, so the
+line search pays for the gradient only at the steps it accepts.
 """
 
 import json
@@ -100,6 +101,9 @@ def _bin_index(p, y):
 
 def _clamp_input(y):
     y = np.asarray(y, dtype=np.float64)
+    # an in-range input is returned as it is; NaN fails the test and is counted below
+    if y.size == 0 or y.min() >= 0.0 and y.max() <= 1.0:
+        return y
     out = np.clip(y, 0.0, 1.0)
     n = int(np.sum(out != y))
     if n:
@@ -170,7 +174,9 @@ def forward_param_grad(p, y):
     The pullback maps dloss/df onto gradients wrt (knots_x, knots_y,
     slopes) by the hand-derived chain rule through the rational-quadratic
     bin formula; pinned boundary knots still receive entries, the caller
-    decides which coordinates are free.
+    decides which coordinates are free. The per-sample Jacobian is built
+    only when the pullback runs, so a value that is never differentiated
+    costs one spline pass.
     """
     y = _clamp_input(y)
     i, a, b, c, d, s0, s1, w, u, dy, delta = _bin_locals(p, y)
@@ -178,29 +184,28 @@ def forward_param_grad(p, y):
     den = delta + (s0 + s1 - 2.0 * delta) * t1
     num = delta * u * u + s0 * t1
 
-    f_num = dy / den
-    f_den = -dy * num / (den * den)
-    d_delta = f_num * u * u + f_den * (1.0 - 2.0 * t1)
-    d_u = f_num * (2.0 * delta * u + s0 * (1.0 - 2.0 * u)) + f_den * (
-        (s0 + s1 - 2.0 * delta) * (1.0 - 2.0 * u)
-    )
-    d_s0 = (f_num + f_den) * t1
-    d_s1 = f_den * t1
-    d_dy = num / den + d_delta / w
-    d_c = 1.0 - d_dy
-    d_d = d_dy
-    d_a = d_u * (u - 1.0) / w + d_delta * delta / w
-    d_b = -(d_u * u + d_delta * delta) / w
-
-    # each sample touches knots i and i+1; one bincount over both keeps
-    # the sequential summation order of an in-place scatter-add
-    knots = np.concatenate((i, i + 1))
-    jx = np.concatenate((d_a, d_b))
-    jy = np.concatenate((d_c, d_d))
-    js = np.concatenate((d_s0, d_s1))
-    n = p.knots_x.size
-
     def pullback(dloss_df):
+        f_num = dy / den
+        f_den = -dy * num / (den * den)
+        d_delta = f_num * u * u + f_den * (1.0 - 2.0 * t1)
+        d_u = f_num * (2.0 * delta * u + s0 * (1.0 - 2.0 * u)) + f_den * (
+            (s0 + s1 - 2.0 * delta) * (1.0 - 2.0 * u)
+        )
+        d_s0 = (f_num + f_den) * t1
+        d_s1 = f_den * t1
+        d_dy = num / den + d_delta / w
+        d_c = 1.0 - d_dy
+        d_d = d_dy
+        d_a = d_u * (u - 1.0) / w + d_delta * delta / w
+        d_b = -(d_u * u + d_delta * delta) / w
+
+        # each sample touches knots i and i+1; one bincount over both keeps
+        # the sequential summation order of an in-place scatter-add
+        knots = np.concatenate((i, i + 1))
+        jx = np.concatenate((d_a, d_b))
+        jy = np.concatenate((d_c, d_d))
+        js = np.concatenate((d_s0, d_s1))
+        n = p.knots_x.size
         g = np.concatenate((dloss_df, dloss_df))
         return tuple(np.bincount(knots, weights=g * j, minlength=n) for j in (jx, jy, js))
 
@@ -343,7 +348,12 @@ class FitConfig:
 
 
 def fit_loss_and_grad(raw, K, y_in, target, cfg):
-    """Smoothed-L1 data term plus slope-smoothness penalty, with gradient."""
+    """Smoothed-L1 data term plus slope-smoothness penalty, and its gradient's pullback.
+
+    Returns (loss, grad_fn): calling grad_fn() returns the gradient wrt
+    raw. The loss costs one spline pass; the gradient work runs only when
+    grad_fn is called, so a rejected line-search trial never pays for it.
+    """
     p = constrain(raw, K)
     pred, pullback = forward_param_grad(p, y_in)
     e = pred - target
@@ -352,27 +362,34 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     pen = smooth_penalty(p)
     loss = cfg.lambda_l1 * data + cfg.lambda_smooth * pen
 
-    dpred = cfg.lambda_l1 * (e / root) / e.size
-    gx, gy, gs = pullback(dpred)
-    s = p.slopes
-    gpen = np.zeros_like(s)
-    gpen[:-1] -= 2.0 * np.diff(s)
-    gpen[1:] += 2.0 * np.diff(s)
-    gs = gs + cfg.lambda_smooth * gpen
-    grad = constrain_backward(raw, K, gx, gy, gs)
-    return loss, grad
+    def grad_fn():
+        dpred = cfg.lambda_l1 * (e / root) / e.size
+        gx, gy, gs = pullback(dpred)
+        s = p.slopes
+        gpen = np.zeros_like(s)
+        gpen[:-1] -= 2.0 * np.diff(s)
+        gpen[1:] += 2.0 * np.diff(s)
+        gs = gs + cfg.lambda_smooth * gpen
+        return constrain_backward(raw, K, gx, gy, gs)
+
+    return loss, grad_fn
 
 
 def fit_rqs(y_in, target, K=8, cfg=None):
     """Fit spline parameters to paired (sdr luma, normalized hdr luma) samples.
 
     Returns (RqsParams, raw vector, loss trace). The trace is monotone
-    non-increasing by construction of the backtracking line search.
+    non-increasing by construction of the backtracking line search. Every
+    line-search trial evaluates the loss; the gradient is pulled back only
+    at the start point and at each accepted step, once per trace entry
+    when no step is refused.
     """
     if cfg is None:
         cfg = FitConfig()
-    y_in = np.asarray(y_in, dtype=np.float64).reshape(-1)
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
+    # contiguous copies, made once: every loss evaluation reads both, and a
+    # strided view into a full frame costs a cache miss per sample
+    y_in = np.ascontiguousarray(y_in, dtype=np.float64).reshape(-1)
+    target = np.ascontiguousarray(target, dtype=np.float64).reshape(-1)
     if y_in.shape != target.shape:
         raise DimensionError("sample arrays must have matching length")
     if y_in.size < 64:
@@ -385,7 +402,8 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     vel = np.zeros_like(raw)
     step = INIT_STEP
     trace = []
-    loss, grad = fit_loss_and_grad(raw, K, y_in, target, cfg)
+    loss, grad_fn = fit_loss_and_grad(raw, K, y_in, target, cfg)
+    grad = grad_fn()
     for it in range(cfg.iterations):
         if not np.isfinite(loss):
             err = FitError(f"non-finite loss at iteration {it}")
@@ -402,7 +420,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             cand = raw + step * dirn
-            cand_loss, cand_grad = fit_loss_and_grad(cand, K, y_in, target, cfg)
+            cand_loss, cand_grad_fn = fit_loss_and_grad(cand, K, y_in, target, cfg)
             if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO * step * slope:
                 accepted = True
                 break
@@ -410,7 +428,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
         if not accepted:
             break
         vel = step * dirn
-        raw, loss, grad = cand, cand_loss, cand_grad
+        raw, loss, grad = cand, cand_loss, cand_grad_fn()
     trace.append(loss)
     if not np.isfinite(loss):
         raise EvaluationError("fit ended on a non-finite loss")

@@ -8,7 +8,6 @@ in for real HEVC encodes at the three CRF working points.
 """
 
 import enum
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +64,7 @@ class ToneOperator:
             if name not in declared:
                 raise ConfigError(f"{self.kind.value} has no parameter {name!r}; "
                                   f"it takes {', '.join(declared)}")
-            if not is_finite_number(val) or name.endswith("_nits") and val <= 0:
+            if not cm.is_finite_number(val) or name.endswith("_nits") and val <= 0:
                 raise ConfigError(f"{self.kind.value} {name} must be a finite number, "
                                   f"> 0 for a luminance, got {val!r}")
         object.__setattr__(self, "params", dict(self.params))
@@ -78,12 +77,6 @@ class ToneOperator:
         if not isinstance(doc, dict) or "kind" not in doc or set(doc) - {"kind", "params"}:
             raise ConfigError(f'a tone operator is {{"kind": ..., "params": {{...}}}}, got {doc!r}')
         return cls(kind=doc["kind"], params=doc.get("params", {}))
-
-
-def is_finite_number(val):
-    """True for a JSON number that converts to a finite float; bool is not a number."""
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

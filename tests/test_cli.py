@@ -19,6 +19,14 @@ from test_pfm import SDR_TAG, damaged_frame
 # that moves it changes output bits and must say why
 A5_TREE_SHA256 = "82dff2f4ddc524e2a906f55f6b4f51d8c20291792b449ccd8b9ae33f566765b5"
 
+# SHA-256 of each fit-expand output, default config, for the A5 input frame
+# and its Reinhard CRF-23 SDR frame; a change that moves one must say why
+FIT_EXPAND_SHA256 = {
+    "expanded.pfm": "7b75fa70aaa5203983f19d7401f244c66a73e573d6340209ca5ac0d2abab8898",
+    "expanded.pfm.rqs.json": "f6b66bf77e7ccfa36855aee85fc2c2c8e4e894e9ee612e8818f2c60639510694",
+    "expanded.pfm.trace.csv": "40b579a5b38f80f98c10c89278179a0c2907db6f33aa1766095032d703f51bf8",
+}
+
 
 def write_hdr(path, seed=0, size=64, peak=1000.0):
     rng = np.random.default_rng(seed)
@@ -166,6 +174,19 @@ class TestFitExpand:
         trace = np.loadtxt(dst + ".trace.csv", skiprows=1)
         assert np.all(np.diff(trace) <= 1e-12)
 
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        hdr = synthetic_hdr(size=64)
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, hdr, seed=7)
+        op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": 1000.0})
+        sdr = str(tmp_path / "sdr.pfm")
+        pfm.write_tagged(sdr, tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=23)))
+        dst = tmp_path / "expanded.pfm"
+        assert cli.main(["fit-expand", sdr, src, "--output", str(dst)]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in FIT_EXPAND_SHA256}
+        assert digests == FIT_EXPAND_SHA256
+
     def test_extent_mismatch_is_io_error(self, tmp_path, capsys):
         a = write_hdr(tmp_path / "a.pfm", size=32)
         b = write_hdr(tmp_path / "b.pfm", size=64)
@@ -223,15 +244,17 @@ class TestFeatures:
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("damage", ["truncated", "bad_json", "no_tag", "nan_peak", "inf_peak"])
-    @pytest.mark.parametrize("command", ["synthesize", "metrics", "features"])
+    @pytest.mark.parametrize("damage", ["truncated", "bad_json", "no_tag", "nan_peak", "inf_peak",
+                                        "bool_peak", "str_peak"])
+    @pytest.mark.parametrize("command", ["synthesize", "fit-expand", "metrics", "features"])
     def test_is_io_error(self, tmp_path, command, damage, capsys):
-        # each command's own input kind, so only the damage can fail it
-        tag = (SDR_TAG if command == "features" else
+        # each command's own (first) input kind, so only the damage can fail it
+        tag = (SDR_TAG if command in ("features", "fit-expand") else
                cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS))
         bad = damaged_frame(tmp_path / "bad.pfm", damage, tag=tag)
         argv = {
             "synthesize": ["synthesize", bad, "--output-dir", str(tmp_path / "o")],
+            "fit-expand": ["fit-expand", bad, bad, "--output", str(tmp_path / "x.pfm")],
             "metrics": ["metrics", bad, bad],
             "features": ["features", bad],
         }[command]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from lumaflux import colorimetry as cm
 from lumaflux.errors import DimensionError, DomainError, TagError
@@ -187,6 +187,48 @@ class TestPU21:
 
     def test_clamps_below_floor(self):
         assert float(cm.pu21_encode(0.0)) == float(cm.pu21_encode(cm.PU21_MIN_NITS))
+
+
+def pq_encode_closed_form(nits):
+    ym = np.power(np.clip(nits, 0.0, cm.PQ_PEAK_NITS) / cm.PQ_PEAK_NITS, cm.PQ_M1)
+    return np.power((cm.PQ_C1 + cm.PQ_C2 * ym) / (1.0 + cm.PQ_C3 * ym), cm.PQ_M2)
+
+
+def pq_decode_closed_form(sig):
+    vp = np.power(sig, 1.0 / cm.PQ_M2)
+    num = np.maximum(vp - cm.PQ_C1, 0.0)
+    return np.power(num / (cm.PQ_C2 - cm.PQ_C3 * vp), 1.0 / cm.PQ_M1) * cm.PQ_PEAK_NITS
+
+
+def pu21_encode_closed_form(nits):
+    p = cm.PU21_COEFFS
+    ym = np.power(np.clip(nits, cm.PU21_MIN_NITS, cm.PQ_PEAK_NITS), p[3])
+    return p[6] * (np.power((p[0] + p[1] * ym) / (1.0 + p[2] * ym), p[4]) - p[5])
+
+
+# kernel -> (its out-of-place closed form, the samples it takes); the encoders
+# clip, so they also get samples outside their range
+IN_PLACE_KERNELS = {
+    "pq_encode": (cm.pq_encode, pq_encode_closed_form, st.floats(-1e3, 2e4)),
+    "pq_decode": (cm.pq_decode, pq_decode_closed_form, st.floats(0.0, 1.0)),
+    "pu21_encode": (cm.pu21_encode, pu21_encode_closed_form, st.floats(-1e3, 2e4)),
+}
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("name", sorted(IN_PLACE_KERNELS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_closed_form_and_keeps_input(self, name, data):
+        kernel, closed_form, elements = IN_PLACE_KERNELS[name]
+        shape = array_shapes(min_dims=0, max_dims=3, max_side=6)
+        x = data.draw(arrays(np.float64, shape, elements=elements))
+        before = x.copy()
+        out = kernel(x)
+        expected = closed_form(x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(out, expected)
+        assert type(out) is type(expected)  # a 0-d input gives a scalar, as before
 
 
 class TestTags:

@@ -45,6 +45,8 @@ DAMAGE = {
     "not_an_object": lambda path: _rewrite(pfm.sidecar_path(path), lambda b: b"[1, 2]"),
     "nan_peak": lambda path: _set_peak(path, float("nan")),
     "inf_peak": lambda path: _set_peak(path, float("inf")),
+    "bool_peak": lambda path: _set_peak(path, True),
+    "str_peak": lambda path: _set_peak(path, "100"),
 }
 
 

@@ -200,7 +200,7 @@ class TestFitGradients:
         worst = 0.0
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, 3 * 6 + 1)
-            _, g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)
+            g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()
             fd = tc.finite_diff_grad(
                 lambda th: rqs.fit_loss_and_grad(th, 6, x, tgt, cfg)[0], theta, 1e-6)
             rel = np.max(np.abs(g - fd) / np.maximum(np.abs(g) + np.abs(fd), 1e-8))
@@ -252,6 +252,28 @@ class TestFit:
         p, _, trace = rqs.fit_rqs(x, np.clip(x + rng.normal(0, 0.05, 300), 0, 1), K=6,
                                   cfg=rqs.FitConfig(iterations=200))
         assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_gradient_pulled_back_only_for_accepted_steps(self, monkeypatch):
+        # every line-search trial evaluates the loss; the gradient is pulled
+        # back at the start point and at each accepted step
+        calls = {"loss": 0, "grad": 0}
+        loss_and_grad = rqs.fit_loss_and_grad
+
+        def counted(*args):
+            calls["loss"] += 1
+            loss, grad_fn = loss_and_grad(*args)
+
+            def counted_grad_fn():
+                calls["grad"] += 1
+                return grad_fn()
+
+            return loss, counted_grad_fn
+
+        monkeypatch.setattr(rqs, "fit_loss_and_grad", counted)
+        x = np.linspace(0.0, 1.0, 512)
+        _, _, trace = rqs.fit_rqs(x, x**2, K=6, cfg=rqs.FitConfig(iterations=50))
+        assert calls["grad"] == len(trace)
+        assert calls["loss"] > calls["grad"]
 
     def test_degenerate_targets_warn(self):
         x = np.linspace(0.0, 1.0, 128)

@@ -57,8 +57,9 @@ DEFAULT_CONFIG = {
 
 
 # lower bounds beyond the type check; a spline and a band split need two bins
-_AT_LEAST = {"spline_knots": 2, "k_bands": 2, "fit_iterations": 1, "fit_samples": 1,
-             "feature_seed": 0, "lambda_l1": 0, "lambda_smooth": 0}
+_AT_LEAST = {"spline_knots": 2, "k_bands": 2, "fit_iterations": 1,
+             "fit_samples": rqs.MIN_SAMPLES, "feature_seed": 0, "lambda_l1": 0,
+             "lambda_smooth": 0}
 
 
 def _conforms(val, like):
@@ -189,6 +190,9 @@ def cmd_fit_expand(args):
     if sdr.pixels.shape != ref.pixels.shape:
         raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} differs from "
                                f"{args.hdr_ref} {ref.pixels.shape}")
+    if sdr.pixels.shape[0] * sdr.pixels.shape[1] < rqs.MIN_SAMPLES:
+        raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} has fewer than "
+                               f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
     peak = cfg["peak_nits"]
     wide = ft.linearize_sdr(sdr)
     y_sdr = cm.luma2020(wide).reshape(-1)

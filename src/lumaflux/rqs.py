@@ -6,8 +6,12 @@ slopes, which together give a strictly increasing, C1, invertible map.
 Free parameters live in an unconstrained vector of length 3K+1 and are
 mapped onto valid knots by `constrain`. Fitting runs momentum gradient
 descent with a backtracking line search on hand-derived analytic
-gradients. A loss evaluation returns the gradient as a pullback, so the
-line search pays for the gradient only at the steps it accepts.
+gradients. The sample pairs are sorted by input once, so every knot bin
+is a contiguous run of samples: a loss evaluation spreads per-bin
+constants over the runs instead of searching for each sample's bin, and
+its gradient sums each run instead of scattering per sample. A loss
+evaluation returns the gradient as a pullback, so the line search pays
+for the gradient only at the steps it accepts.
 """
 
 import json
@@ -21,6 +25,7 @@ from .errors import ConfigError, DimensionError, EvaluationError, FitError
 
 MIN_BIN = 1e-3
 MIN_SLOPE = 1e-3
+MIN_SAMPLES = 64  # fewest sample pairs `fit_rqs` accepts
 
 # counts inputs clamped back into [0, 1] by evaluation ops
 clamp_counter = {"count": 0}
@@ -114,22 +119,20 @@ def _clamp_input(y):
 def _bin_locals(p, y, i=None):
     i = _bin_index(p, y) if i is None else i
     a = p.knots_x[i]
-    b = p.knots_x[i + 1]
     c = p.knots_y[i]
-    d = p.knots_y[i + 1]
     s0 = p.slopes[i]
     s1 = p.slopes[i + 1]
-    w = b - a
+    w = p.knots_x[i + 1] - a
     u = (y - a) / w
-    dy = d - c
+    dy = p.knots_y[i + 1] - c
     delta = dy / w
-    return i, a, b, c, d, s0, s1, w, u, dy, delta
+    return a, c, s0, s1, w, u, dy, delta
 
 
 def rqs_forward(p, y):
     """Evaluate the spline at y in [0, 1]."""
     y = _clamp_input(y)
-    _, _, _, c, _, s0, s1, _, u, dy, delta = _bin_locals(p, y)
+    _, c, s0, s1, _, u, dy, delta = _bin_locals(p, y)
     t1 = u * (1.0 - u)
     den = delta + (s0 + s1 - 2.0 * delta) * t1
     num = delta * u * u + s0 * t1
@@ -139,7 +142,7 @@ def rqs_forward(p, y):
 def rqs_derivative(p, y):
     """Analytic dy/dx of the spline; strictly positive on [0, 1]."""
     y = _clamp_input(y)
-    _, _, _, _, _, s0, s1, _, u, _, delta = _bin_locals(p, y)
+    _, _, s0, s1, _, u, _, delta = _bin_locals(p, y)
     t1 = u * (1.0 - u)
     den = delta + (s0 + s1 - 2.0 * delta) * t1
     num = delta * delta * (s1 * u * u + 2.0 * delta * t1 + s0 * (1.0 - u) ** 2)
@@ -150,7 +153,7 @@ def rqs_inverse(p, yhat):
     """Closed-form bin-local inversion of the spline."""
     yhat = _clamp_input(yhat)
     i = np.clip(np.searchsorted(p.knots_y, yhat, side="right") - 1, 0, p.num_bins - 1)
-    _, a, _, c, _, s0, s1, w, _, dy, delta = _bin_locals(p, yhat, i)
+    a, c, s0, s1, w, _, dy, delta = _bin_locals(p, yhat, i)
     rel = yhat - c
     term = rel * (s0 + s1 - 2.0 * delta)
     qa = dy * (delta - s0) + term
@@ -168,48 +171,75 @@ def smooth_penalty(p):
     return float(np.sum(d * d))
 
 
-def forward_param_grad(p, y):
-    """Spline values at y, plus a pullback from dloss/df per sample to the knots.
+def _require_sorted(y):
+    if y.ndim != 1 or np.any(y[1:] < y[:-1]):
+        raise DimensionError("samples must be a 1-D array sorted ascending")
 
-    The pullback maps dloss/df onto gradients wrt (knots_x, knots_y,
-    slopes) by the hand-derived chain rule through the rational-quadratic
-    bin formula; pinned boundary knots still receive entries, the caller
-    decides which coordinates are free. The per-sample Jacobian is built
-    only when the pullback runs, so a value that is never differentiated
-    costs one spline pass.
+
+def forward_param_grad(p, y):
+    """Spline values at sorted samples y, plus a pullback from dloss/df to the knots.
+
+    Bin j holds the samples with knots_x[j] <= y < knots_x[j+1] (the last
+    bin also y == 1), so in sorted samples each bin is one contiguous run:
+    the per-bin constants are computed on K values and repeated over their
+    runs, and the values equal `rqs_forward` bit for bit. The pullback maps
+    dloss/df onto gradients wrt (knots_x, knots_y, slopes) by the
+    hand-derived chain rule through the rational-quadratic bin formula,
+    summing each run once per partial with the bin's constants factored
+    out; pinned boundary knots still receive entries, the caller decides
+    which coordinates are free. It runs only when called, so a value that
+    is never differentiated costs one spline pass.
     """
     y = _clamp_input(y)
-    i, a, b, c, d, s0, s1, w, u, dy, delta = _bin_locals(p, y)
+    _require_sorted(y)
+    xs, ys, s = p.knots_x, p.knots_y, p.slopes
+    starts = np.concatenate(([0], np.searchsorted(y, xs[1:-1], side="left")))
+    counts = np.diff(starts, append=y.size)
+    w = np.diff(xs)
+    dy = np.diff(ys)
+    delta = dy / w
+    s0 = s[:-1]
+    q = s0 + s[1:] - 2.0 * delta
+    a_r, w_r, c_r, dy_r, delta_r, s0_r, q_r = (
+        np.repeat(v, counts) for v in (xs[:-1], w, ys[:-1], dy, delta, s0, q))
+    u = (y - a_r) / w_r
     t1 = u * (1.0 - u)
-    den = delta + (s0 + s1 - 2.0 * delta) * t1
-    num = delta * u * u + s0 * t1
+    den = delta_r + q_r * t1
+    num = delta_r * u * u + s0_r * t1
 
     def pullback(dloss_df):
-        f_num = dy / den
-        f_den = -dy * num / (den * den)
-        d_delta = f_num * u * u + f_den * (1.0 - 2.0 * t1)
-        d_u = f_num * (2.0 * delta * u + s0 * (1.0 - 2.0 * u)) + f_den * (
-            (s0 + s1 - 2.0 * delta) * (1.0 - 2.0 * u)
-        )
-        d_s0 = (f_num + f_den) * t1
-        d_s1 = f_den * t1
-        d_dy = num / den + d_delta / w
-        d_c = 1.0 - d_dy
-        d_d = d_dy
-        d_a = d_u * (u - 1.0) / w + d_delta * delta / w
-        d_b = -(d_u * u + d_delta * delta) / w
+        nonempty = counts > 0
+        firsts = starts[nonempty]
 
-        # each sample touches knots i and i+1; one bincount over both keeps
-        # the sequential summation order of an in-place scatter-add
-        knots = np.concatenate((i, i + 1))
-        jx = np.concatenate((d_a, d_b))
-        jy = np.concatenate((d_c, d_d))
-        js = np.concatenate((d_s0, d_s1))
-        n = p.knots_x.size
-        g = np.concatenate((dloss_df, dloss_df))
-        return tuple(np.bincount(knots, weights=g * j, minlength=n) for j in (jx, jy, js))
+        def run_sums(v):
+            out = np.zeros(w.size)
+            out[nonempty] = np.add.reduceat(v, firsts)
+            return out
 
-    return c + dy * num / den, pullback
+        # df/dnum = dy/den and df/dden = -dy*num/den^2: with the bin's dy
+        # factored out, dloss/df enters as r = g/den and m = g*num/den^2
+        r = dloss_df / den
+        rn = r * num
+        m = rn / den
+        omu = 1.0 - 2.0 * u
+        d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
+        d_delta = r * u * u - m * (1.0 - 2.0 * t1)
+        g_delta = dy * run_sums(d_delta)
+        g_s0 = dy * run_sums((r - m) * t1)
+        g_s1 = -dy * run_sums(m * t1)
+        # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
+        g_a = (dy * run_sums(d_u * (u - 1.0)) + delta * g_delta) / w
+        g_b = -(dy * run_sums(d_u * u) + delta * g_delta) / w
+        g_d = run_sums(rn) + g_delta / w
+        g_c = run_sums(dloss_df) - g_d
+
+        # knot j starts bin j and ends bin j-1
+        def to_knots(starting, ending):
+            return np.append(starting, 0.0) + np.insert(ending, 0, 0.0)
+
+        return to_knots(g_a, g_b), to_knots(g_c, g_d), to_knots(g_s0, g_s1)
+
+    return c_r + dy_r * num / den, pullback
 
 
 def constrain_backward(raw, K, gx, gy, gs):
@@ -305,25 +335,25 @@ def _detect_knot_grid(ys, ts_n, K):
 def warm_start_raw(y_in, target, K):
     """Raw vector whose spline tracks the empirical input->target curve.
 
-    Knot ordinates come from the monotone envelope of the sorted sample
-    pairs, slopes from one-sided secants; gradient descent then only has
-    to polish. Two abscissa layouts are tried, a uniform grid and one
-    placed at detected curvature jumps, keeping whichever matches the
-    data better. Falls back to the identity for degenerate targets.
+    Takes sample pairs sorted by input. Knot ordinates come from the
+    monotone envelope of the pairs, slopes from one-sided secants;
+    gradient descent then only has to polish. Two abscissa layouts are
+    tried, a uniform grid and one placed at detected curvature jumps,
+    keeping whichever matches the data better. Falls back to the identity
+    for degenerate targets.
     """
-    order = np.argsort(y_in)
-    ys = y_in[order]
-    ts = np.maximum.accumulate(target[order])
+    _require_sorted(y_in)
+    ts = np.maximum.accumulate(target)
     span = ts[-1] - ts[0]
     if span < 1e-6:
         return np.zeros(3 * K + 1)
     ts_n = (ts - ts[0]) / span
-    candidates = [_build_warm_raw(np.linspace(0.0, 1.0, K + 1), ys, ts_n, K)]
-    grid = _detect_knot_grid(ys, ts_n, K)
+    candidates = [_build_warm_raw(np.linspace(0.0, 1.0, K + 1), y_in, ts_n, K)]
+    grid = _detect_knot_grid(y_in, ts_n, K)
     if grid is not None:
-        candidates.append(_build_warm_raw(grid, ys, ts_n, K))
+        candidates.append(_build_warm_raw(grid, y_in, ts_n, K))
     losses = [
-        float(np.mean(np.abs(rqs_forward(constrain(raw, K), ys) - ts_n)))
+        float(np.mean(np.abs(rqs_forward(constrain(raw, K), y_in) - ts_n)))
         for raw in candidates
     ]
     return candidates[int(np.argmin(losses))]
@@ -350,6 +380,7 @@ class FitConfig:
 def fit_loss_and_grad(raw, K, y_in, target, cfg):
     """Smoothed-L1 data term plus slope-smoothness penalty, and its gradient's pullback.
 
+    Takes sample pairs sorted by y_in (see `forward_param_grad`).
     Returns (loss, grad_fn): calling grad_fn() returns the gradient wrt
     raw. The loss costs one spline pass; the gradient work runs only when
     grad_fn is called, so a rejected line-search trial never pays for it.
@@ -378,25 +409,28 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
 def fit_rqs(y_in, target, K=8, cfg=None):
     """Fit spline parameters to paired (sdr luma, normalized hdr luma) samples.
 
-    Returns (RqsParams, raw vector, loss trace). The trace is monotone
-    non-increasing by construction of the backtracking line search. Every
-    line-search trial evaluates the loss; the gradient is pulled back only
-    at the start point and at each accepted step, once per trace entry
-    when no step is refused.
+    Returns (RqsParams, raw vector, loss trace). The pairs are sorted by
+    input once, so the warm start and every loss evaluation read each knot
+    bin as a contiguous run. The trace is monotone non-increasing by
+    construction of the backtracking line search. Every line-search trial
+    evaluates the loss; the gradient is pulled back only at the start point
+    and at each accepted step, once per trace entry when no step is refused.
     """
     if cfg is None:
         cfg = FitConfig()
-    # contiguous copies, made once: every loss evaluation reads both, and a
-    # strided view into a full frame costs a cache miss per sample
-    y_in = np.ascontiguousarray(y_in, dtype=np.float64).reshape(-1)
-    target = np.ascontiguousarray(target, dtype=np.float64).reshape(-1)
+    y_in = np.asarray(y_in, dtype=np.float64).reshape(-1)
+    target = np.asarray(target, dtype=np.float64).reshape(-1)
     if y_in.shape != target.shape:
         raise DimensionError("sample arrays must have matching length")
-    if y_in.size < 64:
-        raise ConfigError("fit_rqs needs at least 64 sample pairs")
+    if y_in.size < MIN_SAMPLES:
+        raise ConfigError(f"fit_rqs needs at least {MIN_SAMPLES} sample pairs")
     if K < 2:
         raise ConfigError("K must be at least 2")
     degenerate = bool(np.ptp(target) < 1e-9)
+    # the gather also copies a strided view into a full frame contiguously
+    order = np.argsort(y_in)
+    y_in = y_in[order]
+    target = target[order]
 
     raw = warm_start_raw(y_in, target, K)
     vel = np.zeros_like(raw)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from lumaflux import cli
 from lumaflux import colorimetry as cm
+from lumaflux import features as ft
 from lumaflux import pfm
+from lumaflux import rqs
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError
 from test_acceptance import synthetic_hdr
@@ -22,9 +24,18 @@ A5_TREE_SHA256 = "82dff2f4ddc524e2a906f55f6b4f51d8c20291792b449ccd8b9ae33f566765
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
 # and its Reinhard CRF-23 SDR frame; a change that moves one must say why
 FIT_EXPAND_SHA256 = {
-    "expanded.pfm": "7b75fa70aaa5203983f19d7401f244c66a73e573d6340209ca5ac0d2abab8898",
-    "expanded.pfm.rqs.json": "f6b66bf77e7ccfa36855aee85fc2c2c8e4e894e9ee612e8818f2c60639510694",
-    "expanded.pfm.trace.csv": "40b579a5b38f80f98c10c89278179a0c2907db6f33aa1766095032d703f51bf8",
+    "expanded.pfm": "350df9d1d8d954c30700d4eab64762b7c48f737339d1449de272fd6e4fed232c",
+    "expanded.pfm.rqs.json": "1623ee67ac2c3ebdf44d5a0b0d36cde63297359bc4be9d3ed93c467c22aaa0b2",
+    "expanded.pfm.trace.csv": "fd92b4f9ead47405ab06eca2ab31d74de7d9ec6b83bd2ab0817cc7e593c262f3",
+}
+
+# SHA-256 of rqs.warm_start_raw(..., K=8).tobytes() on the sample pairs
+# fit-expand fits for the same frames (4,096 pairs, no two luma values
+# tied), and on those pairs with luma rounded to 1/256 (4,010 ties), each
+# sorted by np.argsort as fit_rqs sorts them
+WARM_START_SHA256 = {
+    "luma": "80bd7c664536b5415cba99c7ec999b831a725872f0a0d407237384ee842b2e83",
+    "luma_1/256": "b11f73ec35f02d79be5781fa61445b2bdb55adb8973dcdcb0ebcf5886e15f6f3",
 }
 
 
@@ -35,6 +46,17 @@ def write_hdr(path, seed=0, size=64, peak=1000.0):
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
     pfm.write_tagged(str(path), cm.TaggedImage(cm.pq_encode(nits), tag), seed=seed)
     return str(path)
+
+
+def write_fit_pair(tmp_path, size=64):
+    """The A5 frame at `size` and its Reinhard CRF-23 SDR frame; returns (sdr, hdr) paths."""
+    hdr = synthetic_hdr(size=size)
+    src = str(tmp_path / "hdr.pfm")
+    pfm.write_tagged(src, hdr, seed=7)
+    op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": 1000.0})
+    sdr = str(tmp_path / "sdr.pfm")
+    pfm.write_tagged(sdr, tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=23)))
+    return sdr, src
 
 
 def tree_digest(root):
@@ -175,17 +197,41 @@ class TestFitExpand:
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_output_bytes_are_pinned(self, tmp_path, capsys):
-        hdr = synthetic_hdr(size=64)
-        src = str(tmp_path / "hdr.pfm")
-        pfm.write_tagged(src, hdr, seed=7)
-        op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": 1000.0})
-        sdr = str(tmp_path / "sdr.pfm")
-        pfm.write_tagged(sdr, tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=23)))
+        sdr, src = write_fit_pair(tmp_path)
         dst = tmp_path / "expanded.pfm"
         assert cli.main(["fit-expand", sdr, src, "--output", str(dst)]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                    for name in FIT_EXPAND_SHA256}
         assert digests == FIT_EXPAND_SHA256
+
+    def test_warm_start_is_pinned(self, tmp_path, monkeypatch):
+        sdr, src = write_fit_pair(tmp_path)
+        # the pairs cmd_fit_expand passes to fit_rqs; 4,096 pixels need no stride
+        y = cm.luma2020(ft.linearize_sdr(pfm.read_tagged(sdr))).reshape(-1)
+        ref = cm.apply_transfer(pfm.read_tagged(src), cm.Direction.DECODE)
+        t = np.clip(cm.luma2020(ref).reshape(-1) / 1000.0, 0.0, 1.0)
+        warm_start_raw = rqs.warm_start_raw
+        in_fit = []
+        monkeypatch.setattr(rqs, "warm_start_raw",
+                            lambda *args: in_fit.append(warm_start_raw(*args)) or in_fit[-1])
+        digests = {}
+        for name, luma in (("luma", y), ("luma_1/256", np.round(y * 256.0) / 256.0)):
+            order = np.argsort(luma)
+            raw = warm_start_raw(luma[order], t[order], 8)
+            digests[name] = hashlib.sha256(raw.tobytes()).hexdigest()
+            # fit_rqs breaks ties the same way
+            rqs.fit_rqs(luma, t, K=8, cfg=rqs.FitConfig(iterations=1))
+            assert np.array_equal(in_fit[-1], raw)
+        assert digests == WARM_START_SHA256
+
+    def test_frame_below_min_samples_is_io_error(self, tmp_path, capsys):
+        sdr, src = write_fit_pair(tmp_path, size=7)
+        before = files_under(tmp_path)
+        assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read") and "(7, 7, 3)" in captured.err
+        assert files_under(tmp_path) == before
 
     def test_extent_mismatch_is_io_error(self, tmp_path, capsys):
         a = write_hdr(tmp_path / "a.pfm", size=32)
@@ -283,6 +329,7 @@ BAD_RUNS = [
     ("fit-expand", '{"fit_samples": "abc"}', None, 3),
     ("features", '{"k_bands": "x"}', None, 3),
     ("fit-expand", '{"fit_samples": 0}', None, 3),
+    ("fit-expand", '{"fit_samples": 63}', None, 3),
     ("synthesize", None, "missing_config", 2),
     ("synthesize", None, "output_is_file", 2),
     ("fit-expand", '{"fit_iterations": 10}', "no_output_dir", 2),

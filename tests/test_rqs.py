@@ -152,8 +152,10 @@ class TestFitLoss:
     def setup_method(self):
         rng = np.random.default_rng(9)
         self.raw = rng.normal(0.0, 0.5, 3 * 6 + 1)
-        self.x = rng.uniform(0.0, 1.0, 256)
-        self.tgt = rng.uniform(0.0, 1.0, 256)
+        x = rng.uniform(0.0, 1.0, 256)
+        tgt = rng.uniform(0.0, 1.0, 256)
+        order = np.argsort(x)
+        self.x, self.tgt = x[order], tgt[order]
         self.cfg = rqs.FitConfig()
 
     def test_loss_matches_forward_and_penalty(self):
@@ -165,10 +167,86 @@ class TestFitLoss:
 
     def test_one_evaluation_counts_each_clamp_once(self):
         x = self.x.copy()
-        x[[0, 7, 100]] = [-0.2, 1.3, 2.0]
+        x[[0, 254, 255]] = [-0.2, 1.3, 2.0]
         before = rqs.clamp_counter["count"]
         rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.cfg)
         assert rqs.clamp_counter["count"] == before + 3
+
+    def test_unsorted_samples_are_refused(self):
+        # one swapped pair would otherwise put two samples in the wrong bin runs
+        x = self.x.copy()
+        x[[100, 101]] = x[[101, 100]]
+        with pytest.raises(DimensionError):
+            rqs.forward_param_grad(rqs.constrain(self.raw, 6), x)
+        with pytest.raises(DimensionError):
+            rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.cfg)
+        with pytest.raises(DimensionError):
+            rqs.warm_start_raw(x, self.tgt, 6)
+
+
+def scatter_pullback(p, y, g, magnitude=False):
+    """Per-sample reference for the pullback of `forward_param_grad`.
+
+    Each sample's partials wrt the two knots of its bin are scattered with
+    np.add.at. With magnitude=True every product enters by its absolute
+    value, which bounds the rounding error of any summation order of the
+    same terms.
+    """
+    A = np.abs if magnitude else (lambda v: v)
+    i = np.clip(np.searchsorted(p.knots_x, y, side="right") - 1, 0, p.num_bins - 1)
+    a, b = p.knots_x[i], p.knots_x[i + 1]
+    c, d = p.knots_y[i], p.knots_y[i + 1]
+    s0, s1 = p.slopes[i], p.slopes[i + 1]
+    w = b - a
+    u = (y - a) / w
+    dy = d - c
+    delta = dy / w
+    t1 = u * (1.0 - u)
+    den = delta + (s0 + s1 - 2.0 * delta) * t1
+    num = delta * u * u + s0 * t1
+    f_num = A(dy / den)
+    f_den = A(-dy * num / (den * den))
+    d_delta = f_num * u * u + A(f_den * (1.0 - 2.0 * t1))
+    d_u = (A(f_num * (2.0 * delta * u + A(s0 * (1.0 - 2.0 * u))))
+           + A(f_den * (s0 + s1 - 2.0 * delta) * (1.0 - 2.0 * u)))
+    d_dy = num / den + A(d_delta / w)
+    partials = ((A(d_u * (u - 1.0) / w) + A(d_delta * delta / w),
+                 A(-d_u * u / w) + A(-d_delta * delta / w)),
+                (1.0 + A(-d_dy), d_dy),
+                (A(f_num + f_den) * t1, f_den * t1))
+    out = []
+    for at_i, at_next in partials:
+        acc = np.zeros(p.knots_x.size)
+        np.add.at(acc, i, A(g * at_i))
+        np.add.at(acc, i + 1, A(g * at_next))
+        out.append(acc)
+    return out
+
+
+class TestSortedKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 12))
+    def test_matches_forward_and_per_sample_scatter(self, data, K):
+        raw = data.draw(arrays(np.float64, 3 * K + 1, elements=st.floats(-5.0, 5.0)))
+        p = rqs.constrain(raw, K)
+        # samples in some bins only, possibly all in one, at drawn fractions of their width
+        occupied = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1)))
+        j = np.array(data.draw(st.lists(st.sampled_from(occupied), min_size=1, max_size=40)))
+        frac = data.draw(arrays(np.float64, j.size,
+                                elements=st.floats(0.0, 1.0, exclude_max=True)))
+        y = p.knots_x[j] + frac * np.diff(p.knots_x)[j]
+        if data.draw(st.booleans()):
+            # 0, 1 and every interior knot exactly; each interior knot opens its bin
+            y = np.concatenate((y, p.knots_x))
+        y = np.sort(y)
+        g = data.draw(arrays(np.float64, y.size, elements=st.floats(-1.0, 1.0)))
+
+        pred, pullback = rqs.forward_param_grad(p, y)
+        assert np.array_equal(pred, rqs.rqs_forward(p, y))
+        for got, ref, bound in zip(pullback(g), scatter_pullback(p, y, g),
+                                   scatter_pullback(p, y, g, magnitude=True)):
+            # tiny: products of subnormal g lose relative precision
+            assert np.all(np.abs(got - ref) <= 1e-12 * bound + np.finfo(float).tiny)
 
 
 class TestSmoothPenalty:

@@ -46,6 +46,9 @@ class ToyBlockConfig:
     psi_hidden: int = 16
 
     def __post_init__(self):
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
         if self.d % self.heads != 0:
             raise ConfigError("token width must divide evenly into heads")
         if self.n_sin % 2 != 0:
@@ -197,19 +200,16 @@ def pga_residual(state, phys_vec, r_spec, mod, cfg):
         raise DimensionError("phys_vec must have c_phys + d_g entries")
     if r_spec.shape != (cfg.k_bands,):
         raise DimensionError("r_spec must have k_bands entries")
-    u_gate = state.p_v @ phys_vec + state.b_pv
-    gate = tc.sigmoid(u_gate)
+    gate = tc.sigmoid(state.p_v @ phys_vec + state.b_pv)
     u_spec = state.w_r @ r_spec
-    sg = tc.softplus(u_spec)
-    gvec = np.repeat(sg, cfg.d // cfg.heads)
+    gvec = np.repeat(tc.softplus(u_spec), cfg.d // cfg.heads)
     cs = gate * (1.0 + mod.n_spec * gvec)
     ab = state.a_v @ state.b_v
     m = mod.alpha_pga * ab + mod.beta_pga * np.eye(cfg.d)
     r_mat = m * cs[None, :]
     cache = {
-        "phys_vec": phys_vec, "r_spec": r_spec, "u_gate": u_gate, "gate": gate,
-        "u_spec": u_spec, "sg": sg, "gvec": gvec, "cs": cs, "ab": ab, "m": m,
-        "mod": mod,
+        "phys_vec": phys_vec, "r_spec": r_spec, "gate": gate, "u_spec": u_spec,
+        "gvec": gvec, "cs": cs, "ab": ab, "m": m, "mod": mod,
     }
     return r_mat, cache
 
@@ -246,7 +246,7 @@ def pcm_film(h, t_perc, state, mod):
     zeta = mod.alpha_pcm * fm[:, d:] + mod.beta_pcm
     xl = tc.layer_norm(h, LN_EPS)
     out = (1.0 + gamma) * xl + zeta
-    cache = {"t_perc": t_perc, "conn": conn, "fm": fm, "gamma": gamma, "xl": xl, "mod": mod, "d": d}
+    cache = {"conn": conn, "fm": fm, "gamma": gamma, "xl": xl, "mod": mod, "d": d}
     return out, cache
 
 
@@ -299,15 +299,14 @@ def block_forward(z, t_phys_tokens, phys_vec, r_spec, t_perc, backbone, state, c
 
     film_out, film_cache = pcm_film(z, t_perc, state, mod)
     u1 = film_out @ backbone.w1 + backbone.b1
-    a1 = _silu(u1)
-    mlp_out = a1 @ backbone.w2 + backbone.b2
+    mlp_out = _silu(u1) @ backbone.w2 + backbone.b2
 
     z_res = z + attn_out + mlp_out
     out, base = coupler(z_res, t_phys_tokens, film_cache["conn"], state, mod)
 
     cache = {
         "mod": mod, "psi_cache": psi_cache, "pga_cache": pga_cache,
-        "x1": x1, "attn_w": attn_w, "vh": vh, "u1": u1, "a1": a1,
+        "x1": x1, "attn_w": attn_w, "u1": u1,
         "film_cache": film_cache, "base": base, "conn": film_cache["conn"],
         "t_phys_tokens": t_phys_tokens, "t_perc": t_perc,
         "n": n, "d": d, "dk": dk,

@@ -93,6 +93,8 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{key}: expected a value like {json.dumps(sample)}, got {val!r}")
         if key in _AT_LEAST and val < _AT_LEAST[key]:
             raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}, got {val!r}")
+    if cfg["spline_knots"] > rqs.MAX_BINS:
+        raise ConfigError(f"spline_knots must be <= {rqs.MAX_BINS}, got {cfg['spline_knots']!r}")
     if not 0 < cfg["peak_nits"] <= cm.PQ_PEAK_NITS:
         raise ConfigError(f"peak_nits must be in (0, 10000], got {cfg['peak_nits']!r}")
     for doc in cfg["tmos"]:
@@ -196,7 +198,7 @@ def cmd_fit_expand(args):
     peak = cfg["peak_nits"]
     wide = ft.linearize_sdr(sdr)
     y_sdr = cm.luma2020(wide).reshape(-1)
-    ref_linear = cm.apply_transfer(ref, cm.Direction.DECODE)
+    ref_linear = cm.apply_transfer(ref)
     y_ref = np.clip(cm.luma2020(ref_linear).reshape(-1) / peak, 0.0, 1.0)
     stride = max(1, y_sdr.size // cfg["fit_samples"])
     fit_cfg = rqs.FitConfig(lambda_l1=cfg["lambda_l1"], lambda_smooth=cfg["lambda_smooth"],
@@ -276,6 +278,8 @@ def cmd_features(args):
 
 
 def cmd_adapter_demo(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cfg = ad.ToyBlockConfig(
         d=args.width, n_tokens=args.tokens, heads=4, layers=2, rank=args.rank,
         d_p=8, c_phys=4, d_g=4, k_bands=4, psi_hidden=8,

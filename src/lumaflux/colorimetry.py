@@ -73,10 +73,6 @@ class Transfer(enum.Enum):
     GAMMA709 = "Gamma709"
 
 
-class Direction(enum.Enum):
-    DECODE = "Decode"
-
-
 @dataclass(frozen=True)
 class ColorSpaceTag:
     primaries: Primaries
@@ -169,12 +165,11 @@ def bt709_eotf(signal):
     return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
 
 
-def apply_transfer(img, direction):
+def apply_transfer(img):
     """Decode encoded pixels to linear light with the tag's transfer curve.
 
-    Direction.DECODE is the only direction; encoding takes an explicit
-    target curve and lives in encode_transfer. Samples must lie in [0, 1];
-    a non-finite sample fails the check.
+    Encoding takes an explicit target curve and lives in encode_transfer.
+    Samples must lie in [0, 1]; a non-finite sample fails the check.
     """
     tag = img.tag
     if tag.transfer is Transfer.LINEAR:

@@ -32,7 +32,7 @@ def linearize_sdr(sdr):
     """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]."""
     if sdr.tag.transfer is not cm.Transfer.GAMMA709 or sdr.tag.primaries is not cm.Primaries.BT709:
         raise TagError("expected a Gamma709/BT709 SDR frame")
-    linear = cm.apply_transfer(sdr, cm.Direction.DECODE)
+    linear = cm.apply_transfer(sdr)
     relative = linear.with_pixels(
         linear.pixels / linear.tag.peak_nits,
         cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 1.0),

@@ -54,7 +54,7 @@ class MetricReport:
 def _decode_to_nits(img):
     if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("metrics expect PQ/BT.2020 images")
-    return cm.apply_transfer(img, cm.Direction.DECODE)
+    return cm.apply_transfer(img)
 
 
 def pu21_range():

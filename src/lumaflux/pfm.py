@@ -93,7 +93,7 @@ def read_tagged(frame_path):
     try:
         with open(side) as fh:
             tag = cm.ColorSpaceTag.from_json(json.load(fh)["tag"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # nesting too deep
         raise FrameFormatError(f"{side}: no valid color-space tag ({exc!r})") from None
     return cm.TaggedImage(pixels, tag)
 

@@ -4,18 +4,21 @@ A spline on [0, 1] is defined by K+1 increasing knot abscissas and
 ordinates (both pinned to (0,0) and (1,1)) plus strictly positive knot
 slopes, which together give a strictly increasing, C1, invertible map.
 Free parameters live in an unconstrained vector of length 3K+1 and are
-mapped onto valid knots by `constrain`. Fitting runs momentum gradient
-descent with a backtracking line search on hand-derived analytic
-gradients. The sample pairs are sorted by input once, so every knot bin
-is a contiguous run of samples: a loss evaluation spreads per-bin
-constants over the runs instead of searching for each sample's bin, and
-its gradient sums each run instead of scattering per sample. A loss
-evaluation returns the gradient as a pullback, so the line search pays
-for the gradient only at the steps it accepts.
+mapped onto valid knots by `constrain`, for 2 <= K <= MAX_BINS.
+Every evaluator reads one per-bin table of constants (`_bin_table`):
+forward, derivative and inverse gather it per sample after one bin
+search. Fitting runs momentum gradient descent with a backtracking line
+search on hand-derived analytic gradients. The sample pairs are sorted
+by input once, so every knot bin is a contiguous run of samples: a loss
+evaluation repeats the table over the runs instead of searching for each
+sample's bin, and its gradient sums each run instead of scattering per
+sample. A loss evaluation returns the gradient as a pullback, so the
+line search pays for the gradient only at the steps it accepts.
 """
 
 import json
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +27,7 @@ from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, EvaluationError, FitError
 
 MIN_BIN = 1e-3
+MAX_BINS = 999  # largest K with K * MIN_BIN < 1, so each bin keeps a share above its floor
 MIN_SLOPE = 1e-3
 MIN_SAMPLES = 64  # fewest sample pairs `fit_rqs` accepts
 
@@ -77,15 +81,20 @@ def identity_params(K=8):
     return RqsParams(grid, grid.copy(), np.ones(K + 1))
 
 
+def _check_bins(K):
+    if not 2 <= K <= MAX_BINS:
+        raise ConfigError(f"K must be in [2, {MAX_BINS}], got {K!r}")
+
+
 def constrain(raw, K):
     """Map an unconstrained vector of length 3K+1 onto valid spline knots."""
-    if K < 2:
-        raise ConfigError("K must be at least 2")
+    _check_bins(K)
     raw = np.asarray(raw, dtype=np.float64)
     if raw.shape != (3 * K + 1,):
         raise DimensionError(f"raw parameter vector must have length {3 * K + 1}")
-    widths = _normalized_bins(raw[:K], K)
-    heights = _normalized_bins(raw[K : 2 * K], K)
+    scale = 1.0 - K * MIN_BIN
+    widths = MIN_BIN + scale * _softmax(raw[:K])
+    heights = MIN_BIN + scale * _softmax(raw[K : 2 * K])
     xs = np.concatenate(([0.0], np.cumsum(widths)))
     ys = np.concatenate(([0.0], np.cumsum(heights)))
     xs[-1] = 1.0
@@ -94,14 +103,9 @@ def constrain(raw, K):
     return RqsParams(xs, ys, slopes)
 
 
-def _normalized_bins(raw_bins, K):
-    e = np.exp(raw_bins - np.max(raw_bins))
-    frac = e / np.sum(e)
-    return MIN_BIN + (1.0 - K * MIN_BIN) * frac
-
-
-def _bin_index(p, y):
-    return np.clip(np.searchsorted(p.knots_x, y, side="right") - 1, 0, p.num_bins - 1)
+def _softmax(v):
+    e = np.exp(v - np.max(v))
+    return e / np.sum(e)
 
 
 def _clamp_input(y):
@@ -116,53 +120,61 @@ def _clamp_input(y):
     return out
 
 
-def _bin_locals(p, y, i=None):
-    i = _bin_index(p, y) if i is None else i
-    a = p.knots_x[i]
-    c = p.knots_y[i]
-    s0 = p.slopes[i]
-    s1 = p.slopes[i + 1]
-    w = p.knots_x[i + 1] - a
-    u = (y - a) / w
-    dy = p.knots_y[i + 1] - c
+# the per-bin table every evaluator reads, each entry of length K (bin j spans
+# knots j and j+1): left knot a, width w, left ordinate c, rise dy, secant
+# delta = dy/w, knot slopes s0 and s1, and q = s0 + s1 - 2 delta
+_Bins = namedtuple("_Bins", "a w c dy delta s0 s1 q")
+
+
+def _bin_table(p):
+    xs, ys, s = p.knots_x, p.knots_y, p.slopes
+    w = np.diff(xs)
+    dy = np.diff(ys)
     delta = dy / w
-    return a, c, s0, s1, w, u, dy, delta
+    s0, s1 = s[:-1], s[1:]
+    return _Bins(xs[:-1], w, ys[:-1], dy, delta, s0, s1, s0 + s1 - 2.0 * delta)
+
+
+def _gather(p, knots, v):
+    # the table at each sample's bin, found by searching knots_x or knots_y
+    i = np.clip(np.searchsorted(knots, v, side="right") - 1, 0, p.num_bins - 1)
+    return _Bins._make(col[i] for col in _bin_table(p))
+
+
+def _rq_terms(p, y):
+    # each sample's bin, its position u in the bin, u(1-u) and the denominator
+    y = _clamp_input(y)
+    b = _gather(p, p.knots_x, y)
+    u = (y - b.a) / b.w
+    t1 = u * (1.0 - u)
+    return b, u, t1, b.delta + b.q * t1
 
 
 def rqs_forward(p, y):
     """Evaluate the spline at y in [0, 1]."""
-    y = _clamp_input(y)
-    _, c, s0, s1, _, u, dy, delta = _bin_locals(p, y)
-    t1 = u * (1.0 - u)
-    den = delta + (s0 + s1 - 2.0 * delta) * t1
-    num = delta * u * u + s0 * t1
-    return c + dy * num / den
+    b, u, t1, den = _rq_terms(p, y)
+    return b.c + b.dy * (b.delta * u * u + b.s0 * t1) / den
 
 
 def rqs_derivative(p, y):
     """Analytic dy/dx of the spline; strictly positive on [0, 1]."""
-    y = _clamp_input(y)
-    _, _, s0, s1, _, u, _, delta = _bin_locals(p, y)
-    t1 = u * (1.0 - u)
-    den = delta + (s0 + s1 - 2.0 * delta) * t1
-    num = delta * delta * (s1 * u * u + 2.0 * delta * t1 + s0 * (1.0 - u) ** 2)
+    b, u, t1, den = _rq_terms(p, y)
+    num = b.delta * b.delta * (b.s1 * u * u + 2.0 * b.delta * t1 + b.s0 * (1.0 - u) ** 2)
     return num / (den * den)
 
 
 def rqs_inverse(p, yhat):
     """Closed-form bin-local inversion of the spline."""
     yhat = _clamp_input(yhat)
-    i = np.clip(np.searchsorted(p.knots_y, yhat, side="right") - 1, 0, p.num_bins - 1)
-    a, c, s0, s1, w, _, dy, delta = _bin_locals(p, yhat, i)
-    rel = yhat - c
-    term = rel * (s0 + s1 - 2.0 * delta)
-    qa = dy * (delta - s0) + term
-    qb = dy * s0 - term
-    qc = -delta * rel
+    b = _gather(p, p.knots_y, yhat)
+    rel = yhat - b.c
+    term = rel * b.q
+    qa = b.dy * (b.delta - b.s0) + term
+    qb = b.dy * b.s0 - term
+    qc = -b.delta * rel
     disc = np.maximum(qb * qb - 4.0 * qa * qc, 0.0)
     u = 2.0 * qc / (-qb - np.sqrt(disc))
-    u = np.clip(u, 0.0, 1.0)
-    return a + u * w
+    return b.a + np.clip(u, 0.0, 1.0) * b.w
 
 
 def smooth_penalty(p):
@@ -181,8 +193,8 @@ def forward_param_grad(p, y):
 
     Bin j holds the samples with knots_x[j] <= y < knots_x[j+1] (the last
     bin also y == 1), so in sorted samples each bin is one contiguous run:
-    the per-bin constants are computed on K values and repeated over their
-    runs, and the values equal `rqs_forward` bit for bit. The pullback maps
+    the bin table's entries this kernel reads are repeated over their runs,
+    and the values equal `rqs_forward` bit for bit. The pullback maps
     dloss/df onto gradients wrt (knots_x, knots_y, slopes) by the
     hand-derived chain rule through the rational-quadratic bin formula,
     summing each run once per partial with the bin's constants factored
@@ -192,16 +204,11 @@ def forward_param_grad(p, y):
     """
     y = _clamp_input(y)
     _require_sorted(y)
-    xs, ys, s = p.knots_x, p.knots_y, p.slopes
-    starts = np.concatenate(([0], np.searchsorted(y, xs[1:-1], side="left")))
+    b = _bin_table(p)
+    starts = np.concatenate(([0], np.searchsorted(y, b.a[1:], side="left")))
     counts = np.diff(starts, append=y.size)
-    w = np.diff(xs)
-    dy = np.diff(ys)
-    delta = dy / w
-    s0 = s[:-1]
-    q = s0 + s[1:] - 2.0 * delta
     a_r, w_r, c_r, dy_r, delta_r, s0_r, q_r = (
-        np.repeat(v, counts) for v in (xs[:-1], w, ys[:-1], dy, delta, s0, q))
+        np.repeat(v, counts) for v in (b.a, b.w, b.c, b.dy, b.delta, b.s0, b.q))
     u = (y - a_r) / w_r
     t1 = u * (1.0 - u)
     den = delta_r + q_r * t1
@@ -212,7 +219,7 @@ def forward_param_grad(p, y):
         firsts = starts[nonempty]
 
         def run_sums(v):
-            out = np.zeros(w.size)
+            out = np.zeros(p.num_bins)
             out[nonempty] = np.add.reduceat(v, firsts)
             return out
 
@@ -224,13 +231,13 @@ def forward_param_grad(p, y):
         omu = 1.0 - 2.0 * u
         d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
         d_delta = r * u * u - m * (1.0 - 2.0 * t1)
-        g_delta = dy * run_sums(d_delta)
-        g_s0 = dy * run_sums((r - m) * t1)
-        g_s1 = -dy * run_sums(m * t1)
+        g_delta = b.dy * run_sums(d_delta)
+        g_s0 = b.dy * run_sums((r - m) * t1)
+        g_s1 = -b.dy * run_sums(m * t1)
         # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
-        g_a = (dy * run_sums(d_u * (u - 1.0)) + delta * g_delta) / w
-        g_b = -(dy * run_sums(d_u * u) + delta * g_delta) / w
-        g_d = run_sums(rn) + g_delta / w
+        g_a = (b.dy * run_sums(d_u * (u - 1.0)) + b.delta * g_delta) / b.w
+        g_b = -(b.dy * run_sums(d_u * u) + b.delta * g_delta) / b.w
+        g_d = run_sums(rn) + g_delta / b.w
         g_c = run_sums(dloss_df) - g_d
 
         # knot j starts bin j and ends bin j-1
@@ -245,22 +252,15 @@ def forward_param_grad(p, y):
 def constrain_backward(raw, K, gx, gy, gs):
     """Pull gradients on (knots_x, knots_y, slopes) back to the raw vector."""
     grad = np.zeros_like(raw)
-    grad[: K] = _bins_backward(raw[:K], K, gx)
-    grad[K : 2 * K] = _bins_backward(raw[K : 2 * K], K, gy)
+    for lo, g_knots in ((0, gx), (K, gy)):
+        # knot j (1..K-1) = cumsum of bins; boundary knots are pinned constants
+        d_bins = np.zeros(K)
+        d_bins[: K - 1] = np.cumsum(g_knots[K - 1 : 0 : -1])[::-1]
+        frac = _softmax(raw[lo : lo + K])
+        d_frac = (1.0 - K * MIN_BIN) * d_bins
+        grad[lo : lo + K] = frac * (d_frac - np.sum(d_frac * frac))
     grad[2 * K :] = gs * tc.sigmoid(raw[2 * K :])
     return grad
-
-
-def _bins_backward(raw_bins, K, g_knots):
-    # knot j (1..K-1) = cumsum of bins; boundary knots are pinned constants
-    d_bins = np.zeros(K)
-    interior = g_knots[1:K]
-    d_bins[: K - 1] = np.cumsum(interior[::-1])[::-1]
-    e = np.exp(raw_bins - np.max(raw_bins))
-    frac = e / np.sum(e)
-    scale = 1.0 - K * MIN_BIN
-    d_frac = scale * d_bins
-    return frac * (d_frac - np.sum(d_frac * frac))
 
 
 def _softplus_inv(y):
@@ -424,8 +424,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
         raise DimensionError("sample arrays must have matching length")
     if y_in.size < MIN_SAMPLES:
         raise ConfigError(f"fit_rqs needs at least {MIN_SAMPLES} sample pairs")
-    if K < 2:
-        raise ConfigError("K must be at least 2")
+    _check_bins(K)
     degenerate = bool(np.ptp(target) < 1e-9)
     # the gather also copies a strided view into a full frame contiguously
     order = np.argsort(y_in)

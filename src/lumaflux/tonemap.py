@@ -265,7 +265,7 @@ def degrade(img_pq, spec):
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
     # each stage rebinds `img`, so an intermediate is freed once the next exists
-    linear = cm.apply_transfer(img_pq, cm.Direction.DECODE)
+    linear = cm.apply_transfer(img_pq)
     img = tone_map(spec.tmo, linear)
     del linear
     img, _ = cm.convert_gamut(img, cm.Primaries.BT709)

@@ -104,7 +104,7 @@ def test_a2_rqs_suite(capsys):
 def test_a3_end_to_end_tone_recovery(capsys):
     peak = 1000.0
     hdr = synthetic_hdr(size=256, peak=peak)
-    ref_lin = cm.apply_transfer(hdr, cm.Direction.DECODE)
+    ref_lin = cm.apply_transfer(hdr)
     op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": peak})
     sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
 
@@ -244,8 +244,8 @@ def test_a7_metrics_sanity(capsys):
     base = rng.uniform(10.0, 900.0, (16, 16, 3))
     x = cm.TaggedImage(cm.pq_encode(base), tag)
     y = cm.TaggedImage(cm.pq_encode(rng.uniform(10.0, 900.0, (16, 16, 3))), tag)
-    x_lin = cm.apply_transfer(x, cm.Direction.DECODE)
-    y_lin = cm.apply_transfer(y, cm.Direction.DECODE)
+    x_lin = cm.apply_transfer(x)
+    y_lin = cm.apply_transfer(y)
     de_self = cm.delta_e_itp(x_lin, x_lin)
     de_sym = abs(cm.delta_e_itp(x_lin, y_lin) - cm.delta_e_itp(y_lin, x_lin))
 

@@ -208,7 +208,7 @@ class TestFitExpand:
         sdr, src = write_fit_pair(tmp_path)
         # the pairs cmd_fit_expand passes to fit_rqs; 4,096 pixels need no stride
         y = cm.luma2020(ft.linearize_sdr(pfm.read_tagged(sdr))).reshape(-1)
-        ref = cm.apply_transfer(pfm.read_tagged(src), cm.Direction.DECODE)
+        ref = cm.apply_transfer(pfm.read_tagged(src))
         t = np.clip(cm.luma2020(ref).reshape(-1) / 1000.0, 0.0, 1.0)
         warm_start_raw = rqs.warm_start_raw
         in_fit = []
@@ -291,7 +291,7 @@ class TestFeatures:
 
 class TestMalformedInput:
     @pytest.mark.parametrize("damage", ["truncated", "bad_json", "no_tag", "nan_peak", "inf_peak",
-                                        "bool_peak", "str_peak"])
+                                        "bool_peak", "str_peak", "deep_json"])
     @pytest.mark.parametrize("command", ["synthesize", "fit-expand", "metrics", "features"])
     def test_is_io_error(self, tmp_path, command, damage, capsys):
         # each command's own (first) input kind, so only the damage can fail it
@@ -339,6 +339,7 @@ BAD_RUNS = [
     ("fit-expand", '{"peak_nits": -1000}', None, 3),
     ("fit-expand", '{"fit_iterations": -5}', None, 3),
     ("fit-expand", '{"spline_knots": 8.5}', None, 3),
+    ("fit-expand", '{"spline_knots": 1000}', None, 3),
     ("synthesize", None, "LUMAFLUX_THREADS=abc", 3),
     ("synthesize", None, "LUMAFLUX_THREADS=0", 3),
     ("synthesize", None, "LUMAFLUX_THREADS=-2", 3),
@@ -471,6 +472,14 @@ class TestAdapterDemo:
         assert doc["rank_ok"] is True
         assert doc["gradients"]["passed"] is True
         assert doc["svd_tail_beyond_rank"] <= 1e-9
+
+    @pytest.mark.parametrize("flags", ["--width 0", "--width -4", "--tokens 0", "--tokens -1",
+                                       "--rank 0", "--rank -1", "--seed -1"])
+    def test_out_of_range_flag_is_config_error(self, flags, capsys):
+        assert cli.main(["adapter-demo", *flags.split()]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("seed", [1, 2, 10, 11, 12])
     def test_seeds_with_small_gradients_pass(self, seed, capsys):

@@ -117,7 +117,7 @@ class TestGamut:
 class TestTransferDispatch:
     def test_decode_uses_tag(self):
         img = tagged([[[0.5, 0.5, 0.5]]], transfer=cm.Transfer.PQ)
-        lin = cm.apply_transfer(img, cm.Direction.DECODE)
+        lin = cm.apply_transfer(img)
         assert lin.tag.transfer is cm.Transfer.LINEAR
         assert float(lin.pixels[0, 0, 0]) == pytest.approx(
             float(cm.pq_decode(np.array(0.5))))
@@ -125,19 +125,19 @@ class TestTransferDispatch:
     def test_encode_round_trip_gamma709(self):
         img = tagged([[[10.0, 40.0, 90.0]]], primaries=cm.Primaries.BT709, peak=100.0)
         enc = cm.encode_transfer(img, cm.Transfer.GAMMA709)
-        dec = cm.apply_transfer(enc, cm.Direction.DECODE)
+        dec = cm.apply_transfer(enc)
         np.testing.assert_allclose(dec.pixels, img.pixels, atol=1e-9)
 
     def test_decode_rejects_non_finite(self):
         img = tagged([[[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]], transfer=cm.Transfer.PQ)
         with pytest.raises(DomainError, match=r"pixel \(0, 1, 1\)"):
-            cm.apply_transfer(img, cm.Direction.DECODE)
+            cm.apply_transfer(img)
         with pytest.raises(DomainError, match="flat index 4"):
             cm.pq_decode(img.pixels)
 
     def test_decode_rejects_linear(self):
         with pytest.raises(TagError):
-            cm.apply_transfer(tagged([[[1.0, 1.0, 1.0]]]), cm.Direction.DECODE)
+            cm.apply_transfer(tagged([[[1.0, 1.0, 1.0]]]))
 
     def test_encode_requires_target(self):
         # Linear is not an encoding curve

@@ -47,6 +47,8 @@ DAMAGE = {
     "inf_peak": lambda path: _set_peak(path, float("inf")),
     "bool_peak": lambda path: _set_peak(path, True),
     "str_peak": lambda path: _set_peak(path, "100"),
+    "deep_json": lambda path: _rewrite(pfm.sidecar_path(path),
+                                       lambda b: b"[" * 100000 + b"]" * 100000),
 }
 
 

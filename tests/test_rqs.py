@@ -25,6 +25,33 @@ def bisect_inverse(p, target, tol=1e-13):
     return 0.5 * (lo + hi)
 
 
+def per_sample_closed_forms(p, y, yhat):
+    """rqs_derivative at y and rqs_inverse at yhat, written on knots gathered per sample."""
+
+    def gather(knots, v):
+        i = np.clip(np.searchsorted(knots, v, side="right") - 1, 0, p.num_bins - 1)
+        a, b = p.knots_x[i], p.knots_x[i + 1]
+        c, d = p.knots_y[i], p.knots_y[i + 1]
+        return a, b - a, c, d - c, p.slopes[i], p.slopes[i + 1]
+
+    a, w, c, dy, s0, s1 = gather(p.knots_x, y)
+    delta = dy / w
+    u = (y - a) / w
+    t1 = u * (1.0 - u)
+    den = delta + (s0 + s1 - 2.0 * delta) * t1
+    deriv = delta * delta * (s1 * u * u + 2.0 * delta * t1 + s0 * (1.0 - u) ** 2) / (den * den)
+
+    a, w, c, dy, s0, s1 = gather(p.knots_y, yhat)
+    delta = dy / w
+    rel = yhat - c
+    term = rel * (s0 + s1 - 2.0 * delta)
+    qa = dy * (delta - s0) + term
+    qb = dy * s0 - term
+    qc = -delta * rel
+    u = 2.0 * qc / (-qb - np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)))
+    return deriv, a + np.clip(u, 0.0, 1.0) * w
+
+
 class TestParams:
     def test_identity_params_valid(self):
         p = rqs.identity_params(8)
@@ -77,6 +104,20 @@ class TestConstrain:
     def test_bad_length(self):
         with pytest.raises(DimensionError):
             rqs.constrain(np.zeros(10), 4)
+
+    def test_bin_count_bound(self):
+        # every bin keeps a share above its floor only while K * MIN_BIN < 1
+        K = rqs.MAX_BINS
+        assert K * rqs.MIN_BIN < 1.0 <= (K + 1) * rqs.MIN_BIN
+        raw = np.zeros(3 * K + 1)
+        raw[0] = 50.0
+        assert np.diff(rqs.constrain(raw, K).knots_x).min() >= rqs.MIN_BIN * 0.999
+        for K in (rqs.MAX_BINS + 1, 5000):
+            with pytest.raises(ConfigError):
+                rqs.constrain(np.zeros(3 * K + 1), K)
+        x = np.linspace(0.0, 1.0, 128)
+        with pytest.raises(ConfigError):
+            rqs.fit_rqs(x, x, K=rqs.MAX_BINS + 1)
 
 
 class TestEvaluation:
@@ -139,6 +180,19 @@ class TestEvaluation:
         assert np.all(np.diff(rqs.rqs_forward(p, np.linspace(0.0, 1.0, 1025))) > 0)
         np.testing.assert_allclose(rqs.rqs_inverse(p, rqs.rqs_forward(p, x)), x,
                                    rtol=0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), K=st.integers(2, 12))
+    def test_property_derivative_and_inverse_match_closed_forms(self, data, K):
+        raw = data.draw(arrays(np.float64, 3 * K + 1, elements=st.floats(-5.0, 5.0)))
+        p = rqs.constrain(raw, K)
+        y, yhat = (data.draw(arrays(np.float64, 32, elements=st.floats(0.0, 1.0)))
+                   for _ in range(2))
+        if data.draw(st.booleans()):
+            y, yhat = np.concatenate((y, p.knots_x)), np.concatenate((yhat, p.knots_y))
+        deriv, inv = per_sample_closed_forms(p, y, yhat)
+        assert np.array_equal(rqs.rqs_derivative(p, y), deriv)
+        assert np.array_equal(rqs.rqs_inverse(p, yhat), inv)
 
     def test_out_of_range_clamped_and_counted(self):
         p = rqs.identity_params(4)

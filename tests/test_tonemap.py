@@ -266,7 +266,7 @@ class TestDegrade:
         hdr = make_hdr(nits)
         op = tm.ToneOperator(tm.ToneKind.HARDCLIP_GM, {"peak_out_nits": 100.0})
         sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
-        lin = cm.apply_transfer(sdr, cm.Direction.DECODE)
+        lin = cm.apply_transfer(sdr)
         np.testing.assert_allclose(lin.pixels, nits, atol=0.5)
 
     def test_rejects_non_pq_input(self):

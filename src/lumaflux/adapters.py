@@ -19,7 +19,19 @@ import numpy as np
 from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, DomainError
 
-LN_EPS = 1e-6
+HEADS = 4  # attention heads; the token width is a multiple of it
+LAYERS = 2  # layers the conditioner embeds
+D_P = 8  # perceptual token width
+C_PHYS = 4  # physical token channels
+D_G = 4  # global-stats entries
+K_BANDS = 4  # spectral bands
+N_SIN = 8  # timestep features: a sine and a cosine at each of N_SIN // 2 octaves
+PSI_HIDDEN = 8  # conditioner hidden width
+SEEDED_STD = 0.1  # spread of AdapterState.seeded's normal draws
+GRAD_CHECK_T = 0.37  # timestep and layer at which grad_check_adapters probes
+GRAD_CHECK_LAYER = 0
+FD_STEP = 1e-3  # central-difference step, above the probe loss's round-off floor
+GRAD_TOL = 1e-4  # largest relative gradient error a group may show
 
 
 def _silu(x):
@@ -33,26 +45,18 @@ def _silu_prime(x):
 
 @dataclass(frozen=True)
 class ToyBlockConfig:
-    d: int = 64
-    n_tokens: int = 64
-    heads: int = 4
-    layers: int = 2
-    rank: int = 8
-    d_p: int = 32
-    c_phys: int = 8
-    d_g: int = 4
-    k_bands: int = 8
-    n_sin: int = 8
-    psi_hidden: int = 16
+    """The block sizes a caller chooses: token width, token count, adapter rank."""
+
+    d: int
+    n_tokens: int
+    rank: int
 
     def __post_init__(self):
         for f in fields(self):
             if getattr(self, f.name) < 1:
                 raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
-        if self.d % self.heads != 0:
-            raise ConfigError("token width must divide evenly into heads")
-        if self.n_sin % 2 != 0:
-            raise ConfigError("n_sin must be even")
+        if self.d % HEADS != 0:
+            raise ConfigError(f"token width must divide evenly into {HEADS} heads")
 
 
 @dataclass
@@ -102,19 +106,19 @@ class AdapterState:
 
     a_v: np.ndarray  # d x r
     b_v: np.ndarray  # r x d
-    p_v: np.ndarray  # d x (c_phys + d_g)
+    p_v: np.ndarray  # d x (C_PHYS + D_G)
     b_pv: np.ndarray  # d
-    w_r: np.ndarray  # heads x k_bands
-    w_cperc: np.ndarray  # d_p x d, perceptual connector
+    w_r: np.ndarray  # HEADS x K_BANDS
+    w_cperc: np.ndarray  # D_P x d, perceptual connector
     b_cperc: np.ndarray  # d
     w_film: np.ndarray  # d x 2d
     b_film: np.ndarray  # 2d
-    w_p: np.ndarray  # c_phys x d
+    w_p: np.ndarray  # C_PHYS x d
     w_c: np.ndarray  # d x d
-    psi_w_t: np.ndarray  # hidden x n_sin
-    psi_b_t: np.ndarray  # hidden
-    psi_emb: np.ndarray  # layers x hidden
-    psi_w_head: np.ndarray  # 6 x hidden
+    psi_w_t: np.ndarray  # PSI_HIDDEN x N_SIN
+    psi_b_t: np.ndarray  # PSI_HIDDEN
+    psi_emb: np.ndarray  # LAYERS x PSI_HIDDEN
+    psi_w_head: np.ndarray  # 6 x PSI_HIDDEN
     psi_b_head: np.ndarray  # 6
 
     @classmethod
@@ -122,48 +126,43 @@ class AdapterState:
         return cls(
             a_v=np.zeros((cfg.d, cfg.rank)),
             b_v=np.zeros((cfg.rank, cfg.d)),
-            p_v=np.zeros((cfg.d, cfg.c_phys + cfg.d_g)),
+            p_v=np.zeros((cfg.d, C_PHYS + D_G)),
             b_pv=np.zeros(cfg.d),
-            w_r=np.zeros((cfg.heads, cfg.k_bands)),
-            w_cperc=np.zeros((cfg.d_p, cfg.d)),
+            w_r=np.zeros((HEADS, K_BANDS)),
+            w_cperc=np.zeros((D_P, cfg.d)),
             b_cperc=np.zeros(cfg.d),
             w_film=np.zeros((cfg.d, 2 * cfg.d)),
             b_film=np.zeros(2 * cfg.d),
-            w_p=np.zeros((cfg.c_phys, cfg.d)),
+            w_p=np.zeros((C_PHYS, cfg.d)),
             w_c=np.zeros((cfg.d, cfg.d)),
-            psi_w_t=np.zeros((cfg.psi_hidden, cfg.n_sin)),
-            psi_b_t=np.zeros(cfg.psi_hidden),
-            psi_emb=np.zeros((cfg.layers, cfg.psi_hidden)),
-            psi_w_head=np.zeros((6, cfg.psi_hidden)),
+            psi_w_t=np.zeros((PSI_HIDDEN, N_SIN)),
+            psi_b_t=np.zeros(PSI_HIDDEN),
+            psi_emb=np.zeros((LAYERS, PSI_HIDDEN)),
+            psi_w_head=np.zeros((6, PSI_HIDDEN)),
             psi_b_head=np.zeros(6),
         )
 
     @classmethod
-    def seeded(cls, cfg, seed=0, scale=0.1):
+    def seeded(cls, cfg, seed=0):
         state = cls.null(cfg)
         rng = np.random.default_rng(seed)
         for f in fields(state):
             arr = getattr(state, f.name)
-            setattr(state, f.name, rng.normal(0.0, scale, arr.shape))
+            setattr(state, f.name, rng.normal(0.0, SEEDED_STD, arr.shape))
         return state
 
     def zeros_like(self):
         return AdapterState(**{f.name: np.zeros_like(getattr(self, f.name)) for f in fields(self)})
 
 
-def sinusoid_features(t, n_sin):
-    freqs = 2.0 ** np.arange(n_sin // 2)
-    phase = 2.0 * np.pi * freqs * t
-    return np.concatenate([np.sin(phase), np.cos(phase)])
-
-
-def psi(t, layer, state, cfg):
+def psi(t, layer, state):
     """Timestep/layer conditioner: six affine heads on a SiLU-fused embedding."""
     if not 0.0 <= t <= 1.0:
         raise DomainError("t must lie in [0, 1]")
-    if not 0 <= layer < cfg.layers:
-        raise IndexError(f"layer {layer} out of range for {cfg.layers} layers")
-    sf = sinusoid_features(t, cfg.n_sin)
+    if not 0 <= layer < LAYERS:
+        raise IndexError(f"layer {layer} out of range for {LAYERS} layers")
+    phase = 2.0 * np.pi * 2.0 ** np.arange(N_SIN // 2) * t
+    sf = np.concatenate([np.sin(phase), np.cos(phase)])
     feat = state.psi_w_t @ sf + state.psi_b_t + state.psi_emb[layer]
     hv = _silu(feat)
     raw = state.psi_w_head @ hv + state.psi_b_head
@@ -196,13 +195,13 @@ def psi_backward(cache, state, grads, d_mod):
 
 def pga_residual(state, phys_vec, r_spec, mod, cfg):
     """Gated low-rank residual for the attention value projection."""
-    if phys_vec.shape != (cfg.c_phys + cfg.d_g,):
-        raise DimensionError("phys_vec must have c_phys + d_g entries")
-    if r_spec.shape != (cfg.k_bands,):
-        raise DimensionError("r_spec must have k_bands entries")
+    if phys_vec.shape != (C_PHYS + D_G,):
+        raise DimensionError(f"phys_vec must have {C_PHYS + D_G} entries")
+    if r_spec.shape != (K_BANDS,):
+        raise DimensionError(f"r_spec must have {K_BANDS} entries")
     gate = tc.sigmoid(state.p_v @ phys_vec + state.b_pv)
     u_spec = state.w_r @ r_spec
-    gvec = np.repeat(tc.softplus(u_spec), cfg.d // cfg.heads)
+    gvec = np.repeat(tc.softplus(u_spec), cfg.d // HEADS)
     cs = gate * (1.0 + mod.n_spec * gvec)
     ab = state.a_v @ state.b_v
     m = mod.alpha_pga * ab + mod.beta_pga * np.eye(cfg.d)
@@ -229,7 +228,7 @@ def pga_backward(cache, state, grads, d_r, cfg):
     du_gate = dgate * cache["gate"] * (1.0 - cache["gate"])
     grads.p_v += np.outer(du_gate, cache["phys_vec"])
     grads.b_pv += du_gate
-    dsg = dgvec.reshape(cfg.heads, cfg.d // cfg.heads).sum(axis=1)
+    dsg = dgvec.reshape(HEADS, cfg.d // HEADS).sum(axis=1)
     du_spec = dsg * tc.sigmoid(cache["u_spec"])
     grads.w_r += np.outer(du_spec, cache["r_spec"])
     return d_alpha, d_beta, d_nspec
@@ -244,7 +243,7 @@ def pcm_film(h, t_perc, state, mod):
     d = h.shape[1]
     gamma = mod.alpha_pcm * fm[:, :d] + mod.beta_pcm
     zeta = mod.alpha_pcm * fm[:, d:] + mod.beta_pcm
-    xl = tc.layer_norm(h, LN_EPS)
+    xl = tc.layer_norm(h)
     out = (1.0 + gamma) * xl + zeta
     cache = {"conn": conn, "fm": fm, "gamma": gamma, "xl": xl, "mod": mod, "d": d}
     return out, cache
@@ -279,18 +278,18 @@ def block_forward(z, t_phys_tokens, phys_vec, r_spec, t_perc, backbone, state, c
     n, d = z.shape
     if d != cfg.d or n != cfg.n_tokens:
         raise DimensionError(f"latent must be {cfg.n_tokens}x{cfg.d}")
-    mod, psi_cache = psi(t, layer, state, cfg)
+    mod, psi_cache = psi(t, layer, state)
 
     r_mat, pga_cache = pga_residual(state, phys_vec, r_spec, mod, cfg)
 
-    x1 = tc.layer_norm(z, LN_EPS)
+    x1 = tc.layer_norm(z)
     q = x1 @ backbone.wq
     k = x1 @ backbone.wk
     v = x1 @ (backbone.wv0 + r_mat)
-    dk = d // cfg.heads
-    qh = q.reshape(n, cfg.heads, dk).transpose(1, 0, 2)
-    kh = k.reshape(n, cfg.heads, dk).transpose(1, 0, 2)
-    vh = v.reshape(n, cfg.heads, dk).transpose(1, 0, 2)
+    dk = d // HEADS
+    qh = q.reshape(n, HEADS, dk).transpose(1, 0, 2)
+    kh = k.reshape(n, HEADS, dk).transpose(1, 0, 2)
+    vh = v.reshape(n, HEADS, dk).transpose(1, 0, 2)
     scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dk)
     attn_w = tc.softmax_rows(scores)
     oh = attn_w @ vh
@@ -342,7 +341,7 @@ def block_backward(cache, backbone, state, cfg, d_out):
     # attention branch (only the value path carries adapter parameters)
     d_attn = d_zres
     d_o = d_attn @ backbone.wo.T
-    d_oh = d_o.reshape(n, cfg.heads, dk).transpose(1, 0, 2)
+    d_oh = d_o.reshape(n, HEADS, dk).transpose(1, 0, 2)
     d_vh = cache["attn_w"].transpose(0, 2, 1) @ d_oh
     d_v = d_vh.transpose(1, 0, 2).reshape(n, d)
     d_r = cache["x1"].T @ d_v
@@ -355,17 +354,17 @@ def block_backward(cache, backbone, state, cfg, d_out):
     return grads
 
 
-def vanilla_block_forward(z, backbone, heads):
+def vanilla_block_forward(z, backbone):
     """The unadapted host block, for backbone-preservation checks."""
     n, d = z.shape
-    dk = d // heads
-    x1 = tc.layer_norm(z, LN_EPS)
+    dk = d // HEADS
+    x1 = tc.layer_norm(z)
     q = x1 @ backbone.wq
     k = x1 @ backbone.wk
     v = x1 @ backbone.wv0
-    qh = q.reshape(n, heads, dk).transpose(1, 0, 2)
-    kh = k.reshape(n, heads, dk).transpose(1, 0, 2)
-    vh = v.reshape(n, heads, dk).transpose(1, 0, 2)
+    qh = q.reshape(n, HEADS, dk).transpose(1, 0, 2)
+    kh = k.reshape(n, HEADS, dk).transpose(1, 0, 2)
+    vh = v.reshape(n, HEADS, dk).transpose(1, 0, 2)
     attn_w = tc.softmax_rows(qh @ kh.transpose(0, 2, 1) / math.sqrt(dk))
     o = (attn_w @ vh).transpose(1, 0, 2).reshape(n, d)
     attn_out = o @ backbone.wo
@@ -389,23 +388,21 @@ def demo_inputs(cfg, seed=0):
     """Fixed random inputs exercising every block pathway."""
     rng = np.random.default_rng(seed)
     z = rng.normal(0.0, 1.0, (cfg.n_tokens, cfg.d))
-    t_phys_tokens = rng.normal(0.0, 1.0, (cfg.n_tokens, cfg.c_phys))
-    phys_vec = rng.normal(0.0, 1.0, cfg.c_phys + cfg.d_g)
-    r_spec = np.abs(rng.normal(0.0, 1.0, cfg.k_bands))
-    t_perc = rng.normal(0.0, 1.0, (cfg.n_tokens, cfg.d_p))
+    t_phys_tokens = rng.normal(0.0, 1.0, (cfg.n_tokens, C_PHYS))
+    phys_vec = rng.normal(0.0, 1.0, C_PHYS + D_G)
+    r_spec = np.abs(rng.normal(0.0, 1.0, K_BANDS))
+    t_perc = rng.normal(0.0, 1.0, (cfg.n_tokens, D_P))
     return z, t_phys_tokens, phys_vec, r_spec, t_perc
 
 
-def grad_check_adapters(backbone, state, cfg, inputs=None, t=0.37, layer=0,
-                        h=1e-3, tol=1e-4):
+def grad_check_adapters(backbone, state, cfg, inputs):
     """Compare analytic adapter gradients against central differences.
 
-    Probe loss is 0.5 * sum(out^2). Reports max relative error per group.
-    The default step h sits above the round-off floor of the probe loss.
+    Probe loss is 0.5 * sum(out^2) at GRAD_CHECK_T and GRAD_CHECK_LAYER.
+    Reports max relative error per group against GRAD_TOL.
     """
-    if inputs is None:
-        inputs = demo_inputs(cfg)
     z, tpt, pv, rs, tp = inputs
+    t, layer = GRAD_CHECK_T, GRAD_CHECK_LAYER
 
     def loss_with(name, arr):
         # probe loss with one parameter array swapped in, then restored
@@ -420,15 +417,15 @@ def grad_check_adapters(backbone, state, cfg, inputs=None, t=0.37, layer=0,
     out, cache = block_forward(z, tpt, pv, rs, tp, backbone, state, cfg, t=t, layer=layer)
     grads = block_backward(cache, backbone, state, cfg, out)
 
-    report = {"tolerance": tol, "groups": {}, "passed": True}
+    report = {"tolerance": GRAD_TOL, "groups": {}, "passed": True}
     for group, names in GRAD_GROUPS.items():
         worst = 0.0
         for name in names:
             ana = getattr(grads, name)
-            fd = tc.finite_diff_grad(partial(loss_with, name), getattr(state, name), h)
+            fd = tc.finite_diff_grad(partial(loss_with, name), getattr(state, name), FD_STEP)
             rel = np.abs(ana - fd) / np.maximum(np.abs(ana) + np.abs(fd), 1e-6)
             worst = max(worst, float(np.max(rel)))
-        ok = bool(worst <= tol)
+        ok = bool(worst <= GRAD_TOL)
         report["groups"][group] = {"max_rel_error": float(worst), "pass": ok}
         report["passed"] = report["passed"] and ok
     return report

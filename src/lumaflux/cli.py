@@ -1,11 +1,12 @@
 """Command-line surface: synthesize, fit-expand, metrics, features, adapter-demo.
 
-Exit codes: 0 ok, 2 I/O failure (a missing or malformed input, an
-unwritable output), 3 invalid config (malformed JSON, an unknown key, a
-value of the wrong type or range, an unknown tone-operator parameter),
-4 numerical failure. `main` alone maps exceptions to codes: OSError -> 2,
-LumaFluxError -> its `exit_code`. `--config` takes a JSON object whose
-keys are those of DEFAULT_CONFIG.
+Exit codes: 0 ok, 2 I/O failure (a missing or malformed input, a frame
+tagged with another transfer or primaries than the command reads, frames
+of different extents, an unwritable output), 3 invalid config (malformed
+JSON, an unknown key, a value of the wrong type or range, an unknown
+tone-operator parameter), 4 numerical failure. `main` alone maps
+exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
+`--config` takes a JSON object whose keys are those of DEFAULT_CONFIG.
 
 LUMAFLUX_THREADS caps how many tone operators `synthesize` runs at once;
 the CRF variants of one operator share one decode-to-quantize chain.
@@ -47,19 +48,16 @@ DEFAULT_CONFIG = {
     "spline_knots": 8,
     "k_bands": 8,
     "peak_nits": 1000.0,
-    "lambda_l1": 1.0,
     "lambda_smooth": 1e-2,
     "fit_iterations": 800,
     "fit_samples": 16384,
     "feature_seed": 7,
-    "output_dir": "out",
 }
 
 
 # lower bounds beyond the type check; a spline and a band split need two bins
 _AT_LEAST = {"spline_knots": 2, "k_bands": 2, "fit_iterations": 1,
-             "fit_samples": rqs.MIN_SAMPLES, "feature_seed": 0, "lambda_l1": 0,
-             "lambda_smooth": 0}
+             "fit_samples": rqs.MIN_SAMPLES, "feature_seed": 0, "lambda_smooth": 0}
 
 
 def _conforms(val, like):
@@ -114,8 +112,32 @@ def _max_workers():
     return workers
 
 
+HDR_FORMAT = (cm.Transfer.PQ, cm.Primaries.BT2020)
+SDR_FORMAT = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
+
+
+def _read_frame(path, fmt):
+    """Read a tagged frame whose (transfer, primaries) must be `fmt`; a mismatch exits 2."""
+    img = pfm.read_tagged(path)
+    got = (img.tag.transfer, img.tag.primaries)
+    if got != fmt:
+        raise FrameFormatError(f"{path}: expected a {fmt[0].value}/{fmt[1].value} frame, "
+                               f"got {got[0].value}/{got[1].value}")
+    return img
+
+
+def _read_pair(path_a, fmt_a, path_b, fmt_b):
+    """Two frames read as `_read_frame` reads them, which must share one extent."""
+    a = _read_frame(path_a, fmt_a)
+    b = _read_frame(path_b, fmt_b)
+    if a.pixels.shape != b.pixels.shape:
+        raise FrameFormatError(f"{path_a}: extent {a.pixels.shape} differs from "
+                               f"{path_b} {b.pixels.shape}")
+    return a, b
+
+
 def cmd_synthesize(args):
-    cfg = load_config(args.config, {"seed": args.seed, "output_dir": args.output_dir})
+    cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
     # one job per tone operator: its CRF variants share one chain up to the codec
     jobs = []
@@ -127,12 +149,8 @@ def cmd_synthesize(args):
             specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
             idx += 1
         jobs.append((op, specs))
-    hdr = pfm.read_tagged(args.hdr_input)
-    if hdr.tag.transfer is not cm.Transfer.PQ or hdr.tag.primaries is not cm.Primaries.BT2020:
-        raise FrameFormatError(f"{args.hdr_input}: input must carry a PQ/BT.2020 tag")
-    os.makedirs(cfg["output_dir"], exist_ok=True)
-    # hash only the generative parameters, not where the frames land
-    hash_cfg = {k: v for k, v in cfg.items() if k != "output_dir"}
+    hdr = _read_frame(args.hdr_input, HDR_FORMAT)
+    os.makedirs(args.output_dir, exist_ok=True)
 
     def run(job):
         op, specs = job
@@ -141,8 +159,8 @@ def cmd_synthesize(args):
         for idx, spec in specs:
             sdr = tm.codec_proxy(encoded, spec.crf)
             name = f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm"
-            path = os.path.join(cfg["output_dir"], name)
-            pfm.write_tagged(path, sdr, seed=spec.seed, config=hash_cfg,
+            path = os.path.join(args.output_dir, name)
+            pfm.write_tagged(path, sdr, seed=spec.seed, config=cfg,
                              extra={"degradation": spec.to_json()})
             paths.append(path)
         return paths
@@ -187,11 +205,7 @@ def refine_chroma(expanded, ref_linear):
 
 def cmd_fit_expand(args):
     cfg = load_config(args.config)
-    sdr = pfm.read_tagged(args.sdr)
-    ref = pfm.read_tagged(args.hdr_ref)
-    if sdr.pixels.shape != ref.pixels.shape:
-        raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} differs from "
-                               f"{args.hdr_ref} {ref.pixels.shape}")
+    sdr, ref = _read_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT)
     if sdr.pixels.shape[0] * sdr.pixels.shape[1] < rqs.MIN_SAMPLES:
         raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} has fewer than "
                                f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
@@ -201,8 +215,7 @@ def cmd_fit_expand(args):
     ref_linear = cm.apply_transfer(ref)
     y_ref = np.clip(cm.luma2020(ref_linear).reshape(-1) / peak, 0.0, 1.0)
     stride = max(1, y_sdr.size // cfg["fit_samples"])
-    fit_cfg = rqs.FitConfig(lambda_l1=cfg["lambda_l1"], lambda_smooth=cfg["lambda_smooth"],
-                            iterations=cfg["fit_iterations"])
+    fit_cfg = rqs.FitConfig(lambda_smooth=cfg["lambda_smooth"], iterations=cfg["fit_iterations"])
     try:
         params, raw, trace = rqs.fit_rqs(
             y_sdr[::stride], y_ref[::stride], K=cfg["spline_knots"], cfg=fit_cfg
@@ -224,8 +237,7 @@ def cmd_fit_expand(args):
 
 
 def cmd_metrics(args):
-    ref = pfm.read_tagged(args.ref)
-    test = pfm.read_tagged(args.test)
+    ref, test = _read_pair(args.ref, HDR_FORMAT, args.test, HDR_FORMAT)
     report = mt.metric_report(ref, test)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
@@ -238,10 +250,9 @@ def cmd_metrics(args):
 def feature_weights(cfg):
     """Seeded weights of the global-stats MLP: 4 stats -> 16 hidden -> 4 outputs."""
     rng = np.random.default_rng(cfg["feature_seed"])
-    d_g = 4
     return (
         rng.normal(0.0, 0.3, (16, 4)), np.zeros(16),
-        rng.normal(0.0, 0.3, (d_g, 16)), np.zeros(d_g),
+        rng.normal(0.0, 0.3, (4, 16)), np.zeros(4),
     )
 
 
@@ -256,12 +267,12 @@ def _map_summary(name, arr):
 
 def cmd_features(args):
     cfg = load_config(args.config)
-    sdr = pfm.read_tagged(args.frame)
-    feats = ft.extract_phys(sdr, feature_weights(cfg))
+    sdr = _read_frame(args.frame, SDR_FORMAT)
+    feats = ft.extract_phys(sdr)
     desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),
-        "g": feats.g.tolist(),
+        "g": ft.global_mlp(feats.s_g, *feature_weights(cfg)).tolist(),
         "r": desc.r.tolist(),
         "maps": [
             _map_summary("y", feats.y_map),
@@ -280,10 +291,7 @@ def cmd_features(args):
 def cmd_adapter_demo(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    cfg = ad.ToyBlockConfig(
-        d=args.width, n_tokens=args.tokens, heads=4, layers=2, rank=args.rank,
-        d_p=8, c_phys=4, d_g=4, k_bands=4, psi_hidden=8,
-    )
+    cfg = ad.ToyBlockConfig(d=args.width, n_tokens=args.tokens, rank=args.rank)
     backbone = ad.BackboneWeights.seeded(cfg, seed=args.seed)
     state = ad.AdapterState.seeded(cfg, seed=args.seed + 1)
     inputs = ad.demo_inputs(cfg, seed=args.seed + 2)
@@ -291,13 +299,13 @@ def cmd_adapter_demo(args):
 
     null_state = ad.AdapterState.null(cfg)
     adapted, _ = ad.block_forward(z, *inputs[1:], backbone, null_state, cfg, t=0.5, layer=0)
-    vanilla = ad.vanilla_block_forward(z, backbone, cfg.heads)
+    vanilla = ad.vanilla_block_forward(z, backbone)
     preservation = bool(np.array_equal(adapted, vanilla))
 
     tail = ad.low_rank_svd_tail(state, cfg)
     rank_ok = tail <= 1e-9
 
-    report = ad.grad_check_adapters(backbone, state, cfg, inputs=inputs)
+    report = ad.grad_check_adapters(backbone, state, cfg, inputs)
     doc = {
         "backbone_preservation": preservation,
         "svd_tail_beyond_rank": tail,

@@ -20,7 +20,6 @@ class PhysFeatures:
     loggrad_map: np.ndarray  # H x W, log(1 + |grad Y|)
     sat_map: np.ndarray  # H x W saturation in [0, 1]
     s_g: np.ndarray  # [mean, std, p95, p99]
-    g: np.ndarray  # global embedding
 
 
 @dataclass
@@ -70,18 +69,13 @@ def global_mlp(s_g, w1, b1, w2, b2):
     return w2 @ hidden + b2
 
 
-def extract_phys(sdr, mlp_weights=None):
+def extract_phys(sdr):
     """Assemble physical maps and global stats."""
     wide = linearize_sdr(sdr)
     y = cm.luma2020(wide)
     loggrad = np.log1p(gradient_magnitude(y))
     sat = saturation(wide.pixels)
-    s_g = global_stats(y)
-    if mlp_weights is not None:
-        g = global_mlp(s_g, *mlp_weights)
-    else:
-        g = s_g.copy()
-    return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=s_g, g=g)
+    return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 
 
 def spectral_descriptor(y_map, k_bands=8):

@@ -369,7 +369,7 @@ ARMIJO = 1e-4
 
 @dataclass
 class FitConfig:
-    lambda_l1: float = 1.0
+    # the penalty's weight against the data term's 1: the minimiser depends only on the ratio
     lambda_smooth: float = 1e-2
     iterations: int = 2000
 
@@ -391,10 +391,10 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     root = np.sqrt(e * e + L1_DELTA**2)
     data = float(np.mean(root))
     pen = smooth_penalty(p)
-    loss = cfg.lambda_l1 * data + cfg.lambda_smooth * pen
+    loss = data + cfg.lambda_smooth * pen
 
     def grad_fn():
-        dpred = cfg.lambda_l1 * (e / root) / e.size
+        dpred = e / root / e.size
         gx, gy, gs = pullback(dpred)
         s = p.slopes
         gpen = np.zeros_like(s)

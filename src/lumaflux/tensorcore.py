@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, EvaluationError
 
+LN_EPS = 1e-6
+
 
 def softplus(x):
     return np.logaddexp(0.0, x)
@@ -29,16 +31,14 @@ def softmax_rows(m):
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def layer_norm(x, eps=1e-6):
-    """Normalize the last axis to zero mean / unit variance."""
+def layer_norm(x):
+    """Normalize the last axis to zero mean / unit variance, LN_EPS added to the variance."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] < 2:
         raise DimensionError("layer_norm needs at least 2 features")
-    if eps <= 0:
-        raise DomainError("layer_norm: eps must be positive")
     mu = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+    return (x - mu) / np.sqrt(var + LN_EPS)
 
 
 @dataclass

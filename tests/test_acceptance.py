@@ -136,24 +136,22 @@ def test_a3_end_to_end_tone_recovery(capsys):
 
 
 def test_a4_adapter_mechanics(capsys):
-    cfg = ad.ToyBlockConfig(d=8, n_tokens=8, heads=4, layers=2, rank=4,
-                            d_p=8, c_phys=4, d_g=4, k_bands=4, psi_hidden=8)
+    cfg = ad.ToyBlockConfig(d=8, n_tokens=8, rank=4)
     backbone = ad.BackboneWeights.seeded(cfg, seed=0)
     inputs = ad.demo_inputs(cfg, seed=2)
     z = inputs[0]
 
     null = ad.AdapterState.null(cfg)
     adapted, _ = ad.block_forward(z, *inputs[1:], backbone, null, cfg, t=0.5, layer=0)
-    preserved = bool(np.array_equal(adapted, ad.vanilla_block_forward(z, backbone,
-                                                                      cfg.heads)))
+    preserved = bool(np.array_equal(adapted, ad.vanilla_block_forward(z, backbone)))
 
     state = ad.AdapterState.seeded(cfg, seed=1)
     tail = ad.low_rank_svd_tail(state, cfg)
 
-    mod, _ = ad.psi(0.4, 0, state, cfg)
+    mod, _ = ad.psi(0.4, 0, state)
     rng = np.random.default_rng(3)
     h = rng.normal(size=(cfg.n_tokens, cfg.d))
-    t_perc = rng.normal(size=(cfg.n_tokens, cfg.d_p))
+    t_perc = rng.normal(size=(cfg.n_tokens, ad.D_P))
     a, _ = ad.pcm_film(h, t_perc, state, mod)
     b, _ = ad.pcm_film(10.0 * h, t_perc, state, mod)
     scale_inv = float(np.max(np.abs(a - b)))  # limited only by LN eps

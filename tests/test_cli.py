@@ -19,13 +19,13 @@ from test_pfm import SDR_TAG, damaged_frame
 
 # SHA-256 of the synthesize output tree for the A5 input frame; a change
 # that moves it changes output bits and must say why
-A5_TREE_SHA256 = "82dff2f4ddc524e2a906f55f6b4f51d8c20291792b449ccd8b9ae33f566765b5"
+A5_TREE_SHA256 = "12b955b5b236734b59221d9a7a3728fb864717dbfdd4fd787baf3651ac7a7626"
 
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
 # and its Reinhard CRF-23 SDR frame; a change that moves one must say why
 FIT_EXPAND_SHA256 = {
     "expanded.pfm": "350df9d1d8d954c30700d4eab64762b7c48f737339d1449de272fd6e4fed232c",
-    "expanded.pfm.rqs.json": "1623ee67ac2c3ebdf44d5a0b0d36cde63297359bc4be9d3ed93c467c22aaa0b2",
+    "expanded.pfm.rqs.json": "481c48abfdbbbc24247ab1c327d161d2449c48cf39ea3c21a55ab311768870a1",
     "expanded.pfm.trace.csv": "fd92b4f9ead47405ab06eca2ab31d74de7d9ec6b83bd2ab0817cc7e593c262f3",
 }
 
@@ -109,7 +109,6 @@ class TestSynthesize:
         out = tmp_path / "out"
         assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
         hdr = pfm.read_tagged(src)
-        hash_cfg = {k: v for k, v in cli.DEFAULT_CONFIG.items() if k != "output_dir"}
         ref = tmp_path / "ref"
         ref.mkdir()
         frames = sorted(f for f in os.listdir(out) if f.endswith(".pfm"))
@@ -118,7 +117,7 @@ class TestSynthesize:
             with open(pfm.sidecar_path(str(out / name))) as fh:
                 spec = tm.DegradationSpec.from_json(json.load(fh)["degradation"])
             pfm.write_tagged(str(ref / name), tm.degrade(hdr, spec), seed=spec.seed,
-                             config=hash_cfg, extra={"degradation": spec.to_json()})
+                             config=cli.DEFAULT_CONFIG, extra={"degradation": spec.to_json()})
             for path in (name, pfm.sidecar_path(name)):
                 assert (ref / path).read_bytes() == (out / path).read_bytes(), path
 
@@ -284,9 +283,9 @@ class TestFeatures:
         assert min(doc["r"]) >= 0.0
 
     def test_wrong_tag_fails(self, tmp_path, hdr_frame, capsys):
-        # feeding an HDR frame to the SDR feature extractor is a numerical/tag failure
+        # an HDR frame is not the SDR frame features reads: an unusable input
         rc = cli.main(["features", hdr_frame])
-        assert rc == 4
+        assert rc == 2
 
 
 class TestMalformedInput:
@@ -310,6 +309,64 @@ class TestMalformedInput:
         assert "cannot read" in captured.err
 
 
+def write_tagged_frame(path, transfer, primaries, size=64):
+    """A clean frame of one colour space; only its tag and extent can fail a command."""
+    pixels = np.full((size, size, 3), 0.25)
+    tag = cm.ColorSpaceTag(primaries, transfer,
+                           100.0 if transfer is cm.Transfer.GAMMA709 else cm.PQ_PEAK_NITS)
+    pfm.write_tagged(str(path), cm.TaggedImage(pixels, tag))
+    return str(path)
+
+
+PQ2020 = (cm.Transfer.PQ, cm.Primaries.BT2020)
+G709 = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
+LIN2020 = (cm.Transfer.LINEAR, cm.Primaries.BT2020)
+PQP3 = (cm.Transfer.PQ, cm.Primaries.P3)
+
+# (command, format of the frame under test, its extent, what stderr names):
+# every command reads each input in one colour space, and metrics reads two
+# frames of one extent, as fit-expand does
+MISMATCHED_INPUTS = [
+    ("synthesize", G709, 64, "expected a PQ/BT2020 frame, got Gamma709/BT709"),
+    ("synthesize", LIN2020, 64, "expected a PQ/BT2020 frame, got Linear/BT2020"),
+    ("features", PQ2020, 64, "expected a Gamma709/BT709 frame, got PQ/BT2020"),
+    ("fit-expand sdr", PQ2020, 64, "expected a Gamma709/BT709 frame, got PQ/BT2020"),
+    ("fit-expand ref", G709, 64, "expected a PQ/BT2020 frame, got Gamma709/BT709"),
+    ("fit-expand ref", LIN2020, 64, "expected a PQ/BT2020 frame, got Linear/BT2020"),
+    ("fit-expand ref", PQP3, 64, "expected a PQ/BT2020 frame, got PQ/P3"),
+    ("metrics", G709, 64, "expected a PQ/BT2020 frame, got Gamma709/BT709"),
+    ("metrics", LIN2020, 64, "expected a PQ/BT2020 frame, got Linear/BT2020"),
+    ("metrics", PQ2020, 32, "extent (64, 64, 3) differs from"),
+]
+
+
+class TestMismatchedInput:
+    @pytest.mark.parametrize("command,fmt,size,message", MISMATCHED_INPUTS,
+                             ids=[f"{c}-{f[0].value}/{f[1].value}-{n}"
+                                  for c, f, n, _ in MISMATCHED_INPUTS])
+    def test_is_io_error_naming_file_and_tags(self, tmp_path, command, fmt, size, message,
+                                              capsys):
+        bad = write_tagged_frame(tmp_path / "bad.pfm", *fmt, size=size)
+        sdr = write_tagged_frame(tmp_path / "sdr.pfm", *G709)
+        hdr = write_tagged_frame(tmp_path / "hdr.pfm", *PQ2020)
+        out = tmp_path / "out"
+        argv = {
+            "synthesize": ["synthesize", bad, "--output-dir", str(out)],
+            "features": ["features", bad],
+            "fit-expand sdr": ["fit-expand", bad, hdr, "--output", str(out / "x.pfm")],
+            "fit-expand ref": ["fit-expand", sdr, bad, "--output", str(out / "x.pfm")],
+            "metrics": ["metrics", hdr, bad, "--output", str(out / "r.json")],
+        }[command]
+        before = files_under(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("cannot read")
+        assert message in captured.err
+        assert bad in captured.err
+        assert files_under(tmp_path) == before
+
+
 def files_under(root):
     return {(d, f, os.path.getsize(os.path.join(d, f)))
             for d, _, names in os.walk(root) for f in names}
@@ -326,6 +383,7 @@ BAD_RUNS = [
     ("synthesize", "[1, 2]", None, 3),
     ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": {"peak_in_nits": "5"}}]}', None, 3),
     ("synthesize", "{bad", None, 3),
+    ("synthesize", '{"output_dir": "from_config"}', None, 3),
     ("fit-expand", '{"fit_samples": "abc"}', None, 3),
     ("features", '{"k_bands": "x"}', None, 3),
     ("fit-expand", '{"fit_samples": 0}', None, 3),
@@ -397,13 +455,14 @@ class TestLoadConfig:
         {"lambda_rgb": 0.0}, {"seed": True}, {"peak_nits": 10001.0}, {"peak_nits": 0},
         {"lambda_smooth": -1e-3}, {"k_bands": 0}, {"feature_seed": -1}, {"tmos": []},
         {"crfs": [23.0]}, {"output_dir": 5}, {"tmos": [{"kind": "Reinhard", "param": {}}]},
+        {"lambda_l1": 1.0},
     ])
     def test_rejects(self, tmp_path, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
             cli.load_config(str(tmp_path / "cfg.json"))
 
-    @pytest.mark.parametrize("text", ['{"lambda_l1": NaN}', "[" * 100000 + "]" * 100000])
+    @pytest.mark.parametrize("text", ['{"lambda_smooth": NaN}', "[" * 100000 + "]" * 100000])
     def test_rejects_text(self, tmp_path, text):
         (tmp_path / "cfg.json").write_text(text)
         with pytest.raises(ConfigError):
@@ -473,13 +532,21 @@ class TestAdapterDemo:
         assert doc["gradients"]["passed"] is True
         assert doc["svd_tail_beyond_rank"] <= 1e-9
 
-    @pytest.mark.parametrize("flags", ["--width 0", "--width -4", "--tokens 0", "--tokens -1",
-                                       "--rank 0", "--rank -1", "--seed -1"])
+    @pytest.mark.parametrize("flags", ["--width 0", "--width -4", "--width 6", "--tokens 0",
+                                       "--tokens -1", "--rank 0", "--rank -1", "--seed -1"])
     def test_out_of_range_flag_is_config_error(self, flags, capsys):
         assert cli.main(["adapter-demo", *flags.split()]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", ["--width 16 --tokens 12 --rank 2",
+                                       "--width 12 --tokens 5 --rank 3",
+                                       "--width 4 --tokens 3 --rank 1"])
+    def test_settable_sizes_pass(self, flags, capsys):
+        assert cli.main(["adapter-demo", *flags.split()]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["backbone_preservation"] and doc["rank_ok"] and doc["gradients"]["passed"]
 
     @pytest.mark.parametrize("seed", [1, 2, 10, 11, 12])
     def test_seeds_with_small_gradients_pass(self, seed, capsys):

@@ -216,7 +216,7 @@ class TestFitLoss:
         p = rqs.constrain(self.raw, 6)
         e = rqs.rqs_forward(p, self.x) - self.tgt
         data = float(np.mean(np.sqrt(e * e + rqs.L1_DELTA**2)))
-        expected = self.cfg.lambda_l1 * data + self.cfg.lambda_smooth * rqs.smooth_penalty(p)
+        expected = data + self.cfg.lambda_smooth * rqs.smooth_penalty(p)
         assert rqs.fit_loss_and_grad(self.raw, 6, self.x, self.tgt, self.cfg)[0] == expected
 
     def test_one_evaluation_counts_each_clamp_once(self):

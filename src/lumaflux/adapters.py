@@ -35,7 +35,9 @@ GRAD_TOL = 1e-4  # largest relative gradient error a group may show
 
 
 def _silu(x):
-    return x / (1.0 + np.exp(-x))
+    # below about -709 exp(-x) overflows to inf, and x/inf is the limit -0
+    with np.errstate(over="ignore"):
+        return x / (1.0 + np.exp(-x))
 
 
 def _silu_prime(x):

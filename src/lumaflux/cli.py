@@ -30,7 +30,7 @@ from . import metrics as mt
 from . import pfm
 from . import rqs
 from . import tonemap as tm
-from .errors import ConfigError, FitError, FrameFormatError, LumaFluxError
+from .errors import ConfigError, FrameFormatError, LumaFluxError
 
 DEFAULT_CONFIG = {
     "tmos": [
@@ -48,8 +48,8 @@ DEFAULT_CONFIG = {
     "spline_knots": 8,
     "k_bands": 8,
     "peak_nits": 1000.0,
-    "lambda_smooth": 1e-2,
-    "fit_iterations": 800,
+    "lambda_smooth": rqs.FitConfig().lambda_smooth,
+    "fit_iterations": rqs.FitConfig().iterations,
     "fit_samples": 16384,
     "feature_seed": 7,
 }
@@ -216,16 +216,8 @@ def cmd_fit_expand(args):
     y_ref = np.clip(cm.luma2020(ref_linear).reshape(-1) / peak, 0.0, 1.0)
     stride = max(1, y_sdr.size // cfg["fit_samples"])
     fit_cfg = rqs.FitConfig(lambda_smooth=cfg["lambda_smooth"], iterations=cfg["fit_iterations"])
-    try:
-        params, raw, trace = rqs.fit_rqs(
-            y_sdr[::stride], y_ref[::stride], K=cfg["spline_knots"], cfg=fit_cfg
-        )
-    except FitError as exc:
-        trace_path = args.output + ".trace.csv"
-        np.savetxt(trace_path, getattr(exc, "trace", np.array([])),
-                   header="loss", comments="")
-        print(f"fit diverged, loss trace at {trace_path}", file=sys.stderr)
-        raise
+    params, raw, trace = rqs.fit_rqs(y_sdr[::stride], y_ref[::stride], K=cfg["spline_knots"],
+                                     cfg=fit_cfg)
     expanded = expand_sdr(wide, params, peak)
     refined = refine_chroma(expanded, ref_linear)
     out_pq = cm.encode_transfer(refined, cm.Transfer.PQ)

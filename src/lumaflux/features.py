@@ -78,7 +78,7 @@ def extract_phys(sdr):
     return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 
 
-def spectral_descriptor(y_map, k_bands=8):
+def spectral_descriptor(y_map, k_bands):
     """Radial band energies of the luminance power spectrum.
 
     Bands are equal-width annuli in normalized frequency [0, 0.5]; the

@@ -7,13 +7,13 @@ Free parameters live in an unconstrained vector of length 3K+1 and are
 mapped onto valid knots by `constrain`, for 2 <= K <= MAX_BINS.
 Every evaluator reads one per-bin table of constants (`_bin_table`):
 forward, derivative and inverse gather it per sample after one bin
-search. Fitting runs momentum gradient descent with a backtracking line
-search on hand-derived analytic gradients. The sample pairs are sorted
-by input once, so every knot bin is a contiguous run of samples: a loss
-evaluation repeats the table over the runs instead of searching for each
-sample's bin, and its gradient sums each run instead of scattering per
-sample. A loss evaluation returns the gradient as a pullback, so the
-line search pays for the gradient only at the steps it accepts.
+search. Fitting runs Levenberg-Marquardt on hand-derived analytic
+derivatives. The sample pairs are sorted once, so every knot bin is a
+contiguous run of samples: a loss evaluation repeats the table over the
+runs instead of searching for each sample's bin, and forms each
+sample's six partials wrt its bin's end knots; the gradient and the
+Gauss-Newton curvature are run sums of those partials, built only for
+the steps the fit accepts.
 """
 
 import json
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorcore as tc
-from .errors import ConfigError, DimensionError, EvaluationError, FitError
+from .errors import ConfigError, DimensionError, FitError
 
 MIN_BIN = 1e-3
 MAX_BINS = 999  # largest K with K * MIN_BIN < 1, so each bin keeps a share above its floor
@@ -189,18 +189,17 @@ def _require_sorted(y):
 
 
 def forward_param_grad(p, y):
-    """Spline values at sorted samples y, plus a pullback from dloss/df to the knots.
+    """Spline values at sorted samples y, their partials wrt the knots, and the bin runs.
 
     Bin j holds the samples with knots_x[j] <= y < knots_x[j+1] (the last
-    bin also y == 1), so in sorted samples each bin is one contiguous run:
-    the bin table's entries this kernel reads are repeated over their runs,
-    and the values equal `rqs_forward` bit for bit. The pullback maps
-    dloss/df onto gradients wrt (knots_x, knots_y, slopes) by the
-    hand-derived chain rule through the rational-quadratic bin formula,
-    summing each run once per partial with the bin's constants factored
-    out; pinned boundary knots still receive entries, the caller decides
-    which coordinates are free. It runs only when called, so a value that
-    is never differentiated costs one spline pass.
+    bin also y == 1), so in sorted samples each bin is one contiguous run
+    that starts at starts[j]: the bin table's entries this kernel reads are
+    repeated over their runs, and the values equal `rqs_forward` bit for
+    bit. Row i of the N x 6 partials holds df_i/d(knots_x[j],
+    knots_x[j+1], knots_y[j], knots_y[j+1], slopes[j], slopes[j+1]) for
+    sample i's bin j, by the hand-derived chain rule through the
+    rational-quadratic bin formula; pinned boundary knots still receive
+    entries, the caller decides which coordinates are free.
     """
     y = _clamp_input(y)
     _require_sorted(y)
@@ -213,53 +212,41 @@ def forward_param_grad(p, y):
     t1 = u * (1.0 - u)
     den = delta_r + q_r * t1
     num = delta_r * u * u + s0_r * t1
-
-    def pullback(dloss_df):
-        nonempty = counts > 0
-        firsts = starts[nonempty]
-
-        def run_sums(v):
-            out = np.zeros(p.num_bins)
-            out[nonempty] = np.add.reduceat(v, firsts)
-            return out
-
-        # df/dnum = dy/den and df/dden = -dy*num/den^2: with the bin's dy
-        # factored out, dloss/df enters as r = g/den and m = g*num/den^2
-        r = dloss_df / den
-        rn = r * num
-        m = rn / den
-        omu = 1.0 - 2.0 * u
-        d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
-        d_delta = r * u * u - m * (1.0 - 2.0 * t1)
-        g_delta = b.dy * run_sums(d_delta)
-        g_s0 = b.dy * run_sums((r - m) * t1)
-        g_s1 = -b.dy * run_sums(m * t1)
-        # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
-        g_a = (b.dy * run_sums(d_u * (u - 1.0)) + b.delta * g_delta) / b.w
-        g_b = -(b.dy * run_sums(d_u * u) + b.delta * g_delta) / b.w
-        g_d = run_sums(rn) + g_delta / b.w
-        g_c = run_sums(dloss_df) - g_d
-
-        # knot j starts bin j and ends bin j-1
-        def to_knots(starting, ending):
-            return np.append(starting, 0.0) + np.insert(ending, 0, 0.0)
-
-        return to_knots(g_a, g_b), to_knots(g_c, g_d), to_knots(g_s0, g_s1)
-
-    return c_r + dy_r * num / den, pullback
+    # f = c + dy*num/den; with the bin's dy factored out, d(num/den) is
+    # r*dnum - m*dden for r = 1/den and m = num/den^2
+    r = 1.0 / den
+    m = num * r * r
+    omu = 1.0 - 2.0 * u
+    d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
+    d_delta = r * u * u - m * (1.0 - 2.0 * t1)
+    jac = np.empty((y.size, 6))
+    # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
+    jac[:, 0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
+    jac[:, 1] = -delta_r * (d_u * u + delta_r * d_delta)
+    jac[:, 3] = num * r + delta_r * d_delta
+    jac[:, 2] = 1.0 - jac[:, 3]
+    jac[:, 4] = dy_r * (r - m) * t1
+    jac[:, 5] = -dy_r * m * t1
+    return c_r + dy_r * num / den, jac, starts
 
 
 def constrain_backward(raw, K, gx, gy, gs):
-    """Pull gradients on (knots_x, knots_y, slopes) back to the raw vector."""
-    grad = np.zeros_like(raw)
+    """Pull gradients on (knots_x, knots_y, slopes) back to the raw vector.
+
+    Each of gx, gy and gs has K+1 rows. Columns of a matrix are pulled
+    back together: with C = d(knots)/d(raw), one call maps H to C^T H and
+    a second call on its transpose gives C^T H C.
+    """
+    grad = np.empty((3 * K + 1,) + np.shape(gs)[1:])
+    rows = (slice(None),) + (None,) * (grad.ndim - 1)  # a per-row factor, broadcast
     for lo, g_knots in ((0, gx), (K, gy)):
         # knot j (1..K-1) = cumsum of bins; boundary knots are pinned constants
-        d_bins = np.zeros(K)
-        d_bins[: K - 1] = np.cumsum(g_knots[K - 1 : 0 : -1])[::-1]
-        frac = _softmax(raw[lo : lo + K])
+        d_bins = np.zeros((K,) + grad.shape[1:])
+        d_bins[: K - 1] = np.cumsum(g_knots[K - 1 : 0 : -1], axis=0)[::-1]
+        frac = _softmax(raw[lo : lo + K])[rows]
         d_frac = (1.0 - K * MIN_BIN) * d_bins
-        grad[lo : lo + K] = frac * (d_frac - np.sum(d_frac * frac))
-    grad[2 * K :] = gs * tc.sigmoid(raw[2 * K :])
+        grad[lo : lo + K] = frac * (d_frac - np.sum(d_frac * frac, axis=0))
+    grad[2 * K :] = gs * tc.sigmoid(raw[2 * K :])[rows]
     return grad
 
 
@@ -337,7 +324,7 @@ def warm_start_raw(y_in, target, K):
 
     Takes sample pairs sorted by input. Knot ordinates come from the
     monotone envelope of the pairs, slopes from one-sided secants;
-    gradient descent then only has to polish. Two abscissa layouts are
+    the fit then only has to polish. Two abscissa layouts are
     tried, a uniform grid and one placed at detected curvature jumps,
     keeping whichever matches the data better. Falls back to the identity
     for degenerate targets.
@@ -361,60 +348,85 @@ def warm_start_raw(y_in, target, K):
 
 # fixed settings of the fitter
 L1_DELTA = 1e-6  # smoothing width of sqrt(e^2 + delta^2)
-MOMENTUM = 0.85
-INIT_STEP = 0.5
-MAX_BACKTRACKS = 40
-ARMIJO = 1e-4
+REL_TOL = 1e-10  # a trial that moves the loss by less than this share of it ends the fit
+INIT_DAMPING = 1e-3  # Marquardt's damping mu at the warm start
+MIN_DAMPING = 1e-8  # keeps H + mu diag H invertible where H is singular (softmax shifts)
 
 
 @dataclass
 class FitConfig:
     # the penalty's weight against the data term's 1: the minimiser depends only on the ratio
-    lambda_smooth: float = 1e-2
-    iterations: int = 2000
+    lambda_smooth: float = 1e-3
+    iterations: int = 50
 
     def to_json(self):
         return dict(self.__dict__)
 
 
+def _run_sums(v, starts):
+    # sums of v's rows over each bin's run of sorted samples; an empty run sums to zero
+    out = np.zeros((starts.size,) + v.shape[1:])
+    nonempty = np.diff(starts, append=v.shape[0]) > 0
+    out[nonempty] = np.add.reduceat(v, starts[nonempty], axis=0)
+    return out
+
+
 def fit_loss_and_grad(raw, K, y_in, target, cfg):
-    """Smoothed-L1 data term plus slope-smoothness penalty, and its gradient's pullback.
+    """Smoothed-L1 data term plus slope-smoothness penalty, and its derivatives.
 
     Takes sample pairs sorted by y_in (see `forward_param_grad`).
-    Returns (loss, grad_fn): calling grad_fn() returns the gradient wrt
-    raw. The loss costs one spline pass; the gradient work runs only when
-    grad_fn is called, so a rejected line-search trial never pays for it.
+    Returns (loss, derivs): calling derivs() returns the gradient wrt raw
+    and the Gauss-Newton curvature, in which each sample's residual e
+    counts with its IRLS weight 1/sqrt(e^2 + delta^2). Both are run sums of
+    the six per-sample partials, assembled on the 3(K+1) knot coordinates
+    and pulled back by `constrain_backward`. The loss costs one spline
+    pass; the derivatives are built only when derivs is called, so a
+    refused trial never pays for them.
     """
     p = constrain(raw, K)
-    pred, pullback = forward_param_grad(p, y_in)
+    pred, jac, starts = forward_param_grad(p, y_in)
     e = pred - target
     root = np.sqrt(e * e + L1_DELTA**2)
-    data = float(np.mean(root))
-    pen = smooth_penalty(p)
-    loss = data + cfg.lambda_smooth * pen
+    loss = float(np.mean(root)) + cfg.lambda_smooth * smooth_penalty(p)
 
-    def grad_fn():
-        dpred = e / root / e.size
-        gx, gy, gs = pullback(dpred)
-        s = p.slopes
-        gpen = np.zeros_like(s)
-        gpen[:-1] -= 2.0 * np.diff(s)
-        gpen[1:] += 2.0 * np.diff(s)
-        gs = gs + cfg.lambda_smooth * gpen
-        return constrain_backward(raw, K, gx, gy, gs)
+    def derivs():
+        jw = jac / (root * e.size)[:, None]
+        n = 3 * (K + 1)
+        # the knot coordinates of bin j's six partials, in the order of jac's columns
+        idx = (np.arange(K)[:, None] + [0, 1, K + 1, K + 2, 2 * K + 2, 2 * K + 3]).ravel()
+        g = np.bincount(idx, weights=_run_sums(jw * e[:, None], starts).ravel(), minlength=n)
+        h = np.bincount((idx.reshape(K, 6, 1) * n + idx.reshape(K, 1, 6)).ravel(),
+                        weights=_run_sums(jw[:, :, None] * jac[:, None, :], starts).ravel(),
+                        minlength=n * n).reshape(n, n)
+        # the penalty lambda*|D s|^2, D the slope difference, is quadratic in the slopes
+        diff = np.diff(np.eye(K + 1), axis=0)
+        pen = 2.0 * cfg.lambda_smooth * diff.T @ diff
+        g[2 * K + 2 :] += pen @ p.slopes
+        h[2 * K + 2 :, 2 * K + 2 :] += pen
+        half = constrain_backward(raw, K, *h.reshape(3, K + 1, n))
+        return (constrain_backward(raw, K, *g.reshape(3, K + 1)),
+                constrain_backward(raw, K, *half.T.reshape(3, K + 1, 3 * K + 1)))
 
-    return loss, grad_fn
+    return loss, derivs
 
 
 def fit_rqs(y_in, target, K=8, cfg=None):
     """Fit spline parameters to paired (sdr luma, normalized hdr luma) samples.
 
-    Returns (RqsParams, raw vector, loss trace). The pairs are sorted by
-    input once, so the warm start and every loss evaluation read each knot
-    bin as a contiguous run. The trace is monotone non-increasing by
-    construction of the backtracking line search. Every line-search trial
-    evaluates the loss; the gradient is pulled back only at the start point
-    and at each accepted step, once per trace entry when no step is refused.
+    Returns (RqsParams, raw vector, loss trace). The pairs are sorted once,
+    by input and ties by target, so the sorted arrays, and every output,
+    depend only on the multiset of pairs; the warm start and every loss
+    evaluation read each knot bin as a contiguous run. The fit is
+    Levenberg-Marquardt on the Gauss-Newton curvature (Marquardt 1963):
+    each trial solves (H + mu diag H) step = -grad and costs one loss
+    evaluation; it is accepted only if it lowers the loss, which divides
+    the damping mu by 3 (down to MIN_DAMPING), and a refused trial
+    multiplies mu by 10. The
+    gradient and curvature are built at the start point and once per
+    accepted step. The trace holds the start loss and the loss after each
+    trial, so it is monotone non-increasing. The fit ends after a trial
+    that moves the loss by less than REL_TOL of it, when no coordinate has
+    curvature left, or after cfg.iterations trials.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -427,44 +439,35 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     _check_bins(K)
     degenerate = bool(np.ptp(target) < 1e-9)
     # the gather also copies a strided view into a full frame contiguously
-    order = np.argsort(y_in)
+    order = np.lexsort((target, y_in))
     y_in = y_in[order]
     target = target[order]
 
     raw = warm_start_raw(y_in, target, K)
-    vel = np.zeros_like(raw)
-    step = INIT_STEP
-    trace = []
-    loss, grad_fn = fit_loss_and_grad(raw, K, y_in, target, cfg)
-    grad = grad_fn()
-    for it in range(cfg.iterations):
-        if not np.isfinite(loss):
-            err = FitError(f"non-finite loss at iteration {it}")
-            err.trace = np.array(trace)
-            raise err
-        trace.append(loss)
-        dirn = MOMENTUM * vel - grad
-        slope = float(np.dot(grad, dirn))
-        if slope >= 0.0:
-            dirn = -grad
-            vel[:] = 0.0
-            slope = -float(np.dot(grad, grad))
-        step = min(step * 2.0, 1e3)
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = raw + step * dirn
-            cand_loss, cand_grad_fn = fit_loss_and_grad(cand, K, y_in, target, cfg)
-            if np.isfinite(cand_loss) and cand_loss <= loss + ARMIJO * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        vel = step * dirn
-        raw, loss, grad = cand, cand_loss, cand_grad_fn()
-    trace.append(loss)
+    loss, derivs = fit_loss_and_grad(raw, K, y_in, target, cfg)
     if not np.isfinite(loss):
-        raise EvaluationError("fit ended on a non-finite loss")
+        raise FitError("non-finite loss at the warm start")
+    grad, curv = derivs()
+    damping = INIT_DAMPING
+    trace = [loss]
+    for _ in range(cfg.iterations):
+        scale = np.diag(curv)
+        if not scale.max() > 0.0:
+            break  # no coordinate moves the loss, as when every bin has saturated
+        # a coordinate no sample or penalty reaches has no curvature of its own
+        scale = np.maximum(scale, 1e-12 * scale.max())
+        cand = raw - np.linalg.solve(curv + np.diag(damping * scale), grad)
+        cand_loss, derivs = fit_loss_and_grad(cand, K, y_in, target, cfg)
+        converged = abs(loss - cand_loss) <= REL_TOL * loss
+        if cand_loss < loss:
+            raw, loss = cand, cand_loss
+            grad, curv = derivs()
+            damping = max(damping / 3.0, MIN_DAMPING)
+        else:
+            damping *= 10.0
+        trace.append(loss)
+        if converged:
+            break
     params = constrain(raw, K)
     if degenerate:
         warnings.warn("constant fit targets; returned spline is data-degenerate")

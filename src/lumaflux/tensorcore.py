@@ -18,7 +18,9 @@ def softplus(x):
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # below about -709 exp(-x) overflows to inf, and 1/inf is the limit 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def softmax_rows(m):

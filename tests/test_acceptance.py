@@ -82,7 +82,7 @@ def test_a2_rqs_suite(capsys):
     grad_err = 0.0
     for _ in range(3):
         theta = rng.normal(0.0, 0.5, 19)
-        g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()
+        g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()[0]
         fd = tc.finite_diff_grad(
             lambda th: rqs.fit_loss_and_grad(th, 6, x, tgt, cfg)[0], theta, 1e-6)
         grad_err = max(grad_err, float(np.max(

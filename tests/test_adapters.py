@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lumaflux import adapters as ad
+from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, DimensionError, DomainError
 
 CFG = ad.ToyBlockConfig(d=8, n_tokens=8, rank=4)
@@ -49,6 +50,18 @@ class TestPsi:
         a, _ = ad.psi(0.5, 0, state)
         b, _ = ad.psi(0.5, 1, state)
         assert a.alpha_pga != b.alpha_pga
+
+    def test_silu_and_sigmoid_at_extreme_inputs(self):
+        # below about -709 exp(-x) overflows: no warning, and the limits 0 and -0;
+        # from -700 up the closed forms are unchanged
+        x = np.array([-1e300, -800.0, -700.0, -1.0, 0.0, 700.0, 800.0, 1e300])
+        assert tc.sigmoid(np.float64(-800.0)) == 0.0
+        for f, closed in ((tc.sigmoid, lambda v: 1.0 / (1.0 + np.exp(-v))),
+                          (ad._silu, lambda v: v / (1.0 + np.exp(-v)))):
+            out = f(x)
+            assert np.array_equal(out[:2], [0.0, 0.0])
+            assert np.array_equal(out[2:], closed(x[2:]))
+        assert np.all(np.isfinite(ad._silu_prime(x)))
 
     def test_domain_checks(self):
         state = ad.AdapterState.null(CFG)

@@ -19,23 +19,23 @@ from test_pfm import SDR_TAG, damaged_frame
 
 # SHA-256 of the synthesize output tree for the A5 input frame; a change
 # that moves it changes output bits and must say why
-A5_TREE_SHA256 = "12b955b5b236734b59221d9a7a3728fb864717dbfdd4fd787baf3651ac7a7626"
+A5_TREE_SHA256 = "486b61f512511b38aaa0289deb5d8f80ce14e5c379472f8492da6512b68b9933"
 
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
 # and its Reinhard CRF-23 SDR frame; a change that moves one must say why
 FIT_EXPAND_SHA256 = {
-    "expanded.pfm": "350df9d1d8d954c30700d4eab64762b7c48f737339d1449de272fd6e4fed232c",
-    "expanded.pfm.rqs.json": "481c48abfdbbbc24247ab1c327d161d2449c48cf39ea3c21a55ab311768870a1",
-    "expanded.pfm.trace.csv": "fd92b4f9ead47405ab06eca2ab31d74de7d9ec6b83bd2ab0817cc7e593c262f3",
+    "expanded.pfm": "238ed47c032e7b9fc1957e6c2297a54385ae06b9ce38fe1742f9736f497dbce6",
+    "expanded.pfm.rqs.json": "117221ba904fbe17bbea533a57ae5eb0ecce621f7add4438ff9be50f187fc8b0",
+    "expanded.pfm.trace.csv": "bb6772c7ff1ea58b527fb2262b917b36a7746a039b763b4accc7216ec3faab03",
 }
 
 # SHA-256 of rqs.warm_start_raw(..., K=8).tobytes() on the sample pairs
 # fit-expand fits for the same frames (4,096 pairs, no two luma values
 # tied), and on those pairs with luma rounded to 1/256 (4,010 ties), each
-# sorted by np.argsort as fit_rqs sorts them
+# sorted by luma and ties by target as fit_rqs sorts them
 WARM_START_SHA256 = {
     "luma": "80bd7c664536b5415cba99c7ec999b831a725872f0a0d407237384ee842b2e83",
-    "luma_1/256": "b11f73ec35f02d79be5781fa61445b2bdb55adb8973dcdcb0ebcf5886e15f6f3",
+    "luma_1/256": "0f7638941406a2d25754238577fda14823b579b5f3fa800a42f243f9af16ab32",
 }
 
 
@@ -215,7 +215,7 @@ class TestFitExpand:
                             lambda *args: in_fit.append(warm_start_raw(*args)) or in_fit[-1])
         digests = {}
         for name, luma in (("luma", y), ("luma_1/256", np.round(y * 256.0) / 256.0)):
-            order = np.argsort(luma)
+            order = np.lexsort((t, luma))
             raw = warm_start_raw(luma[order], t[order], 8)
             digests[name] = hashlib.sha256(raw.tobytes()).hexdigest()
             # fit_rqs breaks ties the same way
@@ -443,6 +443,11 @@ class TestBadConfigOrOutput:
 class TestLoadConfig:
     def test_defaults_pass(self):
         assert cli.load_config() == cli.DEFAULT_CONFIG
+
+    def test_fit_defaults_are_the_library_defaults(self):
+        cfg = cli.load_config()
+        fit = rqs.FitConfig()
+        assert (cfg["lambda_smooth"], cfg["fit_iterations"]) == (fit.lambda_smooth, fit.iterations)
 
     def test_values_kept_as_given(self, tmp_path):
         doc = {"peak_nits": 1000, "crfs": [39, 23], "fit_samples": 4096}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,13 +240,13 @@ class TestFitLoss:
             rqs.warm_start_raw(x, self.tgt, 6)
 
 
-def scatter_pullback(p, y, g, magnitude=False):
-    """Per-sample reference for the pullback of `forward_param_grad`.
+def per_sample_partials(p, y, magnitude=False):
+    """Per-sample reference for the partials of `forward_param_grad`.
 
-    Each sample's partials wrt the two knots of its bin are scattered with
-    np.add.at. With magnitude=True every product enters by its absolute
-    value, which bounds the rounding error of any summation order of the
-    same terms.
+    Each sample's bin knots are gathered by a search and its six partials
+    written out term by term. With magnitude=True every product enters by
+    its absolute value, which bounds the rounding error of any evaluation
+    order of the same terms.
     """
     A = np.abs if magnitude else (lambda v: v)
     i = np.clip(np.searchsorted(p.knots_x, y, side="right") - 1, 0, p.num_bins - 1)
@@ -264,23 +266,16 @@ def scatter_pullback(p, y, g, magnitude=False):
     d_u = (A(f_num * (2.0 * delta * u + A(s0 * (1.0 - 2.0 * u))))
            + A(f_den * (s0 + s1 - 2.0 * delta) * (1.0 - 2.0 * u)))
     d_dy = num / den + A(d_delta / w)
-    partials = ((A(d_u * (u - 1.0) / w) + A(d_delta * delta / w),
-                 A(-d_u * u / w) + A(-d_delta * delta / w)),
-                (1.0 + A(-d_dy), d_dy),
-                (A(f_num + f_den) * t1, f_den * t1))
-    out = []
-    for at_i, at_next in partials:
-        acc = np.zeros(p.knots_x.size)
-        np.add.at(acc, i, A(g * at_i))
-        np.add.at(acc, i + 1, A(g * at_next))
-        out.append(acc)
-    return out
+    return np.stack([A(d_u * (u - 1.0) / w) + A(d_delta * delta / w),
+                     A(-d_u * u / w) + A(-d_delta * delta / w),
+                     1.0 + A(-d_dy), d_dy,
+                     A(f_num + f_den) * t1, f_den * t1], axis=1)
 
 
 class TestSortedKernel:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), K=st.integers(2, 12))
-    def test_matches_forward_and_per_sample_scatter(self, data, K):
+    def test_matches_forward_and_per_sample_partials(self, data, K):
         raw = data.draw(arrays(np.float64, 3 * K + 1, elements=st.floats(-5.0, 5.0)))
         p = rqs.constrain(raw, K)
         # samples in some bins only, possibly all in one, at drawn fractions of their width
@@ -293,14 +288,15 @@ class TestSortedKernel:
             # 0, 1 and every interior knot exactly; each interior knot opens its bin
             y = np.concatenate((y, p.knots_x))
         y = np.sort(y)
-        g = data.draw(arrays(np.float64, y.size, elements=st.floats(-1.0, 1.0)))
 
-        pred, pullback = rqs.forward_param_grad(p, y)
+        pred, jac, starts = rqs.forward_param_grad(p, y)
         assert np.array_equal(pred, rqs.rqs_forward(p, y))
-        for got, ref, bound in zip(pullback(g), scatter_pullback(p, y, g),
-                                   scatter_pullback(p, y, g, magnitude=True)):
-            # tiny: products of subnormal g lose relative precision
-            assert np.all(np.abs(got - ref) <= 1e-12 * bound + np.finfo(float).tiny)
+        bins = np.clip(np.searchsorted(p.knots_x, y, side="right") - 1, 0, K - 1)
+        assert np.array_equal(starts, np.searchsorted(bins, np.arange(K)))
+        ref = per_sample_partials(p, y)
+        bound = per_sample_partials(p, y, magnitude=True)
+        # tiny: products of subnormal samples lose relative precision
+        assert np.all(np.abs(jac - ref) <= 1e-12 * bound + np.finfo(float).tiny)
 
 
 class TestSmoothPenalty:
@@ -332,12 +328,32 @@ class TestFitGradients:
         worst = 0.0
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, 3 * 6 + 1)
-            g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()
+            g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()[0]
             fd = tc.finite_diff_grad(
                 lambda th: rqs.fit_loss_and_grad(th, 6, x, tgt, cfg)[0], theta, 1e-6)
             rel = np.max(np.abs(g - fd) / np.maximum(np.abs(g) + np.abs(fd), 1e-8))
             worst = max(worst, rel)
         assert worst <= 1e-5
+
+    def test_curvature_is_gauss_newton_on_difference_jacobians(self):
+        # J^T W J + 2 lambda (DS)^T (DS): J = dpred/draw and S = dslopes/draw by
+        # central differences, W the IRLS weights, D the slope difference
+        theta = np.random.default_rng(10).normal(0.0, 0.5, 3 * 6 + 1)
+        x = np.linspace(0.0, 1.0, 256)
+        tgt = x**2
+        cfg = rqs.FitConfig()
+
+        def central(f):
+            steps = 1e-6 * np.eye(theta.size)
+            return np.stack([(f(theta + h) - f(theta - h)) / 2e-6 for h in steps], axis=1)
+
+        jac = central(lambda th: rqs.rqs_forward(rqs.constrain(th, 6), x))
+        dslopes = np.diff(central(lambda th: rqs.constrain(th, 6).slopes), axis=0)
+        e = rqs.rqs_forward(rqs.constrain(theta, 6), x) - tgt
+        w = 1.0 / (np.sqrt(e * e + rqs.L1_DELTA**2) * x.size)
+        ref = jac.T @ (w[:, None] * jac) + 2.0 * cfg.lambda_smooth * dslopes.T @ dslopes
+        curv = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()[1]
+        assert np.max(np.abs(curv - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_constrain_jacobian_finite(self):
         theta = np.random.default_rng(8).normal(0.0, 1.0, 3 * 4 + 1)
@@ -366,16 +382,24 @@ class TestFit:
         p, _, _ = rqs.fit_rqs(x, tgt, K=8)
         assert np.max(np.abs(rqs.rqs_forward(p, x) - tgt)) <= 2e-3
 
-    def test_self_consistency_known_params(self):
+    @pytest.mark.parametrize("seed", [
+        31, 33, 35, 36, 38, 39, 40, 41,
+        # the warm start lands in another basin; seen max errors, not tolerances
+        *(pytest.param(seed, marks=pytest.mark.xfail(strict=True, reason=reason))
+          for seed, reason in ((32, "local minimum, max error 4.1e-2"),
+                               (34, "local minimum, max error 5.2e-3"),
+                               (37, "local minimum, max error 9.1e-3"),
+                               (42, "local minimum, max error 7.8e-2"))),
+    ])
+    def test_self_consistency_known_params(self, seed):
         # targets drawn from a known spline are recovered to fit tolerance;
         # the smoothness penalty is off because it deliberately biases the
         # optimum away from any generator with varying knot slopes
-        rng = np.random.default_rng(31)
+        rng = np.random.default_rng(seed)
         p_star = rqs.constrain(rng.normal(0.0, 0.7, 3 * 6 + 1), 6)
         x = np.linspace(0.0, 1.0, 2048)
         tgt = rqs.rqs_forward(p_star, x)
-        cfg = rqs.FitConfig(lambda_smooth=0.0, iterations=800)
-        p, _, _ = rqs.fit_rqs(x, tgt, K=6, cfg=cfg)
+        p, _, _ = rqs.fit_rqs(x, tgt, K=6, cfg=rqs.FitConfig(lambda_smooth=0.0))
         assert np.max(np.abs(rqs.rqs_forward(p, x) - tgt)) <= 1e-3
 
     def test_trace_monotone_nonincreasing(self):
@@ -386,26 +410,73 @@ class TestFit:
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_gradient_pulled_back_only_for_accepted_steps(self, monkeypatch):
-        # every line-search trial evaluates the loss; the gradient is pulled
-        # back at the start point and at each accepted step
-        calls = {"loss": 0, "grad": 0}
+        # every trial is one loss evaluation; the gradient and curvature are
+        # built at the start point and at each accepted step, where the trace
+        # falls; on this target some trials are refused
+        calls = {"loss": 0, "derivs": 0}
         loss_and_grad = rqs.fit_loss_and_grad
 
         def counted(*args):
             calls["loss"] += 1
-            loss, grad_fn = loss_and_grad(*args)
+            loss, derivs = loss_and_grad(*args)
 
-            def counted_grad_fn():
-                calls["grad"] += 1
-                return grad_fn()
+            def counted_derivs():
+                calls["derivs"] += 1
+                return derivs()
 
-            return loss, counted_grad_fn
+            return loss, counted_derivs
 
         monkeypatch.setattr(rqs, "fit_loss_and_grad", counted)
         x = np.linspace(0.0, 1.0, 512)
-        _, _, trace = rqs.fit_rqs(x, x**2, K=6, cfg=rqs.FitConfig(iterations=50))
-        assert calls["grad"] == len(trace)
-        assert calls["loss"] > calls["grad"]
+        _, _, trace = rqs.fit_rqs(x, 2.0 * x / (1.0 + x), K=8)
+        assert calls["loss"] == len(trace)
+        assert calls["derivs"] == 1 + np.count_nonzero(np.diff(trace) < 0)
+        assert calls["loss"] > calls["derivs"]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_permuted_pairs_fit_bit_identically(self, seed, data):
+        # the pairs are sorted by input and ties by target, so the fit sees
+        # only the multiset of pairs; luma on a 1/64 grid ties most samples
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.uniform(0.0, 1.0, 256) * 64.0) / 64.0
+        t = np.clip(x**2 + rng.normal(0.0, 0.02, 256), 0.0, 1.0)
+        perm = np.array(data.draw(st.permutations(range(256))))
+        p, raw, trace = rqs.fit_rqs(x, t, K=6)
+        q, raw_q, trace_q = rqs.fit_rqs(x[perm], t[perm], K=6)
+        for a, b in ((p.knots_x, q.knots_x), (p.knots_y, q.knots_y), (p.slopes, q.slopes),
+                     (raw, raw_q), (trace, trace_q)):
+            assert np.array_equal(a, b)
+
+    def test_empty_bins_without_penalty(self):
+        # with lambda = 0 no sample or penalty reaches the slopes of the knots below 0.5
+        x = np.linspace(0.5, 1.0, 300)
+        p, _, _ = rqs.fit_rqs(x, x**2, K=8, cfg=rqs.FitConfig(lambda_smooth=0.0))
+        assert np.max(np.abs(rqs.rqs_forward(p, x) - x**2)) <= 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 12),
+           lam=st.sampled_from([0.0, 1e-3, 1.0]),
+           kind=st.sampled_from(["noise", "one_input", "flat_target", "falling_target"]))
+    def test_ill_posed_pairs_fit_without_error(self, seed, K, lam, kind):
+        # pairs no monotone curve fits, or that leave knots unconstrained: the
+        # steps drive raw coordinates into saturation, where the curvature
+        # is singular or zero; the fit still returns a finite, monotone result
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(64, 600))
+        x = rng.uniform(0.0, 1.0, n)
+        t = rng.uniform(0.0, 1.0, n)
+        if kind == "one_input":
+            x[:] = x[0]
+        elif kind == "flat_target":
+            t[:] = 0.3
+        elif kind == "falling_target":
+            x = 0.9 + 0.1 * x
+            t = 1.0 - x
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _, raw, trace = rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
+        assert np.all(np.isfinite(raw)) and np.all(np.diff(trace) <= 0.0)
 
     def test_degenerate_targets_warn(self):
         x = np.linspace(0.0, 1.0, 128)

@@ -32,6 +32,7 @@ GRAD_CHECK_T = 0.37  # timestep and layer at which grad_check_adapters probes
 GRAD_CHECK_LAYER = 0
 FD_STEP = 1e-3  # central-difference step, above the probe loss's round-off floor
 GRAD_TOL = 1e-4  # largest relative gradient error a group may show
+MAX_BLOCK_BYTES = 64 * 2**20  # budget of ToyBlockConfig.float64_bytes
 
 
 def _silu(x):
@@ -59,6 +60,20 @@ class ToyBlockConfig:
                 raise ConfigError(f"{f.name} must be >= 1, got {getattr(self, f.name)!r}")
         if self.d % HEADS != 0:
             raise ConfigError(f"token width must divide evenly into {HEADS} heads")
+        if self.float64_bytes() > MAX_BLOCK_BYTES:
+            raise ConfigError(f"width {self.d}, {self.n_tokens} tokens and rank {self.rank} need "
+                              f"{self.float64_bytes()} bytes of block arrays, over the "
+                              f"{MAX_BLOCK_BYTES}-byte budget")
+
+    def float64_bytes(self):
+        """Bytes of the float64 arrays whose sizes the three settings choose.
+
+        The backbone's 12 d^2 + 5 d weights, the d x rank and rank x d
+        low-rank pair, and per token a 4 d MLP hidden row and a HEADS x
+        n_tokens row of attention weights. Pure arithmetic: nothing is allocated.
+        """
+        d, n, r = self.d, self.n_tokens, self.rank
+        return 8 * (12 * d * d + 5 * d + 2 * d * r + n * (4 * d + HEADS * n))
 
 
 @dataclass

@@ -8,10 +8,13 @@ tone-operator parameter), 4 numerical failure. `main` alone maps
 exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 `--config` takes a JSON object whose keys are those of DEFAULT_CONFIG.
 
-LUMAFLUX_THREADS caps how many tone operators `synthesize` runs at once;
-the CRF variants of one operator share one decode-to-quantize chain.
-Outputs are independent of the worker count because every frame derives
-its own seed.
+LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
+`synthesize` runs at once; the CRF variants of one operator share one
+decode-to-quantize chain, and every frame derives its own seed.
+`fit-expand` and `metrics` run their per-pixel stages over fixed row bands
+(`tensorcore.map_row_bands`) on that many threads; band edges depend only
+on the frame height, and the spline fit, the chroma least squares and every
+mean see the whole frame. Outputs are byte-identical at any worker count.
 """
 
 import argparse
@@ -29,6 +32,7 @@ from . import features as ft
 from . import metrics as mt
 from . import pfm
 from . import rqs
+from . import tensorcore as tc
 from . import tonemap as tm
 from .errors import ConfigError, FrameFormatError, LumaFluxError
 
@@ -171,6 +175,11 @@ def cmd_synthesize(args):
     return 0
 
 
+def fit_config(cfg):
+    """The rqs.FitConfig a loaded config asks for."""
+    return rqs.FitConfig(lambda_smooth=cfg["lambda_smooth"], iterations=cfg["fit_iterations"])
+
+
 def expand_sdr(wide, params, peak_nits):
     """Apply a fitted tone spline to a linearized SDR frame; returns linear BT.2020 nits."""
     y_sdr = cm.luma2020(wide)
@@ -182,55 +191,90 @@ def expand_sdr(wide, params, peak_nits):
     return cm.TaggedImage(nits, tag)
 
 
-def refine_chroma(expanded, ref_linear):
-    """Least-squares 1x1 mix of the color-difference channels against the reference."""
-    wr, wg, wb = cm.LUMA_WEIGHTS_2020
-    def to_yuv(px):
-        y = px @ cm.LUMA_WEIGHTS_2020
-        return y, px[..., 2] - y, px[..., 0] - y
+def _yuv(img):
+    """BT.2020 luma and the B - Y, R - Y colour differences of a linear BT.2020 image."""
+    y = cm.luma2020(img)
+    return y, img.pixels[..., 2] - y, img.pixels[..., 0] - y
 
-    ye, ue, ve = to_yuv(expanded.pixels)
-    _, ur, vr = to_yuv(ref_linear.pixels)
-    a = np.stack([ue.reshape(-1), ve.reshape(-1), np.ones(ue.size)], axis=1)
-    coef, *_ = np.linalg.lstsq(a, np.stack([ur.reshape(-1), vr.reshape(-1)], axis=1), rcond=None)
-    mixed = a @ coef
-    u2 = mixed[:, 0].reshape(ue.shape)
-    v2 = mixed[:, 1].reshape(ve.shape)
-    r = ye + v2
-    b = ye + u2
-    g = (ye - wr * r - wb * b) / wg
-    px = np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS)
-    return expanded.with_pixels(px)
+
+def fit_expand(sdr, ref, cfg, workers=1):
+    """Fit a tone spline from `sdr` to `ref`, expand `sdr` with it, mix its chroma toward `ref`.
+
+    Returns the PQ/BT.2020 frame and fit_rqs's params, raw vector and loss
+    trace. The per-pixel stages run over tensorcore row bands on `workers`
+    threads; the spline fit and the chroma least squares see the whole
+    frame, so the output does not depend on `workers`.
+    """
+    # whole-frame checks first, in the order a whole-frame decode would fail them
+    cm.check_encoded(sdr)
+    cm.check_encoded(ref)
+    h, w, _ = sdr.pixels.shape
+    peak = cfg["peak_nits"]
+    wide = np.empty((h, w, 3))
+    y_sdr = np.empty((h, w))
+    y_ref = np.empty((h, w))
+    ye = np.empty((h, w))
+    lhs = np.empty((h, w, 3))  # expanded [B - Y, R - Y, 1] per pixel
+    rhs = np.empty((h, w, 2))  # reference [B - Y, R - Y] per pixel
+    lhs[..., 2] = 1.0
+
+    def decode(rows):
+        band = ft.linearize_sdr(sdr.with_pixels(sdr.pixels[rows]))
+        wide[rows] = band.pixels
+        y_sdr[rows] = cm.luma2020(band)
+        ref_band = cm.apply_transfer(ref.with_pixels(ref.pixels[rows]))
+        y, rhs[rows, :, 0], rhs[rows, :, 1] = _yuv(ref_band)
+        y_ref[rows] = np.clip(y / peak, 0.0, 1.0)
+
+    tc.map_row_bands(decode, h, workers)
+    stride = max(1, h * w // cfg["fit_samples"])
+    params, raw, trace = rqs.fit_rqs(y_sdr.reshape(-1)[::stride], y_ref.reshape(-1)[::stride],
+                                     K=cfg["spline_knots"], cfg=fit_config(cfg))
+    del y_sdr, y_ref  # each whole-frame intermediate is freed once consumed
+    wide_tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)
+
+    def expand(rows):
+        nits = expand_sdr(cm.TaggedImage(wide[rows], wide_tag), params, peak)
+        ye[rows], lhs[rows, :, 0], lhs[rows, :, 1] = _yuv(nits)
+
+    tc.map_row_bands(expand, h, workers)
+    del wide
+    coef, *_ = np.linalg.lstsq(lhs.reshape(-1, 3), rhs.reshape(-1, 2), rcond=None)
+    wr, wg, wb = cm.LUMA_WEIGHTS_2020
+    out = np.empty((h, w, 3))
+
+    def mix(rows):
+        y = ye[rows]
+        uv = (lhs[rows].reshape(-1, 3) @ coef).reshape(y.shape + (2,))
+        r = y + uv[..., 1]
+        b = y + uv[..., 0]
+        g = (y - wr * r - wb * b) / wg
+        out[rows] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
+
+    tc.map_row_bands(mix, h, workers)
+    tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+    return cm.TaggedImage(out, tag), params, raw, trace
 
 
 def cmd_fit_expand(args):
     cfg = load_config(args.config)
+    workers = _max_workers()
     sdr, ref = _read_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT)
     if sdr.pixels.shape[0] * sdr.pixels.shape[1] < rqs.MIN_SAMPLES:
         raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} has fewer than "
                                f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
-    peak = cfg["peak_nits"]
-    wide = ft.linearize_sdr(sdr)
-    y_sdr = cm.luma2020(wide).reshape(-1)
-    ref_linear = cm.apply_transfer(ref)
-    y_ref = np.clip(cm.luma2020(ref_linear).reshape(-1) / peak, 0.0, 1.0)
-    stride = max(1, y_sdr.size // cfg["fit_samples"])
-    fit_cfg = rqs.FitConfig(lambda_smooth=cfg["lambda_smooth"], iterations=cfg["fit_iterations"])
-    params, raw, trace = rqs.fit_rqs(y_sdr[::stride], y_ref[::stride], K=cfg["spline_knots"],
-                                     cfg=fit_cfg)
-    expanded = expand_sdr(wide, params, peak)
-    refined = refine_chroma(expanded, ref_linear)
-    out_pq = cm.encode_transfer(refined, cm.Transfer.PQ)
+    out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
     pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
-    rqs.save_fit(args.output + ".rqs.json", params, raw, fit_cfg)
+    rqs.save_fit(args.output + ".rqs.json", params, raw, fit_config(cfg))
     np.savetxt(args.output + ".trace.csv", trace, header="loss", comments="")
     print(json.dumps({"output": args.output, "final_loss": float(trace[-1])}, indent=2))
     return 0
 
 
 def cmd_metrics(args):
+    workers = _max_workers()
     ref, test = _read_pair(args.ref, HDR_FORMAT, args.test, HDR_FORMAT)
-    report = mt.metric_report(ref, test)
+    report = mt.metric_report(ref, test, workers)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:

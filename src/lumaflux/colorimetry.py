@@ -165,19 +165,27 @@ def bt709_eotf(signal):
     return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
 
 
-def apply_transfer(img):
-    """Decode encoded pixels to linear light with the tag's transfer curve.
+def check_encoded(img):
+    """Raise DomainError naming the first pixel of an encoded image outside [0, 1].
 
-    Encoding takes an explicit target curve and lives in encode_transfer.
-    Samples must lie in [0, 1]; a non-finite sample fails the check.
+    A non-finite sample fails the check too.
     """
-    tag = img.tag
-    if tag.transfer is Transfer.LINEAR:
-        raise TagError("image is already linear")
     bad = ~((img.pixels >= 0.0) & (img.pixels <= 1.0))
     if np.any(bad):
         idx = tuple(int(k) for k in np.argwhere(bad)[0])
         raise DomainError(f"encoded sample outside [0,1] at pixel {idx}")
+
+
+def apply_transfer(img):
+    """Decode encoded pixels to linear light with the tag's transfer curve.
+
+    Encoding takes an explicit target curve and lives in encode_transfer.
+    Samples must pass check_encoded.
+    """
+    tag = img.tag
+    if tag.transfer is Transfer.LINEAR:
+        raise TagError("image is already linear")
+    check_encoded(img)
     if tag.transfer is Transfer.PQ:
         out = pq_decode(img.pixels)
     else:
@@ -251,15 +259,20 @@ def rgb_to_ictcp(img):
     return lms_pq @ LMS_PQ_TO_ICTCP.T
 
 
-def delta_e_itp(a, b):
-    """Mean per-pixel DeltaE_ITP (ITU-R BT.2124, scaling 720, T = Ct/2)."""
+def delta_e_itp_map(a, b):
+    """Per-pixel DeltaE_ITP (ITU-R BT.2124, scaling 720, T = Ct/2), an H x W map."""
     if a.pixels.shape != b.pixels.shape:
         raise DimensionError("delta_e_itp: image extents differ")
     ia = rgb_to_ictcp(a)
     ib = rgb_to_ictcp(b)
     d = ia - ib
     d[..., 1] *= 0.5
-    return float(np.mean(720.0 * np.sqrt(np.sum(d * d, axis=-1))))
+    return 720.0 * np.sqrt(np.sum(d * d, axis=-1))
+
+
+def delta_e_itp(a, b):
+    """Mean per-pixel DeltaE_ITP."""
+    return float(np.mean(delta_e_itp_map(a, b)))
 
 
 def pu21_encode(nits):

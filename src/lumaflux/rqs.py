@@ -17,6 +17,7 @@ the steps the fit accepts.
 """
 
 import json
+import threading
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -31,8 +32,10 @@ MAX_BINS = 999  # largest K with K * MIN_BIN < 1, so each bin keeps a share abov
 MIN_SLOPE = 1e-3
 MIN_SAMPLES = 64  # fewest sample pairs `fit_rqs` accepts
 
-# counts inputs clamped back into [0, 1] by evaluation ops
+# counts inputs clamped back into [0, 1] by evaluation ops; row bands
+# evaluate the spline on several threads, so updates hold _clamp_lock
 clamp_counter = {"count": 0}
+_clamp_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,8 @@ def _clamp_input(y):
     out = np.clip(y, 0.0, 1.0)
     n = int(np.sum(out != y))
     if n:
-        clamp_counter["count"] += n
+        with _clamp_lock:
+            clamp_counter["count"] += n
     return out
 
 

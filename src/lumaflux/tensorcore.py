@@ -1,16 +1,19 @@
 """Small numeric kernels shared by the rest of the package.
 
-Softplus, sigmoid, row softmax, layer norm, the half-plane real 2-D DFT
-and the central-difference gradient oracle, all on float64 numpy arrays.
+Softplus, sigmoid, row softmax, layer norm, the half-plane real 2-D DFT,
+the central-difference gradient oracle, all on float64 numpy arrays, and
+the row-band map that runs a per-pixel stage over a frame.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, EvaluationError
+from .errors import ConfigError, DimensionError, DomainError, EvaluationError
 
 LN_EPS = 1e-6
+BAND_ROWS = 64  # rows per band of map_row_bands; never depends on the worker count
 
 
 def softplus(x):
@@ -97,3 +100,25 @@ def finite_diff_grad(f, theta, h=1e-6):
             raise EvaluationError(f"non-finite evaluation at coordinate {i}")
         grad[i] = (fp - fm) / (2.0 * h)
     return grad.reshape(theta.shape)
+
+
+def map_row_bands(kernel, height, workers=1):
+    """Call kernel(rows) once per band of BAND_ROWS rows of a frame `height` rows tall.
+
+    `rows` is a slice of the frame's first axis; the last band may be
+    shorter. A kernel that reads and writes only its own rows of whole-frame
+    arrays gives the same bytes at any `workers`, because the band edges
+    depend on `height` alone. With workers > 1 the bands run on a thread
+    pool; an exception propagates from the first failing band in row order.
+    Call it from the main thread of a command, never from a pool worker.
+    """
+    if workers < 1:
+        raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")
+    bands = [slice(top, min(top + BAND_ROWS, height)) for top in range(0, height, BAND_ROWS)]
+    if workers == 1 or len(bands) < 2:
+        for rows in bands:
+            kernel(rows)
+        return
+    with ThreadPoolExecutor(max_workers=min(workers, len(bands))) as pool:
+        for _ in pool.map(kernel, bands):
+            pass

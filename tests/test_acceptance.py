@@ -108,18 +108,14 @@ def test_a3_end_to_end_tone_recovery(capsys):
     op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": peak})
     sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
 
-    wide = ft.linearize_sdr(sdr)
-    y_sdr = cm.luma2020(wide).reshape(-1)
-    y_ref = np.clip(cm.luma2020(ref_lin).reshape(-1) / peak, 0.0, 1.0)
-    stride = max(1, y_sdr.size // 8192)
-    params, _, _ = rqs.fit_rqs(y_sdr[::stride], y_ref[::stride], K=8,
-                               cfg=rqs.FitConfig(iterations=400))
-    expanded = cli.refine_chroma(cli.expand_sdr(wide, params, peak), ref_lin)
+    cfg = dict(cli.DEFAULT_CONFIG, peak_nits=peak, fit_samples=8192, fit_iterations=400)
+    expanded = cm.apply_transfer(cli.fit_expand(sdr, hdr, cfg)[0])
 
     l1 = float(np.mean(np.abs(cm.luma2020(expanded) - cm.luma2020(ref_lin))))
     de_fit = cm.delta_e_itp(ref_lin, expanded)
 
     # closed-form Reinhard inverse oracle on the same degraded SDR
+    wide = ft.linearize_sdr(sdr)
     y_map = cm.luma2020(wide)
     inv = peak * y_map / (1.0 - np.minimum(y_map, 0.999))
     ratio = np.where(y_map > 1e-8, (inv / peak) / np.maximum(y_map, 1e-8), 0.0)
@@ -253,7 +249,7 @@ def test_a7_metrics_sanity(capsys):
     c = float(cm.pu21_encode(lb) - cm.pu21_encode(la))
     flat_a = cm.TaggedImage(cm.pq_encode(np.full((8, 8, 3), la)), tag)
     flat_b = cm.TaggedImage(cm.pq_encode(np.full((8, 8, 3), lb)), tag)
-    expected = 20.0 * np.log10(mt.pu21_range() / c)
+    expected = 20.0 * np.log10(mt.PU21_RANGE / c)
     psnr_err = abs(mt.psnr_pu21(flat_a, flat_b) - expected)
 
     scores = []

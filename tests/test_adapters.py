@@ -25,6 +25,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ad.ToyBlockConfig(d=10, n_tokens=8, rank=4)
 
+    def test_byte_budget_bounds_each_size(self):
+        # the check is arithmetic on the three sizes; constructing a config allocates nothing
+        assert ad.ToyBlockConfig(d=832, n_tokens=8, rank=4).float64_bytes() <= ad.MAX_BLOCK_BYTES
+        for d, n_tokens, rank in ((836, 8, 4), (8, 1449, 4), (8, 8, 2**19), (40000, 8, 4)):
+            with pytest.raises(ConfigError, match="byte budget"):
+                ad.ToyBlockConfig(d=d, n_tokens=n_tokens, rank=rank)
+
     def test_default_scale_matches_module_contract(self):
         # adapter-demo and A4 run these fixed sizes; only width, tokens and rank are settable
         assert [f.name for f in fields(ad.ToyBlockConfig)] == ["d", "n_tokens", "rank"]

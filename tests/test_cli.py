@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumaflux import adapters as ad
 from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
 from lumaflux import pfm
 from lumaflux import rqs
+from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError
 from test_acceptance import synthetic_hdr
@@ -48,9 +50,12 @@ def write_hdr(path, seed=0, size=64, peak=1000.0):
     return str(path)
 
 
-def write_fit_pair(tmp_path, size=64):
-    """The A5 frame at `size` and its Reinhard CRF-23 SDR frame; returns (sdr, hdr) paths."""
-    hdr = synthetic_hdr(size=size)
+def write_fit_pair(tmp_path, size=64, extent=None):
+    """The A5 frame at `size`, or its top-left (rows, cols) `extent` at the larger of
+    the two, and its Reinhard CRF-23 SDR frame; returns (sdr, hdr) paths."""
+    hdr = synthetic_hdr(size=size if extent is None else max(extent))
+    if extent is not None:
+        hdr = hdr.with_pixels(hdr.pixels[:extent[0], :extent[1]])
     src = str(tmp_path / "hdr.pfm")
     pfm.write_tagged(src, hdr, seed=7)
     op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": 1000.0})
@@ -268,6 +273,92 @@ class TestMetrics:
         assert not dst.exists()
 
 
+def run_fit_expand_and_metrics(tmp_path, sdr, hdr, name):
+    """fit-expand, then metrics on its output, into tmp_path/name; returns {file: bytes}."""
+    out = tmp_path / name
+    out.mkdir()
+    assert cli.main(["fit-expand", sdr, hdr, "--output", str(out / "expanded.pfm")]) == 0
+    assert cli.main(["metrics", hdr, str(out / "expanded.pfm"),
+                     "--output", str(out / "report.json")]) == 0
+    # the printed output names the output path, which differs per run
+    return {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+
+
+class TestRowBands:
+    """fit-expand and metrics run their per-pixel stages over tensorcore row bands."""
+
+    @pytest.mark.parametrize("band_rows", [tc.BAND_ROWS, 16, 5])
+    def test_pinned_bytes_at_any_thread_count(self, tmp_path, band_rows, monkeypatch, capsys):
+        # the pins were recorded from whole-frame stages; 16 and 5 split the
+        # 64-row frame into 4 and 13 bands
+        sdr, src = write_fit_pair(tmp_path)
+        monkeypatch.setattr(tc, "BAND_ROWS", band_rows)
+        runs = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            runs.append(run_fit_expand_and_metrics(tmp_path, sdr, src, f"t{threads}"))
+            digests = {name: hashlib.sha256(runs[-1][name]).hexdigest()
+                       for name in FIT_EXPAND_SHA256}
+            assert digests == FIT_EXPAND_SHA256
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("extent", [(1, 64), (100, 48)])
+    def test_edge_extents_equal_one_whole_frame_band(self, tmp_path, extent, monkeypatch,
+                                                     capsys):
+        # one row, and a height that is not a multiple of the band height
+        sdr, src = write_fit_pair(tmp_path, extent=extent)
+        monkeypatch.setattr(tc, "BAND_ROWS", 10**6)
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        whole = run_fit_expand_and_metrics(tmp_path, sdr, src, "whole")
+        monkeypatch.setattr(tc, "BAND_ROWS", 64)
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            assert run_fit_expand_and_metrics(tmp_path, sdr, src, f"t{threads}") == whole
+
+    @pytest.mark.parametrize("frame,value", [("sdr", 1.5), ("sdr", np.nan), ("ref", -0.25),
+                                             ("ref", np.nan)])
+    def test_fit_expand_domain_error_in_last_band(self, tmp_path, frame, value, monkeypatch,
+                                                  capsys):
+        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))  # bands of 64, 64, 64 and 8 rows
+        path = {"sdr": sdr, "ref": src}[frame]
+        img = pfm.read_tagged(path)
+        px = img.pixels.copy()
+        px[197, 5, 1] = value
+        pfm.write_tagged(path, img.with_pixels(px))
+        monkeypatch.setenv("LUMAFLUX_THREADS", "2")
+        before = files_under(tmp_path)
+        assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: encoded sample outside [0,1] "
+                                "at pixel (197, 5, 1)\n")
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("ref_bad,test_bad", [((197, 5, 1), None), (None, (197, 5, 1)),
+                                                  ((197, 5, 1), (3, 5, 1))])
+    def test_metrics_domain_error_in_last_band(self, tmp_path, ref_bad, test_bad, monkeypatch,
+                                               capsys):
+        # with both frames bad, the reference is checked first and named, as a
+        # whole-frame decode of it would be, though the test frame fails in band 0
+        hdr = synthetic_hdr(size=200)
+        paths = []
+        for name, pixel, value in (("ref", ref_bad, np.nan), ("test", test_bad, 1.25)):
+            px = hdr.pixels.copy()
+            if pixel is not None:
+                px[pixel] = value
+            paths.append(str(tmp_path / f"{name}.pfm"))
+            pfm.write_tagged(paths[-1], hdr.with_pixels(px))
+        monkeypatch.setenv("LUMAFLUX_THREADS", "2")
+        dst = tmp_path / "report.json"
+        before = files_under(tmp_path)
+        assert cli.main(["metrics", *paths, "--output", str(dst)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: encoded sample outside [0,1] "
+                                "at pixel (197, 5, 1)\n")
+        assert files_under(tmp_path) == before
+
+
 class TestFeatures:
     def test_descriptor_json(self, tmp_path, hdr_frame, capsys):
         out = tmp_path / "out"
@@ -401,6 +492,12 @@ BAD_RUNS = [
     ("synthesize", None, "LUMAFLUX_THREADS=abc", 3),
     ("synthesize", None, "LUMAFLUX_THREADS=0", 3),
     ("synthesize", None, "LUMAFLUX_THREADS=-2", 3),
+    ("fit-expand", None, "LUMAFLUX_THREADS=abc", 3),
+    ("fit-expand", None, "LUMAFLUX_THREADS=0", 3),
+    ("fit-expand", None, "LUMAFLUX_THREADS=-2", 3),
+    ("metrics", None, "LUMAFLUX_THREADS=abc", 3),
+    ("metrics", None, "LUMAFLUX_THREADS=0", 3),
+    ("metrics", None, "LUMAFLUX_THREADS=-2", 3),
 ]
 
 
@@ -544,6 +641,19 @@ class TestAdapterDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", ["--width 40000", "--tokens 1000000", "--rank 1000000000",
+                                       "--width 840", "--width 4 --tokens 1500"])
+    def test_size_over_budget_is_config_error(self, flags, monkeypatch, capsys):
+        # refused by ToyBlockConfig's arithmetic, before any array is drawn
+        def no_arrays(*args, **kwargs):
+            raise AssertionError("an over-budget size reached an allocation")
+
+        monkeypatch.setattr(ad.BackboneWeights, "seeded", no_arrays)
+        assert cli.main(["adapter-demo", *flags.split()]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error") and "byte budget" in captured.err
 
     @pytest.mark.parametrize("flags", ["--width 16 --tokens 12 --rank 2",
                                        "--width 12 --tokens 5 --rank 3",

@@ -31,7 +31,7 @@ class TestPsnrPu21:
             else:
                 hi = mid
         nits_b = np.full((8, 8, 3), 0.5 * (lo + hi))
-        expected = 20.0 * np.log10(mt.pu21_range() / c)
+        expected = 20.0 * np.log10(mt.PU21_RANGE / c)
         got = mt.psnr_pu21(pq_image(nits_a), pq_image(nits_b))
         assert got == pytest.approx(expected, abs=1e-6)
 

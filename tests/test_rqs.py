@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -202,6 +203,29 @@ class TestEvaluation:
         v = rqs.rqs_forward(p, np.array([-0.5, 0.5, 1.5]))
         assert rqs.clamp_counter["count"] == before + 2
         np.testing.assert_allclose(v, [0.0, 0.5, 1.0], atol=1e-12)
+
+    def test_count_is_exact_when_bands_run_on_two_threads(self, monkeypatch):
+        # 200 bands of 3 rows, 7 out-of-range samples each; a lost update
+        # would leave the threaded count short of the serial one
+        p = rqs.identity_params(4)
+        y = np.tile([[-0.5, 0.2, 1.5, 0.7, np.inf, -1e-9, 1.0, 2.0, 0.0, -3.0]], (600, 1))
+        monkeypatch.setattr(tc, "BAND_ROWS", 3)
+
+        def count(workers):
+            before = rqs.clamp_counter["count"]
+            for _ in range(5):
+                tc.map_row_bands(lambda rows: rqs.rqs_forward(p, y[rows]), y.shape[0], workers)
+            return rqs.clamp_counter["count"] - before
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            serial = count(1)
+            threaded = count(2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial == 5 * 600 * 6
+        assert threaded == serial
 
 
 class TestFitLoss:

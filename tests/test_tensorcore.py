@@ -1,8 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
 from lumaflux import tensorcore as tc
-from lumaflux.errors import DimensionError, DomainError, EvaluationError
+from lumaflux.errors import ConfigError, DimensionError, DomainError, EvaluationError
 
 
 def naive_dft2(field):
@@ -105,3 +107,33 @@ class TestFiniteDiffGrad:
     def test_bad_step(self):
         with pytest.raises(DomainError):
             tc.finite_diff_grad(lambda t: 0.0, np.zeros(2), 0.0)
+
+
+class TestMapRowBands:
+    @pytest.mark.parametrize("height", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bands_tile_the_frame_at_fixed_edges(self, height, workers):
+        seen = []
+        lock = threading.Lock()
+
+        def kernel(rows):
+            with lock:
+                seen.append((rows.start, rows.stop))
+
+        tc.map_row_bands(kernel, height, workers)
+        edges = list(range(0, height, tc.BAND_ROWS)) + [height]
+        assert sorted(seen) == list(zip(edges[:-1], edges[1:]))
+
+    def test_first_failing_band_in_row_order_propagates(self):
+        def kernel(rows):
+            if rows.start >= 64:
+                raise DomainError(f"band at row {rows.start}")
+
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="band at row 64$"):
+                tc.map_row_bands(kernel, 300, workers)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_is_config_error(self, workers):
+        with pytest.raises(ConfigError):
+            tc.map_row_bands(lambda rows: None, 10, workers)

@@ -9,12 +9,15 @@ exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 `--config` takes a JSON object whose keys are those of DEFAULT_CONFIG.
 
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
-`synthesize` runs at once; the CRF variants of one operator share one
-decode-to-quantize chain, and every frame derives its own seed.
-`fit-expand` and `metrics` run their per-pixel stages over fixed row bands
-(`tensorcore.map_row_bands`) on that many threads; band edges depend only
-on the frame height, and the spline fit, the chroma least squares and every
-mean see the whole frame. Outputs are byte-identical at any worker count.
+`synthesize` runs at once. `synthesize` decodes its input once for all
+operators; each operator runs its chain up to one forward DCT once, over
+row bands of `tensorcore.BAND_ROWS`, for all of its CRFs
+(`tonemap.degrade_variants`), and every frame derives its own seed.
+`fit-expand` and `metrics` run their per-pixel stages over the same row
+bands (`tensorcore.map_row_bands`) on that many threads; the spline fit,
+the chroma least squares and every mean see the whole frame. Band edges
+depend only on the frame height, so outputs are byte-identical at any
+worker count.
 """
 
 import argparse
@@ -143,7 +146,7 @@ def _read_pair(path_a, fmt_a, path_b, fmt_b):
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
-    # one job per tone operator: its CRF variants share one chain up to the codec
+    # one job per tone operator: its CRF variants share one chain up to the forward DCT
     jobs = []
     idx = 0
     for tmo_doc in cfg["tmos"]:
@@ -155,13 +158,14 @@ def cmd_synthesize(args):
         jobs.append((op, specs))
     hdr = _read_frame(args.hdr_input, HDR_FORMAT)
     os.makedirs(args.output_dir, exist_ok=True)
+    linear = cm.apply_transfer(hdr)  # one decode, shared by every job
+    del hdr
 
     def run(job):
         op, specs = job
-        encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
+        frames = tm.degrade_variants(linear, op, [spec.crf for _, spec in specs])
         paths = []
-        for idx, spec in specs:
-            sdr = tm.codec_proxy(encoded, spec.crf)
+        for (idx, spec), sdr in zip(specs, frames):
             name = f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm"
             path = os.path.join(args.output_dir, name)
             pfm.write_tagged(path, sdr, seed=spec.seed, config=cfg,

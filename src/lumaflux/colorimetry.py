@@ -141,6 +141,11 @@ def pq_decode(signal):
     bad = ~((v >= 0.0) & (v <= 1.0))
     if np.any(bad):
         raise DomainError(f"PQ decode input outside [0,1] at flat index {int(np.argmax(bad))}")
+    return _pq_eotf(v)
+
+
+def _pq_eotf(v):
+    """pq_decode's arithmetic on a float64 array already checked to lie in [0, 1]."""
     # num is our own array, also for a scalar, so every later step runs in place
     num = np.power(v, 1.0 / PQ_M2, out=np.empty_like(v))
     den = num * -PQ_C3  # PQ_C2 - PQ_C3 * num, bit for bit
@@ -187,7 +192,7 @@ def apply_transfer(img):
         raise TagError("image is already linear")
     check_encoded(img)
     if tag.transfer is Transfer.PQ:
-        out = pq_decode(img.pixels)
+        out = _pq_eotf(img.pixels)
     else:
         # SDR: relative signal scaled to the tagged peak
         out = bt709_eotf(img.pixels) * tag.peak_nits

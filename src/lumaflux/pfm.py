@@ -38,12 +38,14 @@ def _write_atomic(path, chunks):
 
 
 def write_pfm(path, pixels):
-    px = np.asarray(pixels, dtype=np.float32)
-    if px.ndim != 3 or px.shape[2] != 3:
+    pixels = np.asarray(pixels)
+    if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise DimensionError("write_pfm expects HxWx3 samples")
-    h, w, _ = px.shape
+    h, w, _ = pixels.shape
     header = f"PF\n{w} {h}\n-1.0\n".encode()
-    _write_atomic(path, (header, px[::-1, :, :].astype("<f4").tobytes()))
+    # one copy: rows flipped bottom-up and cast to float32 in a single pass
+    payload = np.ascontiguousarray(pixels[::-1], dtype="<f4")
+    _write_atomic(path, (header, memoryview(payload).cast("B")))
 
 
 def read_pfm(path):

@@ -13,7 +13,8 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, EvaluationError
 
 LN_EPS = 1e-6
-BAND_ROWS = 64  # rows per band of map_row_bands; never depends on the worker count
+BAND_ROWS = 64  # rows per band of row_bands, a multiple of the 8x8 codec block;
+# never depends on the worker count
 
 
 def softplus(x):
@@ -102,11 +103,15 @@ def finite_diff_grad(f, theta, h=1e-6):
     return grad.reshape(theta.shape)
 
 
-def map_row_bands(kernel, height, workers=1):
-    """Call kernel(rows) once per band of BAND_ROWS rows of a frame `height` rows tall.
+def row_bands(height):
+    """Slices of BAND_ROWS rows that cover a frame `height` rows tall; the last may be shorter."""
+    return [slice(top, min(top + BAND_ROWS, height)) for top in range(0, height, BAND_ROWS)]
 
-    `rows` is a slice of the frame's first axis; the last band may be
-    shorter. A kernel that reads and writes only its own rows of whole-frame
+
+def map_row_bands(kernel, height, workers=1):
+    """Call kernel(rows) once per slice of row_bands(height).
+
+    A kernel that reads and writes only its own rows of whole-frame
     arrays gives the same bytes at any `workers`, because the band edges
     depend on `height` alone. With workers > 1 the bands run on a thread
     pool; an exception propagates from the first failing band in row order.
@@ -114,7 +119,7 @@ def map_row_bands(kernel, height, workers=1):
     """
     if workers < 1:
         raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")
-    bands = [slice(top, min(top + BAND_ROWS, height)) for top in range(0, height, BAND_ROWS)]
+    bands = row_bands(height)
     if workers == 1 or len(bands) < 2:
         for rows in bands:
             kernel(rows)

@@ -5,6 +5,14 @@ light in [0, 1]; chroma follows by luminance-ratio scaling so hue is
 preserved. The full chain manufactures paired 8-bit BT.709 SDR frames
 from PQ/BT.2020 HDR input, with a deterministic DCT codec proxy standing
 in for real HEVC encodes at the three CRF working points.
+
+`degrade_variants` takes the decoded (linear) frame and serves every CRF
+of one operator from one pass: tone map, gamut clamp, encode, quantize
+and the forward DCT run once, over row bands of `tensorcore.BAND_ROWS`,
+and only the deadzone quantization and inverse DCT run per CRF. `degrade`
+is its one-frame form on PQ input, and `codec_proxy` runs the same DCT on
+an encoded frame. Banding never changes a bit: the bands hold whole 8x8
+blocks and the last band's edge padding is the whole frame's.
 """
 
 import enum
@@ -13,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import colorimetry as cm
+from . import tensorcore as tc
 from .errors import ConfigError, DomainError, TagError
 
 VALID_CRF = (23, 31, 39)
@@ -35,6 +44,7 @@ _dct_k = np.arange(_DCT_N)[:, None]
 _dct_n = np.arange(_DCT_N)[None, :]
 DCT8 = np.cos(np.pi * (2 * _dct_n + 1) * _dct_k / (2 * _DCT_N)) * np.sqrt(2.0 / _DCT_N)
 DCT8[0, :] /= np.sqrt(2.0)
+_DCT8_T = np.ascontiguousarray(DCT8.T)
 
 
 class ToneKind(enum.Enum):
@@ -86,8 +96,7 @@ class DegradationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.crf is not None and self.crf not in VALID_CRF:
-            raise ConfigError(f"crf must be one of {VALID_CRF} or None, got {self.crf}")
+        _check_crf(self.crf)
 
     def to_json(self):
         return {"tmo": self.tmo.to_json(), "crf": self.crf, "seed": self.seed}
@@ -214,7 +223,7 @@ def tone_map(op, img):
 
 
 def quantize(img, bits):
-    """Snap encoded samples to the 2^bits - 1 uniform grid (half away from zero)."""
+    """Snap encoded samples to the 2^bits - 1 uniform grid: floor(x * L + 0.5), half up."""
     if bits not in (8, 10):
         raise ConfigError(f"unsupported bit depth {bits}")
     if img.tag.transfer is cm.Transfer.LINEAR:
@@ -224,59 +233,144 @@ def quantize(img, bits):
     return img.with_pixels(out)
 
 
-def _blockwise_dct_quant(plane, step):
-    h, w = plane.shape
-    ph = (-h) % _DCT_N
-    pw = (-w) % _DCT_N
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="edge")
-    hh, ww = padded.shape
-    blocks = padded.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N)
-    blocks = blocks.transpose(0, 2, 1, 3).reshape(-1, _DCT_N, _DCT_N)
-    coefs = DCT8 @ blocks @ DCT8.T
-    # deadzone: round magnitudes toward zero so AC energy never grows; DC kept
-    quant = np.sign(coefs) * np.floor(np.abs(coefs) / step) * step
-    quant[:, 0, 0] = coefs[:, 0, 0]
-    rec = DCT8.T @ quant @ DCT8
-    rec = rec.reshape(hh // _DCT_N, ww // _DCT_N, _DCT_N, _DCT_N)
-    rec = rec.transpose(0, 2, 1, 3).reshape(hh, ww)
-    return rec[:h, :w]
-
-
 def crf_quality_scale(crf):
     """Quantizer scale: doubles every 6 CRF steps, 1.0 at CRF 23."""
     return 2.0 ** ((crf - 23) / 6.0)
 
 
+def _check_crf(crf):
+    if crf is not None and crf not in VALID_CRF:
+        raise ConfigError(f"crf must be one of {VALID_CRF} or None, got {crf}")
+
+
+def _forward_dct(band, padded, work, out):
+    """Write the DCT-II of an (r, w, 3) band's 8x8 blocks into `out`, an (n, 3, 8, 8) stack.
+
+    `padded` and `work` are scratch arrays sized for a full band; the band
+    is edge-padded to whole blocks in `padded`, as np.pad(mode="edge") would.
+    """
+    r, w, _ = band.shape
+    hh, ww = -(-r // _DCT_N) * _DCT_N, padded.shape[1]
+    px = padded[:hh]
+    px[:r, :w] = band
+    px[:r, w:] = band[:, w - 1:w]
+    px[r:] = px[r - 1:r]
+    blocks, prod = work[0, :len(out)], work[1, :len(out)]
+    blocks.reshape(hh // _DCT_N, ww // _DCT_N, 3, _DCT_N, _DCT_N)[...] = px.reshape(
+        hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3).transpose(0, 2, 4, 1, 3)
+    np.matmul(DCT8, blocks, out=prod)
+    np.matmul(prod, _DCT8_T, out=out)
+
+
+def _inverse_dct(coefs, step, padded, work, out):
+    """Deadzone-quantize a band's coefficients by `step`, invert them and clip into `out`."""
+    quant, prod = work[0, :len(coefs)], work[1, :len(coefs)]
+    # deadzone: round magnitudes toward zero so AC energy never grows; DC kept
+    np.abs(coefs, out=quant)
+    quant /= step
+    np.floor(quant, out=quant)
+    quant *= np.sign(coefs, out=prod)
+    quant *= step
+    quant[:, :, 0, 0] = coefs[:, :, 0, 0]
+    np.matmul(_DCT8_T, quant, out=prod)
+    np.matmul(prod, DCT8, out=quant)
+    r, w, _ = out.shape
+    hh, ww = -(-r // _DCT_N) * _DCT_N, padded.shape[1]
+    px = padded[:hh]
+    px.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3)[...] = quant.reshape(
+        hh // _DCT_N, ww // _DCT_N, 3, _DCT_N, _DCT_N).transpose(0, 3, 1, 4, 2)
+    np.clip(px[:r, :w], 0.0, 1.0, out=out)
+
+
+def _codec_frames(h, w, encode_band, crfs):
+    """One frame per entry of `crfs` from the encoded bands `encode_band(rows)` returns.
+
+    Bands of tc.BAND_ROWS rows pass once through `encode_band` and the
+    forward DCT; the coefficients are kept for the whole frame, and each CRF
+    then quantizes and inverts them band by band into a fresh frame. A None
+    CRF yields the encoded frame itself. Band edges are multiples of 8 that
+    depend only on `h`, so every band holds whole blocks but the last, whose
+    edge padding is the whole frame's.
+    """
+    per_row = -(-w // _DCT_N)  # blocks in one row of blocks
+    frame = np.empty((h, w, 3)) if None in crfs else None
+    coefs = None
+    if any(crf is not None for crf in crfs):
+        coefs = np.empty((-(-h // _DCT_N) * per_row, 3, _DCT_N, _DCT_N))
+        # scratch for one band, reused by every band of every CRF
+        padded = np.empty((tc.BAND_ROWS, per_row * _DCT_N, 3))
+        work = np.empty((2, tc.BAND_ROWS // _DCT_N * per_row, 3, _DCT_N, _DCT_N))
+
+    def blocks(rows):
+        return slice(rows.start // _DCT_N * per_row, -(-rows.stop // _DCT_N) * per_row)
+
+    bands = tc.row_bands(h)
+    for rows in bands:
+        band = encode_band(rows)
+        if frame is not None:
+            frame[rows] = band
+        if coefs is not None:
+            _forward_dct(band, padded, work, coefs[blocks(rows)])
+    for crf in crfs:
+        if crf is None:
+            yield frame
+            continue
+        step = (JPEG_BASE / 255.0) * 0.25 * crf_quality_scale(crf)
+        out = np.empty((h, w, 3))
+        for rows in bands:
+            _inverse_dct(coefs[blocks(rows)], step, padded, work, out[rows])
+        yield out
+
+
 def codec_proxy(img, crf):
     """Deterministic stand-in for lossy encoding: per-channel 8x8 DCT quantization."""
+    _check_crf(crf)
     if crf is None:
         return img
-    if crf not in VALID_CRF:
-        raise ConfigError(f"crf must be one of {VALID_CRF}, got {crf}")
-    step = (JPEG_BASE / 255.0) * 0.25 * crf_quality_scale(crf)
-    out = np.empty_like(img.pixels)
-    for ch in range(3):
-        out[:, :, ch] = _blockwise_dct_quant(img.pixels[:, :, ch], step)
-    return img.with_pixels(np.clip(out, 0.0, 1.0))
+    h, w, _ = img.pixels.shape
+    return img.with_pixels(next(_codec_frames(h, w, lambda rows: img.pixels[rows], (crf,))))
+
+
+_SDR_LINEAR = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)
+_SDR = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
+
+
+def _encode_sdr(op, linear):
+    """Tone map, gamut clamp, BT.709 encode and 8-bit quantize a linear BT.2020 frame."""
+    img = tone_map(op, linear)
+    img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
+    # convert_gamut returns a fresh array, so clip and scale it in place;
+    # encode operates on relative linear light, peak the SDR nominal 100 nits
+    px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
+    px *= 100.0
+    img = cm.encode_transfer(img.with_pixels(px, _SDR_LINEAR), cm.Transfer.GAMMA709)
+    return quantize(img, 8)
+
+
+def degrade_variants(linear, op, crfs):
+    """The SDR frames of one tone operator at each of `crfs`, as an iterator; None skips the codec.
+
+    `linear` is the decoded PQ/BT.2020 input (linear BT.2020 nits). The chain
+    from the tone map to the forward DCT runs once, over row bands, for all
+    of `crfs`; only the codec quantization and the inverse DCT run per CRF.
+    The tag and every CRF are checked here, before any band runs.
+    """
+    tag = linear.tag
+    if tag.transfer is not cm.Transfer.LINEAR or tag.primaries is not cm.Primaries.BT2020:
+        raise TagError("degrade_variants expects a linear BT.2020 image")
+    crfs = tuple(crfs)
+    for crf in crfs:
+        _check_crf(crf)
+    h, w, _ = linear.pixels.shape
+
+    def encode_band(rows):
+        return _encode_sdr(op, linear.with_pixels(linear.pixels[rows])).pixels
+
+    return (cm.TaggedImage(px, _SDR) for px in _codec_frames(h, w, encode_band, crfs))
 
 
 def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
-    # each stage rebinds `img`, so an intermediate is freed once the next exists
-    linear = cm.apply_transfer(img_pq)
-    img = tone_map(spec.tmo, linear)
-    del linear
-    img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
-    # convert_gamut returns a fresh array, so clip and scale it in place;
-    # encode operates on relative linear light, peak the SDR nominal 100 nits
-    px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
-    px *= 100.0
-    img = cm.encode_transfer(
-        img.with_pixels(px, cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)),
-        cm.Transfer.GAMMA709,
-    )
-    del px
-    img = quantize(img, 8)
-    return codec_proxy(img, spec.crf)
+    return next(degrade_variants(cm.apply_transfer(img_pq), spec.tmo, (spec.crf,)))

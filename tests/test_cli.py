@@ -23,6 +23,10 @@ from test_pfm import SDR_TAG, damaged_frame
 # that moves it changes output bits and must say why
 A5_TREE_SHA256 = "486b61f512511b38aaa0289deb5d8f80ce14e5c379472f8492da6512b68b9933"
 
+# SHA-256 of the synthesize output tree for the A5 frame's top-left 150x45:
+# three row bands, the last one short, and neither extent a multiple of 8
+BANDED_TREE_SHA256 = "44b82dfcc53d725b5a413ecf7a5cb3f197e8be68b10bba1d16e6786923d12922"
+
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
 # and its Reinhard CRF-23 SDR frame; a change that moves one must say why
 FIT_EXPAND_SHA256 = {
@@ -151,6 +155,16 @@ class TestSynthesize:
         out = tmp_path / "out"
         assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
         assert tree_digest(str(out)) == A5_TREE_SHA256
+
+    def test_banded_tree_digest_is_pinned(self, tmp_path, monkeypatch, capsys):
+        hdr = synthetic_hdr(size=150)
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, hdr.with_pixels(hdr.pixels[:, :45]), seed=7)
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"out_{threads}"
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
+            assert tree_digest(str(out)) == BANDED_TREE_SHA256, threads
 
     def test_non_finite_sample_is_numerical_failure(self, tmp_path, nan_frame, capsys):
         out = tmp_path / "out"

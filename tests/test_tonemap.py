@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lumaflux import colorimetry as cm
+from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError, DomainError, TagError
 
@@ -22,6 +23,48 @@ def textured_hdr(seed=0, size=64, peak=1000.0):
 
 
 ALL_OPS = [tm.ToneOperator(kind, {}) for kind in tm.ToneKind]
+
+# (rows, cols): several bands, a one-row last band, extents not multiples of 8
+BANDED_EXTENTS = [(150, 45), (129, 67), (7, 9)]
+
+
+def per_block_codec(px, crf, basis=None):
+    """The codec proxy as a plain loop over edge-padded 8x8 blocks, by default with its own
+    DCT-II basis."""
+    h, w, _ = px.shape
+    if basis is None:
+        u = np.arange(8)[:, None]
+        n = np.arange(8)[None, :]
+        basis = np.cos(np.pi * (2 * n + 1) * u / 16) * np.where(u == 0, np.sqrt(1 / 8), 0.5)
+    step = tm.JPEG_BASE / 255.0 * 0.25 * tm.crf_quality_scale(crf)
+    expected = np.empty_like(px)
+    for ch in range(3):
+        plane = np.pad(px[:, :, ch], ((0, -h % 8), (0, -w % 8)), mode="edge")
+        rec = np.empty_like(plane)
+        for r in range(0, plane.shape[0], 8):
+            for c in range(0, plane.shape[1], 8):
+                coef = basis @ plane[r:r + 8, c:c + 8] @ basis.T
+                quant = np.trunc(coef / step) * step
+                quant[0, 0] = coef[0, 0]
+                rec[r:r + 8, c:c + 8] = basis.T @ quant @ basis
+        expected[:, :, ch] = rec[:h, :w]
+    return np.clip(expected, 0.0, 1.0)
+
+
+def whole_frame_encode(img_pq, op):
+    """degrade up to the codec, each stage on the whole frame through the public functions."""
+    img = tm.tone_map(op, cm.apply_transfer(img_pq))
+    img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
+    px = np.clip(img.pixels, 0.0, 1.0) * 100.0
+    img = cm.encode_transfer(
+        img.with_pixels(px, cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)),
+        cm.Transfer.GAMMA709)
+    return tm.quantize(img, 8).pixels
+
+
+def cropped_hdr(extent):
+    hdr = textured_hdr(size=max(-(-e // 8) * 8 for e in extent))
+    return hdr.with_pixels(hdr.pixels[:extent[0], :extent[1]])
 
 
 class TestCurves:
@@ -220,27 +263,11 @@ class TestCodecProxy:
             tm.codec_proxy(img, 30)
 
     def test_matches_per_block_reference(self):
-        # a plain loop over edge-padded 8x8 blocks with its own DCT-II basis;
         # 37x53 needs padding on both axes and catches swapped transposes
         px = np.random.default_rng(4).uniform(0, 1, (37, 53, 3))
-        u = np.arange(8)[:, None]
-        n = np.arange(8)[None, :]
-        basis = np.cos(np.pi * (2 * n + 1) * u / 16) * np.where(u == 0, np.sqrt(1 / 8), 0.5)
         for crf in tm.VALID_CRF:
-            step = tm.JPEG_BASE / 255.0 * 0.25 * tm.crf_quality_scale(crf)
-            expected = np.empty_like(px)
-            for ch in range(3):
-                plane = np.pad(px[:, :, ch], ((0, 3), (0, 3)), mode="edge")
-                rec = np.empty_like(plane)
-                for r in range(0, plane.shape[0], 8):
-                    for c in range(0, plane.shape[1], 8):
-                        coef = basis @ plane[r:r + 8, c:c + 8] @ basis.T
-                        quant = np.trunc(coef / step) * step
-                        quant[0, 0] = coef[0, 0]
-                        rec[r:r + 8, c:c + 8] = basis.T @ quant @ basis
-                expected[:, :, ch] = rec[:37, :53]
             got = tm.codec_proxy(self.encoded(px), crf).pixels
-            np.testing.assert_allclose(got, np.clip(expected, 0.0, 1.0), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, per_block_codec(px, crf), rtol=0, atol=1e-12)
 
 
 class TestDegrade:
@@ -268,6 +295,54 @@ class TestDegrade:
         sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
         lin = cm.apply_transfer(sdr)
         np.testing.assert_allclose(lin.pixels, nits, atol=0.5)
+
+    @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
+    def test_banded_chain_matches_whole_frame_reference(self, extent):
+        hdr = cropped_hdr(extent)
+        op = tm.ToneOperator(tm.ToneKind.BT2446A, {})
+        encoded = whole_frame_encode(hdr, op)
+        got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None)).pixels
+        assert np.array_equal(got, encoded)
+        for crf in tm.VALID_CRF:
+            # the program's basis: a coefficient on a deadzone boundary rounds the same way
+            got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=crf)).pixels
+            assert np.array_equal(got, per_block_codec(encoded, crf, tm.DCT8)), crf
+
+    @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
+    def test_variants_equal_codec_of_uncoded_frame(self, extent):
+        hdr = cropped_hdr(extent)
+        op = tm.ToneOperator(tm.ToneKind.LOGC, {})
+        crfs = (39, None, 23, 31)
+        frames = list(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs))
+        encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
+        assert len(frames) == len(crfs)
+        for crf, frame in zip(crfs, frames):
+            assert frame.tag == encoded.tag
+            assert np.array_equal(frame.pixels, tm.codec_proxy(encoded, crf).pixels), crf
+
+    def test_bands_hold_whole_blocks(self):
+        assert tc.BAND_ROWS % 8 == 0
+
+    @pytest.mark.parametrize("crfs", [(23, 30), (None, 24), ("23",)])
+    def test_variants_reject_bad_crf_before_any_band(self, crfs, monkeypatch):
+        linear = cm.apply_transfer(textured_hdr())
+        monkeypatch.setattr(tm, "tone_map", self.no_band)
+        with pytest.raises(ConfigError):
+            tm.degrade_variants(linear, ALL_OPS[0], crfs)
+
+    @pytest.mark.parametrize("tag", [
+        cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS),
+        cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS),
+    ], ids=["pq", "bt709"])
+    def test_variants_reject_wrong_tag_before_any_band(self, tag, monkeypatch):
+        img = cm.TaggedImage(np.full((16, 16, 3), 0.5), tag)
+        monkeypatch.setattr(tm, "tone_map", self.no_band)
+        with pytest.raises(TagError):
+            tm.degrade_variants(img, ALL_OPS[0], (23,))
+
+    @staticmethod
+    def no_band(*args):
+        raise AssertionError("a band ran")
 
     def test_rejects_non_pq_input(self):
         lin = cm.TaggedImage(np.full((8, 8, 3), 10.0),

@@ -100,10 +100,15 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{key} must be >= {_AT_LEAST[key]}, got {val!r}")
     if cfg["spline_knots"] > rqs.MAX_BINS:
         raise ConfigError(f"spline_knots must be <= {rqs.MAX_BINS}, got {cfg['spline_knots']!r}")
+    if cfg["k_bands"] > ft.MAX_K_BANDS:
+        raise ConfigError(f"k_bands must be <= {ft.MAX_K_BANDS}, got {cfg['k_bands']!r}")
     if not 0 < cfg["peak_nits"] <= cm.PQ_PEAK_NITS:
         raise ConfigError(f"peak_nits must be in (0, 10000], got {cfg['peak_nits']!r}")
     for doc in cfg["tmos"]:
         tm.ToneOperator.from_json(doc)
+    for crf in cfg["crfs"]:
+        if crf not in tm.VALID_CRF:
+            raise ConfigError(f"crfs entries must be one of {tm.VALID_CRF}, got {crf!r}")
     return cfg
 
 

@@ -13,6 +13,12 @@ from . import colorimetry as cm
 from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, TagError
 
+# Most spectral bands a descriptor may ask for. An annulus is 0.5 / k_bands
+# wide and the lowest nonzero frequency of a frame whose longer side is N is
+# 1/N, so from about N bands on some annuli hold no frequency bin. 1024 leaves
+# none empty on a 1920x1080 frame and keeps `r` and its JSON small.
+MAX_K_BANDS = 1024
+
 
 @dataclass
 class PhysFeatures:
@@ -86,8 +92,8 @@ def spectral_descriptor(y_map, k_bands):
     Nyquist columns, and energies are normalized so their sum equals the
     spatial mean square (Parseval).
     """
-    if k_bands < 2:
-        raise ConfigError("k_bands must be at least 2")
+    if not 2 <= k_bands <= MAX_K_BANDS:
+        raise ConfigError(f"k_bands must be in [2, {MAX_K_BANDS}], got {k_bands!r}")
     y_map = np.asarray(y_map, dtype=np.float64)
     rows, cols = y_map.shape
     spec = tc.rfft2(y_map)

@@ -1,11 +1,12 @@
 """Full-reference HDR quality metrics in PU21 space plus DeltaE_ITP.
 
-PSNR is computed after PQ-decoding both images to absolute nits and
-applying the PU21 perceptual encoding; the code range is the PU21 value
-of 10^4 cd/m^2. Identical images report the 99 dB sentinel cap.
+There is one scoring path, `metric_report`: it PQ-decodes both images to
+absolute nits over row bands and applies the PU21 perceptual encoding;
+the code range is the PU21 value of 10^4 cd/m^2. `psnr_pu21` returns the
+report's score. Identical images report the 99 dB sentinel cap.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -15,28 +16,6 @@ from .errors import DimensionError, EvaluationError, TagError
 
 PSNR_CAP_DB = 99.0
 REPORT_SCHEMA_VERSION = 2
-
-# field name -> Python types its JSON value may take, in fixed emission order
-REPORT_SCHEMA = {
-    "psnr_pu21": (int, float),
-    "psnr_y_pu21": (int, float),
-    "delta_e_itp_mean": (int, float),
-    "pu21_variant": str,
-    "peak_nits": (int, float),
-    "schema_version": int,
-}
-
-
-def validate_report(doc):
-    """Check a report dict against REPORT_SCHEMA; returns a list of problems."""
-    problems = []
-    for key, types in REPORT_SCHEMA.items():
-        if key not in doc:
-            problems.append(f"missing field {key}")
-        elif not isinstance(doc[key], types):
-            problems.append(f"field {key} has invalid type {type(doc[key]).__name__}")
-    problems.extend(f"unknown field {k}" for k in doc if k not in REPORT_SCHEMA)
-    return problems
 
 
 @dataclass
@@ -52,14 +31,20 @@ class MetricReport:
         return asdict(self)
 
 
-def _check_tag(img):
-    if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
-        raise TagError("metrics expect PQ/BT.2020 images")
+# field name -> Python types its JSON value may take, in emission order; an int may stand for a float
+REPORT_SCHEMA = {f.name: (int, float) if f.type is float else f.type for f in fields(MetricReport)}
 
 
-def _decode_to_nits(img):
-    _check_tag(img)
-    return cm.apply_transfer(img)
+def validate_report(doc):
+    """Check a report dict against REPORT_SCHEMA, where a bool is no number; returns the problems."""
+    problems = []
+    for key, types in REPORT_SCHEMA.items():
+        if key not in doc:
+            problems.append(f"missing field {key}")
+        elif isinstance(doc[key], bool) or not isinstance(doc[key], types):
+            problems.append(f"field {key} has invalid type {type(doc[key]).__name__}")
+    problems.extend(f"unknown field {k}" for k in doc if k not in REPORT_SCHEMA)
+    return problems
 
 
 # PU21 code range: the PU21 value of 10^4 cd/m^2 less that of the lowest luminance
@@ -67,19 +52,9 @@ PU21_RANGE = float(cm.pu21_encode(cm.PQ_PEAK_NITS) - cm.pu21_encode(cm.PU21_MIN_
 
 
 def psnr_pu21(ref, test, luma_only=False):
-    """PSNR over PU21-encoded nits, all channels or luminance only."""
-    return _psnr_linear(_decode_to_nits(ref), _decode_to_nits(test), luma_only)
-
-
-def _squared_error(ref_lin, test_lin, luma_only):
-    """Per-sample squared PU21 difference of two linear images."""
-    if luma_only:
-        a = cm.pu21_encode(cm.luma2020(ref_lin))
-        b = cm.pu21_encode(cm.luma2020(test_lin))
-    else:
-        a = cm.pu21_encode(ref_lin.pixels)
-        b = cm.pu21_encode(test_lin.pixels)
-    return (a - b) ** 2
+    """PSNR over PU21-encoded nits, all channels or luminance only, as metric_report scores it."""
+    report = metric_report(ref, test)
+    return report.psnr_y_pu21 if luma_only else report.psnr_pu21
 
 
 def _psnr(mse):
@@ -92,12 +67,6 @@ def _psnr(mse):
     return min(PSNR_CAP_DB, 20.0 * np.log10(PU21_RANGE) - 10.0 * np.log10(mse))
 
 
-def _psnr_linear(ref_lin, test_lin, luma_only):
-    if ref_lin.pixels.shape != test_lin.pixels.shape:
-        raise DimensionError("psnr_pu21: image extents differ")
-    return _psnr(np.mean(_squared_error(ref_lin, test_lin, luma_only)))
-
-
 def metric_report(ref, test, workers=1):
     """Assemble every in-scope metric into a machine-readable report.
 
@@ -107,7 +76,8 @@ def metric_report(ref, test, workers=1):
     """
     # whole-frame checks, in the order a whole-frame decode of each would fail
     for img in (ref, test):
-        _check_tag(img)
+        if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
+            raise TagError("metrics expect PQ/BT.2020 images")
         cm.check_encoded(img)
     if ref.pixels.shape != test.pixels.shape:
         raise DimensionError("psnr_pu21: image extents differ")
@@ -119,8 +89,8 @@ def metric_report(ref, test, workers=1):
     def band(rows):
         a = cm.apply_transfer(ref.with_pixels(ref.pixels[rows]))
         b = cm.apply_transfer(test.with_pixels(test.pixels[rows]))
-        se_rgb[rows] = _squared_error(a, b, luma_only=False)
-        se_y[rows] = _squared_error(a, b, luma_only=True)
+        se_rgb[rows] = (cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)) ** 2
+        se_y[rows] = (cm.pu21_encode(cm.luma2020(a)) - cm.pu21_encode(cm.luma2020(b))) ** 2
         de[rows] = cm.delta_e_itp_map(a, b)
 
     tc.map_row_bands(band, h, workers)

@@ -215,7 +215,7 @@ def tone_map(op, img):
     if np.any(img.pixels < 0.0):
         raise DomainError("tone_map input must be nonnegative")
     lum = cm.luma2020(img)
-    y = tone_curve(op, lum)
+    y = _CURVES[op.kind](lum, **op.params)  # nonnegative: the pixels were checked above
     ratio = np.where(lum > 0.0, y / np.maximum(lum, 1e-12), 0.0)
     out = np.clip(img.pixels * ratio[..., None], 0.0, 1.0)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)

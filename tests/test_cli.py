@@ -512,6 +512,9 @@ BAD_RUNS = [
     ("metrics", None, "LUMAFLUX_THREADS=abc", 3),
     ("metrics", None, "LUMAFLUX_THREADS=0", 3),
     ("metrics", None, "LUMAFLUX_THREADS=-2", 3),
+    ("fit-expand", '{"crfs": [24]}', None, 3),
+    ("features", '{"crfs": [24]}', None, 3),
+    ("features", f'{{"k_bands": {ft.MAX_K_BANDS + 1}}}', None, 3),
 ]
 
 
@@ -571,7 +574,7 @@ class TestLoadConfig:
         {"lambda_rgb": 0.0}, {"seed": True}, {"peak_nits": 10001.0}, {"peak_nits": 0},
         {"lambda_smooth": -1e-3}, {"k_bands": 0}, {"feature_seed": -1}, {"tmos": []},
         {"crfs": [23.0]}, {"output_dir": 5}, {"tmos": [{"kind": "Reinhard", "param": {}}]},
-        {"lambda_l1": 1.0},
+        {"lambda_l1": 1.0}, {"k_bands": 10**13}, {"crfs": [23, 24]},
     ])
     def test_rejects(self, tmp_path, doc):
         (tmp_path / "cfg.json").write_text(json.dumps(doc))

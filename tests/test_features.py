@@ -126,3 +126,8 @@ class TestSpectralDescriptor:
     def test_k_bands_validation(self):
         with pytest.raises(ConfigError):
             ft.spectral_descriptor(np.zeros((8, 8)), 1)
+
+    def test_k_bands_upper_bound(self):
+        assert ft.spectral_descriptor(np.zeros((8, 8)), ft.MAX_K_BANDS).r.shape == (ft.MAX_K_BANDS,)
+        with pytest.raises(ConfigError):  # raised before the band vector is allocated
+            ft.spectral_descriptor(np.zeros((8, 8)), ft.MAX_K_BANDS + 1)

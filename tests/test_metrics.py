@@ -63,15 +63,47 @@ class TestPsnrPu21:
             mt.psnr_pu21(a, lin)
 
 
-    @pytest.mark.parametrize("luma_only", [False, True])
-    def test_non_finite_mse_is_evaluation_error(self, luma_only):
+    @pytest.mark.parametrize("mse", [np.nan, np.inf])
+    def test_non_finite_mse_is_evaluation_error(self, mse):
         # min(PSNR_CAP_DB, nan) is the cap; a NaN sample must not score 99 dB
-        tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
-        ref = cm.TaggedImage(np.full((4, 4, 3), 100.0), tag)
-        px = ref.pixels.copy()
-        px[1, 2, 0] = np.nan
         with pytest.raises(EvaluationError):
-            mt._psnr_linear(ref, ref.with_pixels(px), luma_only)
+            mt._psnr(mse)
+
+
+def banded_pair(seed, h, w):
+    """Seeded PQ/BT.2020 reference and a noisy copy, in code values over [0, 1]."""
+    rng = np.random.default_rng(seed)
+    tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+    a = rng.uniform(0.0, 1.0, (h, w, 3))
+    b = np.clip(a + rng.normal(0.0, 0.02, a.shape), 0.0, 1.0)
+    return cm.TaggedImage(a, tag), cm.TaggedImage(b, tag)
+
+
+# (seed, height, width) -> float.hex of psnr_pu21 and of its luma-only score, as
+# recorded from the whole-frame decode-and-score path that the banded report replaced
+BANDED_PINS = {
+    (0, 200, 131): ("0x1.0db4d2cb4109cp+5", "0x1.12d389475fac1p+5"),
+    (1, 130, 64): ("0x1.0dbc626d92f6ep+5", "0x1.12d60500a4a4fp+5"),
+    (2, 129, 67): ("0x1.0de3633803c91p+5", "0x1.1284f498113b0p+5"),
+}
+
+
+class TestAcrossBands:
+    """Frames of several tensorcore.BAND_ROWS bands, the last one short."""
+
+    @pytest.mark.parametrize("key", list(BANDED_PINS))
+    def test_scores_are_pinned(self, key):
+        a, b = banded_pair(*key)
+        got = (mt.psnr_pu21(a, b).hex(), mt.psnr_pu21(a, b, luma_only=True).hex())
+        assert got == BANDED_PINS[key]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("key", list(BANDED_PINS))
+    def test_psnr_is_the_report_score(self, key, workers):
+        a, b = banded_pair(*key)
+        rep = mt.metric_report(a, b, workers=workers)
+        assert mt.psnr_pu21(a, b) == rep.psnr_pu21
+        assert mt.psnr_pu21(a, b, luma_only=True) == rep.psnr_y_pu21
 
 
 class TestReport:
@@ -97,6 +129,16 @@ class TestReport:
         problems = mt.validate_report(doc)
         assert any("missing" in p for p in problems)
         assert any("unknown" in p for p in problems)
+
+    def test_bool_is_not_a_number(self):
+        img = pq_image(np.full((4, 4, 3), 50.0))
+        doc = mt.metric_report(img, img).to_json()
+        doc.update(psnr_pu21=True, peak_nits=True, schema_version=False)
+        assert mt.validate_report(doc) == [
+            "field psnr_pu21 has invalid type bool",
+            "field peak_nits has invalid type bool",
+            "field schema_version has invalid type bool",
+        ]
 
     def test_identical_report(self):
         img = pq_image(np.full((4, 4, 3), 50.0))

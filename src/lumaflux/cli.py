@@ -14,10 +14,11 @@ operators; each operator runs its chain up to one forward DCT once, over
 row bands of `tensorcore.BAND_ROWS`, for all of its CRFs
 (`tonemap.degrade_variants`), and every frame derives its own seed.
 `fit-expand` and `metrics` run their per-pixel stages over the same row
-bands (`tensorcore.map_row_bands`) on that many threads; the spline fit,
-the chroma least squares and every mean see the whole frame. Band edges
-depend only on the frame height, so outputs are byte-identical at any
-worker count.
+bands (`tensorcore.map_row_bands`) on that many threads. The spline fit
+sees every stride-th pixel of the frame, the chroma least squares solves
+the sum of per-row Gram blocks, and every mean sees the whole frame.
+Band edges depend only on the frame height, so outputs are
+byte-identical at any worker count.
 """
 
 import argparse
@@ -206,51 +207,63 @@ def _yuv(img):
     return y, img.pixels[..., 2] - y, img.pixels[..., 0] - y
 
 
+def fit_pairs(sdr, ref, cfg):
+    """The (SDR luma, reference luma / peak_nits) pairs fit_rqs fits: every stride-th pixel.
+
+    The stride keeps about `fit_samples` pixels. Only those pixels are
+    decoded, each exactly as a whole-frame decode would decode it.
+    """
+    h, w, _ = sdr.pixels.shape
+    stride = max(1, h * w // cfg["fit_samples"])
+
+    def gather(img):
+        # a contiguous 1 x N frame, so every kernel takes the path a whole frame takes
+        return img.with_pixels(np.ascontiguousarray(img.pixels.reshape(-1, 3)[::stride])[None])
+
+    y_sdr = cm.luma2020(ft.linearize_sdr(gather(sdr)))
+    y_ref = np.clip(cm.luma2020(cm.apply_transfer(gather(ref))) / cfg["peak_nits"], 0.0, 1.0)
+    return y_sdr.reshape(-1), y_ref.reshape(-1)
+
+
 def fit_expand(sdr, ref, cfg, workers=1):
     """Fit a tone spline from `sdr` to `ref`, expand `sdr` with it, mix its chroma toward `ref`.
 
     Returns the PQ/BT.2020 frame and fit_rqs's params, raw vector and loss
-    trace. The per-pixel stages run over tensorcore row bands on `workers`
-    threads; the spline fit and the chroma least squares see the whole
-    frame, so the output does not depend on `workers`.
+    trace. The spline fit sees the strided samples of `fit_pairs`. One
+    pass over tensorcore row bands on `workers` threads then expands
+    `sdr` and writes each row's 3 x 5 Gram block of the chroma least
+    squares; one 3 x 3 solve takes the sum of those blocks, and a second
+    pass mixes and PQ-encodes. Each row's block depends on that row
+    alone, so the output does not depend on `workers` or the band height.
     """
     # whole-frame checks first, in the order a whole-frame decode would fail them
     cm.check_encoded(sdr)
     cm.check_encoded(ref)
     h, w, _ = sdr.pixels.shape
     peak = cfg["peak_nits"]
-    wide = np.empty((h, w, 3))
-    y_sdr = np.empty((h, w))
-    y_ref = np.empty((h, w))
+    params, raw, trace = rqs.fit_rqs(*fit_pairs(sdr, ref, cfg), K=cfg["spline_knots"],
+                                     cfg=fit_config(cfg))
     ye = np.empty((h, w))
-    lhs = np.empty((h, w, 3))  # expanded [B - Y, R - Y, 1] per pixel
-    rhs = np.empty((h, w, 2))  # reference [B - Y, R - Y] per pixel
+    lhs = np.empty((h, w, 3))  # expanded [B - Y, R - Y, 1] per pixel; then the PQ output
     lhs[..., 2] = 1.0
-
-    def decode(rows):
-        band = ft.linearize_sdr(sdr.with_pixels(sdr.pixels[rows]))
-        wide[rows] = band.pixels
-        y_sdr[rows] = cm.luma2020(band)
-        ref_band = cm.apply_transfer(ref.with_pixels(ref.pixels[rows]))
-        y, rhs[rows, :, 0], rhs[rows, :, 1] = _yuv(ref_band)
-        y_ref[rows] = np.clip(y / peak, 0.0, 1.0)
-
-    tc.map_row_bands(decode, h, workers)
-    stride = max(1, h * w // cfg["fit_samples"])
-    params, raw, trace = rqs.fit_rqs(y_sdr.reshape(-1)[::stride], y_ref.reshape(-1)[::stride],
-                                     K=cfg["spline_knots"], cfg=fit_config(cfg))
-    del y_sdr, y_ref  # each whole-frame intermediate is freed once consumed
-    wide_tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)
+    gram = np.empty((h, 3, 5))  # per row: lhs^T [lhs | reference B - Y, R - Y]
+    ref_tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def expand(rows):
-        nits = expand_sdr(cm.TaggedImage(wide[rows], wide_tag), params, peak)
+        nits = expand_sdr(ft.linearize_sdr(sdr.with_pixels(sdr.pixels[rows])), params, peak)
         ye[rows], lhs[rows, :, 0], lhs[rows, :, 1] = _yuv(nits)
+        both = np.empty(lhs[rows].shape[:2] + (5,))
+        both[..., :3] = lhs[rows]
+        # checked whole-frame above, so the band decodes unchecked
+        ref_band = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), ref_tag)
+        _, both[..., 3], both[..., 4] = _yuv(ref_band)
+        np.matmul(lhs[rows].transpose(0, 2, 1), both, out=gram[rows])
 
     tc.map_row_bands(expand, h, workers)
-    del wide
-    coef, *_ = np.linalg.lstsq(lhs.reshape(-1, 3), rhs.reshape(-1, 2), rcond=None)
+    sums = gram.sum(axis=0)
+    # minimum norm, so a zero-chroma frame's singular system still has an answer
+    coef, *_ = np.linalg.lstsq(sums[:, :3], sums[:, 3:], rcond=None)
     wr, wg, wb = cm.LUMA_WEIGHTS_2020
-    out = np.empty((h, w, 3))
 
     def mix(rows):
         y = ye[rows]
@@ -258,11 +271,12 @@ def fit_expand(sdr, ref, cfg, workers=1):
         r = y + uv[..., 1]
         b = y + uv[..., 0]
         g = (y - wr * r - wb * b) / wg
-        out[rows] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
+        # lhs[rows] is read above, before it is overwritten
+        lhs[rows] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
 
     tc.map_row_bands(mix, h, workers)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
-    return cm.TaggedImage(out, tag), params, raw, trace
+    return cm.TaggedImage(lhs, tag), params, raw, trace
 
 
 def cmd_fit_expand(args):

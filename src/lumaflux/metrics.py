@@ -85,10 +85,12 @@ def metric_report(ref, test, workers=1):
     se_rgb = np.empty((h, w, 3))
     se_y = np.empty((h, w))
     de = np.empty((h, w))
+    linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def band(rows):
-        a = cm.apply_transfer(ref.with_pixels(ref.pixels[rows]))
-        b = cm.apply_transfer(test.with_pixels(test.pixels[rows]))
+        # both frames passed check_encoded above, so the bands decode unchecked
+        a = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), linear)
+        b = cm.TaggedImage(cm._pq_eotf(test.pixels[rows]), linear)
         se_rgb[rows] = (cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)) ** 2
         se_y[rows] = (cm.pu21_encode(cm.luma2020(a)) - cm.pu21_encode(cm.luma2020(b))) ** 2
         de[rows] = cm.delta_e_itp_map(a, b)

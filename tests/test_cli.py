@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ WARM_START_SHA256 = {
     "luma_1/256": "0f7638941406a2d25754238577fda14823b579b5f3fa800a42f243f9af16ab32",
 }
 
+# SHA-256 of each fit-expand output, default config, for the A5 frame's
+# top-left 150x45 as reference and an SDR frame whose chroma system is
+# singular: a gray ramp (zero chroma) or one flat colour; a change that
+# moves one must say why
+SINGULAR_CHROMA_SHA256 = {
+    "gray": {
+        "expanded.pfm": "1dc789e0d40fd38f076ae19762d684626ebf98845fb508fb092160c0b568d418",
+        "expanded.pfm.rqs.json": "10f29f33fe2131a334ff5913dbc1a5b44494f870cdad9cf1f4b4fcf3177268bd",
+        "expanded.pfm.trace.csv": "639b921909105267ced15f9dc4b507288422e484d3e758818bcc73de3ecc35af",
+    },
+    "flat": {
+        "expanded.pfm": "e0424e5762eb62dce478a660bb03d3776c03a3b636a21047c68631605bb5bbc4",
+        "expanded.pfm.rqs.json": "cb012f2dd260939691abba216aaa1fb9f7a850a235d81447150dd76b5af45f37",
+        "expanded.pfm.trace.csv": "deb6ecb21abc8ec7c9fb5cca0037e8a9bc98b890c051ccc9a1fc05359b103c3f",
+    },
+}
+
 
 def write_hdr(path, seed=0, size=64, peak=1000.0):
     rng = np.random.default_rng(seed)
@@ -66,6 +84,18 @@ def write_fit_pair(tmp_path, size=64, extent=None):
     sdr = str(tmp_path / "sdr.pfm")
     pfm.write_tagged(sdr, tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=23)))
     return sdr, src
+
+
+def seeded_pair(seed, rows, cols):
+    """A seeded PQ/BT.2020 frame of 8x8 colour blocks and its Reinhard CRF-23 SDR
+    frame, in memory; returns (sdr, hdr)."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.02, 1.0, (rows // 8 + 1, cols // 8 + 1, 3))
+    nits = np.kron(base, np.ones((8, 8, 1)))[:rows, :cols] * 1000.0
+    tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+    hdr = cm.TaggedImage(cm.pq_encode(nits), tag)
+    op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": 1000.0})
+    return tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=23)), hdr
 
 
 def tree_digest(root):
@@ -242,6 +272,58 @@ class TestFitExpand:
             assert np.array_equal(in_fit[-1], raw)
         assert digests == WARM_START_SHA256
 
+    @pytest.mark.parametrize("kind", sorted(SINGULAR_CHROMA_SHA256))
+    def test_singular_chroma_system_is_pinned(self, tmp_path, kind, monkeypatch, capsys):
+        # the 3x3 Gram matrix is singular; its minimum-norm solve still answers
+        h, w = 150, 45
+        hdr = synthetic_hdr(size=h)
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, hdr.with_pixels(hdr.pixels[:h, :w]), seed=7)
+        ramp = 0.05 + 0.9 * np.arange(h * w).reshape(h, w) / (h * w - 1)
+        px = {"gray": np.repeat(ramp[..., None], 3, axis=-1),
+              "flat": np.broadcast_to([0.6, 0.45, 0.3], (h, w, 3))}[kind]
+        sdr = str(tmp_path / "sdr.pfm")
+        pfm.write_tagged(sdr, cm.TaggedImage(px, SDR_TAG))
+        for threads in ("1", "3"):
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            assert cli.main(["fit-expand", sdr, src, "--output",
+                             str(tmp_path / "expanded.pfm")]) == 0
+            digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                       for name in SINGULAR_CHROMA_SHA256[kind]}
+            assert digests == SINGULAR_CHROMA_SHA256[kind]
+
+    @pytest.mark.parametrize("seed,extent", [(0, (150, 45)), (1, (200, 131)), (2, (129, 67))])
+    def test_gram_solve_matches_whole_frame_lstsq(self, seed, extent, monkeypatch):
+        sdr, hdr = seeded_pair(seed, *extent)
+        cfg = cli.load_config()
+        lstsq = np.linalg.lstsq
+        solved = []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: solved.append(lstsq(*args, **kw)) or solved[-1])
+        _, params, _, _ = cli.fit_expand(sdr, hdr, cfg, workers=2)
+        (coef, *_), = solved
+        # the N x 3 system over the whole frame, as the per-row Gram blocks sum it
+        _, bu, rv = cli._yuv(cli.expand_sdr(ft.linearize_sdr(sdr), params, cfg["peak_nits"]))
+        _, ref_bu, ref_rv = cli._yuv(cm.apply_transfer(hdr))
+        lhs = np.stack([bu, rv, np.ones_like(bu)], axis=-1).reshape(-1, 3)
+        want, *_ = lstsq(lhs, np.stack([ref_bu, ref_rv], axis=-1).reshape(-1, 2), rcond=None)
+        assert np.max(np.abs(coef - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_peak_memory_is_bounded(self):
+        # only the output, one luma plane and band-sized temporaries cover the
+        # frame; the inputs are made before tracing starts
+        hdr = synthetic_hdr(size=960)
+        ref = hdr.with_pixels(hdr.pixels[:640].copy())
+        sdr = cm.TaggedImage(ref.pixels.copy(), SDR_TAG)
+        cfg = cli.load_config()
+        tracemalloc.start()
+        try:
+            cli.fit_expand(sdr, ref, cfg, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ref.pixels.nbytes
+
     def test_frame_below_min_samples_is_io_error(self, tmp_path, capsys):
         sdr, src = write_fit_pair(tmp_path, size=7)
         before = files_under(tmp_path)
@@ -256,6 +338,28 @@ class TestFitExpand:
         b = write_hdr(tmp_path / "b.pfm", size=64)
         rc = cli.main(["fit-expand", a, b, "--output", str(tmp_path / "x.pfm")])
         assert rc == 2
+
+
+class TestFitPairs:
+    """fit_pairs decodes only the pixels the fit reads, each as a whole-frame decode would."""
+
+    # (extent, fit_samples, every other row as a non-contiguous view, stride)
+    @pytest.mark.parametrize("extent,fit_samples,view,stride", [
+        ((1, 64), None, False, 1), ((100, 48), None, False, 1), ((150, 45), None, False, 1),
+        ((256, 130), None, False, 2), ((150, 45), 1000, False, 6), ((300, 90), 1000, True, 13)])
+    def test_equal_strided_whole_frame_luma(self, extent, fit_samples, view, stride):
+        sdr, hdr = seeded_pair(3, *extent)
+        if view:
+            sdr, hdr = (img.with_pixels(img.pixels[::2]) for img in (sdr, hdr))
+            assert not sdr.pixels.flags.c_contiguous
+        cfg = cli.load_config(overrides={"fit_samples": fit_samples})
+        h, w, _ = sdr.pixels.shape
+        assert max(1, h * w // cfg["fit_samples"]) == stride
+        want = (cm.luma2020(ft.linearize_sdr(sdr)).reshape(-1)[::stride],
+                np.clip(cm.luma2020(cm.apply_transfer(hdr)) / cfg["peak_nits"], 0.0, 1.0)
+                .reshape(-1)[::stride])
+        got = cli.fit_pairs(sdr, hdr, cfg)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestMetrics:

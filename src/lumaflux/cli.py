@@ -16,9 +16,9 @@ row bands of `tensorcore.BAND_ROWS`, for all of its CRFs
 `fit-expand` and `metrics` run their per-pixel stages over the same row
 bands (`tensorcore.map_row_bands`) on that many threads. The spline fit
 sees every stride-th pixel of the frame, the chroma least squares solves
-the sum of per-row Gram blocks, and every mean sees the whole frame.
-Band edges depend only on the frame height, so outputs are
-byte-identical at any worker count.
+the sum of per-row Gram blocks, and each metric mean is a sum of per-row
+sums, reduced in row order. Band edges depend only on the frame height,
+so outputs are byte-identical at any worker count.
 """
 
 import argparse
@@ -243,21 +243,28 @@ def fit_expand(sdr, ref, cfg, workers=1):
     peak = cfg["peak_nits"]
     params, raw, trace = rqs.fit_rqs(*fit_pairs(sdr, ref, cfg), K=cfg["spline_knots"],
                                      cfg=fit_config(cfg))
-    ye = np.empty((h, w))
-    lhs = np.empty((h, w, 3))  # expanded [B - Y, R - Y, 1] per pixel; then the PQ output
-    lhs[..., 2] = 1.0
+    yuv = np.empty((h, w, 3))  # expanded Y, B - Y, R - Y per pixel; then the PQ output
     gram = np.empty((h, 3, 5))  # per row: lhs^T [lhs | reference B - Y, R - Y]
     ref_tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
+    def operand(band):
+        """[B - Y, R - Y, 1] per pixel of a band of yuv, the lhs of the chroma least squares."""
+        lhs = np.empty(band.shape)
+        lhs[..., :2] = band[..., 1:]
+        lhs[..., 2] = 1.0
+        return lhs
+
     def expand(rows):
         nits = expand_sdr(ft.linearize_sdr(sdr.with_pixels(sdr.pixels[rows])), params, peak)
-        ye[rows], lhs[rows, :, 0], lhs[rows, :, 1] = _yuv(nits)
-        both = np.empty(lhs[rows].shape[:2] + (5,))
-        both[..., :3] = lhs[rows]
+        band = yuv[rows]
+        band[..., 0], band[..., 1], band[..., 2] = _yuv(nits)
+        lhs = operand(band)
+        both = np.empty(band.shape[:2] + (5,))
+        both[..., :3] = lhs
         # checked whole-frame above, so the band decodes unchecked
         ref_band = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), ref_tag)
         _, both[..., 3], both[..., 4] = _yuv(ref_band)
-        np.matmul(lhs[rows].transpose(0, 2, 1), both, out=gram[rows])
+        np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
 
     tc.map_row_bands(expand, h, workers)
     sums = gram.sum(axis=0)
@@ -266,17 +273,18 @@ def fit_expand(sdr, ref, cfg, workers=1):
     wr, wg, wb = cm.LUMA_WEIGHTS_2020
 
     def mix(rows):
-        y = ye[rows]
-        uv = (lhs[rows].reshape(-1, 3) @ coef).reshape(y.shape + (2,))
+        band = yuv[rows]
+        y = band[..., 0]
+        uv = (operand(band).reshape(-1, 3) @ coef).reshape(y.shape + (2,))
         r = y + uv[..., 1]
         b = y + uv[..., 0]
         g = (y - wr * r - wb * b) / wg
-        # lhs[rows] is read above, before it is overwritten
-        lhs[rows] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
+        # the band is read above, before it is overwritten
+        band[...] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
 
     tc.map_row_bands(mix, h, workers)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
-    return cm.TaggedImage(lhs, tag), params, raw, trace
+    return cm.TaggedImage(yuv, tag), params, raw, trace
 
 
 def cmd_fit_expand(args):

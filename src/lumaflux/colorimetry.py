@@ -106,11 +106,13 @@ class ColorSpaceTag:
 
 @dataclass(frozen=True)
 class TaggedImage:
-    pixels: np.ndarray  # H x W x 3 float64
+    pixels: np.ndarray  # H x W x 3; float32 kept as stored when encoded, else float64
     tag: ColorSpaceTag
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.float32 or self.tag.transfer is Transfer.LINEAR:
+            px = np.asarray(px, dtype=np.float64)
         if px.ndim != 3 or px.shape[2] != 3:
             raise DimensionError(f"expected HxWx3 pixels, got {px.shape}")
         object.__setattr__(self, "pixels", px)
@@ -145,9 +147,10 @@ def pq_decode(signal):
 
 
 def _pq_eotf(v):
-    """pq_decode's arithmetic on a float64 array already checked to lie in [0, 1]."""
-    # num is our own array, also for a scalar, so every later step runs in place
-    num = np.power(v, 1.0 / PQ_M2, out=np.empty_like(v))
+    """pq_decode's arithmetic, in float64, on a float array already checked to lie in [0, 1]."""
+    # num is our own float64 array, also for a scalar, so every later step runs
+    # in place; a float32 input widens exactly inside the first ufunc
+    num = np.power(v, 1.0 / PQ_M2, out=np.empty(np.shape(v)), dtype=np.float64)
     den = num * -PQ_C3  # PQ_C2 - PQ_C3 * num, bit for bit
     den += PQ_C2
     num -= PQ_C1

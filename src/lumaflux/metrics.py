@@ -2,8 +2,10 @@
 
 There is one scoring path, `metric_report`: it PQ-decodes both images to
 absolute nits over row bands and applies the PU21 perceptual encoding;
-the code range is the PU21 value of 10^4 cd/m^2. `psnr_pu21` returns the
-report's score. Identical images report the 99 dB sentinel cap.
+the code range is the PU21 value of 10^4 cd/m^2. Each row keeps only its
+error sums, and every mean reduces them in row order, so no whole-frame
+error plane is held. `psnr_pu21` returns the report's score. Identical
+images report the 99 dB sentinel cap.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -71,8 +73,10 @@ def metric_report(ref, test, workers=1):
     """Assemble every in-scope metric into a machine-readable report.
 
     Decoding and the per-pixel errors run over row bands on `workers`
-    threads; every mean is taken over the whole frame, so the report does
-    not depend on `workers`.
+    threads. Each row writes its sums of squared PU21 RGB error, squared
+    PU21 luma error and DeltaE_ITP; each mean is the row-order sum of
+    those over the sample count, so the report does not depend on
+    `workers` or the band height.
     """
     # whole-frame checks, in the order a whole-frame decode of each would fail
     for img in (ref, test):
@@ -82,22 +86,26 @@ def metric_report(ref, test, workers=1):
     if ref.pixels.shape != test.pixels.shape:
         raise DimensionError("psnr_pu21: image extents differ")
     h, w, _ = ref.pixels.shape
-    se_rgb = np.empty((h, w, 3))
-    se_y = np.empty((h, w))
-    de = np.empty((h, w))
+    sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
     linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def band(rows):
         # both frames passed check_encoded above, so the bands decode unchecked
         a = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), linear)
         b = cm.TaggedImage(cm._pq_eotf(test.pixels[rows]), linear)
-        se_rgb[rows] = (cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)) ** 2
-        se_y[rows] = (cm.pu21_encode(cm.luma2020(a)) - cm.pu21_encode(cm.luma2020(b))) ** 2
-        de[rows] = cm.delta_e_itp_map(a, b)
+        se = cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)
+        se *= se
+        sums[rows, 0] = se.sum(axis=(1, 2))
+        se = cm.pu21_encode(cm.luma2020(a)) - cm.pu21_encode(cm.luma2020(b))
+        se *= se
+        sums[rows, 1] = se.sum(axis=1)
+        sums[rows, 2] = cm.delta_e_itp_map(a, b).sum(axis=1)
 
     tc.map_row_bands(band, h, workers)
+    # each column reduced alone, pairwise in row order; sums.sum(axis=0) would add row by row
+    rgb, luma, de = (np.sum(sums[:, k]) for k in range(3))
     return MetricReport(
-        psnr_pu21=_psnr(np.mean(se_rgb)),
-        psnr_y_pu21=_psnr(np.mean(se_y)),
-        delta_e_itp_mean=float(np.mean(de)),
+        psnr_pu21=_psnr(rgb / (h * w * 3)),
+        psnr_y_pu21=_psnr(luma / (h * w)),
+        delta_e_itp_mean=float(de / (h * w)),
     )

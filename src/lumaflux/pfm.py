@@ -1,11 +1,14 @@
 """PFM image I/O plus the JSON sidecar carrying colorimetry and provenance.
 
-PFM stores float32 samples, little-endian (negative scale), rows
-bottom-up. PFM has no colorimetry header, so every frame travels with a
-sidecar JSON recording its color-space tag, the tool version, a config
-hash, and the seed used to produce it. Both files are written to a
-temporary name and renamed into place, so a failed write never leaves a
-partial file under the final name. Malformed input raises
+PFM stores float32 samples, rows bottom-up: little-endian under a
+negative scale, big-endian under a positive one. `write_pfm` writes
+little-endian; `read_pfm` keeps the samples float32 in memory, in native
+byte order and rows top-down, and every decode widens them to float64
+in its own arithmetic. PFM has no colorimetry header, so every frame
+travels with a sidecar JSON recording its color-space tag, the tool
+version, a config hash, and the seed used to produce it. Both files are
+written to a temporary name and renamed into place, so a failed write
+never leaves a partial file under the final name. Malformed input raises
 FrameFormatError.
 """
 
@@ -13,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 import threading
 
 import numpy as np
@@ -49,6 +53,7 @@ def write_pfm(path, pixels):
 
 
 def read_pfm(path):
+    """The samples of a 3-channel PFM as a native-order float32 (h, w, 3) array, rows top-down."""
     with open(path, "rb") as fh:
         if fh.readline().strip() != b"PF":
             raise FrameFormatError(f"{path}: not a 3-channel PFM file")
@@ -59,14 +64,19 @@ def read_pfm(path):
             raise FrameFormatError(f"{path}: malformed PFM dimensions or scale") from None
         if w <= 0 or h <= 0 or scale == 0.0 or not np.isfinite(scale):
             raise FrameFormatError(f"{path}: invalid PFM header {w}x{h}, scale {scale}")
-        payload = fh.read()
-    expected = w * h * 3 * 4
-    if len(payload) != expected:
-        raise FrameFormatError(
-            f"{path}: {len(payload)} payload bytes for a {w}x{h} frame, expected {expected}")
-    data = np.frombuffer(payload, dtype="<f4" if scale < 0 else ">f4")
-    px = data.reshape(h, w, 3)[::-1, :, :]
-    return np.ascontiguousarray(px, dtype=np.float64)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = w * h * 3 * 4
+        if size != expected:
+            raise FrameFormatError(
+                f"{path}: {size} payload bytes for a {w}x{h} frame, expected {expected}")
+        px = np.empty((h, w, 3), dtype=np.float32)
+        # each stored row straight into its top-down place: no payload copy
+        for row in px[::-1]:
+            if fh.readinto(row) != row.nbytes:
+                raise FrameFormatError(f"{path}: payload ends early for a {w}x{h} frame")
+    if (scale > 0.0) != (sys.byteorder == "big"):  # a positive scale stores big-endian
+        px.byteswap(inplace=True)
+    return px
 
 
 def config_hash(doc):

@@ -229,7 +229,8 @@ def quantize(img, bits):
     if img.tag.transfer is cm.Transfer.LINEAR:
         raise TagError("quantize expects an encoded image")
     levels = float(2**bits - 1)
-    out = np.floor(img.pixels * levels + 0.5) / levels
+    # float64 whatever the storage
+    out = np.floor(np.multiply(img.pixels, levels, dtype=np.float64) + 0.5) / levels
     return img.with_pixels(out)
 
 

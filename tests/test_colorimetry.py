@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from lumaflux import colorimetry as cm
+from lumaflux import features as ft
+from lumaflux import tonemap as tm
 from lumaflux.errors import DimensionError, DomainError, TagError
 
 # Published BT.2020 -> BT.709 matrix (ITU-R BT.2087) for cross checking
@@ -246,3 +248,45 @@ class TestTags:
         with pytest.raises(DimensionError):
             cm.TaggedImage(np.zeros((4, 4)), cm.ColorSpaceTag(
                 cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0))
+
+
+PQ_TAG = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
+
+# name -> a decode of encoded samples as a frame read from a PFM stores them
+FLOAT_DECODES = {
+    "pq_decode": cm.pq_decode,
+    "_pq_eotf": cm._pq_eotf,
+    "apply_transfer PQ": lambda px: cm.apply_transfer(cm.TaggedImage(px, PQ_TAG)).pixels,
+    "apply_transfer Gamma709": lambda px: cm.apply_transfer(cm.TaggedImage(px, SDR_TAG)).pixels,
+    "linearize_sdr": lambda px: ft.linearize_sdr(cm.TaggedImage(px, SDR_TAG)).pixels,
+    "quantize": lambda px: tm.quantize(cm.TaggedImage(px, SDR_TAG), 8).pixels,
+    "codec_proxy": lambda px: tm.codec_proxy(cm.TaggedImage(px, SDR_TAG), 23).pixels,
+}
+
+
+class TestFloat32Storage:
+    """Encoded frames keep their float32 samples; every decode computes in float64."""
+
+    @staticmethod
+    def frame():
+        # 37 x 53: no side a multiple of a SIMD width or of the 8x8 codec block
+        px = np.random.default_rng(5).uniform(0.0, 1.0, (37, 53, 3)).astype(np.float32)
+        px.flat[:4] = [0.0, 1.0, 0.081, 0.5]  # both ends and the BT.709 toe's edge
+        return px
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_DECODES))
+    def test_float32_decodes_as_its_float64_cast(self, name):
+        px = self.frame()
+        got = FLOAT_DECODES[name](px)
+        want = FLOAT_DECODES[name](px.astype(np.float64))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_only_encoded_float32_is_kept(self):
+        px = self.frame()
+        assert cm.TaggedImage(px, PQ_TAG).pixels.dtype == np.float32
+        assert cm.TaggedImage(px, SDR_TAG).pixels.dtype == np.float32
+        linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
+        assert cm.TaggedImage(px, linear).pixels.dtype == np.float64
+        assert cm.TaggedImage(px.astype(np.float16), PQ_TAG).pixels.dtype == np.float64

@@ -52,6 +52,38 @@ DAMAGE = {
 }
 
 
+# name -> the message of its FrameFormatError, or its start where the rest is
+# Python's own text; {path} is the frame and {side} its sidecar
+DAMAGE_MESSAGES = {
+    "truncated": "{path}: 236 payload bytes for a 4x5 frame, expected 240",
+    "extra_payload": "{path}: 244 payload bytes for a 4x5 frame, expected 240",
+    "bad_dims": "{path}: malformed PFM dimensions or scale",
+    "zero_dims": "{path}: invalid PFM header 0x5, scale -1.0",
+    "bad_magic": "{path}: not a 3-channel PFM file",
+    "bad_json": "{side}: no valid color-space tag (JSONDecodeError(",
+    "no_tag": "{side}: no valid color-space tag (KeyError('tag'))",
+    "invalid_tag": "{side}: no valid color-space tag (ValueError(",
+    "not_an_object": "{side}: no valid color-space tag (TypeError(",
+    "nan_peak": "{side}: no valid color-space tag (DomainError("
+                "'peak_nits must be a finite JSON number, got nan'))",
+    "inf_peak": "{side}: no valid color-space tag (DomainError("
+                "'peak_nits must be a finite JSON number, got inf'))",
+    "bool_peak": "{side}: no valid color-space tag (DomainError("
+                 "'peak_nits must be a finite JSON number, got True'))",
+    "str_peak": "{side}: no valid color-space tag (DomainError("
+                "\"peak_nits must be a finite JSON number, got '100'\"))",
+    "deep_json": "{side}: no valid color-space tag (RecursionError(",
+}
+
+
+def write_big_endian(path, px):
+    """Write px as a big-endian (positive-scale) PFM, rows bottom-up."""
+    h, w, _ = px.shape
+    with open(path, "wb") as fh:
+        fh.write(f"PF\n{w} {h}\n1.0\n".encode())
+        fh.write(np.ascontiguousarray(px[::-1], dtype=">f4").tobytes())
+
+
 def damaged_frame(path, damage, tag=SDR_TAG):
     """Write a valid 5x4 tagged frame at path, then apply one DAMAGE entry."""
     pfm.write_tagged(str(path), cm.TaggedImage(np.full((5, 4, 3), 0.5), tag))
@@ -61,11 +93,26 @@ def damaged_frame(path, damage, tag=SDR_TAG):
 
 def test_pfm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
-    px = rng.uniform(0.0, 1.0, (5, 7, 3)).astype(np.float32).astype(np.float64)
+    px = rng.uniform(0.0, 1.0, (5, 7, 3)).astype(np.float32)
     path = str(tmp_path / "frame.pfm")
-    pfm.write_pfm(path, px)
+    pfm.write_pfm(path, px.astype(np.float64))
     back = pfm.read_pfm(path)
-    np.testing.assert_array_equal(back, px)
+    # float32 in native order, C-contiguous, rows top-down, bit for bit
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.c_contiguous
+    assert back.tobytes() == px.tobytes()
+
+
+def test_big_endian_reads_as_its_little_endian_twin(tmp_path):
+    px = np.random.default_rng(3).uniform(0.0, 1.0, (6, 5, 3)).astype(np.float32)
+    px[0, 0] = [np.inf, -0.0, 1e-40]  # bytes a wrong swap would move
+    little, big = str(tmp_path / "le.pfm"), str(tmp_path / "be.pfm")
+    pfm.write_pfm(little, px)
+    write_big_endian(big, px)
+    back = pfm.read_pfm(big)
+    assert back.dtype == np.float32 and back.dtype.isnative
+    assert back.flags.c_contiguous
+    assert back.tobytes() == pfm.read_pfm(little).tobytes() == px.tobytes()
 
 
 def test_pfm_header_format(tmp_path):
@@ -135,8 +182,10 @@ def test_config_hash_stable_under_key_order():
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_malformed_input_is_frame_format_error(tmp_path, damage):
     path = damaged_frame(tmp_path / "frame.pfm", damage)
-    with pytest.raises(FrameFormatError):
+    with pytest.raises(FrameFormatError) as err:
         pfm.read_tagged(path)
+    want = DAMAGE_MESSAGES[damage].format(path=path, side=pfm.sidecar_path(path))
+    assert str(err.value).startswith(want)
 
 
 def test_failed_write_keeps_existing_frame(tmp_path, monkeypatch):

@@ -13,12 +13,14 @@ LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 operators; each operator runs its chain up to one forward DCT once, over
 row bands of `tensorcore.BAND_ROWS`, for all of its CRFs
 (`tonemap.degrade_variants`), and every frame derives its own seed.
-`fit-expand` and `metrics` run their per-pixel stages over the same row
-bands (`tensorcore.map_row_bands`) on that many threads. The spline fit
-sees every stride-th pixel of the frame, the chroma least squares solves
-the sum of per-row Gram blocks, and each metric mean is a sum of per-row
-sums, reduced in row order. Band edges depend only on the frame height,
-so outputs are byte-identical at any worker count.
+`fit-expand`, `metrics` and `features` run their per-pixel stages over the
+same row bands (`tensorcore.map_row_bands`) on that many threads. The
+spline fit sees every stride-th pixel of the frame, the chroma least
+squares solves the sum of per-row Gram blocks, each metric mean is a sum
+of per-row sums, reduced in row order, and each band of the log-gradient
+map reads one row of luminance beyond each of its edges. Band edges
+depend only on the frame height, so outputs are byte-identical at any
+worker count.
 """
 
 import argparse
@@ -255,13 +257,13 @@ def fit_expand(sdr, ref, cfg, workers=1):
         return lhs
 
     def expand(rows):
-        nits = expand_sdr(ft.linearize_sdr(sdr.with_pixels(sdr.pixels[rows])), params, peak)
+        # both frames passed check_encoded above, so the bands decode unchecked
+        nits = expand_sdr(ft._linearize(sdr.pixels[rows], sdr.tag.peak_nits), params, peak)
         band = yuv[rows]
         band[..., 0], band[..., 1], band[..., 2] = _yuv(nits)
         lhs = operand(band)
         both = np.empty(band.shape[:2] + (5,))
         both[..., :3] = lhs
-        # checked whole-frame above, so the band decodes unchecked
         ref_band = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), ref_tag)
         _, both[..., 3], both[..., 4] = _yuv(ref_band)
         np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
@@ -334,8 +336,9 @@ def _map_summary(name, arr):
 
 def cmd_features(args):
     cfg = load_config(args.config)
+    workers = _max_workers()
     sdr = _read_frame(args.frame, SDR_FORMAT)
-    feats = ft.extract_phys(sdr)
+    feats = ft.extract_phys(sdr, workers)
     desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),

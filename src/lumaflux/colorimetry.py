@@ -275,7 +275,11 @@ def delta_e_itp_map(a, b):
     ib = rgb_to_ictcp(b)
     d = ia - ib
     d[..., 1] *= 0.5
-    return 720.0 * np.sqrt(np.sum(d * d, axis=-1))
+    d *= d
+    # summed left to right, as np.sum over the 3-long last axis sums it
+    sq = d[..., 0] + d[..., 1]
+    sq += d[..., 2]
+    return 720.0 * np.sqrt(sq)
 
 
 def delta_e_itp(a, b):

@@ -2,7 +2,9 @@
 
 The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
-target.
+target. `extract_phys` range-checks the whole frame once, then builds its
+per-pixel maps over tensorcore row bands on a thread pool; the global
+stats and the spectral bands read the whole luminance plane.
 """
 
 from dataclasses import dataclass
@@ -33,30 +35,46 @@ class SpectralDescriptor:
     r: np.ndarray  # band energies, DC-first
 
 
-def linearize_sdr(sdr):
-    """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]."""
+def _check_sdr(sdr):
+    """Raise unless `sdr` is a Gamma709/BT709 frame whose samples lie in [0, 1]."""
     if sdr.tag.transfer is not cm.Transfer.GAMMA709 or sdr.tag.primaries is not cm.Primaries.BT709:
         raise TagError("expected a Gamma709/BT709 SDR frame")
-    linear = cm.apply_transfer(sdr)
-    relative = linear.with_pixels(
-        linear.pixels / linear.tag.peak_nits,
-        cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 1.0),
-    )
-    wide, _ = cm.convert_gamut(relative, cm.Primaries.BT2020)
+    cm.check_encoded(sdr)
+
+
+def linearize_sdr(sdr):
+    """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]."""
+    _check_sdr(sdr)
+    return _linearize(sdr.pixels, sdr.tag.peak_nits)
+
+
+def _linearize(pixels, peak_nits):
+    """linearize_sdr's arithmetic on encoded samples already checked to lie in [0, 1]."""
+    # scaled to nits and back, as a decode to the tagged peak would, so the bits match
+    relative = cm.bt709_eotf(pixels) * peak_nits
+    relative /= peak_nits
+    tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 1.0)
+    wide, _ = cm.convert_gamut(cm.TaggedImage(relative, tag), cm.Primaries.BT2020)
     return wide
 
 
 def gradient_magnitude(y_map):
     """Central differences with replicate borders."""
-    padded = np.pad(y_map, 1, mode="edge")
+    return _gradient(np.pad(y_map, 1, mode="edge"))
+
+
+def _gradient(padded):
+    """Central-difference magnitude over a map padded by one sample on each side."""
     gy_r = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     gy_c = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     return np.sqrt(gy_r**2 + gy_c**2)
 
 
 def saturation(rgb):
-    mx = np.max(rgb, axis=-1)
-    mn = np.min(rgb, axis=-1)
+    """(max - min) / (max + 1e-6) over the three channels; a NaN channel gives NaN."""
+    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    mx = np.maximum(np.maximum(r, g), b)
+    mn = np.minimum(np.minimum(r, g), b)
     return (mx - mn) / (mx + 1e-6)
 
 
@@ -75,12 +93,32 @@ def global_mlp(s_g, w1, b1, w2, b2):
     return w2 @ hidden + b2
 
 
-def extract_phys(sdr):
-    """Assemble physical maps and global stats."""
-    wide = linearize_sdr(sdr)
-    y = cm.luma2020(wide)
-    loggrad = np.log1p(gradient_magnitude(y))
-    sat = saturation(wide.pixels)
+def extract_phys(sdr, workers=1):
+    """Assemble physical maps and global stats.
+
+    The per-pixel maps run over tensorcore row bands on `workers` threads:
+    one pass linearizes each band and writes its luminance and saturation,
+    a second writes each band's log-gradient from its rows of luminance and
+    the row above and below it. Borders are replicated only at the frame's
+    edges, so the maps do not depend on `workers` or the band height.
+    """
+    _check_sdr(sdr)  # whole-frame, so the bands decode unchecked
+    h, w, _ = sdr.pixels.shape
+    y, sat, loggrad = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
+
+    def linearize(rows):
+        wide = _linearize(sdr.pixels[rows], sdr.tag.peak_nits)
+        y[rows] = cm.luma2020(wide)
+        sat[rows] = saturation(wide.pixels)
+
+    def gradient(rows):
+        # the band's rows and one beyond each edge; replicated only at the frame's edges
+        halo = y[max(rows.start - 1, 0):rows.stop + 1]
+        pad = ((int(rows.start == 0), int(rows.stop == h)), (1, 1))
+        np.log1p(_gradient(np.pad(halo, pad, mode="edge")), out=loggrad[rows])
+
+    tc.map_row_bands(linearize, h, workers)
+    tc.map_row_bands(gradient, h, workers)
     return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 
 

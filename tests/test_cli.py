@@ -403,7 +403,7 @@ def run_fit_expand_and_metrics(tmp_path, sdr, hdr, name):
 
 
 class TestRowBands:
-    """fit-expand and metrics run their per-pixel stages over tensorcore row bands."""
+    """fit-expand, metrics and features run their per-pixel stages over tensorcore row bands."""
 
     @pytest.mark.parametrize("band_rows", [tc.BAND_ROWS, 16, 5])
     def test_pinned_bytes_at_any_thread_count(self, tmp_path, band_rows, monkeypatch, capsys):
@@ -446,6 +446,22 @@ class TestRowBands:
         monkeypatch.setenv("LUMAFLUX_THREADS", "2")
         before = files_under(tmp_path)
         assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: encoded sample outside [0,1] "
+                                "at pixel (197, 5, 1)\n")
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("value", [1.5, np.nan])
+    def test_features_domain_error_in_last_band(self, tmp_path, value, monkeypatch, capsys):
+        sdr, _ = write_fit_pair(tmp_path, extent=(200, 64))  # bands of 64, 64, 64 and 8 rows
+        img = pfm.read_tagged(sdr)
+        px = img.pixels.copy()
+        px[197, 5, 1] = value
+        pfm.write_tagged(sdr, img.with_pixels(px))
+        monkeypatch.setenv("LUMAFLUX_THREADS", "2")
+        before = files_under(tmp_path)
+        assert cli.main(["features", sdr, "--dump-maps"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("numerical failure: encoded sample outside [0,1] "
@@ -616,6 +632,9 @@ BAD_RUNS = [
     ("metrics", None, "LUMAFLUX_THREADS=abc", 3),
     ("metrics", None, "LUMAFLUX_THREADS=0", 3),
     ("metrics", None, "LUMAFLUX_THREADS=-2", 3),
+    ("features", None, "LUMAFLUX_THREADS=abc", 3),
+    ("features", None, "LUMAFLUX_THREADS=0", 3),
+    ("features", None, "LUMAFLUX_THREADS=-2", 3),
     ("fit-expand", '{"crfs": [24]}', None, 3),
     ("features", '{"crfs": [24]}', None, 3),
     ("features", f'{{"k_bands": {ft.MAX_K_BANDS + 1}}}', None, 3),

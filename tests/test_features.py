@@ -1,14 +1,48 @@
+import hashlib
+import itertools
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
+from lumaflux import pfm
+from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, TagError
+
+# SHA-256 of `features --dump-maps` stdout and of its .features.pfm, default
+# config, on write_sdr's frame of each (rows, cols), recorded from the
+# whole-frame extract_phys; a change that moves one must say why
+FEATURES_SHA256 = {
+    (150, 45): ("09ee507936d7dd9b11d4c63776dddaef84aa3d79be59318a54251243cba3e565",
+                "c17d1a836004e6c278a7878fef451bf764b34fb44da347f85ebb60a83d96db1a"),
+    (200, 131): ("a7c858e1ad55fe5f5bc4703e6e66c6c571bf67d47fcd855950dd58dcec2e180e",
+                 "097467570241723009cb33c9762840e87bee0d08367739c8fb074c54cef09b4e"),
+    (1, 64): ("001c560b0c546ab97074fc0f7685c82b6b2124af7447ea1f3c9fca0867496bb9",
+              "81ee497d783076cfe577da5ea6e5e60d18920b6d72b626c79db812d884ecc07c"),
+    (2, 64): ("5920278ae44fce1dc6468f495cbf46b71478d8cab9a233031f35329a3f9b2894",
+              "f2ea7f2cdb37e832d31080be4269ee3da5fa7ee92c874a6f4d406a102deafa8d"),
+    (65, 33): ("799ad965967d2a7967438e762cc9c34e4dea650df3867b0affab8a740d333023",
+               "50244dd1277f3268bc56d03ac3e5bd839d9c15e71a4ad5ac9ee6cac1fb8bd00c"),
+}
 
 
 def sdr_image(pixels):
     tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
     return cm.TaggedImage(np.asarray(pixels, dtype=np.float64), tag)
+
+
+def write_sdr(path, rows, cols, seed=0):
+    """A seeded noise SDR frame with about 5% of its samples at 0 and 5% at 1."""
+    rng = np.random.default_rng(seed)
+    px = rng.uniform(0.0, 1.0, (rows, cols, 3))
+    px[rng.uniform(size=px.shape) < 0.05] = 0.0
+    px[rng.uniform(size=px.shape) < 0.05] = 1.0
+    pfm.write_tagged(str(path), sdr_image(px))
+    return str(path)
 
 
 class TestLinearize:
@@ -71,6 +105,69 @@ class TestMaps:
         a = np.roll(f0.y_map, 3, axis=1)[2:-2, 5:-2]
         b = f1.y_map[2:-2, 5:-2]
         np.testing.assert_array_equal(a, b)
+
+
+    def test_saturation_equals_the_channel_reduce(self):
+        # every order of the special values, then noise with them sprinkled in
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5]
+        rng = np.random.default_rng(3)
+        noise = rng.normal(size=(1208, 3))
+        for value in special[:5]:
+            noise[rng.uniform(size=noise.shape) < 0.05] = value
+        rgb = np.concatenate([np.array(list(itertools.product(special, repeat=3))), noise])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mx, mn = np.max(rgb, axis=-1), np.min(rgb, axis=-1)
+            want = (mx - mn) / (mx + 1e-6)
+            got = ft.saturation(rgb.reshape(40, 43, 3))
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRowBands:
+    """extract_phys runs its per-pixel maps over tensorcore row bands."""
+
+    # 150 and 200 rows end on a short band; 65 on a one-row band at heights 64
+    # and 16; one and two rows have a top and a bottom edge in one band
+    @pytest.mark.parametrize("extent", list(FEATURES_SHA256),
+                             ids=[f"{rows}x{cols}" for rows, cols in FEATURES_SHA256])
+    @pytest.mark.parametrize("band_rows", [tc.BAND_ROWS, 16, 5, 10**6])
+    def test_pinned_bytes_at_any_band_height_and_thread_count(self, tmp_path, extent, band_rows,
+                                                              monkeypatch, capsys):
+        frame = write_sdr(tmp_path / "sdr.pfm", *extent)
+        monkeypatch.setattr(tc, "BAND_ROWS", band_rows)
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            assert cli.main(["features", frame, "--dump-maps"]) == 0
+            with open(os.path.splitext(frame)[0] + ".features.pfm", "rb") as fh:
+                maps = fh.read()
+            digests = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                       hashlib.sha256(maps).hexdigest())
+            assert digests == FEATURES_SHA256[extent]
+
+    def test_maps_equal_their_whole_frame_forms(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        sdr = sdr_image(rng.uniform(0.0, 1.0, (37, 29, 3)))
+        monkeypatch.setattr(tc, "BAND_ROWS", 5)
+        feats = ft.extract_phys(sdr, workers=2)
+        wide = ft.linearize_sdr(sdr)
+        assert feats.y_map.tobytes() == cm.luma2020(wide).tobytes()
+        assert feats.sat_map.tobytes() == ft.saturation(wide.pixels).tobytes()
+        whole = np.log1p(ft.gradient_magnitude(feats.y_map))
+        assert feats.loggrad_map.tobytes() == whole.tobytes()
+
+    def test_peak_memory_is_bounded(self):
+        # one 540 x 960 frame as read from disk; the whole-frame decode peaked
+        # at 4.13 float64 RGB frames
+        rng = np.random.default_rng(8)
+        px = rng.uniform(0.0, 1.0, (540, 960, 3)).astype(np.float32)
+        sdr = cm.TaggedImage(px, cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709,
+                                                  100.0))
+        tracemalloc.start()
+        try:
+            ft.extract_phys(sdr, workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * px.size * 8
 
 
 class TestGlobalStats:

@@ -11,16 +11,17 @@ exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 `synthesize` runs at once. `synthesize` decodes its input once for all
 operators; each operator runs its chain up to one forward DCT once, over
-row bands of `tensorcore.BAND_ROWS`, for all of its CRFs
+row bands of `tensorcore.band_rows`, for all of its CRFs
 (`tonemap.degrade_variants`), and every frame derives its own seed.
 `fit-expand`, `metrics` and `features` run their per-pixel stages over the
 same row bands (`tensorcore.map_row_bands`) on that many threads. The
 spline fit sees every stride-th pixel of the frame, the chroma least
 squares solves the sum of per-row Gram blocks, each metric mean is a sum
 of per-row sums, reduced in row order, and each band of the log-gradient
-map reads one row of luminance beyond each of its edges. Band edges
-depend only on the frame height, so outputs are byte-identical at any
-worker count.
+map reads one row of luminance beyond each of its edges. A band is the
+most rows, in a multiple of 8 and at least 8, that hold no more than
+`tensorcore.BAND_PIXELS` pixels. Band edges depend only on the frame's
+extent, so outputs are byte-identical at any worker count.
 """
 
 import argparse
@@ -268,7 +269,7 @@ def fit_expand(sdr, ref, cfg, workers=1):
         _, both[..., 3], both[..., 4] = _yuv(ref_band)
         np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
 
-    tc.map_row_bands(expand, h, workers)
+    tc.map_row_bands(expand, h, w, workers)
     sums = gram.sum(axis=0)
     # minimum norm, so a zero-chroma frame's singular system still has an answer
     coef, *_ = np.linalg.lstsq(sums[:, :3], sums[:, 3:], rcond=None)
@@ -284,7 +285,7 @@ def fit_expand(sdr, ref, cfg, workers=1):
         # the band is read above, before it is overwritten
         band[...] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
 
-    tc.map_row_bands(mix, h, workers)
+    tc.map_row_bands(mix, h, w, workers)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
     return cm.TaggedImage(yuv, tag), params, raw, trace
 
@@ -297,6 +298,9 @@ def cmd_fit_expand(args):
         raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} has fewer than "
                                f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
     out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
+    # the inputs are done with; freed here, they are not alive beside the
+    # float64 output and the float32 copy the write makes of it
+    del sdr, ref
     pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
     rqs.save_fit(args.output + ".rqs.json", params, raw, fit_config(cfg))
     np.savetxt(args.output + ".trace.csv", trace, header="loss", comments="")

@@ -117,8 +117,8 @@ def extract_phys(sdr, workers=1):
         pad = ((int(rows.start == 0), int(rows.stop == h)), (1, 1))
         np.log1p(_gradient(np.pad(halo, pad, mode="edge")), out=loggrad[rows])
 
-    tc.map_row_bands(linearize, h, workers)
-    tc.map_row_bands(gradient, h, workers)
+    tc.map_row_bands(linearize, h, w, workers)
+    tc.map_row_bands(gradient, h, w, workers)
     return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 
 

@@ -1,11 +1,12 @@
 """Full-reference HDR quality metrics in PU21 space plus DeltaE_ITP.
 
 There is one scoring path, `metric_report`: it PQ-decodes both images to
-absolute nits over row bands and applies the PU21 perceptual encoding;
-the code range is the PU21 value of 10^4 cd/m^2. Each row keeps only its
-error sums, and every mean reduces them in row order, so no whole-frame
-error plane is held. `psnr_pu21` returns the report's score. Identical
-images report the 99 dB sentinel cap.
+absolute nits over row bands, `tensorcore.band_rows` of the frame's width
+tall, and applies the PU21 perceptual encoding; the code range is the
+PU21 value of 10^4 cd/m^2. Each row keeps only its error sums, and every
+mean reduces them in row order, so no whole-frame error plane is held.
+`psnr_pu21` returns the report's score. Identical images report the
+99 dB sentinel cap.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -101,7 +102,7 @@ def metric_report(ref, test, workers=1):
         sums[rows, 1] = se.sum(axis=1)
         sums[rows, 2] = cm.delta_e_itp_map(a, b).sum(axis=1)
 
-    tc.map_row_bands(band, h, workers)
+    tc.map_row_bands(band, h, w, workers)
     # each column reduced alone, pairwise in row order; sums.sum(axis=0) would add row by row
     rgb, luma, de = (np.sum(sums[:, k]) for k in range(3))
     return MetricReport(

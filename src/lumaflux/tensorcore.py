@@ -2,7 +2,8 @@
 
 Softplus, sigmoid, row softmax, layer norm, the half-plane real 2-D DFT,
 the central-difference gradient oracle, all on float64 numpy arrays, and
-the row-band map that runs a per-pixel stage over a frame.
+the row-band map that runs a per-pixel stage over a frame in bands of
+about BAND_PIXELS pixels each.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -13,8 +14,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError, EvaluationError
 
 LN_EPS = 1e-6
-BAND_ROWS = 64  # rows per band of row_bands, a multiple of the 8x8 codec block;
-# never depends on the worker count
+BAND_PIXELS = 1 << 15  # pixels per band of row_bands, unless the band is 8 rows
 
 
 def softplus(x):
@@ -103,23 +103,38 @@ def finite_diff_grad(f, theta, h=1e-6):
     return grad.reshape(theta.shape)
 
 
-def row_bands(height):
-    """Slices of BAND_ROWS rows that cover a frame `height` rows tall; the last may be shorter."""
-    return [slice(top, min(top + BAND_ROWS, height)) for top in range(0, height, BAND_ROWS)]
+def band_rows(width):
+    """Rows per band of row_bands on a frame `width` pixels wide.
+
+    The largest multiple of the 8x8 codec block with rows * width <=
+    BAND_PIXELS, and at least 8: 16 rows at 1920 wide, 32 at 960. It
+    depends on the width alone, never on the worker count.
+    """
+    return max(8, BAND_PIXELS // max(width, 1) // 8 * 8)
 
 
-def map_row_bands(kernel, height, workers=1):
-    """Call kernel(rows) once per slice of row_bands(height).
+def row_bands(height, width):
+    """Slices of band_rows(width) rows that cover a frame `height` rows tall, in order.
+
+    Every slice but the last holds band_rows(width) rows; the last may be shorter.
+    """
+    step = band_rows(width)
+    return [slice(top, min(top + step, height)) for top in range(0, height, step)]
+
+
+def map_row_bands(kernel, height, width, workers=1):
+    """Call kernel(rows) once per slice of row_bands(height, width).
 
     A kernel that reads and writes only its own rows of whole-frame
     arrays gives the same bytes at any `workers`, because the band edges
-    depend on `height` alone. With workers > 1 the bands run on a thread
-    pool; an exception propagates from the first failing band in row order.
-    Call it from the main thread of a command, never from a pool worker.
+    depend on the frame's extent alone. With workers > 1 the bands run on
+    a thread pool; an exception propagates from the first failing band in
+    row order. Call it from the main thread of a command, never from a
+    pool worker.
     """
     if workers < 1:
         raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")
-    bands = row_bands(height)
+    bands = row_bands(height, width)
     if workers == 1 or len(bands) < 2:
         for rows in bands:
             kernel(rows)

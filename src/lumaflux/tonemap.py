@@ -8,8 +8,9 @@ in for real HEVC encodes at the three CRF working points.
 
 `degrade_variants` takes the decoded (linear) frame and serves every CRF
 of one operator from one pass: tone map, gamut clamp, encode, quantize
-and the forward DCT run once, over row bands of `tensorcore.BAND_ROWS`,
-and only the deadzone quantization and inverse DCT run per CRF. `degrade`
+and the forward DCT run once, over row bands of `tensorcore.band_rows`
+(at most `tensorcore.BAND_PIXELS` pixels, a multiple of 8 rows), and only
+the deadzone quantization and inverse DCT run per CRF. `degrade`
 is its one-frame form on PQ input, and `codec_proxy` runs the same DCT on
 an encoded frame. Banding never changes a bit: the bands hold whole 8x8
 blocks and the last band's edge padding is the whole frame's.
@@ -266,46 +267,46 @@ def _forward_dct(band, padded, work, out):
 def _inverse_dct(coefs, step, padded, work, out):
     """Deadzone-quantize a band's coefficients by `step`, invert them and clip into `out`."""
     quant, prod = work[0, :len(coefs)], work[1, :len(coefs)]
-    # deadzone: round magnitudes toward zero so AC energy never grows; DC kept
-    np.abs(coefs, out=quant)
-    quant /= step
-    np.floor(quant, out=quant)
-    quant *= np.sign(coefs, out=prod)
+    # deadzone: round toward zero so AC energy never grows; DC kept
+    np.divide(coefs, step, out=quant)
+    np.trunc(quant, out=quant)
     quant *= step
     quant[:, :, 0, 0] = coefs[:, :, 0, 0]
     np.matmul(_DCT8_T, quant, out=prod)
     np.matmul(prod, DCT8, out=quant)
+    np.clip(quant, 0.0, 1.0, out=quant)  # in block layout, before the scatter to raster order
     r, w, _ = out.shape
     hh, ww = -(-r // _DCT_N) * _DCT_N, padded.shape[1]
     px = padded[:hh]
     px.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3)[...] = quant.reshape(
         hh // _DCT_N, ww // _DCT_N, 3, _DCT_N, _DCT_N).transpose(0, 3, 1, 4, 2)
-    np.clip(px[:r, :w], 0.0, 1.0, out=out)
+    out[...] = px[:r, :w]
 
 
 def _codec_frames(h, w, encode_band, crfs):
     """One frame per entry of `crfs` from the encoded bands `encode_band(rows)` returns.
 
-    Bands of tc.BAND_ROWS rows pass once through `encode_band` and the
+    Bands of tc.band_rows(w) rows pass once through `encode_band` and the
     forward DCT; the coefficients are kept for the whole frame, and each CRF
     then quantizes and inverts them band by band into a fresh frame. A None
     CRF yields the encoded frame itself. Band edges are multiples of 8 that
-    depend only on `h`, so every band holds whole blocks but the last, whose
-    edge padding is the whole frame's.
+    depend only on the frame's extent, so every band holds whole blocks but
+    the last, whose edge padding is the whole frame's.
     """
     per_row = -(-w // _DCT_N)  # blocks in one row of blocks
     frame = np.empty((h, w, 3)) if None in crfs else None
     coefs = None
     if any(crf is not None for crf in crfs):
         coefs = np.empty((-(-h // _DCT_N) * per_row, 3, _DCT_N, _DCT_N))
-        # scratch for one band, reused by every band of every CRF
-        padded = np.empty((tc.BAND_ROWS, per_row * _DCT_N, 3))
-        work = np.empty((2, tc.BAND_ROWS // _DCT_N * per_row, 3, _DCT_N, _DCT_N))
+        # scratch for the first, tallest band in whole blocks, reused by every band of every CRF
+        tallest = min(tc.band_rows(w), -(-h // _DCT_N) * _DCT_N)
+        padded = np.empty((tallest, per_row * _DCT_N, 3))
+        work = np.empty((2, tallest // _DCT_N * per_row, 3, _DCT_N, _DCT_N))
 
     def blocks(rows):
         return slice(rows.start // _DCT_N * per_row, -(-rows.stop // _DCT_N) * per_row)
 
-    bands = tc.row_bands(h)
+    bands = tc.row_bands(h, w)
     for rows in bands:
         band = encode_band(rows)
         if frame is not None:

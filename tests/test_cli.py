@@ -14,18 +14,19 @@ from lumaflux import colorimetry as cm
 from lumaflux import features as ft
 from lumaflux import pfm
 from lumaflux import rqs
-from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError
 from test_acceptance import synthetic_hdr
 from test_pfm import SDR_TAG, damaged_frame
+from test_tensorcore import fix_band_rows
 
 # SHA-256 of the synthesize output tree for the A5 input frame; a change
 # that moves it changes output bits and must say why
 A5_TREE_SHA256 = "486b61f512511b38aaa0289deb5d8f80ce14e5c379472f8492da6512b68b9933"
 
-# SHA-256 of the synthesize output tree for the A5 frame's top-left 150x45:
-# three row bands, the last one short, and neither extent a multiple of 8
+# SHA-256 of the synthesize output tree for the A5 frame's top-left 150x45,
+# neither extent a multiple of 8: one row band at the default band height,
+# three of 64 rows, the last one short
 BANDED_TREE_SHA256 = "44b82dfcc53d725b5a413ecf7a5cb3f197e8be68b10bba1d16e6786923d12922"
 
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
@@ -190,11 +191,13 @@ class TestSynthesize:
         hdr = synthetic_hdr(size=150)
         src = str(tmp_path / "hdr.pfm")
         pfm.write_tagged(src, hdr.with_pixels(hdr.pixels[:, :45]), seed=7)
-        for threads in ("1", "2", "4"):
-            out = tmp_path / f"out_{threads}"
-            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
-            assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
-            assert tree_digest(str(out)) == BANDED_TREE_SHA256, threads
+        for band_rows in (None, 64):
+            fix_band_rows(monkeypatch, band_rows)
+            for threads in ("1", "2", "4"):
+                out = tmp_path / f"out_{band_rows}_{threads}"
+                monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+                assert cli.main(["synthesize", src, "--output-dir", str(out)]) == 0
+                assert tree_digest(str(out)) == BANDED_TREE_SHA256, (band_rows, threads)
 
     def test_non_finite_sample_is_numerical_failure(self, tmp_path, nan_frame, capsys):
         out = tmp_path / "out"
@@ -324,6 +327,26 @@ class TestFitExpand:
             tracemalloc.stop()
         assert peak <= 1.75 * ref.pixels.nbytes
 
+    def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # a 960 x 960 pair read as float32 (one float64 frame together), in 30
+        # bands of 32 rows on one thread. The inputs and the float64 output
+        # are alive through the expand pass; the write adds the output's
+        # float32 copy, half a frame, so inputs alive then would make 2.5
+        hdr = synthetic_hdr(size=960)
+        src, sdr = str(tmp_path / "hdr.pfm"), str(tmp_path / "sdr.pfm")
+        pfm.write_tagged(src, hdr, seed=7)
+        pfm.write_tagged(sdr, cm.TaggedImage(hdr.pixels, SDR_TAG))
+        frame = hdr.pixels.size * 8
+        del hdr
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        tracemalloc.start()
+        try:
+            assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * frame
+
     def test_frame_below_min_samples_is_io_error(self, tmp_path, capsys):
         sdr, src = write_fit_pair(tmp_path, size=7)
         before = files_under(tmp_path)
@@ -405,12 +428,13 @@ def run_fit_expand_and_metrics(tmp_path, sdr, hdr, name):
 class TestRowBands:
     """fit-expand, metrics and features run their per-pixel stages over tensorcore row bands."""
 
-    @pytest.mark.parametrize("band_rows", [tc.BAND_ROWS, 16, 5])
+    @pytest.mark.parametrize("band_rows", [None, 64, 16, 5])
     def test_pinned_bytes_at_any_thread_count(self, tmp_path, band_rows, monkeypatch, capsys):
-        # the pins were recorded from whole-frame stages; 16 and 5 split the
-        # 64-row frame into 4 and 13 bands
+        # the pins were recorded from whole-frame stages; the default band
+        # height (None) and 64 cover the 64x64 frame in one band, and 16 and
+        # 5 split it into 4 and 13 bands
         sdr, src = write_fit_pair(tmp_path)
-        monkeypatch.setattr(tc, "BAND_ROWS", band_rows)
+        fix_band_rows(monkeypatch, band_rows)
         runs = []
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("LUMAFLUX_THREADS", threads)
@@ -425,19 +449,22 @@ class TestRowBands:
                                                      capsys):
         # one row, and a height that is not a multiple of the band height
         sdr, src = write_fit_pair(tmp_path, extent=extent)
-        monkeypatch.setattr(tc, "BAND_ROWS", 10**6)
+        fix_band_rows(monkeypatch, 10**6)
         monkeypatch.setenv("LUMAFLUX_THREADS", "1")
         whole = run_fit_expand_and_metrics(tmp_path, sdr, src, "whole")
-        monkeypatch.setattr(tc, "BAND_ROWS", 64)
-        for threads in ("1", "2", "4"):
-            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
-            assert run_fit_expand_and_metrics(tmp_path, sdr, src, f"t{threads}") == whole
+        for band_rows in (None, 64):
+            fix_band_rows(monkeypatch, band_rows)
+            for threads in ("1", "2", "4"):
+                monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+                run = run_fit_expand_and_metrics(tmp_path, sdr, src, f"{band_rows}_{threads}")
+                assert run == whole, (band_rows, threads)
 
     @pytest.mark.parametrize("frame,value", [("sdr", 1.5), ("sdr", np.nan), ("ref", -0.25),
                                              ("ref", np.nan)])
     def test_fit_expand_domain_error_in_last_band(self, tmp_path, frame, value, monkeypatch,
                                                   capsys):
-        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))  # bands of 64, 64, 64 and 8 rows
+        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))
+        fix_band_rows(monkeypatch, 64)  # bands of 64, 64, 64 and 8 rows
         path = {"sdr": sdr, "ref": src}[frame]
         img = pfm.read_tagged(path)
         px = img.pixels.copy()
@@ -454,7 +481,8 @@ class TestRowBands:
 
     @pytest.mark.parametrize("value", [1.5, np.nan])
     def test_features_domain_error_in_last_band(self, tmp_path, value, monkeypatch, capsys):
-        sdr, _ = write_fit_pair(tmp_path, extent=(200, 64))  # bands of 64, 64, 64 and 8 rows
+        sdr, _ = write_fit_pair(tmp_path, extent=(200, 64))
+        fix_band_rows(monkeypatch, 64)  # bands of 64, 64, 64 and 8 rows
         img = pfm.read_tagged(sdr)
         px = img.pixels.copy()
         px[197, 5, 1] = value
@@ -472,8 +500,9 @@ class TestRowBands:
                                                   ((197, 5, 1), (3, 5, 1))])
     def test_metrics_domain_error_in_last_band(self, tmp_path, ref_bad, test_bad, monkeypatch,
                                                capsys):
-        # with both frames bad, the reference is checked first and named, as a
-        # whole-frame decode of it would be, though the test frame fails in band 0
+        # bands of 160 and 40 rows; with both frames bad, the reference is
+        # checked first and named, as a whole-frame decode of it would be,
+        # though the test frame fails in band 0
         hdr = synthetic_hdr(size=200)
         paths = []
         for name, pixel, value in (("ref", ref_bad, np.nan), ("test", test_bad, 1.25)):

@@ -10,8 +10,8 @@ from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
 from lumaflux import pfm
-from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, TagError
+from test_tensorcore import fix_band_rows
 
 # SHA-256 of `features --dump-maps` stdout and of its .features.pfm, default
 # config, on write_sdr's frame of each (rows, cols), recorded from the
@@ -125,15 +125,16 @@ class TestMaps:
 class TestRowBands:
     """extract_phys runs its per-pixel maps over tensorcore row bands."""
 
-    # 150 and 200 rows end on a short band; 65 on a one-row band at heights 64
-    # and 16; one and two rows have a top and a bottom edge in one band
+    # the default band height (None) covers each frame in one band; 150 and
+    # 200 rows end on a short band; 65 on a one-row band at heights 64 and 16;
+    # one and two rows have a top and a bottom edge in one band
     @pytest.mark.parametrize("extent", list(FEATURES_SHA256),
                              ids=[f"{rows}x{cols}" for rows, cols in FEATURES_SHA256])
-    @pytest.mark.parametrize("band_rows", [tc.BAND_ROWS, 16, 5, 10**6])
+    @pytest.mark.parametrize("band_rows", [None, 64, 16, 5, 10**6])
     def test_pinned_bytes_at_any_band_height_and_thread_count(self, tmp_path, extent, band_rows,
                                                               monkeypatch, capsys):
         frame = write_sdr(tmp_path / "sdr.pfm", *extent)
-        monkeypatch.setattr(tc, "BAND_ROWS", band_rows)
+        fix_band_rows(monkeypatch, band_rows)
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("LUMAFLUX_THREADS", threads)
             assert cli.main(["features", frame, "--dump-maps"]) == 0
@@ -146,7 +147,7 @@ class TestRowBands:
     def test_maps_equal_their_whole_frame_forms(self, monkeypatch):
         rng = np.random.default_rng(9)
         sdr = sdr_image(rng.uniform(0.0, 1.0, (37, 29, 3)))
-        monkeypatch.setattr(tc, "BAND_ROWS", 5)
+        fix_band_rows(monkeypatch, 5)
         feats = ft.extract_phys(sdr, workers=2)
         wide = ft.linearize_sdr(sdr)
         assert feats.y_map.tobytes() == cm.luma2020(wide).tobytes()

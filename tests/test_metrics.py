@@ -6,6 +6,7 @@ import pytest
 from lumaflux import colorimetry as cm
 from lumaflux import metrics as mt
 from lumaflux.errors import DimensionError, EvaluationError, TagError
+from test_tensorcore import fix_band_rows
 
 
 def pq_image(nits):
@@ -91,21 +92,25 @@ BANDED_PINS = {
 
 
 class TestAcrossBands:
-    """Frames of several tensorcore.BAND_ROWS bands, the last one short."""
+    """Frames in one band at the default band height, and in 64-row bands, the last one short."""
 
     @pytest.mark.parametrize("key", list(BANDED_PINS))
-    def test_scores_are_pinned(self, key):
+    def test_scores_are_pinned(self, key, monkeypatch):
         a, b = banded_pair(*key)
-        got = (mt.psnr_pu21(a, b).hex(), mt.psnr_pu21(a, b, luma_only=True).hex())
-        assert got == BANDED_PINS[key]
+        for band_rows in (None, 64):
+            fix_band_rows(monkeypatch, band_rows)
+            got = (mt.psnr_pu21(a, b).hex(), mt.psnr_pu21(a, b, luma_only=True).hex())
+            assert got == BANDED_PINS[key], band_rows
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("key", list(BANDED_PINS))
-    def test_psnr_is_the_report_score(self, key, workers):
+    def test_psnr_is_the_report_score(self, key, workers, monkeypatch):
         a, b = banded_pair(*key)
-        rep = mt.metric_report(a, b, workers=workers)
-        assert mt.psnr_pu21(a, b) == rep.psnr_pu21
-        assert mt.psnr_pu21(a, b, luma_only=True) == rep.psnr_y_pu21
+        for band_rows in (None, 64):
+            fix_band_rows(monkeypatch, band_rows)
+            rep = mt.metric_report(a, b, workers=workers)
+            assert mt.psnr_pu21(a, b) == rep.psnr_pu21, band_rows
+            assert mt.psnr_pu21(a, b, luma_only=True) == rep.psnr_y_pu21, band_rows
 
 
 class TestReport:

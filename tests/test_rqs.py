@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from lumaflux import rqs
 from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, DimensionError
+from test_tensorcore import fix_band_rows
 
 
 def random_params(rng, K=8):
@@ -209,12 +210,12 @@ class TestEvaluation:
         # would leave the threaded count short of the serial one
         p = rqs.identity_params(4)
         y = np.tile([[-0.5, 0.2, 1.5, 0.7, np.inf, -1e-9, 1.0, 2.0, 0.0, -3.0]], (600, 1))
-        monkeypatch.setattr(tc, "BAND_ROWS", 3)
+        fix_band_rows(monkeypatch, 3)
 
         def count(workers):
             before = rqs.clamp_counter["count"]
             for _ in range(5):
-                tc.map_row_bands(lambda rows: rqs.rqs_forward(p, y[rows]), y.shape[0], workers)
+                tc.map_row_bands(lambda rows: rqs.rqs_forward(p, y[rows]), *y.shape, workers)
             return rqs.clamp_counter["count"] - before
 
         interval = sys.getswitchinterval()

@@ -7,6 +7,14 @@ from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, DimensionError, DomainError, EvaluationError
 
 
+PIXEL_RULE = tc.band_rows
+
+
+def fix_band_rows(monkeypatch, rows):
+    """Make every row band `rows` tall at any frame width; None restores the pixel rule."""
+    monkeypatch.setattr(tc, "band_rows", PIXEL_RULE if rows is None else lambda width: rows)
+
+
 def naive_dft2(field):
     """Direct double-sum 2-D DFT oracle."""
     rows, cols = field.shape
@@ -109,20 +117,49 @@ class TestFiniteDiffGrad:
             tc.finite_diff_grad(lambda t: 0.0, np.zeros(2), 0.0)
 
 
+def mapped_bands(height, width, workers):
+    """The (start, stop) of every band map_row_bands hands its kernel, sorted."""
+    seen = []
+    lock = threading.Lock()
+
+    def kernel(rows):
+        with lock:
+            seen.append((rows.start, rows.stop))
+
+    tc.map_row_bands(kernel, height, width, workers)
+    return sorted(seen)
+
+
+# frame width -> rows per band
+BAND_ROWS_AT = {1: 32768, 45: 728, 960: 32, 1027: 24, 1920: 16, 3840: 8}
+
+
 class TestMapRowBands:
     @pytest.mark.parametrize("height", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_bands_tile_the_frame_at_fixed_edges(self, height, workers):
-        seen = []
-        lock = threading.Lock()
+        # 64-row bands at this width
+        edges = list(range(0, height, 64)) + [height]
+        got = mapped_bands(height, tc.BAND_PIXELS // 64, workers)
+        assert got == list(zip(edges[:-1], edges[1:]))
 
-        def kernel(rows):
-            with lock:
-                seen.append((rows.start, rows.stop))
-
-        tc.map_row_bands(kernel, height, workers)
-        edges = list(range(0, height, tc.BAND_ROWS)) + [height]
-        assert sorted(seen) == list(zip(edges[:-1], edges[1:]))
+    @pytest.mark.parametrize("width", list(BAND_ROWS_AT))
+    def test_band_height_follows_the_pixel_budget(self, width):
+        step = tc.band_rows(width)
+        assert step == BAND_ROWS_AT[width]
+        # the largest multiple of 8 within the budget, or 8 rows when none is
+        assert step % 8 == 0 and (step * width <= tc.BAND_PIXELS or step == 8)
+        assert (step + 8) * width > tc.BAND_PIXELS
+        for height in sorted({1, 7, 8, 9, step - 1, step, step + 1, 3 * step + 5, 1080} - {0}):
+            bands = [(rows.start, rows.stop) for rows in tc.row_bands(height, width)]
+            # in order, each band starting where the one before it stops
+            assert bands[0][0] == 0 and bands[-1][1] == height
+            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:]))
+            rows = [stop - top for top, stop in bands]
+            assert all(0 < n <= step and (n * width <= tc.BAND_PIXELS or n == 8) for n in rows)
+            assert all(n % 8 == 0 for n in rows[:-1])
+            for workers in (1, 2, 4):
+                assert mapped_bands(height, width, workers) == bands
 
     def test_first_failing_band_in_row_order_propagates(self):
         def kernel(rows):
@@ -131,9 +168,9 @@ class TestMapRowBands:
 
         for workers in (1, 2):
             with pytest.raises(DomainError, match="band at row 64$"):
-                tc.map_row_bands(kernel, 300, workers)
+                tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, workers)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_is_config_error(self, workers):
         with pytest.raises(ConfigError):
-            tc.map_row_bands(lambda rows: None, 10, workers)
+            tc.map_row_bands(lambda rows: None, 10, 10, workers)

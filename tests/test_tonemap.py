@@ -7,6 +7,7 @@ from lumaflux import colorimetry as cm
 from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError, DomainError, TagError
+from test_tensorcore import fix_band_rows
 
 
 def make_hdr(pixels_nits):
@@ -24,8 +25,10 @@ def textured_hdr(seed=0, size=64, peak=1000.0):
 
 ALL_OPS = [tm.ToneOperator(kind, {}) for kind in tm.ToneKind]
 
-# (rows, cols): several bands, a one-row last band, extents not multiples of 8
+# (rows, cols): several bands of 64 or 8 rows, a one-row last band, extents
+# not multiples of 8; the default band height covers each in one band
 BANDED_EXTENTS = [(150, 45), (129, 67), (7, 9)]
+BANDED_ROWS = (None, 64, 8)  # None: the default band height
 
 
 def per_block_codec(px, crf, basis=None):
@@ -297,31 +300,41 @@ class TestDegrade:
         np.testing.assert_allclose(lin.pixels, nits, atol=0.5)
 
     @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
-    def test_banded_chain_matches_whole_frame_reference(self, extent):
+    def test_banded_chain_matches_whole_frame_reference(self, extent, monkeypatch):
         hdr = cropped_hdr(extent)
         op = tm.ToneOperator(tm.ToneKind.BT2446A, {})
         encoded = whole_frame_encode(hdr, op)
-        got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None)).pixels
-        assert np.array_equal(got, encoded)
-        for crf in tm.VALID_CRF:
-            # the program's basis: a coefficient on a deadzone boundary rounds the same way
-            got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=crf)).pixels
-            assert np.array_equal(got, per_block_codec(encoded, crf, tm.DCT8)), crf
+        # the program's basis: a coefficient on a deadzone boundary rounds the same way
+        want = {crf: per_block_codec(encoded, crf, tm.DCT8) for crf in tm.VALID_CRF}
+        for band_rows in BANDED_ROWS:
+            fix_band_rows(monkeypatch, band_rows)
+            got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None)).pixels
+            assert np.array_equal(got, encoded), band_rows
+            for crf in tm.VALID_CRF:
+                got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=crf)).pixels
+                assert np.array_equal(got, want[crf]), (band_rows, crf)
 
     @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
-    def test_variants_equal_codec_of_uncoded_frame(self, extent):
+    def test_variants_equal_codec_of_uncoded_frame(self, extent, monkeypatch):
         hdr = cropped_hdr(extent)
         op = tm.ToneOperator(tm.ToneKind.LOGC, {})
         crfs = (39, None, 23, 31)
-        frames = list(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs))
         encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
-        assert len(frames) == len(crfs)
-        for crf, frame in zip(crfs, frames):
-            assert frame.tag == encoded.tag
-            assert np.array_equal(frame.pixels, tm.codec_proxy(encoded, crf).pixels), crf
+        want = {crf: tm.codec_proxy(encoded, crf).pixels for crf in crfs}
+        for band_rows in BANDED_ROWS:
+            fix_band_rows(monkeypatch, band_rows)
+            frames = list(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs))
+            assert len(frames) == len(crfs)
+            for crf, frame in zip(crfs, frames):
+                assert frame.tag == encoded.tag
+                assert np.array_equal(frame.pixels, want[crf]), (band_rows, crf)
 
     def test_bands_hold_whole_blocks(self):
-        assert tc.BAND_ROWS % 8 == 0
+        # the most rows, in whole 8x8 blocks, within the pixel budget; at least one block
+        for width in (1, 9, 45, 67, 960, 1920, 3840, 5000):
+            rows = tc.band_rows(width)
+            assert rows % 8 == 0 and rows >= 8, width
+            assert rows * width <= tc.BAND_PIXELS or rows == 8, width
 
     @pytest.mark.parametrize("crfs", [(23, 30), (None, 24), ("23",)])
     def test_variants_reject_bad_crf_before_any_band(self, crfs, monkeypatch):

@@ -14,17 +14,22 @@ operators; each operator runs its chain up to one forward DCT once, over
 row bands of `tensorcore.band_rows`, for all of its CRFs
 (`tonemap.degrade_variants`), and every frame derives its own seed.
 `fit-expand`, `metrics` and `features` run their per-pixel stages over the
-same row bands (`tensorcore.map_row_bands`) on that many threads. The
-spline fit sees every stride-th pixel of the frame, the chroma least
-squares solves the sum of per-row Gram blocks, each metric mean is a sum
-of per-row sums, reduced in row order, and each band of the log-gradient
-map reads one row of luminance beyond each of its edges. A band is the
-most rows, in a multiple of 8 and at least 8, that hold no more than
-`tensorcore.BAND_PIXELS` pixels. Band edges depend only on the frame's
-extent, so outputs are byte-identical at any worker count.
+same row bands (`tensorcore.map_row_bands`) on that many threads, and
+hold no whole input frame: each input is opened with `pfm.open_tagged`
+and read from disk band by band, twice, once to range-check it (fit-expand
+also gathers its fit samples then) and once to decode it. `synthesize`
+reads its input whole, once. The spline fit sees every stride-th pixel of
+the frame, the chroma least squares solves the sum of per-row Gram
+blocks, each metric mean is a sum of per-row sums, reduced in row order,
+and each band of the log-gradient map reads one row of luminance beyond
+each of its edges. A band is the most rows, in a multiple of 8 and at
+least 8, that hold no more than `tensorcore.BAND_PIXELS` pixels. Band
+edges depend only on the frame's extent, so outputs are byte-identical at
+any worker count.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -132,24 +137,40 @@ HDR_FORMAT = (cm.Transfer.PQ, cm.Primaries.BT2020)
 SDR_FORMAT = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
 
 
-def _read_frame(path, fmt):
-    """Read a tagged frame whose (transfer, primaries) must be `fmt`; a mismatch exits 2."""
-    img = pfm.read_tagged(path)
-    got = (img.tag.transfer, img.tag.primaries)
+def _check_format(path, tag, fmt):
+    """Raise FrameFormatError (exit 2) unless `tag` has the (transfer, primaries) `fmt`."""
+    got = (tag.transfer, tag.primaries)
     if got != fmt:
         raise FrameFormatError(f"{path}: expected a {fmt[0].value}/{fmt[1].value} frame, "
                                f"got {got[0].value}/{got[1].value}")
+
+
+def _read_frame(path, fmt):
+    """Read a whole tagged frame whose (transfer, primaries) must be `fmt`."""
+    img = pfm.read_tagged(path)
+    _check_format(path, img.tag, fmt)
     return img
 
 
-def _read_pair(path_a, fmt_a, path_b, fmt_b):
-    """Two frames read as `_read_frame` reads them, which must share one extent."""
-    a = _read_frame(path_a, fmt_a)
-    b = _read_frame(path_b, fmt_b)
-    if a.pixels.shape != b.pixels.shape:
-        raise FrameFormatError(f"{path_a}: extent {a.pixels.shape} differs from "
-                               f"{path_b} {b.pixels.shape}")
-    return a, b
+def _open_frame(path, fmt):
+    """Open a frame as `_read_frame` reads it, but read no sample; the caller closes it."""
+    frame = pfm.open_tagged(path)
+    try:
+        _check_format(path, frame.tag, fmt)
+    except FrameFormatError:
+        frame.close()
+        raise
+    return frame
+
+
+@contextlib.contextmanager
+def _open_pair(path_a, fmt_a, path_b, fmt_b):
+    """Two frames opened as `_open_frame` opens them, which must share one extent."""
+    with _open_frame(path_a, fmt_a) as a, _open_frame(path_b, fmt_b) as b:
+        if a.shape != b.shape:
+            raise FrameFormatError(f"{path_a}: extent {a.shape} differs from "
+                                   f"{path_b} {b.shape}")
+        yield a, b
 
 
 def cmd_synthesize(args):
@@ -213,36 +234,49 @@ def _yuv(img):
 def fit_pairs(sdr, ref, cfg):
     """The (SDR luma, reference luma / peak_nits) pairs fit_rqs fits: every stride-th pixel.
 
-    The stride keeps about `fit_samples` pixels. Only those pixels are
-    decoded, each exactly as a whole-frame decode would decode it.
+    The stride keeps about `fit_samples` pixels. Both frames are
+    range-checked here: each is read once, band by band, and a band's
+    samples are gathered as it passes its check, so the checks fail as
+    whole-frame checks of `sdr`, then `ref`, would. Only the gathered pixels
+    are decoded, each exactly as a whole-frame decode would decode it.
     """
-    h, w, _ = sdr.pixels.shape
+    h, w, _ = sdr.shape
     stride = max(1, h * w // cfg["fit_samples"])
 
     def gather(img):
-        # a contiguous 1 x N frame, so every kernel takes the path a whole frame takes
-        return img.with_pixels(np.ascontiguousarray(img.pixels.reshape(-1, 3)[::stride])[None])
+        # a contiguous 1 x N frame, so every kernel takes the path a whole frame takes;
+        # the cast to float64 is exact, and every decode widens float32 samples to it
+        samples = np.empty((-(-h * w // stride), 3))
 
-    y_sdr = cm.luma2020(ft.linearize_sdr(gather(sdr)))
-    y_ref = np.clip(cm.luma2020(cm.apply_transfer(gather(ref))) / cfg["peak_nits"], 0.0, 1.0)
+        def visit(rows, band):
+            first = -(-rows.start * w // stride)  # flat index first * stride is in this band
+            stop = -(-rows.stop * w // stride)
+            samples[first:stop] = band.reshape(-1, 3)[first * stride - rows.start * w::stride]
+
+        cm.check_encoded(img, visit)
+        return cm.TaggedImage(samples[None], img.tag)
+
+    sdr_samples = gather(sdr)
+    ref_samples = gather(ref)
+    y_sdr = cm.luma2020(ft.linearize_sdr(sdr_samples))
+    y_ref = np.clip(cm.luma2020(cm.apply_transfer(ref_samples)) / cfg["peak_nits"], 0.0, 1.0)
     return y_sdr.reshape(-1), y_ref.reshape(-1)
 
 
 def fit_expand(sdr, ref, cfg, workers=1):
     """Fit a tone spline from `sdr` to `ref`, expand `sdr` with it, mix its chroma toward `ref`.
 
-    Returns the PQ/BT.2020 frame and fit_rqs's params, raw vector and loss
-    trace. The spline fit sees the strided samples of `fit_pairs`. One
-    pass over tensorcore row bands on `workers` threads then expands
-    `sdr` and writes each row's 3 x 5 Gram block of the chroma least
-    squares; one 3 x 3 solve takes the sum of those blocks, and a second
-    pass mixes and PQ-encodes. Each row's block depends on that row
-    alone, so the output does not depend on `workers` or the band height.
+    `sdr` and `ref` are TaggedImages or open `pfm.PfmFrame`s; each is read
+    twice, band by band. Returns the PQ/BT.2020 frame and fit_rqs's
+    params, raw vector and loss trace. The spline fit sees the strided
+    samples `fit_pairs` gathers as it range-checks both frames. One pass
+    over tensorcore row bands on `workers` threads then expands `sdr` and
+    writes each row's 3 x 5 Gram block of the chroma least squares; one
+    3 x 3 solve takes the sum of those blocks, and a second pass mixes and
+    PQ-encodes. Each row's block depends on that row alone, so the output
+    does not depend on `workers` or the band height.
     """
-    # whole-frame checks first, in the order a whole-frame decode would fail them
-    cm.check_encoded(sdr)
-    cm.check_encoded(ref)
-    h, w, _ = sdr.pixels.shape
+    h, w, _ = sdr.shape
     peak = cfg["peak_nits"]
     params, raw, trace = rqs.fit_rqs(*fit_pairs(sdr, ref, cfg), K=cfg["spline_knots"],
                                      cfg=fit_config(cfg))
@@ -258,14 +292,14 @@ def fit_expand(sdr, ref, cfg, workers=1):
         return lhs
 
     def expand(rows):
-        # both frames passed check_encoded above, so the bands decode unchecked
-        nits = expand_sdr(ft._linearize(sdr.pixels[rows], sdr.tag.peak_nits), params, peak)
+        # both frames passed check_encoded in fit_pairs, so the bands decode unchecked
+        nits = expand_sdr(ft._linearize(sdr.band(rows), sdr.tag.peak_nits), params, peak)
         band = yuv[rows]
         band[..., 0], band[..., 1], band[..., 2] = _yuv(nits)
         lhs = operand(band)
         both = np.empty(band.shape[:2] + (5,))
         both[..., :3] = lhs
-        ref_band = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), ref_tag)
+        ref_band = cm.TaggedImage(cm._pq_eotf(ref.band(rows)), ref_tag)
         _, both[..., 3], both[..., 4] = _yuv(ref_band)
         np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
 
@@ -293,14 +327,11 @@ def fit_expand(sdr, ref, cfg, workers=1):
 def cmd_fit_expand(args):
     cfg = load_config(args.config)
     workers = _max_workers()
-    sdr, ref = _read_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT)
-    if sdr.pixels.shape[0] * sdr.pixels.shape[1] < rqs.MIN_SAMPLES:
-        raise FrameFormatError(f"{args.sdr}: extent {sdr.pixels.shape} has fewer than "
-                               f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
-    out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
-    # the inputs are done with; freed here, they are not alive beside the
-    # float64 output and the float32 copy the write makes of it
-    del sdr, ref
+    with _open_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT) as (sdr, ref):
+        if sdr.shape[0] * sdr.shape[1] < rqs.MIN_SAMPLES:
+            raise FrameFormatError(f"{args.sdr}: extent {sdr.shape} has fewer than "
+                                   f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
+        out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
     pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
     rqs.save_fit(args.output + ".rqs.json", params, raw, fit_config(cfg))
     np.savetxt(args.output + ".trace.csv", trace, header="loss", comments="")
@@ -310,8 +341,8 @@ def cmd_fit_expand(args):
 
 def cmd_metrics(args):
     workers = _max_workers()
-    ref, test = _read_pair(args.ref, HDR_FORMAT, args.test, HDR_FORMAT)
-    report = mt.metric_report(ref, test, workers)
+    with _open_pair(args.ref, HDR_FORMAT, args.test, HDR_FORMAT) as (ref, test):
+        report = mt.metric_report(ref, test, workers)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:
@@ -341,8 +372,8 @@ def _map_summary(name, arr):
 def cmd_features(args):
     cfg = load_config(args.config)
     workers = _max_workers()
-    sdr = _read_frame(args.frame, SDR_FORMAT)
-    feats = ft.extract_phys(sdr, workers)
+    with _open_frame(args.frame, SDR_FORMAT) as sdr:
+        feats = ft.extract_phys(sdr, workers)
     desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),

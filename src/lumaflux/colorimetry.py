@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import tensorcore as tc
 from .errors import DimensionError, DomainError, TagError
 
 PQ_PEAK_NITS = 10000.0
@@ -117,6 +118,14 @@ class TaggedImage:
             raise DimensionError(f"expected HxWx3 pixels, got {px.shape}")
         object.__setattr__(self, "pixels", px)
 
+    @property
+    def shape(self):
+        return self.pixels.shape
+
+    def band(self, rows):
+        """Rows `rows` (a slice) of the pixels, as `pfm.PfmFrame.band` reads them from a file."""
+        return self.pixels[rows]
+
     def with_pixels(self, pixels, tag=None):
         return TaggedImage(pixels=pixels, tag=tag if tag is not None else self.tag)
 
@@ -173,15 +182,25 @@ def bt709_eotf(signal):
     return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
 
 
-def check_encoded(img):
+def check_encoded(img, visit=None):
     """Raise DomainError naming the first pixel of an encoded image outside [0, 1].
 
-    A non-finite sample fails the check too.
+    A non-finite sample fails the check too, and pixels are taken in
+    row-major order. `img` is a TaggedImage or an open `pfm.PfmFrame`, read
+    one tensorcore row band at a time on the calling thread; the check is
+    memory-bound, and a pool only adds hand-offs. `visit(rows, band)`, when
+    given, is called on every band that passes.
     """
-    bad = ~((img.pixels >= 0.0) & (img.pixels <= 1.0))
-    if np.any(bad):
-        idx = tuple(int(k) for k in np.argwhere(bad)[0])
-        raise DomainError(f"encoded sample outside [0,1] at pixel {idx}")
+    h, w, _ = img.shape
+    for rows in tc.row_bands(h, w):
+        band = img.band(rows)
+        # min and max carry a NaN through, and a NaN fails both comparisons
+        if band.size and not (band.min() >= 0.0 and band.max() <= 1.0):
+            bad = ~((band >= 0.0) & (band <= 1.0))
+            r, c, k = (int(i) for i in np.argwhere(bad)[0])
+            raise DomainError(f"encoded sample outside [0,1] at pixel {(rows.start + r, c, k)}")
+        if visit is not None:
+            visit(rows, band)
 
 
 def apply_transfer(img):

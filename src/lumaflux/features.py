@@ -2,9 +2,10 @@
 
 The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
-target. `extract_phys` range-checks the whole frame once, then builds its
-per-pixel maps over tensorcore row bands on a thread pool; the global
-stats and the spectral bands read the whole luminance plane.
+target. `extract_phys` takes an in-memory frame or an open PFM and reads
+it band by band: one pass over tensorcore row bands range-checks every
+sample, and the next ones build the per-pixel maps on a thread pool. The
+global stats and the spectral bands read the whole luminance plane.
 """
 
 from dataclasses import dataclass
@@ -96,18 +97,20 @@ def global_mlp(s_g, w1, b1, w2, b2):
 def extract_phys(sdr, workers=1):
     """Assemble physical maps and global stats.
 
-    The per-pixel maps run over tensorcore row bands on `workers` threads:
-    one pass linearizes each band and writes its luminance and saturation,
-    a second writes each band's log-gradient from its rows of luminance and
-    the row above and below it. Borders are replicated only at the frame's
-    edges, so the maps do not depend on `workers` or the band height.
+    `sdr` is a TaggedImage or an open `pfm.PfmFrame`, range-checked band by
+    band first. The per-pixel maps then run over tensorcore row bands on
+    `workers` threads: one pass linearizes each band and writes its
+    luminance and saturation, a second writes each band's log-gradient from
+    its rows of luminance and the row above and below it. Borders are
+    replicated only at the frame's edges, so the maps do not depend on
+    `workers` or the band height.
     """
-    _check_sdr(sdr)  # whole-frame, so the bands decode unchecked
-    h, w, _ = sdr.pixels.shape
+    _check_sdr(sdr)  # every band, so the bands decode unchecked
+    h, w, _ = sdr.shape
     y, sat, loggrad = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
 
     def linearize(rows):
-        wide = _linearize(sdr.pixels[rows], sdr.tag.peak_nits)
+        wide = _linearize(sdr.band(rows), sdr.tag.peak_nits)
         y[rows] = cm.luma2020(wide)
         sat[rows] = saturation(wide.pixels)
 

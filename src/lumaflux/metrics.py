@@ -1,8 +1,10 @@
 """Full-reference HDR quality metrics in PU21 space plus DeltaE_ITP.
 
-There is one scoring path, `metric_report`: it PQ-decodes both images to
-absolute nits over row bands, `tensorcore.band_rows` of the frame's width
-tall, and applies the PU21 perceptual encoding; the code range is the
+There is one scoring path, `metric_report`: it range-checks both images,
+then PQ-decodes them to absolute nits over row bands,
+`tensorcore.band_rows` of the frame's width tall, and applies the PU21
+perceptual encoding. Each image is an in-memory TaggedImage or an open
+`pfm.PfmFrame`, read band by band in each pass; the code range is the
 PU21 value of 10^4 cd/m^2. Each row keeps only its error sums, and every
 mean reduces them in row order, so no whole-frame error plane is held.
 `psnr_pu21` returns the report's score. Identical images report the
@@ -73,27 +75,28 @@ def _psnr(mse):
 def metric_report(ref, test, workers=1):
     """Assemble every in-scope metric into a machine-readable report.
 
-    Decoding and the per-pixel errors run over row bands on `workers`
-    threads. Each row writes its sums of squared PU21 RGB error, squared
-    PU21 luma error and DeltaE_ITP; each mean is the row-order sum of
-    those over the sample count, so the report does not depend on
-    `workers` or the band height.
+    `ref` and `test` are TaggedImages or open `pfm.PfmFrame`s, range-checked
+    band by band first. Decoding and the per-pixel errors then run over row
+    bands on `workers` threads. Each row writes its sums of squared PU21
+    RGB error, squared PU21 luma error and DeltaE_ITP; each mean is the
+    row-order sum of those over the sample count, so the report does not
+    depend on `workers` or the band height.
     """
-    # whole-frame checks, in the order a whole-frame decode of each would fail
+    # each frame checked band by band, in the order a whole-frame decode of each would fail
     for img in (ref, test):
         if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
             raise TagError("metrics expect PQ/BT.2020 images")
         cm.check_encoded(img)
-    if ref.pixels.shape != test.pixels.shape:
+    if ref.shape != test.shape:
         raise DimensionError("psnr_pu21: image extents differ")
-    h, w, _ = ref.pixels.shape
+    h, w, _ = ref.shape
     sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
     linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def band(rows):
         # both frames passed check_encoded above, so the bands decode unchecked
-        a = cm.TaggedImage(cm._pq_eotf(ref.pixels[rows]), linear)
-        b = cm.TaggedImage(cm._pq_eotf(test.pixels[rows]), linear)
+        a = cm.TaggedImage(cm._pq_eotf(ref.band(rows)), linear)
+        b = cm.TaggedImage(cm._pq_eotf(test.band(rows)), linear)
         se = cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)
         se *= se
         sums[rows, 0] = se.sum(axis=(1, 2))

@@ -2,18 +2,22 @@
 
 PFM stores float32 samples, rows bottom-up: little-endian under a
 negative scale, big-endian under a positive one. `write_pfm` writes
-little-endian; `read_pfm` keeps the samples float32 in memory, in native
-byte order and rows top-down, and every decode widens them to float64
-in its own arithmetic. PFM has no colorimetry header, so every frame
-travels with a sidecar JSON recording its color-space tag, the tool
-version, a config hash, and the seed used to produce it. Both files are
-written to a temporary name and renamed into place, so a failed write
-never leaves a partial file under the final name. Malformed input raises
-FrameFormatError.
+little-endian, one row band at a time from the bottom up, each band cast
+to float32 on its own. `open_tagged` checks a frame's header, payload size
+and sidecar tag without reading the payload; the frame it returns reads
+rows on demand, one band per positioned read, as native-order float32
+rows top-down, so a command holds no whole input frame. `read_pfm` and
+`read_tagged` open a frame the same way and read every row. PFM has no
+colorimetry header, so every frame travels with a sidecar JSON recording
+its color-space tag, the tool version, a config hash, and the seed used to
+produce it. Both files are written to a temporary name and renamed into
+place, so a failed write never leaves a partial file under the final
+name. Malformed input raises FrameFormatError.
 """
 
 import contextlib
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -23,7 +27,12 @@ import numpy as np
 
 from . import __version__
 from . import colorimetry as cm
+from . import tensorcore as tc
 from .errors import DimensionError, FrameFormatError
+
+HEADER_LINE_BYTES = 256  # longest PFM header line read, newline included
+_IOV_MAX = 1024  # most buffers one positioned read takes: IOV_MAX on Linux and the BSDs
+_READ_BYTES = 1 << 30  # most bytes asked of one positioned read, well under Linux's 2 GiB cap
 
 
 def _write_atomic(path, chunks):
@@ -47,36 +56,98 @@ def write_pfm(path, pixels):
         raise DimensionError("write_pfm expects HxWx3 samples")
     h, w, _ = pixels.shape
     header = f"PF\n{w} {h}\n-1.0\n".encode()
-    # one copy: rows flipped bottom-up and cast to float32 in a single pass
-    payload = np.ascontiguousarray(pixels[::-1], dtype="<f4")
-    _write_atomic(path, (header, memoryview(payload).cast("B")))
+    # bottom-up bands, each flipped and cast to float32 in one pass, so no
+    # whole-frame float32 copy is made
+    stored = pixels[::-1]
+    bands = (memoryview(np.ascontiguousarray(stored[rows], dtype="<f4")).cast("B")
+             for rows in tc.row_bands(h, w))
+    _write_atomic(path, itertools.chain((header,), bands))
 
 
-def read_pfm(path):
-    """The samples of a 3-channel PFM as a native-order float32 (h, w, 3) array, rows top-down."""
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"PF":
-            raise FrameFormatError(f"{path}: not a 3-channel PFM file")
+class PfmFrame:
+    """An open 3-channel PFM file whose header has been checked; `band` reads its rows.
+
+    `shape` is (h, w, 3) and `tag` the sidecar's color-space tag, or None
+    when opened without one. Use it as a context manager, or `close` it.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.tag = None
+        self._fh = open(path, "rb")
         try:
-            w, h = (int(v) for v in fh.readline().split())
-            scale = float(fh.readline())
+            self._parse_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _line(self, fault):
+        """One header line of at most HEADER_LINE_BYTES; a longer one is refused with `fault`."""
+        line = self._fh.readline(HEADER_LINE_BYTES)
+        if len(line) == HEADER_LINE_BYTES and not line.endswith(b"\n"):
+            raise FrameFormatError(f"{self.path}: {fault}")
+        return line
+
+    def _parse_header(self):
+        path = self.path
+        not_pfm = "not a 3-channel PFM file"
+        if self._line(not_pfm).strip() != b"PF":
+            raise FrameFormatError(f"{path}: {not_pfm}")
+        malformed = "malformed PFM dimensions or scale"
+        try:
+            w, h = (int(v) for v in self._line(malformed).split())
+            scale = float(self._line(malformed))
         except ValueError:
-            raise FrameFormatError(f"{path}: malformed PFM dimensions or scale") from None
+            raise FrameFormatError(f"{path}: {malformed}") from None
         if w <= 0 or h <= 0 or scale == 0.0 or not np.isfinite(scale):
             raise FrameFormatError(f"{path}: invalid PFM header {w}x{h}, scale {scale}")
-        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        self._payload = self._fh.tell()
+        size = os.fstat(self._fh.fileno()).st_size - self._payload
         expected = w * h * 3 * 4
         if size != expected:
             raise FrameFormatError(
                 f"{path}: {size} payload bytes for a {w}x{h} frame, expected {expected}")
-        px = np.empty((h, w, 3), dtype=np.float32)
-        # each stored row straight into its top-down place: no payload copy
-        for row in px[::-1]:
-            if fh.readinto(row) != row.nbytes:
-                raise FrameFormatError(f"{path}: payload ends early for a {w}x{h} frame")
-    if (scale > 0.0) != (sys.byteorder == "big"):  # a positive scale stores big-endian
-        px.byteswap(inplace=True)
-    return px
+        self.shape = (h, w, 3)
+        self._swap = (scale > 0.0) != (sys.byteorder == "big")  # a positive scale stores big-endian
+
+    def band(self, rows):
+        """Rows `rows` (a slice) as a native-order float32 (r, w, 3) array, rows top-down.
+
+        The rows are one contiguous stretch of the bottom-up payload, read
+        with positioned reads straight into their top-down places, so
+        threads may read bands of one frame at once.
+        """
+        h, w, _ = self.shape
+        top, stop, _ = rows.indices(h)
+        out = np.empty((max(stop - top, 0), w, 3), dtype=np.float32)
+        stored = out[::-1]  # the rows in file order
+        row_bytes = w * 3 * 4
+        offset = self._payload + (h - stop) * row_bytes
+        step = max(1, min(_IOV_MAX, _READ_BYTES // row_bytes))
+        for k in range(0, len(stored), step):
+            chunk = list(stored[k:k + step])
+            want = len(chunk) * row_bytes
+            if os.preadv(self._fh.fileno(), chunk, offset) != want:
+                raise FrameFormatError(f"{self.path}: payload ends early for a {w}x{h} frame")
+            offset += want
+        if self._swap:
+            out.byteswap(inplace=True)
+        return out
+
+    def close(self):
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def read_pfm(path):
+    """The samples of a 3-channel PFM as a native-order float32 (h, w, 3) array, rows top-down."""
+    with PfmFrame(path) as frame:
+        return frame.band(slice(None))
 
 
 def config_hash(doc):
@@ -99,15 +170,32 @@ def write_sidecar(frame_path, tag, seed=0, config=None, extra=None):
     _write_atomic(sidecar_path(frame_path), (json.dumps(doc, indent=2, sort_keys=True).encode(),))
 
 
-def read_tagged(frame_path):
-    pixels = read_pfm(frame_path)
+def _read_tag(frame_path):
     side = sidecar_path(frame_path)
     try:
         with open(side) as fh:
-            tag = cm.ColorSpaceTag.from_json(json.load(fh)["tag"])
+            return cm.ColorSpaceTag.from_json(json.load(fh)["tag"])
     except (KeyError, TypeError, ValueError, RecursionError) as exc:  # nesting too deep
         raise FrameFormatError(f"{side}: no valid color-space tag ({exc!r})") from None
-    return cm.TaggedImage(pixels, tag)
+
+
+def open_tagged(frame_path):
+    """Open a PFM and its sidecar tag, checked as read_tagged checks them; reads no samples.
+
+    Returns a PfmFrame whose `tag` is set; the caller closes it.
+    """
+    frame = PfmFrame(frame_path)
+    try:
+        frame.tag = _read_tag(frame_path)
+    except BaseException:
+        frame.close()
+        raise
+    return frame
+
+
+def read_tagged(frame_path):
+    with open_tagged(frame_path) as frame:
+        return cm.TaggedImage(frame.band(slice(None)), frame.tag)
 
 
 def write_tagged(frame_path, img, seed=0, config=None, extra=None):

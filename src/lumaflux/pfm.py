@@ -1,23 +1,25 @@
 """PFM image I/O plus the JSON sidecar carrying colorimetry and provenance.
 
 PFM stores float32 samples, rows bottom-up: little-endian under a
-negative scale, big-endian under a positive one. `write_pfm` writes
-little-endian, one row band at a time from the bottom up, each band cast
-to float32 on its own. `open_tagged` checks a frame's header, payload size
-and sidecar tag without reading the payload; the frame it returns reads
-rows on demand, one band per positioned read, as native-order float32
-rows top-down, so a command holds no whole input frame. `read_pfm` and
-`read_tagged` open a frame the same way and read every row. PFM has no
-colorimetry header, so every frame travels with a sidecar JSON recording
-its color-space tag, the tool version, a config hash, and the seed used to
-produce it. Both files are written to a temporary name and renamed into
-place, so a failed write never leaves a partial file under the final
-name. Malformed input raises FrameFormatError.
+negative scale, big-endian under a positive one. `PfmWriter` writes a
+frame little-endian, one row band at a time from the bottom up, each band
+cast to float32 on its own, so a caller that makes its frame band by band
+never holds it whole; `write_pfm` writes an in-memory frame through it.
+`open_tagged` checks a frame's header, payload size and sidecar tag
+without reading the payload; the frame it returns reads rows on demand,
+one band per positioned read, as native-order float32 rows top-down, so a
+command holds no whole input frame. `read_pfm` and `read_tagged` open a
+frame the same way and read every row. PFM has no colorimetry header, so
+every frame travels with a sidecar JSON recording its color-space tag,
+the tool version, a config hash, and the seed used to produce it. Both
+files are written to a temporary name and renamed into place, and a
+frame's temporary file is unlinked if it is never renamed, so a failed
+write never leaves a partial file under the final name. Malformed input
+raises FrameFormatError.
 """
 
 import contextlib
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -35,10 +37,15 @@ _IOV_MAX = 1024  # most buffers one positioned read takes: IOV_MAX on Linux and 
 _READ_BYTES = 1 << 30  # most bytes asked of one positioned read, well under Linux's 2 GiB cap
 
 
+def _temporary(path):
+    """A name next to `path`, unique to this process and thread, to write it under."""
+    head, tail = os.path.split(path)
+    return os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 def _write_atomic(path, chunks):
     """Write byte chunks to a temporary file next to path, then rename it over path."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = _temporary(path)
     try:
         with open(tmp, "xb") as fh:
             for chunk in chunks:
@@ -50,18 +57,64 @@ def _write_atomic(path, chunks):
         raise
 
 
+class PfmWriter:
+    """An h x w PFM written one row band at a time, the bottom band first.
+
+    The file grows under a temporary name next to `path`; `commit` renames
+    it into place once every row is written. Use it as a context manager:
+    leaving the block without a commit unlinks the temporary file, so a
+    failed write never leaves a partial file under the final name.
+    """
+
+    def __init__(self, path, h, w):
+        self.path = path
+        self.shape = (h, w, 3)
+        self._left = h  # rows not yet written
+        self._tmp = _temporary(path)
+        self._file = contextlib.ExitStack()  # closes the file, once
+        self._fh = self._file.enter_context(open(self._tmp, "xb"))
+        self._fh.write(f"PF\n{w} {h}\n-1.0\n".encode())
+
+    def write(self, band):
+        """Append the (r, w, 3) band just above the rows written so far; its rows run top-down.
+
+        The band is flipped and cast to little-endian float32 in one pass.
+        """
+        r = len(band)
+        if band.shape[1:] != self.shape[1:] or r > self._left:
+            raise DimensionError(f"{self.path}: a {band.shape} band does not fit the "
+                                 f"{self._left} rows left of a {self.shape} frame")
+        self._fh.write(memoryview(np.ascontiguousarray(band[::-1], dtype="<f4")).cast("B"))
+        self._left -= r
+
+    def commit(self):
+        """Rename the finished file into place."""
+        if self._left:
+            raise DimensionError(f"{self.path}: {self._left} rows of a {self.shape} "
+                                 "frame were never written")
+        self._file.close()
+        os.replace(self._tmp, self.path)
+        self._tmp = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+        if self._tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(self._tmp)
+
+
 def write_pfm(path, pixels):
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise DimensionError("write_pfm expects HxWx3 samples")
     h, w, _ = pixels.shape
-    header = f"PF\n{w} {h}\n-1.0\n".encode()
-    # bottom-up bands, each flipped and cast to float32 in one pass, so no
-    # whole-frame float32 copy is made
-    stored = pixels[::-1]
-    bands = (memoryview(np.ascontiguousarray(stored[rows], dtype="<f4")).cast("B")
-             for rows in tc.row_bands(h, w))
-    _write_atomic(path, itertools.chain((header,), bands))
+    with PfmWriter(path, h, w) as out:
+        for rows in reversed(tc.row_bands(h, w)):
+            out.write(pixels[rows])
+        out.commit()
 
 
 class PfmFrame:

@@ -7,13 +7,17 @@ from PQ/BT.2020 HDR input, with a deterministic DCT codec proxy standing
 in for real HEVC encodes at the three CRF working points.
 
 `degrade_variants` takes the decoded (linear) frame and serves every CRF
-of one operator from one pass: tone map, gamut clamp, encode, quantize
-and the forward DCT run once, over row bands of `tensorcore.band_rows`
-(at most `tensorcore.BAND_PIXELS` pixels, a multiple of 8 rows), and only
-the deadzone quantization and inverse DCT run per CRF. `degrade`
-is its one-frame form on PQ input, and `codec_proxy` runs the same DCT on
-an encoded frame. Banding never changes a bit: the bands hold whole 8x8
-blocks and the last band's edge padding is the whole frame's.
+of one operator from one pass over row bands of `tensorcore.band_rows`
+(at most `tensorcore.BAND_PIXELS` pixels, a multiple of 8 rows), from the
+bottom band up, the order in which a PFM stores rows: tone map, gamut
+clamp, encode, quantize and the forward DCT run once per band into
+band-sized coefficients, and only the deadzone quantization and inverse
+DCT run per CRF, each into its own band-sized buffer. It yields bands, so
+no caller needs a whole output frame. `degrade` puts one frame together
+from its bands on PQ input, and `codec_proxy` does the same from the same
+band generator on an encoded frame. Banding never changes a bit: the
+bands hold whole 8x8 blocks and the last band's edge padding is the
+whole frame's.
 """
 
 import enum
@@ -283,45 +287,39 @@ def _inverse_dct(coefs, step, padded, work, out):
     out[...] = px[:r, :w]
 
 
-def _codec_frames(h, w, encode_band, crfs):
-    """One frame per entry of `crfs` from the encoded bands `encode_band(rows)` returns.
+def _codec_bands(h, w, encode_band, crfs):
+    """(rows, bands) for each row band of an h x w frame, the bottom band first.
 
-    Bands of tc.band_rows(w) rows pass once through `encode_band` and the
-    forward DCT; the coefficients are kept for the whole frame, and each CRF
-    then quantizes and inverts them band by band into a fresh frame. A None
-    CRF yields the encoded frame itself. Band edges are multiples of 8 that
-    depend only on the frame's extent, so every band holds whole blocks but
-    the last, whose edge padding is the whole frame's.
+    `bands` holds the band at each entry of `crfs`. Bands of tc.band_rows(w)
+    rows pass once through `encode_band(rows)` and the forward DCT into
+    band-sized coefficients; each CRF then quantizes and inverts them into
+    its own band-sized buffer, and a None CRF takes the encoded band itself.
+    The buffers are reused from band to band, so a caller reads each band
+    before it asks for the next. Band edges are multiples of 8 that depend
+    only on the frame's extent, so every band holds whole blocks but the
+    last, whose edge padding is the whole frame's.
     """
     per_row = -(-w // _DCT_N)  # blocks in one row of blocks
-    frame = np.empty((h, w, 3)) if None in crfs else None
-    coefs = None
-    if any(crf is not None for crf in crfs):
-        coefs = np.empty((-(-h // _DCT_N) * per_row, 3, _DCT_N, _DCT_N))
-        # scratch for the first, tallest band in whole blocks, reused by every band of every CRF
-        tallest = min(tc.band_rows(w), -(-h // _DCT_N) * _DCT_N)
+    # scratch for the tallest band in whole blocks, reused by every band of every CRF
+    tallest = min(tc.band_rows(w), -(-h // _DCT_N) * _DCT_N)
+    steps = [None if crf is None else (JPEG_BASE / 255.0) * 0.25 * crf_quality_scale(crf)
+             for crf in crfs]
+    outs = [None if step is None else np.empty((tallest, w, 3)) for step in steps]
+    coded = any(out is not None for out in outs)
+    if coded:
         padded = np.empty((tallest, per_row * _DCT_N, 3))
         work = np.empty((2, tallest // _DCT_N * per_row, 3, _DCT_N, _DCT_N))
-
-    def blocks(rows):
-        return slice(rows.start // _DCT_N * per_row, -(-rows.stop // _DCT_N) * per_row)
-
-    bands = tc.row_bands(h, w)
-    for rows in bands:
+        coefs = np.empty_like(work[0])
+    for rows in reversed(tc.row_bands(h, w)):
         band = encode_band(rows)
-        if frame is not None:
-            frame[rows] = band
-        if coefs is not None:
-            _forward_dct(band, padded, work, coefs[blocks(rows)])
-    for crf in crfs:
-        if crf is None:
-            yield frame
-            continue
-        step = (JPEG_BASE / 255.0) * 0.25 * crf_quality_scale(crf)
-        out = np.empty((h, w, 3))
-        for rows in bands:
-            _inverse_dct(coefs[blocks(rows)], step, padded, work, out[rows])
-        yield out
+        r = len(band)
+        n = -(-r // _DCT_N) * per_row  # the band's blocks
+        if coded:
+            _forward_dct(band, padded, work, coefs[:n])
+        for step, out in zip(steps, outs):
+            if out is not None:
+                _inverse_dct(coefs[:n], step, padded, work, out[:r])
+        yield rows, [band if out is None else out[:r] for out in outs]
 
 
 def codec_proxy(img, crf):
@@ -330,11 +328,15 @@ def codec_proxy(img, crf):
     if crf is None:
         return img
     h, w, _ = img.pixels.shape
-    return img.with_pixels(next(_codec_frames(h, w, lambda rows: img.pixels[rows], (crf,))))
+    frame = np.empty((h, w, 3))
+    for rows, (band,) in _codec_bands(h, w, lambda rows: img.pixels[rows], (crf,)):
+        frame[rows] = band
+    return img.with_pixels(frame)
 
 
 _SDR_LINEAR = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)
-_SDR = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
+# the tag of every SDR frame and band that degrade and degrade_variants make
+SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
 
 def _encode_sdr(op, linear):
@@ -350,12 +352,16 @@ def _encode_sdr(op, linear):
 
 
 def degrade_variants(linear, op, crfs):
-    """The SDR frames of one tone operator at each of `crfs`, as an iterator; None skips the codec.
+    """The SDR bands of one tone operator at each of `crfs`, bottom band first; None skips the codec.
 
-    `linear` is the decoded PQ/BT.2020 input (linear BT.2020 nits). The chain
-    from the tone map to the forward DCT runs once, over row bands, for all
+    An iterator of (rows, bands), one per row band of tc.row_bands, where
+    bands[i] holds those rows at crfs[i] as float64 samples tagged SDR_TAG.
+    `linear` is the decoded PQ/BT.2020 input (linear BT.2020 nits). The
+    chain from the tone map to the forward DCT runs once per band for all
     of `crfs`; only the codec quantization and the inverse DCT run per CRF.
-    The tag and every CRF are checked here, before any band runs.
+    A band's arrays are reused for the next band, so read each before
+    asking for the next. The tag and every CRF are checked here, before any
+    band runs.
     """
     tag = linear.tag
     if tag.transfer is not cm.Transfer.LINEAR or tag.primaries is not cm.Primaries.BT2020:
@@ -368,11 +374,14 @@ def degrade_variants(linear, op, crfs):
     def encode_band(rows):
         return _encode_sdr(op, linear.with_pixels(linear.pixels[rows])).pixels
 
-    return (cm.TaggedImage(px, _SDR) for px in _codec_frames(h, w, encode_band, crfs))
+    return _codec_bands(h, w, encode_band, crfs)
 
 
 def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
-    return next(degrade_variants(cm.apply_transfer(img_pq), spec.tmo, (spec.crf,)))
+    frame = np.empty(img_pq.shape)
+    for rows, (band,) in degrade_variants(cm.apply_transfer(img_pq), spec.tmo, (spec.crf,)):
+        frame[rows] = band
+    return cm.TaggedImage(frame, SDR_TAG)

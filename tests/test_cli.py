@@ -229,6 +229,33 @@ class TestSynthesize:
         assert "pixel (3, 5, 1)" in captured.err
         assert not [f for f in os.listdir(out) if f.endswith(".pfm")]
 
+    def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
+        # a 480 x 960 frame in 15 bands of 32 rows on one thread. The input is
+        # read band by band and each CRF's bands go straight to its file, so
+        # only the shared linear frame covers the frame: 1.90 frames. Whole
+        # codec coefficients and output frames per job would take it past 4
+        hdr = synthetic_hdr(size=960)
+        src = str(tmp_path / "hdr.pfm")
+        pfm.write_tagged(src, hdr.with_pixels(hdr.pixels[:480]), seed=7)
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        peak = command_peak(["synthesize", src, "--output-dir", str(tmp_path / "out")])
+        assert peak <= 2.2 * 480 * 960 * 3 * 8
+
+    def test_failed_rename_leaves_only_whole_frames(self, tmp_path, hdr_frame, capsys):
+        # a directory under one output's name makes that frame's rename fail
+        out = tmp_path / "out"
+        (out / "sdr_001_Reinhard_crf31.pfm").mkdir(parents=True)
+        assert cli.main(["synthesize", hdr_frame, "--output-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("I/O failure")
+        names = os.listdir(out)
+        assert not [n for n in names if n.endswith(".tmp")]
+        frames = [n for n in names if n.endswith(".pfm") and (out / n).is_file()]
+        assert "sdr_000_Reinhard_crf23.pfm" in frames  # renamed before the failure
+        for name in frames:
+            img = pfm.read_tagged(str(out / name))
+            assert img.shape == (64, 64, 3) and img.tag == tm.SDR_TAG, name
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = cli.main(["synthesize", str(tmp_path / "nope.pfm"),
                        "--output-dir", str(tmp_path / "o")])

@@ -110,6 +110,27 @@ class TestGamut:
         assert out.pixels.min() >= 0.0
         assert out.tag.primaries is cm.Primaries.BT709
 
+    @pytest.mark.parametrize("holds", ["negatives", "nan", "negative_zero", "no_negatives"])
+    def test_clamp_fraction_is_mean_of_any_bit_for_bit(self, holds):
+        # odd extents and a count that is no power of two, so the division rounds
+        rng = np.random.default_rng(5)
+        rgb = rng.uniform(0.0, 1.0, (37, 53, 3))
+        if holds != "no_negatives":
+            rgb[rng.uniform(size=rgb.shape) < 0.07] *= -1.0
+        if holds == "nan":
+            rgb[rng.uniform(size=rgb.shape) < 0.05] = np.nan
+        if holds == "negative_zero":
+            rgb[rng.uniform(size=rgb.shape) < 0.2] = -0.0
+            assert np.any(np.signbit(rgb) & (rgb == 0.0))
+        want = float(np.mean(np.any(rgb < 0.0, axis=-1)))
+        assert cm._clamp_fraction(rgb) == want
+        assert (want == 0.0) == (holds == "no_negatives")
+        # and through convert_gamut, on the matrix product it clamps
+        img = tagged(rgb)
+        out = img.pixels @ cm.gamut_matrix(cm.Primaries.BT2020, cm.Primaries.BT709).T
+        _, frac = cm.convert_gamut(img, cm.Primaries.BT709)
+        assert frac == float(np.mean(np.any(out < 0.0, axis=-1)))
+
     def test_convert_gamut_requires_linear(self):
         img = tagged([[[0.1, 0.2, 0.3]]], transfer=cm.Transfer.PQ)
         with pytest.raises(TagError):

@@ -305,3 +305,22 @@ def test_write_replaces_existing_frame(tmp_path):
     pfm.write_pfm(path, np.ones((2, 3, 3)))
     np.testing.assert_array_equal(pfm.read_pfm(path), np.ones((2, 3, 3)))
     assert os.listdir(tmp_path) == ["frame.pfm"]
+
+
+def test_writer_takes_bands_bottom_first_and_renames_only_a_whole_frame(tmp_path):
+    px = np.arange(7 * 5 * 3, dtype=np.float32).reshape(7, 5, 3)
+    path = str(tmp_path / "frame.pfm")
+    with pfm.PfmWriter(path, 7, 5) as out:
+        for rows in (slice(4, 7), slice(1, 4), slice(0, 1)):
+            out.write(px[rows])
+        out.commit()
+    assert pfm.read_pfm(path).tobytes() == px.tobytes()
+    assert os.listdir(tmp_path) == ["frame.pfm"]
+    # a band of the wrong width, one past the frame's height, or a commit with
+    # rows missing is refused, and leaving the block unlinks the temporary file
+    for bands in ([px[:, :4]], [px, px[:1]], [px[1:]]):
+        with pytest.raises(DimensionError), pfm.PfmWriter(str(tmp_path / "x.pfm"), 7, 5) as out:
+            for band in bands:
+                out.write(band)
+            out.commit()
+        assert os.listdir(tmp_path) == ["frame.pfm"]

@@ -321,13 +321,20 @@ class TestDegrade:
         crfs = (39, None, 23, 31)
         encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
         want = {crf: tm.codec_proxy(encoded, crf).pixels for crf in crfs}
+        assert encoded.tag == tm.SDR_TAG
         for band_rows in BANDED_ROWS:
             fix_band_rows(monkeypatch, band_rows)
-            frames = list(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs))
-            assert len(frames) == len(crfs)
+            # NaN until a band fills it, so a row no band covers fails the comparison
+            frames = np.full((len(crfs),) + encoded.shape, np.nan)
+            tops = []
+            for rows, bands in tm.degrade_variants(cm.apply_transfer(hdr), op, crfs):
+                assert len(bands) == len(crfs)
+                tops.append(rows.start)
+                for frame, band in zip(frames, bands):
+                    frame[rows] = band
+            assert tops == sorted(tops, reverse=True), band_rows  # the bottom band first
             for crf, frame in zip(crfs, frames):
-                assert frame.tag == encoded.tag
-                assert np.array_equal(frame.pixels, want[crf]), (band_rows, crf)
+                assert np.array_equal(frame, want[crf]), (band_rows, crf)
 
     def test_bands_hold_whole_blocks(self):
         # the most rows, in whole 8x8 blocks, within the pixel budget; at least one block

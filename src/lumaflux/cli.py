@@ -344,7 +344,8 @@ def cmd_fit_expand(args):
         out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
     pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
     rqs.save_fit(args.output + ".rqs.json", params, raw, fit_config(cfg))
-    np.savetxt(args.output + ".trace.csv", trace, header="loss", comments="")
+    rows = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: every float64 round-trips
+    pfm.write_atomic(args.output + ".trace.csv", (f"loss\n{rows}".encode(),))
     print(json.dumps({"output": args.output, "final_loss": float(trace[-1])}, indent=2))
     return 0
 
@@ -355,8 +356,7 @@ def cmd_metrics(args):
         report = mt.metric_report(ref, test, workers)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(doc + "\n")
+        pfm.write_atomic(args.output, ((doc + "\n").encode(),))
     print(doc)
     return 0
 

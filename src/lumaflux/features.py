@@ -136,12 +136,16 @@ def spectral_descriptor(y_map, k_bands):
     if not 2 <= k_bands <= MAX_K_BANDS:
         raise ConfigError(f"k_bands must be in [2, {MAX_K_BANDS}], got {k_bands!r}")
     y_map = np.asarray(y_map, dtype=np.float64)
+    if y_map.ndim != 2 or y_map.size == 0:
+        raise DimensionError(f"spectral_descriptor needs a nonempty 2-D map, got {y_map.shape}")
     rows, cols = y_map.shape
-    spec = tc.rfft2(y_map)
+    # |F|^2 over the half-plane; a column with a conjugate twin (all but DC and
+    # an even width's Nyquist) stands for two bins of the full plane
+    power = np.abs(np.fft.rfft2(y_map)) ** 2
+    power[:, 1:(cols + 1) // 2] *= 2.0
     fr = np.fft.fftfreq(rows)[:, None]
-    fc = np.arange(spec.bins.shape[1])[None, :] / cols
+    fc = np.arange(power.shape[1])[None, :] / cols
     radius = np.sqrt(fr**2 + fc**2)
     band = np.minimum((radius / 0.5 * k_bands).astype(int), k_bands - 1)
-    energies = np.zeros(k_bands)
-    np.add.at(energies, band.reshape(-1), spec.weighted_power().reshape(-1))
+    energies = np.bincount(band.reshape(-1), weights=power.reshape(-1), minlength=k_bands)
     return SpectralDescriptor(r=energies / (rows * cols) ** 2)

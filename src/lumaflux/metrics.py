@@ -7,8 +7,8 @@ perceptual encoding. Each image is an in-memory TaggedImage or an open
 `pfm.PfmFrame`, read band by band in each pass; the code range is the
 PU21 value of 10^4 cd/m^2. Each row keeps only its error sums, and every
 mean reduces them in row order, so no whole-frame error plane is held.
-`psnr_pu21` returns the report's score. Identical images report the
-99 dB sentinel cap.
+Callers read a score off the report, `psnr_pu21` or `psnr_y_pu21`.
+Identical images report the 99 dB sentinel cap.
 """
 
 from dataclasses import dataclass, asdict, fields
@@ -56,12 +56,6 @@ def validate_report(doc):
 PU21_RANGE = float(cm.pu21_encode(cm.PQ_PEAK_NITS) - cm.pu21_encode(cm.PU21_MIN_NITS))
 
 
-def psnr_pu21(ref, test, luma_only=False):
-    """PSNR over PU21-encoded nits, all channels or luminance only, as metric_report scores it."""
-    report = metric_report(ref, test)
-    return report.psnr_y_pu21 if luma_only else report.psnr_pu21
-
-
 def _psnr(mse):
     mse = float(mse)
     if not np.isfinite(mse):
@@ -88,7 +82,7 @@ def metric_report(ref, test, workers=1):
             raise TagError("metrics expect PQ/BT.2020 images")
         cm.check_encoded(img)
     if ref.shape != test.shape:
-        raise DimensionError("psnr_pu21: image extents differ")
+        raise DimensionError("metric_report: image extents differ")
     h, w, _ = ref.shape
     sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
     linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)

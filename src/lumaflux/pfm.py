@@ -8,14 +8,15 @@ never holds it whole; `write_pfm` writes an in-memory frame through it.
 `open_tagged` checks a frame's header, payload size and sidecar tag
 without reading the payload; the frame it returns reads rows on demand,
 one band per positioned read, as native-order float32 rows top-down, so a
-command holds no whole input frame. `read_pfm` and `read_tagged` open a
-frame the same way and read every row. PFM has no colorimetry header, so
-every frame travels with a sidecar JSON recording its color-space tag,
-the tool version, a config hash, and the seed used to produce it. Both
-files are written to a temporary name and renamed into place, and a
-frame's temporary file is unlinked if it is never renamed, so a failed
-write never leaves a partial file under the final name. Malformed input
-raises FrameFormatError.
+command holds no whole input frame. `read_tagged` opens a frame the same
+way and reads every row. PFM has no colorimetry header, so every frame
+travels with a sidecar JSON recording its color-space tag, the tool
+version, a config hash, and the seed used to produce it. Every file is
+written to a temporary name and renamed into place (`write_atomic` for
+whole files), and a frame's temporary file is unlinked if it is never
+renamed, so a failed write never leaves a partial file under the final
+name. A frame whose sidecar cannot be written is unlinked. Malformed
+input raises FrameFormatError.
 """
 
 import contextlib
@@ -43,7 +44,7 @@ def _temporary(path):
     return os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
 
 
-def _write_atomic(path, chunks):
+def write_atomic(path, chunks):
     """Write byte chunks to a temporary file next to path, then rename it over path."""
     tmp = _temporary(path)
     try:
@@ -197,12 +198,6 @@ class PfmFrame:
         self.close()
 
 
-def read_pfm(path):
-    """The samples of a 3-channel PFM as a native-order float32 (h, w, 3) array, rows top-down."""
-    with PfmFrame(path) as frame:
-        return frame.band(slice(None))
-
-
 def config_hash(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -212,6 +207,7 @@ def sidecar_path(frame_path):
 
 
 def write_sidecar(frame_path, tag, seed=0, config=None, extra=None):
+    """Write frame_path's sidecar; unlink the frame if that fails, so no frame is left untagged."""
     doc = {
         "tag": tag.to_json(),
         "tool_version": __version__,
@@ -220,7 +216,13 @@ def write_sidecar(frame_path, tag, seed=0, config=None, extra=None):
     }
     if extra:
         doc.update(extra)
-    _write_atomic(sidecar_path(frame_path), (json.dumps(doc, indent=2, sort_keys=True).encode(),))
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        write_atomic(sidecar_path(frame_path), (text.encode(),))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(frame_path)
+        raise
 
 
 def _read_tag(frame_path):

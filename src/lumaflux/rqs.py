@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pfm
 from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, FitError
 
@@ -460,7 +461,10 @@ def fit_rqs(y_in, target, K=8, cfg=None):
             break  # no coordinate moves the loss, as when every bin has saturated
         # a coordinate no sample or penalty reaches has no curvature of its own
         scale = np.maximum(scale, 1e-12 * scale.max())
-        cand = raw - np.linalg.solve(curv + np.diag(damping * scale), grad)
+        try:
+            cand = raw - np.linalg.solve(curv + np.diag(damping * scale), grad)
+        except np.linalg.LinAlgError:
+            break  # a subnormal curvature, whose floor and damping underflow to zero
         cand_loss, derivs = fit_loss_and_grad(cand, K, y_in, target, cfg)
         converged = abs(loss - cand_loss) <= REL_TOL * loss
         if cand_loss < loss:
@@ -483,5 +487,4 @@ def save_fit(path, params, raw, cfg):
         "params": params.to_json(),
         "provenance": {"raw": np.asarray(raw).tolist(), "cfg": cfg.to_json()},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    pfm.write_atomic(path, (json.dumps(doc, indent=2).encode(),))

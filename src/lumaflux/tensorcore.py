@@ -1,13 +1,12 @@
 """Small numeric kernels shared by the rest of the package.
 
-Softplus, sigmoid, row softmax, layer norm, the half-plane real 2-D DFT,
-the central-difference gradient oracle, all on float64 numpy arrays, and
-the row-band map that runs a per-pixel stage over a frame in bands of
-about BAND_PIXELS pixels each.
+Softplus, sigmoid, row softmax, layer norm and the central-difference
+gradient oracle, all on float64 numpy arrays, and the row-band map that
+runs a per-pixel stage over a frame in bands of about BAND_PIXELS pixels
+each.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,44 +44,6 @@ def layer_norm(x):
     mu = np.mean(x, axis=-1, keepdims=True)
     var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + LN_EPS)
-
-
-@dataclass
-class Spectrum2D:
-    """Non-redundant half-plane of a real 2-D DFT.
-
-    bins has shape (rows, cols // 2 + 1) with complex values; the DC bin
-    equals the plain sum of the input samples.
-    """
-
-    rows: int
-    cols: int
-    bins: np.ndarray
-
-    def weighted_power(self):
-        """|F|^2 per half-plane bin, doubled where a conjugate bin is implied.
-
-        Only the DC column and, for even widths, the Nyquist column have
-        no conjugate partner, so they count once.
-        """
-        weights = np.full(self.bins.shape[1], 2.0)
-        weights[0] = 1.0
-        if self.cols % 2 == 0:
-            weights[-1] = 1.0
-        return np.abs(self.bins) ** 2 * weights[None, :]
-
-    def full_plane_power(self):
-        """Sum of |F|^2 over the implied full plane (conjugate bins counted)."""
-        return float(np.sum(self.weighted_power()))
-
-
-def rfft2(field):
-    """Real 2-D DFT returning the half-plane spectrum."""
-    field = np.asarray(field, dtype=np.float64)
-    if field.ndim != 2:
-        raise DimensionError(f"rfft2 expects a 2-D field, got shape {field.shape}")
-    bins = np.fft.rfft2(field)
-    return Spectrum2D(rows=field.shape[0], cols=field.shape[1], bins=bins)
 
 
 def finite_diff_grad(f, theta, h=1e-6):

@@ -250,12 +250,12 @@ def test_a7_metrics_sanity(capsys):
     flat_a = cm.TaggedImage(cm.pq_encode(np.full((8, 8, 3), la)), tag)
     flat_b = cm.TaggedImage(cm.pq_encode(np.full((8, 8, 3), lb)), tag)
     expected = 20.0 * np.log10(mt.PU21_RANGE / c)
-    psnr_err = abs(mt.psnr_pu21(flat_a, flat_b) - expected)
+    psnr_err = abs(mt.metric_report(flat_a, flat_b).psnr_pu21 - expected)
 
     scores = []
     for amp in (5.0, 20.0, 80.0):
         noisy = np.clip(base + rng.normal(0.0, amp, base.shape), 0.0, 1e4)
-        scores.append(mt.psnr_pu21(x, cm.TaggedImage(cm.pq_encode(noisy), tag)))
+        scores.append(mt.metric_report(x, cm.TaggedImage(cm.pq_encode(noisy), tag)).psnr_pu21)
 
     report("A7", checks=[
         ("dE_self", de_self == 0.0, de_self),

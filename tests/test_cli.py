@@ -256,6 +256,18 @@ class TestSynthesize:
             img = pfm.read_tagged(str(out / name))
             assert img.shape == (64, 64, 3) and img.tag == tm.SDR_TAG, name
 
+    def test_failed_sidecar_write_leaves_no_untagged_frame(self, tmp_path, hdr_frame, capsys):
+        # a directory under one sidecar's name makes that sidecar's write fail
+        out = tmp_path / "out"
+        (out / "sdr_001_Reinhard_crf31.json").mkdir(parents=True)
+        assert cli.main(["synthesize", hdr_frame, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("I/O failure")
+        names = os.listdir(out)
+        assert "sdr_001_Reinhard_crf31.pfm" not in names
+        assert not [n for n in names if n.endswith(".tmp")]
+        for name in (n for n in names if n.endswith(".pfm")):
+            assert pfm.read_tagged(str(out / name)).tag == tm.SDR_TAG, name
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         rc = cli.main(["synthesize", str(tmp_path / "nope.pfm"),
                        "--output-dir", str(tmp_path / "o")])
@@ -393,6 +405,15 @@ class TestFitExpand:
         assert captured.out == ""
         assert captured.err.startswith("cannot read") and "(7, 7, 3)" in captured.err
         assert files_under(tmp_path) == before
+
+    def test_failed_sidecar_write_leaves_no_frame(self, tmp_path, capsys):
+        sdr, src = write_fit_pair(tmp_path)
+        out = tmp_path / "out"
+        (out / "expanded.json").mkdir(parents=True)
+        assert cli.main(["fit-expand", sdr, src, "--output", str(out / "expanded.pfm")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("I/O failure")
+        assert os.listdir(out) == ["expanded.json"]
 
     def test_extent_mismatch_is_io_error(self, tmp_path, capsys):
         a = write_hdr(tmp_path / "a.pfm", size=32)

@@ -10,7 +10,7 @@ from lumaflux import cli
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
 from lumaflux import pfm
-from lumaflux.errors import ConfigError, TagError
+from lumaflux.errors import ConfigError, DimensionError, TagError
 from test_tensorcore import fix_band_rows
 
 # SHA-256 of `features --dump-maps` stdout and of its .features.pfm, default
@@ -28,6 +28,10 @@ FEATURES_SHA256 = {
     (65, 33): ("799ad965967d2a7967438e762cc9c34e4dea650df3867b0affab8a740d333023",
                "50244dd1277f3268bc56d03ac3e5bd839d9c15e71a4ad5ac9ee6cac1fb8bd00c"),
 }
+
+
+def extent_id(shape):
+    return "x".join(map(str, shape))
 
 
 def sdr_image(pixels):
@@ -202,6 +206,19 @@ class TestSpectralDescriptor:
             r = ft.spectral_descriptor(y, 8).r
             ms = float(np.mean(y**2))
             assert abs(r.sum() - ms) / ms < 1e-6
+
+    @pytest.mark.parametrize("shape", [(5, 7), (16, 12), (3, 1), (1, 2)], ids=extent_id)
+    def test_parseval_at_odd_and_even_widths(self, shape):
+        # an odd width has no Nyquist column; an even one counts its Nyquist column once
+        y = np.random.default_rng(8).normal(size=shape)
+        r = ft.spectral_descriptor(y, 4).r
+        ms = float(np.mean(y**2))
+        assert abs(r.sum() - ms) / ms < 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (4,), (0, 4)], ids=extent_id)
+    def test_rejects_a_map_that_is_not_2d_or_is_empty(self, shape):
+        with pytest.raises(DimensionError):
+            ft.spectral_descriptor(np.zeros(shape), 8)
 
     def test_flat_field_concentrates_in_dc_band(self):
         r = ft.spectral_descriptor(np.full((16, 16), 3.0), 8).r

@@ -17,8 +17,8 @@ def pq_image(nits):
 class TestPsnrPu21:
     def test_identical_hits_cap(self):
         img = pq_image(np.full((4, 4, 3), 100.0))
-        assert mt.psnr_pu21(img, img) == mt.PSNR_CAP_DB
-        assert mt.psnr_pu21(img, img, luma_only=True) == mt.PSNR_CAP_DB
+        rep = mt.metric_report(img, img)
+        assert rep.psnr_pu21 == rep.psnr_y_pu21 == mt.PSNR_CAP_DB
 
     def test_constant_pu21_offset_closed_form(self):
         # constant PU21-value difference c gives PSNR = 20 log10(range / c)
@@ -35,14 +35,15 @@ class TestPsnrPu21:
                 hi = mid
         nits_b = np.full((8, 8, 3), 0.5 * (lo + hi))
         expected = 20.0 * np.log10(mt.PU21_RANGE / c)
-        got = mt.psnr_pu21(pq_image(nits_a), pq_image(nits_b))
+        got = mt.metric_report(pq_image(nits_a), pq_image(nits_b)).psnr_pu21
         assert got == pytest.approx(expected, abs=1e-6)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         a = pq_image(rng.uniform(1.0, 1000.0, (8, 8, 3)))
         b = pq_image(rng.uniform(1.0, 1000.0, (8, 8, 3)))
-        assert mt.psnr_pu21(a, b) == pytest.approx(mt.psnr_pu21(b, a), abs=1e-9)
+        ab, ba = mt.metric_report(a, b), mt.metric_report(b, a)
+        assert ab.psnr_pu21 == pytest.approx(ba.psnr_pu21, abs=1e-9)
 
     def test_monotone_under_noise_amplitude(self):
         rng = np.random.default_rng(1)
@@ -51,19 +52,19 @@ class TestPsnrPu21:
         scores = []
         for amp in (5.0, 20.0, 80.0):
             noisy = np.clip(base + rng.normal(0.0, amp, base.shape), 0.0, 10000.0)
-            scores.append(mt.psnr_pu21(ref, pq_image(noisy)))
+            scores.append(mt.metric_report(ref, pq_image(noisy)).psnr_pu21)
         assert scores[0] > scores[1] > scores[2]
 
     def test_shape_and_tag_checks(self):
         a = pq_image(np.full((2, 2, 3), 10.0))
         b = pq_image(np.full((3, 2, 3), 10.0))
-        with pytest.raises(DimensionError):
-            mt.psnr_pu21(a, b)
+        with pytest.raises(DimensionError, match="^metric_report: image extents differ$"):
+            mt.metric_report(a, b)
         lin = cm.TaggedImage(np.full((2, 2, 3), 10.0),
                              cm.ColorSpaceTag(cm.Primaries.BT2020,
                                               cm.Transfer.LINEAR, cm.PQ_PEAK_NITS))
         with pytest.raises(TagError):
-            mt.psnr_pu21(a, lin)
+            mt.metric_report(a, lin)
 
 
     @pytest.mark.parametrize("mse", [np.nan, np.inf])
@@ -82,7 +83,7 @@ def banded_pair(seed, h, w):
     return cm.TaggedImage(a, tag), cm.TaggedImage(b, tag)
 
 
-# (seed, height, width) -> float.hex of psnr_pu21 and of its luma-only score, as
+# (seed, height, width) -> float.hex of the report's psnr_pu21 and psnr_y_pu21, as
 # recorded from the report's per-row sums, each column reduced in row order
 BANDED_PINS = {
     (0, 200, 131): ("0x1.0db4d2cb4109cp+5", "0x1.12d389475fac1p+5"),
@@ -99,18 +100,19 @@ class TestAcrossBands:
         a, b = banded_pair(*key)
         for band_rows in (None, 64):
             fix_band_rows(monkeypatch, band_rows)
-            got = (mt.psnr_pu21(a, b).hex(), mt.psnr_pu21(a, b, luma_only=True).hex())
-            assert got == BANDED_PINS[key], band_rows
+            rep = mt.metric_report(a, b)
+            assert (rep.psnr_pu21.hex(), rep.psnr_y_pu21.hex()) == BANDED_PINS[key], band_rows
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("key", list(BANDED_PINS))
     def test_psnr_is_the_report_score(self, key, workers, monkeypatch):
+        # the JSON fields `metrics` prints carry the pinned scores at any worker count
         a, b = banded_pair(*key)
         for band_rows in (None, 64):
             fix_band_rows(monkeypatch, band_rows)
-            rep = mt.metric_report(a, b, workers=workers)
-            assert mt.psnr_pu21(a, b) == rep.psnr_pu21, band_rows
-            assert mt.psnr_pu21(a, b, luma_only=True) == rep.psnr_y_pu21, band_rows
+            doc = mt.metric_report(a, b, workers=workers).to_json()
+            got = (doc["psnr_pu21"].hex(), doc["psnr_y_pu21"].hex())
+            assert got == BANDED_PINS[key], band_rows
 
 
 class TestReport:

@@ -94,6 +94,12 @@ def write_big_endian(path, px):
         fh.write(np.ascontiguousarray(px[::-1], dtype=">f4").tobytes())
 
 
+def read_samples(path):
+    """Every row of the PFM at path, read as one band."""
+    with pfm.PfmFrame(path) as frame:
+        return frame.band(slice(None))
+
+
 def damaged_frame(path, damage, tag=SDR_TAG):
     """Write a valid 5x4 tagged frame at path, then apply one DAMAGE entry."""
     pfm.write_tagged(str(path), cm.TaggedImage(np.full((5, 4, 3), 0.5), tag))
@@ -106,7 +112,7 @@ def test_pfm_round_trip(tmp_path):
     px = rng.uniform(0.0, 1.0, (5, 7, 3)).astype(np.float32)
     path = str(tmp_path / "frame.pfm")
     pfm.write_pfm(path, px.astype(np.float64))
-    back = pfm.read_pfm(path)
+    back = read_samples(path)
     # float32 in native order, C-contiguous, rows top-down, bit for bit
     assert back.dtype == np.float32 and back.dtype.isnative
     assert back.flags.c_contiguous
@@ -119,10 +125,10 @@ def test_big_endian_reads_as_its_little_endian_twin(tmp_path):
     little, big = str(tmp_path / "le.pfm"), str(tmp_path / "be.pfm")
     pfm.write_pfm(little, px)
     write_big_endian(big, px)
-    back = pfm.read_pfm(big)
+    back = read_samples(big)
     assert back.dtype == np.float32 and back.dtype.isnative
     assert back.flags.c_contiguous
-    assert back.tobytes() == pfm.read_pfm(little).tobytes() == px.tobytes()
+    assert back.tobytes() == read_samples(little).tobytes() == px.tobytes()
 
 
 def test_pfm_header_format(tmp_path):
@@ -219,7 +225,7 @@ def test_header_lines_are_read_with_a_bound(tmp_path, run_on):
     tracemalloc.start()
     try:
         with pytest.raises(FrameFormatError):
-            pfm.read_pfm(path)
+            pfm.PfmFrame(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,7 +265,7 @@ def test_band_reads_equal_read_pfm_rows(tmp_path, band_rows, workers, monkeypatc
                     got[rows] = band
 
                 tc.map_row_bands(read, *px.shape[:2], workers)
-            assert got.tobytes() == pfm.read_pfm(path).tobytes() == px.tobytes()
+            assert got.tobytes() == read_samples(path).tobytes() == px.tobytes()
     finally:
         sys.setswitchinterval(switch)
 
@@ -299,11 +305,19 @@ def test_failed_write_keeps_existing_frame(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["frame.pfm"]
 
 
+def test_failed_sidecar_write_unlinks_the_frame(tmp_path):
+    path = tmp_path / "frame.pfm"
+    (tmp_path / "frame.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        pfm.write_tagged(str(path), cm.TaggedImage(np.full((4, 4, 3), 0.5), SDR_TAG))
+    assert os.listdir(tmp_path) == ["frame.json"]
+
+
 def test_write_replaces_existing_frame(tmp_path):
     path = str(tmp_path / "frame.pfm")
     pfm.write_pfm(path, np.zeros((4, 4, 3)))
     pfm.write_pfm(path, np.ones((2, 3, 3)))
-    np.testing.assert_array_equal(pfm.read_pfm(path), np.ones((2, 3, 3)))
+    np.testing.assert_array_equal(read_samples(path), np.ones((2, 3, 3)))
     assert os.listdir(tmp_path) == ["frame.pfm"]
 
 
@@ -314,7 +328,7 @@ def test_writer_takes_bands_bottom_first_and_renames_only_a_whole_frame(tmp_path
         for rows in (slice(4, 7), slice(1, 4), slice(0, 1)):
             out.write(px[rows])
         out.commit()
-    assert pfm.read_pfm(path).tobytes() == px.tobytes()
+    assert read_samples(path).tobytes() == px.tobytes()
     assert os.listdir(tmp_path) == ["frame.pfm"]
     # a band of the wrong width, one past the frame's height, or a commit with
     # rows missing is refused, and leaving the block unlinks the temporary file

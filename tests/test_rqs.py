@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -480,6 +480,8 @@ class TestFit:
         assert np.max(np.abs(rqs.rqs_forward(p, x) - x**2)) <= 1e-3
 
     @settings(max_examples=40, deadline=None)
+    # a curvature of about 1e-311, whose 1e-12 floor underflows to zero
+    @example(seed=378, K=3, lam=1e-3, kind="falling_target")
     @given(seed=st.integers(0, 2**32 - 1), K=st.integers(2, 12),
            lam=st.sampled_from([0.0, 1e-3, 1.0]),
            kind=st.sampled_from(["noise", "one_input", "flat_target", "falling_target"]))
@@ -517,3 +519,16 @@ class TestFit:
         x = np.random.default_rng(5).uniform(0.0, 1.0, 500)
         with pytest.raises(ConfigError):
             rqs.fit_rqs(x, x**2, K=K)
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path):
+    # a config whose JSON cannot be encoded fails the write after params and raw;
+    # the file under the final name keeps the bytes of the earlier save
+    path = tmp_path / "fit.rqs.json"
+    raw = np.random.default_rng(0).normal(0.0, 1.0, 3 * 8 + 1)
+    rqs.save_fit(str(path), rqs.constrain(raw, 8), raw, rqs.FitConfig())
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        rqs.save_fit(str(path), rqs.constrain(-raw, 8), -raw, rqs.FitConfig(lambda_smooth=object()))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.rqs.json"]

@@ -15,20 +15,6 @@ def fix_band_rows(monkeypatch, rows):
     monkeypatch.setattr(tc, "band_rows", PIXEL_RULE if rows is None else lambda width: rows)
 
 
-def naive_dft2(field):
-    """Direct double-sum 2-D DFT oracle."""
-    rows, cols = field.shape
-    out = np.zeros((rows, cols // 2 + 1), dtype=complex)
-    for u in range(rows):
-        for v in range(cols // 2 + 1):
-            acc = 0.0 + 0.0j
-            for r in range(rows):
-                for c in range(cols):
-                    acc += field[r, c] * np.exp(-2j * np.pi * (u * r / rows + v * c / cols))
-            out[u, v] = acc
-    return out
-
-
 class TestSoftmaxRows:
     def test_rows_sum_to_one(self):
         m = np.random.default_rng(0).normal(size=(5, 7)) * 50
@@ -65,32 +51,6 @@ class TestLayerNorm:
     def test_too_few_features(self):
         with pytest.raises(DimensionError):
             tc.layer_norm(np.zeros((3, 1)))
-
-
-class TestRfft2:
-    def test_against_naive_dft(self):
-        rng = np.random.default_rng(0)
-        for shape in [(4, 4), (3, 5), (6, 4)]:
-            field = rng.normal(size=shape)
-            spec = tc.rfft2(field)
-            np.testing.assert_allclose(spec.bins, naive_dft2(field), atol=1e-9)
-
-    def test_dc_bin_is_sum(self):
-        field = np.random.default_rng(1).normal(size=(8, 8))
-        spec = tc.rfft2(field)
-        np.testing.assert_allclose(spec.bins[0, 0], field.sum(), atol=1e-9)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(2)
-        for shape in [(8, 8), (5, 7), (16, 12)]:
-            field = rng.normal(size=shape)
-            spec = tc.rfft2(field)
-            spatial = np.sum(field**2) * shape[0] * shape[1]
-            assert abs(spec.full_plane_power() - spatial) / spatial < 1e-12
-
-    def test_rejects_3d(self):
-        with pytest.raises(DimensionError):
-            tc.rfft2(np.zeros((2, 2, 2)))
 
 
 class TestFiniteDiffGrad:

@@ -7,6 +7,9 @@ JSON, an unknown key, a value of the wrong type or range, an unknown
 tone-operator parameter), 4 numerical failure. `main` alone maps
 exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 `--config` takes a JSON object whose keys are those of DEFAULT_CONFIG.
+Each frame command writes its outputs as one `pfm.Outputs` set, renamed
+into place together once all are written, and prints only after that, so
+a run that fails leaves none of its outputs and prints nothing on stdout.
 
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 `synthesize` runs at once. Each command that reads a frame opens it with
@@ -172,16 +175,6 @@ def _open_pair(path_a, fmt_a, path_b, fmt_b):
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
-    # one job per tone operator: its CRF variants share one chain up to the forward DCT
-    jobs = []
-    idx = 0
-    for tmo_doc in cfg["tmos"]:
-        op = tm.ToneOperator.from_json(tmo_doc)
-        specs = []
-        for crf in cfg["crfs"]:
-            specs.append((idx, tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)))
-            idx += 1
-        jobs.append((op, specs))
     with _open_frame(args.hdr_input, HDR_FORMAT) as hdr:
         os.makedirs(args.output_dir, exist_ok=True)
         cm.check_encoded(hdr)
@@ -196,25 +189,30 @@ def cmd_synthesize(args):
         linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
 
     def run(job):
-        # each CRF's bands go straight into its own file; all of them are
-        # renamed into place, each followed by its sidecar, once the last band is written
-        op, specs = job
-        paths = [os.path.join(args.output_dir,
-                              f"sdr_{idx:03d}_{spec.tmo.kind.value}_crf{spec.crf}.pfm")
-                 for idx, spec in specs]
-        with contextlib.ExitStack() as stack:
-            outs = [stack.enter_context(pfm.PfmWriter(path, h, w)) for path in paths]
-            for _, bands in tm.degrade_variants(linear, op, [spec.crf for _, spec in specs]):
-                for out, band in zip(outs, bands):
-                    out.write(band)
-            for out, (_, spec) in zip(outs, specs):
-                out.commit()
-                pfm.write_sidecar(out.path, tm.SDR_TAG, seed=spec.seed, config=cfg,
-                                  extra={"degradation": spec.to_json()})
-        return paths
+        # each CRF's bands go straight into its own file, the bottom band first
+        op, outs = job
+        for _, bands in tm.degrade_variants(linear, op, cfg["crfs"]):
+            for out, band in zip(outs, bands):
+                out.write(band)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        paths = [path for batch in pool.map(run, jobs) for path in batch]
+    paths = []
+    jobs = []  # one per tone operator: its CRF variants share one chain up to the forward DCT
+    with pfm.Outputs() as outputs:
+        # every file is added here, on this thread; the pool writes the frames' bands
+        for tmo_doc in cfg["tmos"]:
+            op = tm.ToneOperator.from_json(tmo_doc)
+            outs = []
+            for crf in cfg["crfs"]:
+                idx = len(paths)
+                spec = tm.DegradationSpec(tmo=op, crf=crf, seed=cfg["seed"] ^ idx)
+                paths.append(os.path.join(args.output_dir,
+                                          f"sdr_{idx:03d}_{op.kind.value}_crf{crf}.pfm"))
+                outs.append(outputs.frame(paths[-1], h, w))
+                outputs.sidecar(paths[-1], tm.SDR_TAG, seed=spec.seed, config=cfg,
+                                extra={"degradation": spec.to_json()})
+            jobs.append((op, outs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, jobs))
     print(json.dumps({"frames": sorted(paths)}, indent=2))
     return 0
 
@@ -342,10 +340,12 @@ def cmd_fit_expand(args):
             raise FrameFormatError(f"{args.sdr}: extent {sdr.shape} has fewer than "
                                    f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
         out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
-    pfm.write_tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
-    rqs.save_fit(args.output + ".rqs.json", params, raw, fit_config(cfg))
     rows = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: every float64 round-trips
-    pfm.write_atomic(args.output + ".trace.csv", (f"loss\n{rows}".encode(),))
+    with pfm.Outputs() as outputs:
+        outputs.tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
+        outputs.file(args.output + ".rqs.json",
+                     rqs.fit_json(params, raw, fit_config(cfg)).encode())
+        outputs.file(args.output + ".trace.csv", f"loss\n{rows}".encode())
     print(json.dumps({"output": args.output, "final_loss": float(trace[-1])}, indent=2))
     return 0
 
@@ -356,7 +356,8 @@ def cmd_metrics(args):
         report = mt.metric_report(ref, test, workers)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
-        pfm.write_atomic(args.output, ((doc + "\n").encode(),))
+        with pfm.Outputs() as outputs:
+            outputs.file(args.output, (doc + "\n").encode())
     print(doc)
     return 0
 
@@ -395,15 +396,14 @@ def cmd_features(args):
             _map_summary("sat", feats.sat_map),
         ],
     }
-    print(json.dumps(doc, indent=2))
     if args.dump_maps:
-        base = os.path.splitext(args.frame)[0]
         maps = (feats.y_map, feats.loggrad_map, feats.sat_map)
         h, w = feats.y_map.shape
-        with pfm.PfmWriter(base + ".features.pfm", h, w) as out:
+        with pfm.Outputs() as outputs:
+            out = outputs.frame(os.path.splitext(args.frame)[0] + ".features.pfm", h, w)
             for rows in reversed(tc.row_bands(h, w)):
                 out.write(np.stack([m[rows] for m in maps], axis=-1))
-            out.commit()
+    print(json.dumps(doc, indent=2))
     return 0
 
 

@@ -1,22 +1,19 @@
 """PFM image I/O plus the JSON sidecar carrying colorimetry and provenance.
 
 PFM stores float32 samples, rows bottom-up: little-endian under a
-negative scale, big-endian under a positive one. `PfmWriter` writes a
-frame little-endian, one row band at a time from the bottom up, each band
-cast to float32 on its own, so a caller that makes its frame band by band
-never holds it whole; `write_pfm` writes an in-memory frame through it.
-`open_tagged` checks a frame's header, payload size and sidecar tag
-without reading the payload; the frame it returns reads rows on demand,
-one band per positioned read, as native-order float32 rows top-down, so a
-command holds no whole input frame. `read_tagged` opens a frame the same
-way and reads every row. PFM has no colorimetry header, so every frame
-travels with a sidecar JSON recording its color-space tag, the tool
-version, a config hash, and the seed used to produce it. Every file is
-written to a temporary name and renamed into place (`write_atomic` for
-whole files), and a frame's temporary file is unlinked if it is never
-renamed, so a failed write never leaves a partial file under the final
-name. A frame whose sidecar cannot be written is unlinked. Malformed
-input raises FrameFormatError.
+negative scale, big-endian under a positive one. `open_tagged` checks a
+frame's header, payload size and sidecar tag without reading the payload;
+the frame it returns reads rows on demand, one band per positioned read,
+as native-order float32 rows top-down. `read_tagged` reads every row.
+PFM has no colorimetry header, so every frame travels with a sidecar JSON
+recording its color-space tag, the tool version, a config hash and its
+seed. Malformed input raises FrameFormatError. Every file is written
+through `Outputs`, the set of one run's outputs: each under a temporary
+name, then, once all are written and every frame is whole, all renamed
+into place in the order added, each frame followed by its sidecar. A set
+that fails unlinks every temporary file and every file it had renamed.
+Frames are written little-endian, one row band at a time from the bottom
+up, each band cast to float32 alone.
 """
 
 import contextlib
@@ -38,43 +35,18 @@ _IOV_MAX = 1024  # most buffers one positioned read takes: IOV_MAX on Linux and 
 _READ_BYTES = 1 << 30  # most bytes asked of one positioned read, well under Linux's 2 GiB cap
 
 
-def _temporary(path):
-    """A name next to `path`, unique to this process and thread, to write it under."""
-    head, tail = os.path.split(path)
-    return os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
-
-
-def write_atomic(path, chunks):
-    """Write byte chunks to a temporary file next to path, then rename it over path."""
-    tmp = _temporary(path)
-    try:
-        with open(tmp, "xb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-
-
 class PfmWriter:
-    """An h x w PFM written one row band at a time, the bottom band first.
+    """An h x w frame of an `Outputs` set, written one row band at a time, the bottom band first.
 
-    The file grows under a temporary name next to `path`; `commit` renames
-    it into place once every row is written. Use it as a context manager:
-    leaving the block without a commit unlinks the temporary file, so a
-    failed write never leaves a partial file under the final name.
+    Its temporary file is open from the first band to the last row.
     """
 
-    def __init__(self, path, h, w):
+    def __init__(self, path, tmp, h, w):
         self.path = path
         self.shape = (h, w, 3)
         self._left = h  # rows not yet written
-        self._tmp = _temporary(path)
-        self._file = contextlib.ExitStack()  # closes the file, once
-        self._fh = self._file.enter_context(open(self._tmp, "xb"))
-        self._fh.write(f"PF\n{w} {h}\n-1.0\n".encode())
+        self._tmp = tmp
+        self._fh = None
 
     def write(self, band):
         """Append the (r, w, 3) band just above the rows written so far; its rows run top-down.
@@ -85,37 +57,13 @@ class PfmWriter:
         if band.shape[1:] != self.shape[1:] or r > self._left:
             raise DimensionError(f"{self.path}: a {band.shape} band does not fit the "
                                  f"{self._left} rows left of a {self.shape} frame")
+        if self._fh is None:
+            self._fh = open(self._tmp, "xb")
+            self._fh.write(f"PF\n{self.shape[1]} {self.shape[0]}\n-1.0\n".encode())
         self._fh.write(memoryview(np.ascontiguousarray(band[::-1], dtype="<f4")).cast("B"))
         self._left -= r
-
-    def commit(self):
-        """Rename the finished file into place."""
-        if self._left:
-            raise DimensionError(f"{self.path}: {self._left} rows of a {self.shape} "
-                                 "frame were never written")
-        self._file.close()
-        os.replace(self._tmp, self.path)
-        self._tmp = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._file.close()
-        if self._tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self._tmp)
-
-
-def write_pfm(path, pixels):
-    pixels = np.asarray(pixels)
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise DimensionError("write_pfm expects HxWx3 samples")
-    h, w, _ = pixels.shape
-    with PfmWriter(path, h, w) as out:
-        for rows in reversed(tc.row_bands(h, w)):
-            out.write(pixels[rows])
-        out.commit()
+        if not self._left:
+            self._fh.close()
 
 
 class PfmFrame:
@@ -206,23 +154,73 @@ def sidecar_path(frame_path):
     return os.path.splitext(frame_path)[0] + ".json"
 
 
-def write_sidecar(frame_path, tag, seed=0, config=None, extra=None):
-    """Write frame_path's sidecar; unlink the frame if that fails, so no frame is left untagged."""
-    doc = {
-        "tag": tag.to_json(),
-        "tool_version": __version__,
-        "seed": seed,
-        "config_hash": config_hash(config or {}),
-    }
-    if extra:
-        doc.update(extra)
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True)
-        write_atomic(sidecar_path(frame_path), (text.encode(),))
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(frame_path)
-        raise
+class Outputs:
+    """The output files of one run, as a context manager: all renamed into place, or none.
+
+    Each file is written under a temporary name next to its own. On a clean
+    exit every frame must be whole, and every file is renamed in the order
+    added. On an exception, a frame with rows missing or a failed rename,
+    every temporary file and every file already renamed is unlinked. Add
+    files from one thread; a frame's bands may be written from another.
+    """
+
+    def __init__(self):
+        self._names = []  # (final name, temporary name), in the order added
+        self._frames = []
+
+    def _add(self, path):
+        head, tail = os.path.split(path)
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
+        self._names.append((path, tmp))
+        return tmp
+
+    def file(self, path, data):
+        """Add the file `path` holding the bytes `data`."""
+        with open(self._add(path), "xb") as fh:
+            fh.write(data)
+
+    def frame(self, path, h, w):
+        """Add an h x w frame at `path`; returns the PfmWriter its bands go through."""
+        out = PfmWriter(path, self._add(path), h, w)
+        self._frames.append(out)
+        return out
+
+    def sidecar(self, frame_path, tag, seed=0, config=None, extra=None):
+        """Add the sidecar of the frame at `frame_path`."""
+        doc = {"tag": tag.to_json(), "tool_version": __version__, "seed": seed,
+               "config_hash": config_hash(config or {}), **(extra or {})}
+        self.file(sidecar_path(frame_path), json.dumps(doc, indent=2, sort_keys=True).encode())
+
+    def tagged(self, frame_path, img, seed=0, config=None, extra=None):
+        """Add the TaggedImage `img` as a frame at `frame_path`, then its sidecar."""
+        h, w = img.pixels.shape[:2]
+        out = self.frame(frame_path, h, w)
+        for rows in reversed(tc.row_bands(h, w)):
+            out.write(img.pixels[rows])
+        self.sidecar(frame_path, img.tag, seed, config, extra)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        renamed = []
+        try:
+            for out in self._frames:
+                if out._fh is not None:
+                    out._fh.close()
+            if exc_type is None:
+                for out in self._frames:
+                    if out._left:
+                        raise DimensionError(f"{out.path}: {out._left} rows of a {out.shape} "
+                                             "frame were never written")
+                for path, tmp in self._names:
+                    os.replace(tmp, path)
+                    renamed.append(path)
+        finally:
+            if len(renamed) < len(self._names):
+                for name in renamed + [tmp for _, tmp in self._names]:
+                    with contextlib.suppress(OSError):
+                        os.unlink(name)
 
 
 def _read_tag(frame_path):
@@ -254,5 +252,5 @@ def read_tagged(frame_path):
 
 
 def write_tagged(frame_path, img, seed=0, config=None, extra=None):
-    write_pfm(frame_path, img.pixels)
-    write_sidecar(frame_path, img.tag, seed=seed, config=config, extra=extra)
+    with Outputs() as outputs:
+        outputs.tagged(frame_path, img, seed=seed, config=config, extra=extra)

@@ -13,7 +13,8 @@ contiguous run of samples: a loss evaluation repeats the table over the
 runs instead of searching for each sample's bin, and forms each
 sample's six partials wrt its bin's end knots; the gradient and the
 Gauss-Newton curvature are run sums of those partials, built only for
-the steps the fit accepts.
+the steps the fit accepts. `fit_json` renders a fit as the `.rqs.json`
+text that `fit-expand` writes; this module writes no file.
 """
 
 import json
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pfm
 from . import tensorcore as tc
 from .errors import ConfigError, DimensionError, FitError
 
@@ -482,9 +482,10 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     return params, raw, np.array(trace)
 
 
-def save_fit(path, params, raw, cfg):
+def fit_json(params, raw, cfg):
+    """The `.rqs.json` text of a fit: its params, and its raw vector and config as provenance."""
     doc = {
         "params": params.to_json(),
         "provenance": {"raw": np.asarray(raw).tolist(), "cfg": cfg.to_json()},
     }
-    pfm.write_atomic(path, (json.dumps(doc, indent=2).encode(),))
+    return json.dumps(doc, indent=2)

@@ -242,22 +242,58 @@ class TestSynthesize:
         assert peak <= 2.2 * 480 * 960 * 3 * 8
 
     def test_failed_rename_leaves_only_whole_frames(self, tmp_path, hdr_frame, capsys):
-        # a directory under one output's name makes that frame's rename fail
+        # a directory under one output's name makes that frame's rename fail; the
+        # frames and sidecars renamed before it are unlinked, so none is left
         out = tmp_path / "out"
         (out / "sdr_001_Reinhard_crf31.pfm").mkdir(parents=True)
         assert cli.main(["synthesize", hdr_frame, "--output-dir", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("I/O failure")
-        names = os.listdir(out)
-        assert not [n for n in names if n.endswith(".tmp")]
-        frames = [n for n in names if n.endswith(".pfm") and (out / n).is_file()]
-        assert "sdr_000_Reinhard_crf23.pfm" in frames  # renamed before the failure
-        for name in frames:
-            img = pfm.read_tagged(str(out / name))
-            assert img.shape == (64, 64, 3) and img.tag == tm.SDR_TAG, name
+        assert os.listdir(out) == ["sdr_001_Reinhard_crf31.pfm"]
+        assert os.listdir(out / "sdr_001_Reinhard_crf31.pfm") == []
+
+    def test_open_frame_files_are_bounded(self, tmp_path, hdr_frame, monkeypatch, capsys):
+        # one worker, 6 operators of 3 CRFs, 4 bands of 16 rows: a frame's file is
+        # open from its first band to its last row, so one operator's 3 at most
+        real_open = open
+        live, peak, opened = set(), [0], []
+
+        class Tracked:
+            def __init__(self, path, mode="r"):
+                self.fh = real_open(path, mode)
+                self.frame = "x" in mode and ".pfm." in os.path.basename(path)
+                if self.frame:
+                    opened.append(path)
+                    live.add(self)
+                    peak[0] = max(peak[0], len(live))
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def close(self):
+                live.discard(self)
+                self.fh.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
+
+        monkeypatch.setattr(pfm, "open", Tracked, raising=False)
+        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        fix_band_rows(monkeypatch, 16)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tmos": cli.DEFAULT_CONFIG["tmos"][:6]}))
+        out = tmp_path / "out"
+        assert cli.main(["synthesize", hdr_frame, "--config", str(cfg),
+                         "--output-dir", str(out)]) == 0
+        assert len(opened) == 18 and not live
+        assert peak[0] == len(cli.DEFAULT_CONFIG["crfs"])
+        assert len(os.listdir(out)) == 36
 
     def test_failed_sidecar_write_leaves_no_untagged_frame(self, tmp_path, hdr_frame, capsys):
-        # a directory under one sidecar's name makes that sidecar's write fail
+        # a directory under one sidecar's name makes that sidecar's rename fail
         out = tmp_path / "out"
         (out / "sdr_001_Reinhard_crf31.json").mkdir(parents=True)
         assert cli.main(["synthesize", hdr_frame, "--output-dir", str(out)]) == 2
@@ -799,6 +835,50 @@ class TestBadConfigOrOutput:
         label = "config error" if code == 3 else ("cannot read", "I/O failure")
         assert captured.err.startswith(label)
         assert files_under(tmp_path) == before
+
+
+# (command, an output name a directory is put at): every output of every
+# command, with synthesize's first, second and last frame and sidecar
+OUTPUT_NAMES = [
+    ("synthesize", "out/sdr_000_Reinhard_crf23.pfm"),
+    ("synthesize", "out/sdr_001_Reinhard_crf31.pfm"),
+    ("synthesize", "out/sdr_001_Reinhard_crf31.json"),
+    ("synthesize", "out/sdr_023_ExpertStub_crf39.json"),
+    ("fit-expand", "out/x.pfm"),
+    ("fit-expand", "out/x.json"),
+    ("fit-expand", "out/x.pfm.rqs.json"),
+    ("fit-expand", "out/x.pfm.trace.csv"),
+    ("metrics", "out/r.json"),
+    ("features", "sdr.features.pfm"),
+]
+
+
+class TestFailedOutput:
+    @pytest.mark.parametrize("command,name", OUTPUT_NAMES,
+                             ids=[f"{c}-{n.split('/')[-1]}" for c, n in OUTPUT_NAMES])
+    def test_leaves_only_the_colliding_directory(self, tmp_path, command, name, capsys):
+        # each run writes every output, then fails to rename the one at `name`
+        hdr = write_hdr(tmp_path / "hdr.pfm")
+        sdr = str(tmp_path / "sdr.pfm")
+        op = tm.ToneOperator(tm.ToneKind.REINHARD, {})
+        pfm.write_tagged(sdr, tm.degrade(pfm.read_tagged(hdr), tm.DegradationSpec(op, 23)))
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / name).mkdir()
+        argv = {
+            "synthesize": ["synthesize", hdr, "--output-dir", str(out)],
+            "fit-expand": ["fit-expand", sdr, hdr, "--output", str(out / "x.pfm")],
+            "metrics": ["metrics", hdr, hdr, "--output", str(out / "r.json")],
+            "features": ["features", sdr, "--dump-maps"],
+        }[command]
+        before = files_under(tmp_path)
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("I/O failure")
+        assert files_under(tmp_path) == before
+        assert os.listdir(tmp_path / name) == []
+        if name.startswith("out/"):
+            assert os.listdir(out) == [os.path.basename(name)]
 
 
 class TestLoadConfig:

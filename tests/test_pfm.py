@@ -94,6 +94,44 @@ def write_big_endian(path, px):
         fh.write(np.ascontiguousarray(px[::-1], dtype=">f4").tobytes())
 
 
+def write_frame(path, px):
+    """Write px as one frame of its own Outputs set, the bottom band first."""
+    h, w = px.shape[:2]
+    with pfm.Outputs() as outputs:
+        out = outputs.frame(path, h, w)
+        for rows in reversed(tc.row_bands(h, w)):
+            out.write(px[rows])
+
+
+class FullDisk:
+    """File stand-in that accepts 40 bytes, then fails: a header plus part of a payload."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.room = 40
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        self.fh.write(chunk[:self.room])
+        if len(chunk) > self.room:
+            raise OSError(errno.ENOSPC, "no space left on device")
+        self.room -= len(chunk)
+
+    def close(self):
+        self.fh.close()
+
+
+def fill_disk(monkeypatch):
+    """Make every file pfm opens a FullDisk."""
+    real_open = open
+    monkeypatch.setattr(pfm, "open", lambda p, mode: FullDisk(real_open(p, mode)), raising=False)
+
+
 def read_samples(path):
     """Every row of the PFM at path, read as one band."""
     with pfm.PfmFrame(path) as frame:
@@ -111,7 +149,7 @@ def test_pfm_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     px = rng.uniform(0.0, 1.0, (5, 7, 3)).astype(np.float32)
     path = str(tmp_path / "frame.pfm")
-    pfm.write_pfm(path, px.astype(np.float64))
+    write_frame(path, px.astype(np.float64))
     back = read_samples(path)
     # float32 in native order, C-contiguous, rows top-down, bit for bit
     assert back.dtype == np.float32 and back.dtype.isnative
@@ -123,7 +161,7 @@ def test_big_endian_reads_as_its_little_endian_twin(tmp_path):
     px = np.random.default_rng(3).uniform(0.0, 1.0, (6, 5, 3)).astype(np.float32)
     px[0, 0] = [np.inf, -0.0, 1e-40]  # bytes a wrong swap would move
     little, big = str(tmp_path / "le.pfm"), str(tmp_path / "be.pfm")
-    pfm.write_pfm(little, px)
+    write_frame(little, px)
     write_big_endian(big, px)
     back = read_samples(big)
     assert back.dtype == np.float32 and back.dtype.isnative
@@ -133,7 +171,7 @@ def test_big_endian_reads_as_its_little_endian_twin(tmp_path):
 
 def test_pfm_header_format(tmp_path):
     path = str(tmp_path / "frame.pfm")
-    pfm.write_pfm(path, np.zeros((2, 3, 3)))
+    write_frame(path, np.zeros((2, 3, 3)))
     with open(path, "rb") as fh:
         assert fh.readline() == b"PF\n"
         assert fh.readline() == b"3 2\n"
@@ -141,8 +179,9 @@ def test_pfm_header_format(tmp_path):
 
 
 def test_pfm_rejects_gray(tmp_path):
-    with pytest.raises(DimensionError):
-        pfm.write_pfm(str(tmp_path / "x.pfm"), np.zeros((4, 4)))
+    with pytest.raises(DimensionError), pfm.Outputs() as outputs:
+        outputs.frame(str(tmp_path / "x.pfm"), 4, 4).write(np.zeros((4, 4)))
+    assert os.listdir(tmp_path) == []
 
 
 def test_tagged_round_trip(tmp_path):
@@ -249,7 +288,7 @@ def test_band_reads_equal_read_pfm_rows(tmp_path, band_rows, workers, monkeypatc
     px = np.random.default_rng(4).uniform(0.0, 1.0, (150, 1027, 3)).astype(np.float32)
     px[149, 0] = [np.inf, -0.0, 1e-40]  # bytes a wrong swap would move, in the last band
     little, big = str(tmp_path / "le.pfm"), str(tmp_path / "be.pfm")
-    pfm.write_pfm(little, px)
+    write_frame(little, px)
     write_big_endian(big, px)
     fix_band_rows(monkeypatch, band_rows)
     switch = sys.getswitchinterval()
@@ -272,33 +311,12 @@ def test_band_reads_equal_read_pfm_rows(tmp_path, band_rows, workers, monkeypatc
 
 def test_failed_write_keeps_existing_frame(tmp_path, monkeypatch):
     path = str(tmp_path / "frame.pfm")
-    pfm.write_pfm(path, np.zeros((4, 4, 3)))
+    write_frame(path, np.zeros((4, 4, 3)))
     with open(path, "rb") as fh:
         before = fh.read()
-
-    class FullDisk:
-        """File stand-in that accepts 40 bytes, then fails: header plus part of the payload."""
-
-        def __init__(self, fh):
-            self.fh = fh
-            self.room = 40
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, chunk):
-            self.fh.write(chunk[:self.room])
-            if len(chunk) > self.room:
-                raise OSError(errno.ENOSPC, "no space left on device")
-            self.room -= len(chunk)
-
-    real_open = open
-    monkeypatch.setattr(pfm, "open", lambda p, mode: FullDisk(real_open(p, mode)), raising=False)
+    fill_disk(monkeypatch)
     with pytest.raises(OSError):
-        pfm.write_pfm(path, np.ones((4, 4, 3)))
+        write_frame(path, np.ones((4, 4, 3)))
     monkeypatch.undo()
     with open(path, "rb") as fh:
         assert fh.read() == before
@@ -315,8 +333,8 @@ def test_failed_sidecar_write_unlinks_the_frame(tmp_path):
 
 def test_write_replaces_existing_frame(tmp_path):
     path = str(tmp_path / "frame.pfm")
-    pfm.write_pfm(path, np.zeros((4, 4, 3)))
-    pfm.write_pfm(path, np.ones((2, 3, 3)))
+    write_frame(path, np.zeros((4, 4, 3)))
+    write_frame(path, np.ones((2, 3, 3)))
     np.testing.assert_array_equal(read_samples(path), np.ones((2, 3, 3)))
     assert os.listdir(tmp_path) == ["frame.pfm"]
 
@@ -324,17 +342,59 @@ def test_write_replaces_existing_frame(tmp_path):
 def test_writer_takes_bands_bottom_first_and_renames_only_a_whole_frame(tmp_path):
     px = np.arange(7 * 5 * 3, dtype=np.float32).reshape(7, 5, 3)
     path = str(tmp_path / "frame.pfm")
-    with pfm.PfmWriter(path, 7, 5) as out:
+    with pfm.Outputs() as outputs:
+        out = outputs.frame(path, 7, 5)
         for rows in (slice(4, 7), slice(1, 4), slice(0, 1)):
             out.write(px[rows])
-        out.commit()
     assert read_samples(path).tobytes() == px.tobytes()
     assert os.listdir(tmp_path) == ["frame.pfm"]
-    # a band of the wrong width, one past the frame's height, or a commit with
-    # rows missing is refused, and leaving the block unlinks the temporary file
+    # a band of the wrong width, one past the frame's height, or a frame with
+    # rows missing at the end of the block is refused, and its temporary file unlinked
     for bands in ([px[:, :4]], [px, px[:1]], [px[1:]]):
-        with pytest.raises(DimensionError), pfm.PfmWriter(str(tmp_path / "x.pfm"), 7, 5) as out:
+        with pytest.raises(DimensionError), pfm.Outputs() as outputs:
+            out = outputs.frame(str(tmp_path / "x.pfm"), 7, 5)
             for band in bands:
                 out.write(band)
-            out.commit()
         assert os.listdir(tmp_path) == ["frame.pfm"]
+
+
+def test_outputs_exception_keeps_earlier_files(tmp_path):
+    img = cm.TaggedImage(np.full((4, 4, 3), 0.5), SDR_TAG)
+    path = str(tmp_path / "frame.pfm")
+    with pfm.Outputs() as outputs:
+        outputs.tagged(path, img, seed=1)
+        outputs.file(path + ".txt", b"earlier")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    with pytest.raises(RuntimeError), pfm.Outputs() as outputs:
+        outputs.tagged(path, img.with_pixels(np.zeros((4, 4, 3))), seed=2)
+        outputs.file(path + ".txt", b"later")
+        raise RuntimeError("the run fails after every file is written")
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+def test_outputs_frame_with_rows_missing_renames_nothing(tmp_path):
+    with pytest.raises(DimensionError), pfm.Outputs() as outputs:
+        outputs.file(str(tmp_path / "first.txt"), b"whole")
+        outputs.frame(str(tmp_path / "frame.pfm"), 7, 5).write(np.zeros((6, 5, 3)))
+        outputs.file(str(tmp_path / "last.txt"), b"whole")
+    assert os.listdir(tmp_path) == []
+
+
+def test_outputs_failed_rename_unlinks_the_files_renamed_before_it(tmp_path):
+    (tmp_path / "c.txt").mkdir()
+    with pytest.raises(IsADirectoryError), pfm.Outputs() as outputs:
+        for name in ("a.txt", "b.txt", "c.txt", "d.txt"):
+            outputs.file(str(tmp_path / name), name.encode())
+    assert os.listdir(tmp_path) == ["c.txt"]
+
+
+def test_outputs_full_disk_on_a_file_leaves_nothing(tmp_path, monkeypatch):
+    # the 1 x 1 frame's 24 bytes and the 30-byte file fit in FullDisk's 40 bytes
+    # a file; the 100-byte file, added last, fails part-way
+    fill_disk(monkeypatch)
+    with pytest.raises(OSError) as err, pfm.Outputs() as outputs:
+        outputs.frame(str(tmp_path / "frame.pfm"), 1, 1).write(np.zeros((1, 1, 3)))
+        outputs.file(str(tmp_path / "frame.pfm.rqs.json"), bytes(30))
+        outputs.file(str(tmp_path / "frame.pfm.trace.csv"), bytes(100))
+    assert err.value.errno == errno.ENOSPC
+    assert os.listdir(tmp_path) == []

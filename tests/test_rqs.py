@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lumaflux import pfm
 from lumaflux import rqs
 from lumaflux import tensorcore as tc
 from lumaflux.errors import ConfigError, DimensionError
@@ -522,13 +523,15 @@ class TestFit:
 
 
 def test_failed_save_keeps_the_earlier_file(tmp_path):
-    # a config whose JSON cannot be encoded fails the write after params and raw;
+    # a config whose JSON cannot be encoded fails the save after params and raw;
     # the file under the final name keeps the bytes of the earlier save
     path = tmp_path / "fit.rqs.json"
     raw = np.random.default_rng(0).normal(0.0, 1.0, 3 * 8 + 1)
-    rqs.save_fit(str(path), rqs.constrain(raw, 8), raw, rqs.FitConfig())
+    with pfm.Outputs() as out:
+        out.file(str(path), rqs.fit_json(rqs.constrain(raw, 8), raw, rqs.FitConfig()).encode())
     before = path.read_bytes()
-    with pytest.raises(TypeError):
-        rqs.save_fit(str(path), rqs.constrain(-raw, 8), -raw, rqs.FitConfig(lambda_smooth=object()))
+    with pytest.raises(TypeError), pfm.Outputs() as out:
+        fit = rqs.fit_json(rqs.constrain(-raw, 8), -raw, rqs.FitConfig(lambda_smooth=object()))
+        out.file(str(path), fit.encode())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.rqs.json"]

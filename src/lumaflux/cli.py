@@ -176,8 +176,8 @@ def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
     with _open_frame(args.hdr_input, HDR_FORMAT) as hdr:
-        os.makedirs(args.output_dir, exist_ok=True)
         cm.check_encoded(hdr)
+        os.makedirs(args.output_dir, exist_ok=True)
         # one decode into the one whole-frame array, shared by every job
         h, w, _ = hdr.shape
         nits = np.empty(hdr.shape)

@@ -7,6 +7,7 @@ inputs instead of guessing.
 """
 
 import enum
+import functools
 import sys
 from dataclasses import dataclass, replace
 
@@ -173,7 +174,12 @@ def _pq_eotf(v):
 def bt709_oetf(linear):
     """BT.709 OETF with the linear toe, on relative linear light in [0, 1]."""
     x = np.asarray(linear, dtype=np.float64)
-    return np.where(x < 0.018, 4.5 * x, 1.099 * np.power(np.maximum(x, 1e-12), 0.45) - 0.099)
+    y = np.maximum(x, 1e-12, out=np.empty_like(x))  # our own array, also for a scalar
+    y **= 0.45
+    y *= 1.099
+    y -= 0.099
+    np.multiply(x, 4.5, out=y, where=x < 0.018)
+    return y[()]  # a scalar for a scalar input
 
 
 def bt709_eotf(signal):
@@ -250,13 +256,14 @@ def _rgb_to_xyz_matrix(primaries):
     return xyz * scale[None, :]
 
 
+@functools.cache
 def gamut_matrix(src, dst):
-    """3x3 linear-RGB conversion between primaries, derived from CIE xy + D65."""
-    if src == dst:
-        return np.eye(3)
-    m = np.linalg.solve(_rgb_to_xyz_matrix(dst), _rgb_to_xyz_matrix(src))
+    """3x3 linear-RGB conversion between primaries, derived from CIE xy + D65; shared, read-only."""
+    m = np.eye(3) if src == dst else np.linalg.solve(_rgb_to_xyz_matrix(dst),
+                                                     _rgb_to_xyz_matrix(src))
     if abs(np.linalg.det(m)) < 1e-9:
         raise DomainError("degenerate gamut matrix")
+    m.flags.writeable = False
     return m
 
 
@@ -265,8 +272,9 @@ def convert_gamut(img, dst):
     if img.tag.transfer is not Transfer.LINEAR:
         raise TagError("gamut conversion operates on linear images")
     out = img.pixels @ gamut_matrix(img.tag.primaries, dst).T
-    tag = replace(img.tag, primaries=dst)
-    return img.with_pixels(np.maximum(out, 0.0), tag), _clamp_fraction(out)
+    clamped = _clamp_fraction(out)
+    np.maximum(out, 0.0, out=out)
+    return img.with_pixels(out, replace(img.tag, primaries=dst)), clamped
 
 
 def _clamp_fraction(rgb):

@@ -11,9 +11,10 @@ seed. Malformed input raises FrameFormatError. Every file is written
 through `Outputs`, the set of one run's outputs: each under a temporary
 name, then, once all are written and every frame is whole, all renamed
 into place in the order added, each frame followed by its sidecar. A set
-that fails unlinks every temporary file and every file it had renamed.
-Frames are written little-endian, one row band at a time from the bottom
-up, each band cast to float32 alone.
+that fails unlinks every temporary file and every file it had renamed, and
+puts back each earlier file one of its renames replaced. Frames are written
+little-endian, one row band at a time from the bottom up, each band cast to
+float32 alone.
 """
 
 import contextlib
@@ -160,8 +161,9 @@ class Outputs:
     Each file is written under a temporary name next to its own. On a clean
     exit every frame must be whole, and every file is renamed in the order
     added. On an exception, a frame with rows missing or a failed rename,
-    every temporary file and every file already renamed is unlinked. Add
-    files from one thread; a frame's bands may be written from another.
+    every temporary file and every file already renamed is unlinked, and each
+    earlier file a rename replaced comes back from a hard link made before it.
+    Add files from one thread; a frame's bands may be written from another.
     """
 
     def __init__(self):
@@ -203,7 +205,7 @@ class Outputs:
         return self
 
     def __exit__(self, exc_type, *exc):
-        renamed = []
+        renamed, kept = [], []  # kept: (name, a hard link to the earlier file at that name)
         try:
             for out in self._frames:
                 if out._fh is not None:
@@ -214,13 +216,22 @@ class Outputs:
                         raise DimensionError(f"{out.path}: {out._left} rows of a {out.shape} "
                                              "frame were never written")
                 for path, tmp in self._names:
+                    with contextlib.suppress(OSError):  # no earlier file there
+                        os.link(path, tmp + ".old")
+                        kept.append((path, tmp + ".old"))
                     os.replace(tmp, path)
                     renamed.append(path)
         finally:
-            if len(renamed) < len(self._names):
+            if failed := len(renamed) < len(self._names):
                 for name in renamed + [tmp for _, tmp in self._names]:
                     with contextlib.suppress(OSError):
                         os.unlink(name)
+            for path, old in kept:
+                with contextlib.suppress(OSError):
+                    if failed and path in renamed:
+                        os.replace(old, path)  # the earlier file, back at its name
+                    else:
+                        os.unlink(old)
 
 
 def _read_tag(frame_path):

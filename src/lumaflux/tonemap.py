@@ -12,12 +12,14 @@ of one operator from one pass over row bands of `tensorcore.band_rows`
 bottom band up, the order in which a PFM stores rows: tone map, gamut
 clamp, encode, quantize and the forward DCT run once per band into
 band-sized coefficients, and only the deadzone quantization and inverse
-DCT run per CRF, each into its own band-sized buffer. It yields bands, so
-no caller needs a whole output frame. `degrade` puts one frame together
-from its bands on PQ input, and `codec_proxy` does the same from the same
-band generator on an encoded frame. Banding never changes a bit: the
-bands hold whole 8x8 blocks and the last band's edge padding is the
-whole frame's.
+DCT run per CRF, each into its own band-sized buffer. A band's
+coefficients are one array in (u, block row, channel, block column, v)
+order, so each transform is two GEMMs over the band, summing as the
+per-block DCT8 @ X @ DCT8.T does. It yields bands, so no caller needs a
+whole output frame. `degrade` and `codec_proxy` put one frame together
+from the same band generator, on PQ input and on an encoded frame.
+Banding never changes a bit: the bands hold whole 8x8 blocks and the
+last band's edge padding is the whole frame's.
 """
 
 import enum
@@ -222,9 +224,9 @@ def tone_map(op, img):
     lum = cm.luma2020(img)
     y = _CURVES[op.kind](lum, **op.params)  # nonnegative: the pixels were checked above
     ratio = np.where(lum > 0.0, y / np.maximum(lum, 1e-12), 0.0)
-    out = np.clip(img.pixels * ratio[..., None], 0.0, 1.0)
+    out = img.pixels * ratio[..., None]
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)
-    return cm.TaggedImage(out, tag)
+    return cm.TaggedImage(np.clip(out, 0.0, 1.0, out=out), tag)
 
 
 def quantize(img, bits):
@@ -234,8 +236,9 @@ def quantize(img, bits):
     if img.tag.transfer is cm.Transfer.LINEAR:
         raise TagError("quantize expects an encoded image")
     levels = float(2**bits - 1)
-    # float64 whatever the storage
-    out = np.floor(np.multiply(img.pixels, levels, dtype=np.float64) + 0.5) / levels
+    out = np.multiply(img.pixels, levels, dtype=np.float64)  # float64 whatever the storage
+    np.floor(np.add(out, 0.5, out=out), out=out)
+    out /= levels
     return img.with_pixels(out)
 
 
@@ -249,42 +252,48 @@ def _check_crf(crf):
         raise ConfigError(f"crf must be one of {VALID_CRF} or None, got {crf}")
 
 
-def _forward_dct(band, padded, work, out):
-    """Write the DCT-II of an (r, w, 3) band's 8x8 blocks into `out`, an (n, 3, 8, 8) stack.
+def _blocks(px):
+    """An (8k, 8l, 3) raster array as its (x, block row, channel, block column, y) view."""
+    hh, ww, _ = px.shape
+    return px.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3).transpose(1, 0, 4, 2, 3)
 
-    `padded` and `work` are scratch arrays sized for a full band; the band
-    is edge-padded to whole blocks in `padded`, as np.pad(mode="edge") would.
+
+def _forward_dct(band, padded, work, out):
+    """Write the DCT-II of an (r, w, 3) band's 8x8 blocks into `out`, an (8, n, m) array.
+
+    out[u, i] is block row i's (channel, block column, v) coefficients: DCT8 @ X, then
+    (.., 8) @ DCT8.T, X the band as (x, i, channel, block column, y), edge-padded in
+    `padded` as np.pad(mode="edge") would only if it is not whole blocks.
     """
     r, w, _ = band.shape
-    hh, ww = -(-r // _DCT_N) * _DCT_N, padded.shape[1]
-    px = padded[:hh]
-    px[:r, :w] = band
-    px[:r, w:] = band[:, w - 1:w]
-    px[r:] = px[r - 1:r]
-    blocks, prod = work[0, :len(out)], work[1, :len(out)]
-    blocks.reshape(hh // _DCT_N, ww // _DCT_N, 3, _DCT_N, _DCT_N)[...] = px.reshape(
-        hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3).transpose(0, 2, 4, 1, 3)
-    np.matmul(DCT8, blocks, out=prod)
-    np.matmul(prod, _DCT8_T, out=out)
+    if r % _DCT_N or w % _DCT_N:
+        px = padded[:out.shape[1] * _DCT_N]
+        px[:r, :w] = band
+        px[:r, w:] = band[:, w - 1:w]
+        px[r:] = px[r - 1:r]
+        band = px
+    x, prod = (a[:out.size].reshape(_DCT_N, -1) for a in work[:2])
+    x.reshape(_blocks(band).shape)[...] = _blocks(band)
+    np.matmul(DCT8, x, out=prod)
+    np.matmul(prod.reshape(-1, _DCT_N), _DCT8_T, out=out.reshape(-1, _DCT_N))
 
 
 def _inverse_dct(coefs, step, padded, work, out):
-    """Deadzone-quantize a band's coefficients by `step`, invert them and clip into `out`."""
-    quant, prod = work[0, :len(coefs)], work[1, :len(coefs)]
+    """Deadzone-quantize by `step`; invert, DCT8.T @ Q then (.., 8) @ DCT8; clip into `out`."""
+    quant, prod = (a[:coefs.size].reshape(coefs.shape) for a in work[:2])
     # deadzone: round toward zero so AC energy never grows; DC kept
     np.divide(coefs, step, out=quant)
     np.trunc(quant, out=quant)
     quant *= step
-    quant[:, :, 0, 0] = coefs[:, :, 0, 0]
-    np.matmul(_DCT8_T, quant, out=prod)
-    np.matmul(prod, DCT8, out=quant)
-    np.clip(quant, 0.0, 1.0, out=quant)  # in block layout, before the scatter to raster order
+    quant[0, :, ::_DCT_N] = coefs[0, :, ::_DCT_N]
+    np.matmul(_DCT8_T, quant.reshape(_DCT_N, -1), out=prod.reshape(_DCT_N, -1))
+    np.matmul(prod.reshape(-1, _DCT_N), DCT8, out=quant.reshape(-1, _DCT_N))
     r, w, _ = out.shape
-    hh, ww = -(-r // _DCT_N) * _DCT_N, padded.shape[1]
-    px = padded[:hh]
-    px.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3)[...] = quant.reshape(
-        hh // _DCT_N, ww // _DCT_N, 3, _DCT_N, _DCT_N).transpose(0, 3, 1, 4, 2)
-    out[...] = px[:r, :w]
+    px = padded[:coefs.shape[1] * _DCT_N] if r % _DCT_N or w % _DCT_N else out
+    # clipped on its way to raster order, in one pass
+    np.clip(quant.reshape(_blocks(px).shape), 0.0, 1.0, out=_blocks(px))
+    if px is not out:
+        out[...] = px[:r, :w]
 
 
 def _codec_bands(h, w, encode_band, crfs):
@@ -296,29 +305,30 @@ def _codec_bands(h, w, encode_band, crfs):
     its own band-sized buffer, and a None CRF takes the encoded band itself.
     The buffers are reused from band to band, so a caller reads each band
     before it asks for the next. Band edges are multiples of 8 that depend
-    only on the frame's extent, so every band holds whole blocks but the
-    last, whose edge padding is the whole frame's.
+    only on the frame's extent, and the last band's edge padding is the
+    whole frame's; a band of whole blocks is read and written unpadded.
     """
     per_row = -(-w // _DCT_N)  # blocks in one row of blocks
+    m = per_row * 3 * _DCT_N  # a block row's coefficients at one u; each CRF's steps span one
     # scratch for the tallest band in whole blocks, reused by every band of every CRF
     tallest = min(tc.band_rows(w), -(-h // _DCT_N) * _DCT_N)
-    steps = [None if crf is None else (JPEG_BASE / 255.0) * 0.25 * crf_quality_scale(crf)
+    steps = [None if crf is None else np.tile((JPEG_BASE / 255.0 * 0.25 * crf_quality_scale(crf))
+                                              [:, None], (1, per_row * 3, 1)).reshape(_DCT_N, 1, m)
              for crf in crfs]
     outs = [None if step is None else np.empty((tallest, w, 3)) for step in steps]
     coded = any(out is not None for out in outs)
     if coded:
-        padded = np.empty((tallest, per_row * _DCT_N, 3))
-        work = np.empty((2, tallest // _DCT_N * per_row, 3, _DCT_N, _DCT_N))
-        coefs = np.empty_like(work[0])
+        padded = np.empty((tallest if h % _DCT_N or w % _DCT_N else 0, per_row * _DCT_N, 3))
+        work = np.empty((3, tallest * m))  # two work arrays, then the coefficients
     for rows in reversed(tc.row_bands(h, w)):
         band = encode_band(rows)
         r = len(band)
-        n = -(-r // _DCT_N) * per_row  # the band's blocks
         if coded:
-            _forward_dct(band, padded, work, coefs[:n])
+            band_coefs = work[2, :-(-r // _DCT_N) * _DCT_N * m].reshape(_DCT_N, -1, m)
+            _forward_dct(band, padded, work, band_coefs)
         for step, out in zip(steps, outs):
             if out is not None:
-                _inverse_dct(coefs[:n], step, padded, work, out[:r])
+                _inverse_dct(band_coefs, step, padded, work, out[:r])
         yield rows, [band if out is None else out[:r] for out in outs]
 
 
@@ -334,21 +344,19 @@ def codec_proxy(img, crf):
     return img.with_pixels(frame)
 
 
-_SDR_LINEAR = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)
 # the tag of every SDR frame and band that degrade and degrade_variants make
 SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
 
 def _encode_sdr(op, linear):
-    """Tone map, gamut clamp, BT.709 encode and 8-bit quantize a linear BT.2020 frame."""
+    """Tone map, gamut clamp, BT.709 encode and 8-bit quantize a linear BT.2020 frame's pixels."""
     img = tone_map(op, linear)
     img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
-    # convert_gamut returns a fresh array, so clip and scale it in place;
-    # encode operates on relative linear light, peak the SDR nominal 100 nits
+    # convert_gamut returns a fresh array: clip it, and scale it to the SDR nominal 100
+    # nits and back as encode_transfer would, whose scan and clip change nothing here
     px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
-    px *= 100.0
-    img = cm.encode_transfer(img.with_pixels(px, _SDR_LINEAR), cm.Transfer.GAMMA709)
-    return quantize(img, 8)
+    np.divide(np.multiply(px, 100.0, out=px), 100.0, out=px)
+    return quantize(img.with_pixels(cm.bt709_oetf(px), SDR_TAG), 8).pixels
 
 
 def degrade_variants(linear, op, crfs):
@@ -370,11 +378,8 @@ def degrade_variants(linear, op, crfs):
     for crf in crfs:
         _check_crf(crf)
     h, w, _ = linear.pixels.shape
-
-    def encode_band(rows):
-        return _encode_sdr(op, linear.with_pixels(linear.pixels[rows])).pixels
-
-    return _codec_bands(h, w, encode_band, crfs)
+    return _codec_bands(h, w, lambda rows: _encode_sdr(op, linear.with_pixels(linear.pixels[rows])),
+                        crfs)
 
 
 def degrade(img_pq, spec):

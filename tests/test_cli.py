@@ -227,7 +227,7 @@ class TestSynthesize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "pixel (3, 5, 1)" in captured.err
-        assert not [f for f in os.listdir(out) if f.endswith(".pfm")]
+        assert not out.exists()  # made only once the input has passed its range check
 
     def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
         # a 480 x 960 frame in 15 bands of 32 rows on one thread. The input is
@@ -251,6 +251,25 @@ class TestSynthesize:
         assert captured.out == "" and captured.err.startswith("I/O failure")
         assert os.listdir(out) == ["sdr_001_Reinhard_crf31.pfm"]
         assert os.listdir(out / "sdr_001_Reinhard_crf31.pfm") == []
+
+    def test_failed_rerun_keeps_the_earlier_run_files(self, tmp_path, hdr_frame, capsys):
+        # a one-frame run, then a rerun of another frame whose sidecar's rename
+        # fails after its frame's rename has replaced the earlier frame
+        out = tmp_path / "out"
+        for peak, doc in ((1000.0, "first.json"), (4000.0, "second.json")):
+            (tmp_path / doc).write_text(json.dumps(
+                {"tmos": [{"kind": "Reinhard", "params": {"peak_in_nits": peak}}], "crfs": [23]}))
+        argv = ["synthesize", hdr_frame, "--output-dir", str(out), "--config"]
+        assert cli.main(argv + [str(tmp_path / "first.json")]) == 0
+        frame = out / "sdr_000_Reinhard_crf23.pfm"
+        earlier = frame.read_bytes()
+        (out / "sdr_000_Reinhard_crf23.json").unlink()
+        (out / "sdr_000_Reinhard_crf23.json").mkdir()
+        capsys.readouterr()
+        assert cli.main(argv + [str(tmp_path / "second.json")]) == 2
+        assert capsys.readouterr().out == ""
+        assert sorted(os.listdir(out)) == ["sdr_000_Reinhard_crf23.json", frame.name]
+        assert frame.read_bytes() == earlier
 
     def test_open_frame_files_are_bounded(self, tmp_path, hdr_frame, monkeypatch, capsys):
         # one worker, 6 operators of 3 CRFs, 4 bands of 16 rows: a frame's file is

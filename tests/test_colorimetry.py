@@ -78,6 +78,15 @@ class TestBT709Transfer:
         x = np.linspace(0.0, 0.04, 2001)
         assert np.all(np.diff(cm.bt709_oetf(x)) >= 0.0)
 
+    def test_oetf_bits_of_the_two_branch_formula(self):
+        # in place, the same operations in the same order; a scalar stays a scalar
+        x = np.concatenate([np.linspace(-0.01, 1.0, 5001), [0.018, np.nextafter(0.018, 0), 0.0]])
+        want = np.where(x < 0.018, 4.5 * x, 1.099 * np.power(np.maximum(x, 1e-12), 0.45) - 0.099)
+        assert np.array_equal(cm.bt709_oetf(x), want)
+        assert np.array_equal(cm.bt709_oetf(x.reshape(-1, 3, 1)), want.reshape(-1, 3, 1))
+        for v in (0.5, 0.01):
+            assert np.ndim(cm.bt709_oetf(v)) == 0 and cm.bt709_oetf(v) == cm.bt709_oetf([v])[0]
+
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(np.float64, 16, elements=st.floats(0.0, 1.0)))
     def test_property_round_trip(self, x):
@@ -101,6 +110,17 @@ class TestGamut:
             for b in cm.Primaries:
                 m = cm.gamut_matrix(a, b)
                 np.testing.assert_allclose(m @ np.ones(3), np.ones(3), atol=1e-6)
+
+    def test_matrix_is_solved_once_and_read_only(self):
+        for a in cm.Primaries:
+            for b in cm.Primaries:
+                m = cm.gamut_matrix(a, b)
+                assert m is cm.gamut_matrix(a, b) and not m.flags.writeable
+                fresh = np.eye(3) if a == b else np.linalg.solve(cm._rgb_to_xyz_matrix(b),
+                                                                 cm._rgb_to_xyz_matrix(a))
+                assert np.array_equal(m, fresh)
+                with pytest.raises(ValueError):
+                    m[0, 0] = 1.0
 
     def test_convert_gamut_reports_clamps(self):
         # saturated BT.2020 green falls outside BT.709
@@ -283,6 +303,9 @@ FLOAT_DECODES = {
     "linearize_sdr": lambda px: ft.linearize_sdr(cm.TaggedImage(px, SDR_TAG)).pixels,
     "quantize": lambda px: tm.quantize(cm.TaggedImage(px, SDR_TAG), 8).pixels,
     "codec_proxy": lambda px: tm.codec_proxy(cm.TaggedImage(px, SDR_TAG), 23).pixels,
+    # whole 8x8 blocks, read unpadded from a view that is not C-contiguous
+    "codec_proxy whole blocks": lambda px: tm.codec_proxy(
+        cm.TaggedImage(px[:32, :48], SDR_TAG), 31).pixels,
 }
 
 

@@ -388,6 +388,29 @@ def test_outputs_failed_rename_unlinks_the_files_renamed_before_it(tmp_path):
     assert os.listdir(tmp_path) == ["c.txt"]
 
 
+def test_outputs_failed_rename_puts_back_the_earlier_files(tmp_path):
+    names = ("a.txt", "b.txt", "c.txt", "d.txt")
+    for name in names:
+        (tmp_path / name).write_bytes(b"earlier " + name.encode())
+    (tmp_path / "c.txt").unlink()
+    (tmp_path / "c.txt").mkdir()
+    # a.txt and b.txt are replaced before c.txt's rename fails; d.txt never is
+    with pytest.raises(IsADirectoryError), pfm.Outputs() as outputs:
+        for name in names:
+            outputs.file(str(tmp_path / name), b"later " + name.encode())
+    assert sorted(os.listdir(tmp_path)) == list(names)
+    for name in ("a.txt", "b.txt", "d.txt"):
+        assert (tmp_path / name).read_bytes() == b"earlier " + name.encode()
+    # once the run can finish, its files replace them and no hard link is left over
+    (tmp_path / "c.txt").rmdir()
+    with pfm.Outputs() as outputs:
+        for name in names:
+            outputs.file(str(tmp_path / name), b"later " + name.encode())
+    assert sorted(os.listdir(tmp_path)) == list(names)
+    for name in names:
+        assert (tmp_path / name).read_bytes() == b"later " + name.encode()
+
+
 def test_outputs_full_disk_on_a_file_leaves_nothing(tmp_path, monkeypatch):
     # the 1 x 1 frame's 24 bytes and the 30-byte file fit in FullDisk's 40 bytes
     # a file; the 100-byte file, added last, fails part-way

@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -398,3 +399,48 @@ class TestSpecJson:
     def test_invalid_crf(self):
         with pytest.raises(ConfigError):
             tm.DegradationSpec(tmo=ALL_OPS[0], crf=24)
+
+
+# SHA-256 of the codec's output bytes, recorded before the codec moved from per-block
+# matmuls to whole-band GEMMs: padded blocks on both axes, whole blocks, and a short
+# last band on a whole-block width
+CODEC_EXTENTS = [(19, 13), (37, 53), (64, 64), (136, 64), (43, 72)]
+CODEC_PROXY_SHA256 = {
+    (19, 13): "2ef907f89cfe49ee1e17c140155eb56cfb79b7fafcb77c8042132c247cc7492e",
+    (37, 53): "9c27b8822a695b7cae8cb0100c535af17abd9f27d7051718989591160de129df",
+    (64, 64): "8a9111488d4151fef9f383dd81a16768b90b0e0a221441a6a73fd0b90ca9137f",
+    (136, 64): "3e751a77380f20790b96269bf8c4707a63eb4d121f87a2b719184a9fe77e2a62",
+    (43, 72): "c4bb4dc89901d5a6f1b3064abb485915cf2862dd1d9e61d974f1398faa44bc3b",
+}
+VARIANTS_SHA256 = {
+    (19, 13): "bb2b3b7684ba47aba17161f0a1e1a7ad6aba9be90384968ce85680ca2e907f6b",
+    (37, 53): "7d100ef4c715985784c7afbf6cad84908edf578d6ac4760034f809a6416dbe8b",
+    (64, 64): "edffa73da598dd50db76a3c4384366d49d5399b4283595ae28a5f97aee26121f",
+    (136, 64): "39858260d04705e2a531adf4b4261c71058c6d40cef69d54ff3e151e4869942c",
+    (43, 72): "0ffed03927d2a6f674ba1cf1e54ec6c6e535eda10eb758b58e4b60eb48243e1f",
+}
+
+
+class TestCodecPins:
+    @pytest.mark.parametrize("extent", CODEC_EXTENTS, ids=str)
+    @pytest.mark.parametrize("band_rows", [None, 8, 16])
+    def test_codec_proxy_bytes(self, extent, band_rows, monkeypatch):
+        fix_band_rows(monkeypatch, band_rows)
+        px = np.random.default_rng(sum(extent)).uniform(0.0, 1.0, extent + (3,))
+        img = cm.TaggedImage(px, tm.SDR_TAG)
+        digest = hashlib.sha256()
+        for crf in tm.VALID_CRF:
+            digest.update(tm.codec_proxy(img, crf).pixels.tobytes())
+        assert digest.hexdigest() == CODEC_PROXY_SHA256[extent]
+
+    @pytest.mark.parametrize("extent", CODEC_EXTENTS, ids=str)
+    @pytest.mark.parametrize("band_rows", [None, 8, 16])
+    def test_degrade_variants_bytes(self, extent, band_rows, monkeypatch):
+        fix_band_rows(monkeypatch, band_rows)
+        crfs = (23, None, 39)
+        op = ALL_OPS[CODEC_EXTENTS.index(extent)]
+        frames = np.full((len(crfs),) + extent + (3,), np.nan)
+        for rows, bands in tm.degrade_variants(cm.apply_transfer(cropped_hdr(extent)), op, crfs):
+            for frame, band in zip(frames, bands):
+                frame[rows] = band
+        assert hashlib.sha256(frames.tobytes()).hexdigest() == VARIANTS_SHA256[extent]

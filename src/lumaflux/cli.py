@@ -52,7 +52,7 @@ from . import pfm
 from . import rqs
 from . import tensorcore as tc
 from . import tonemap as tm
-from .errors import ConfigError, FrameFormatError, LumaFluxError
+from .errors import ConfigError, FrameFormatError, LumaFluxError, TagError
 
 DEFAULT_CONFIG = {
     "tmos": [
@@ -284,6 +284,8 @@ def fit_expand(sdr, ref, cfg, workers=1):
     PQ-encodes. Each row's block depends on that row alone, so the output
     does not depend on `workers` or the band height.
     """
+    if ref.tag.transfer is not cm.Transfer.PQ or ref.tag.primaries is not cm.Primaries.BT2020:
+        raise TagError("fit_expand expects a PQ/BT.2020 reference")
     h, w, _ = sdr.shape
     peak = cfg["peak_nits"]
     params, raw, trace = rqs.fit_rqs(*fit_pairs(sdr, ref, cfg), K=cfg["spline_knots"],
@@ -385,11 +387,10 @@ def cmd_features(args):
     workers = _max_workers()
     with _open_frame(args.frame, SDR_FORMAT) as sdr:
         feats = ft.extract_phys(sdr, workers)
-    desc = ft.spectral_descriptor(feats.y_map, cfg["k_bands"])
     doc = {
         "s_g": feats.s_g.tolist(),
         "g": ft.global_mlp(feats.s_g, *feature_weights(cfg)).tolist(),
-        "r": desc.r.tolist(),
+        "r": ft.spectral_descriptor(feats.y_map, cfg["k_bands"]).tolist(),
         "maps": [
             _map_summary("y", feats.y_map),
             _map_summary("loggrad", feats.loggrad_map),

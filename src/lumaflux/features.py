@@ -31,11 +31,6 @@ class PhysFeatures:
     s_g: np.ndarray  # [mean, std, p95, p99]
 
 
-@dataclass
-class SpectralDescriptor:
-    r: np.ndarray  # band energies, DC-first
-
-
 def _check_sdr(sdr):
     """Raise unless `sdr` is a Gamma709/BT709 frame whose samples lie in [0, 1]."""
     if sdr.tag.transfer is not cm.Transfer.GAMMA709 or sdr.tag.primaries is not cm.Primaries.BT709:
@@ -126,7 +121,7 @@ def extract_phys(sdr, workers=1):
 
 
 def spectral_descriptor(y_map, k_bands):
-    """Radial band energies of the luminance power spectrum.
+    """Radial band energies of the luminance power spectrum, DC first.
 
     Bands are equal-width annuli in normalized frequency [0, 0.5]; the
     conjugate-symmetric half-plane is double counted except the DC and
@@ -148,4 +143,4 @@ def spectral_descriptor(y_map, k_bands):
     radius = np.sqrt(fr**2 + fc**2)
     band = np.minimum((radius / 0.5 * k_bands).astype(int), k_bands - 1)
     energies = np.bincount(band.reshape(-1), weights=power.reshape(-1), minlength=k_bands)
-    return SpectralDescriptor(r=energies / (rows * cols) ** 2)
+    return energies / (rows * cols) ** 2

@@ -10,9 +10,8 @@ in for real HEVC encodes at the three CRF working points.
 of one operator from one pass over row bands of `tensorcore.band_rows`
 (at most `tensorcore.BAND_PIXELS` pixels, a multiple of 8 rows), from the
 bottom band up, the order in which a PFM stores rows: tone map, gamut
-clamp, encode, quantize and the forward DCT run once per band into
-band-sized coefficients, and only the deadzone quantization and inverse
-DCT run per CRF, each into its own band-sized buffer. A band's
+clamp, encode, quantize and the forward DCT run once per band, and only
+the deadzone quantization and inverse DCT run per CRF. A band's
 coefficients are one array in (u, block row, channel, block column, v)
 order, so each transform is two GEMMs over the band, summing as the
 per-block DCT8 @ X @ DCT8.T does. It yields bands, so no caller needs a
@@ -258,78 +257,55 @@ def _blocks(px):
     return px.reshape(hh // _DCT_N, _DCT_N, ww // _DCT_N, _DCT_N, 3).transpose(1, 0, 4, 2, 3)
 
 
-def _forward_dct(band, padded, work, out):
-    """Write the DCT-II of an (r, w, 3) band's 8x8 blocks into `out`, an (8, n, m) array.
+def _forward_dct(band):
+    """The DCT-II of an (r, w, 3) band's 8x8 blocks, as an (8, n, m) array.
 
-    out[u, i] is block row i's (channel, block column, v) coefficients: DCT8 @ X, then
-    (.., 8) @ DCT8.T, X the band as (x, i, channel, block column, y), edge-padded in
-    `padded` as np.pad(mode="edge") would only if it is not whole blocks.
+    Entry [u, i] is block row i's (channel, block column, v) coefficients: DCT8 @ X,
+    then (.., 8) @ DCT8.T, X the band as (x, i, channel, block column, y), edge-padded
+    with np.pad(mode="edge") only if it is not whole blocks.
     """
     r, w, _ = band.shape
     if r % _DCT_N or w % _DCT_N:
-        px = padded[:out.shape[1] * _DCT_N]
-        px[:r, :w] = band
-        px[:r, w:] = band[:, w - 1:w]
-        px[r:] = px[r - 1:r]
-        band = px
-    x, prod = (a[:out.size].reshape(_DCT_N, -1) for a in work[:2])
-    x.reshape(_blocks(band).shape)[...] = _blocks(band)
-    np.matmul(DCT8, x, out=prod)
-    np.matmul(prod.reshape(-1, _DCT_N), _DCT8_T, out=out.reshape(-1, _DCT_N))
+        band = np.pad(band, ((0, -r % _DCT_N), (0, -w % _DCT_N), (0, 0)), mode="edge")
+    x = np.ascontiguousarray(_blocks(band))
+    prod = DCT8 @ x.reshape(_DCT_N, -1)
+    return (prod.reshape(-1, _DCT_N) @ _DCT8_T).reshape(x.shape[:2] + (-1,))
 
 
-def _inverse_dct(coefs, step, padded, work, out):
-    """Deadzone-quantize by `step`; invert, DCT8.T @ Q then (.., 8) @ DCT8; clip into `out`."""
-    quant, prod = (a[:coefs.size].reshape(coefs.shape) for a in work[:2])
+def _inverse_dct(coefs, step, r, w):
+    """Deadzone-quantize by `step`; invert, DCT8.T @ Q then (.., 8) @ DCT8; clip to (r, w, 3)."""
     # deadzone: round toward zero so AC energy never grows; DC kept
-    np.divide(coefs, step, out=quant)
-    np.trunc(quant, out=quant)
+    quant = np.trunc(coefs / step)
     quant *= step
     quant[0, :, ::_DCT_N] = coefs[0, :, ::_DCT_N]
-    np.matmul(_DCT8_T, quant.reshape(_DCT_N, -1), out=prod.reshape(_DCT_N, -1))
+    prod = _DCT8_T @ quant.reshape(_DCT_N, -1)
     np.matmul(prod.reshape(-1, _DCT_N), DCT8, out=quant.reshape(-1, _DCT_N))
-    r, w, _ = out.shape
-    px = padded[:coefs.shape[1] * _DCT_N] if r % _DCT_N or w % _DCT_N else out
+    px = np.empty((coefs.shape[1] * _DCT_N, -(-w // _DCT_N) * _DCT_N, 3))
     # clipped on its way to raster order, in one pass
     np.clip(quant.reshape(_blocks(px).shape), 0.0, 1.0, out=_blocks(px))
-    if px is not out:
-        out[...] = px[:r, :w]
+    return px[:r, :w]
 
 
 def _codec_bands(h, w, encode_band, crfs):
     """(rows, bands) for each row band of an h x w frame, the bottom band first.
 
     `bands` holds the band at each entry of `crfs`. Bands of tc.band_rows(w)
-    rows pass once through `encode_band(rows)` and the forward DCT into
-    band-sized coefficients; each CRF then quantizes and inverts them into
-    its own band-sized buffer, and a None CRF takes the encoded band itself.
-    The buffers are reused from band to band, so a caller reads each band
-    before it asks for the next. Band edges are multiples of 8 that depend
-    only on the frame's extent, and the last band's edge padding is the
-    whole frame's; a band of whole blocks is read and written unpadded.
+    rows pass once through `encode_band(rows)` and the forward DCT; each CRF
+    then quantizes and inverts the band's coefficients, and a None CRF takes
+    the encoded band itself. Band edges are multiples of 8 that depend only
+    on the frame's extent, and the last band's edge padding is the whole
+    frame's.
     """
     per_row = -(-w // _DCT_N)  # blocks in one row of blocks
-    m = per_row * 3 * _DCT_N  # a block row's coefficients at one u; each CRF's steps span one
-    # scratch for the tallest band in whole blocks, reused by every band of every CRF
-    tallest = min(tc.band_rows(w), -(-h // _DCT_N) * _DCT_N)
+    # each CRF's steps span one block row of coefficients at one u
     steps = [None if crf is None else np.tile((JPEG_BASE / 255.0 * 0.25 * crf_quality_scale(crf))
-                                              [:, None], (1, per_row * 3, 1)).reshape(_DCT_N, 1, m)
+                                              [:, None], (1, per_row * 3, 1)).reshape(_DCT_N, 1, -1)
              for crf in crfs]
-    outs = [None if step is None else np.empty((tallest, w, 3)) for step in steps]
-    coded = any(out is not None for out in outs)
-    if coded:
-        padded = np.empty((tallest if h % _DCT_N or w % _DCT_N else 0, per_row * _DCT_N, 3))
-        work = np.empty((3, tallest * m))  # two work arrays, then the coefficients
     for rows in reversed(tc.row_bands(h, w)):
         band = encode_band(rows)
-        r = len(band)
-        if coded:
-            band_coefs = work[2, :-(-r // _DCT_N) * _DCT_N * m].reshape(_DCT_N, -1, m)
-            _forward_dct(band, padded, work, band_coefs)
-        for step, out in zip(steps, outs):
-            if out is not None:
-                _inverse_dct(band_coefs, step, padded, work, out[:r])
-        yield rows, [band if out is None else out[:r] for out in outs]
+        coefs = _forward_dct(band)
+        yield rows, [band if step is None else _inverse_dct(coefs, step, len(band), w)
+                     for step in steps]
 
 
 def codec_proxy(img, crf):
@@ -367,9 +343,7 @@ def degrade_variants(linear, op, crfs):
     `linear` is the decoded PQ/BT.2020 input (linear BT.2020 nits). The
     chain from the tone map to the forward DCT runs once per band for all
     of `crfs`; only the codec quantization and the inverse DCT run per CRF.
-    A band's arrays are reused for the next band, so read each before
-    asking for the next. The tag and every CRF are checked here, before any
-    band runs.
+    The tag and every CRF are checked here, before any band runs.
     """
     tag = linear.tag
     if tag.transfer is not cm.Transfer.LINEAR or tag.primaries is not cm.Primaries.BT2020:

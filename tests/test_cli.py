@@ -15,7 +15,7 @@ from lumaflux import features as ft
 from lumaflux import pfm
 from lumaflux import rqs
 from lumaflux import tonemap as tm
-from lumaflux.errors import ConfigError
+from lumaflux.errors import ConfigError, TagError
 from test_acceptance import synthetic_hdr
 from test_pfm import SDR_TAG, damaged_frame
 from test_tensorcore import fix_band_rows
@@ -232,7 +232,7 @@ class TestSynthesize:
     def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
         # a 480 x 960 frame in 15 bands of 32 rows on one thread. The input is
         # read band by band and each CRF's bands go straight to its file, so
-        # only the shared linear frame covers the frame: 1.90 frames. Whole
+        # only the shared linear frame covers the frame: 1.73 frames. Whole
         # codec coefficients and output frames per job would take it past 4
         hdr = synthetic_hdr(size=960)
         src = str(tmp_path / "hdr.pfm")
@@ -426,6 +426,16 @@ class TestFitExpand:
         lhs = np.stack([bu, rv, np.ones_like(bu)], axis=-1).reshape(-1, 3)
         want, *_ = lstsq(lhs, np.stack([ref_bu, ref_rv], axis=-1).reshape(-1, 2), rcond=None)
         assert np.max(np.abs(coef - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("tag", [
+        cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.GAMMA709, cm.PQ_PEAK_NITS),
+        cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.PQ, cm.PQ_PEAK_NITS),
+    ], ids=["gamma709", "bt709"])
+    def test_rejects_reference_not_pq_bt2020(self, tag):
+        # the Gram pass PQ-decodes the reference, so the fit must not decode it by another tag
+        sdr, hdr = seeded_pair(0, 64, 64)
+        with pytest.raises(TagError):
+            cli.fit_expand(sdr, hdr.with_pixels(hdr.pixels, tag), cli.load_config())
 
     def test_peak_memory_is_bounded(self):
         # only the output and band-sized temporaries cover the frame; the

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -323,19 +324,20 @@ class TestDegrade:
         encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
         want = {crf: tm.codec_proxy(encoded, crf).pixels for crf in crfs}
         assert encoded.tag == tm.SDR_TAG
-        for band_rows in BANDED_ROWS:
+        # read each band as it comes, and read none until every band has been made
+        for band_rows, collect in itertools.product(BANDED_ROWS, (iter, list)):
             fix_band_rows(monkeypatch, band_rows)
             # NaN until a band fills it, so a row no band covers fails the comparison
             frames = np.full((len(crfs),) + encoded.shape, np.nan)
             tops = []
-            for rows, bands in tm.degrade_variants(cm.apply_transfer(hdr), op, crfs):
+            for rows, bands in collect(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs)):
                 assert len(bands) == len(crfs)
                 tops.append(rows.start)
                 for frame, band in zip(frames, bands):
                     frame[rows] = band
             assert tops == sorted(tops, reverse=True), band_rows  # the bottom band first
             for crf, frame in zip(crfs, frames):
-                assert np.array_equal(frame, want[crf]), (band_rows, crf)
+                assert np.array_equal(frame, want[crf]), (band_rows, collect, crf)
 
     def test_bands_hold_whole_blocks(self):
         # the most rows, in whole 8x8 blocks, within the pixel budget; at least one block

@@ -6,6 +6,8 @@ projection, FiLM modulation of the MLP-branch input driven by perceptual
 embeddings, and an additive residual coupler. Backbone weights stay
 frozen; all adapter gradients are hand-derived reverse accumulation
 through this fixed graph, verified against the central-difference oracle.
+Each forward returns its value and its backward pass, a closure over its
+own values that adds into a gradient AdapterState.
 The block takes its physical and perceptual tokens as arrays;
 `demo_inputs` draws seeded random ones for the self-checks.
 """
@@ -191,23 +193,21 @@ def psi(t, layer, state):
         n_spec=float(tc.softplus(raw[4])),
         lam=float(tc.softplus(raw[5])),
     )
-    cache = {"sf": sf, "feat": feat, "hv": hv, "raw": raw, "layer": layer}
-    return mod, cache
 
+    def backward(grads, d_mod):
+        """d_mod: gradient wrt the six emitted scalars (post softplus)."""
+        dr = np.array(d_mod, dtype=np.float64)
+        dr[4] *= tc.sigmoid(raw[4])
+        dr[5] *= tc.sigmoid(raw[5])
+        grads.psi_w_head += np.outer(dr, hv)
+        grads.psi_b_head += dr
+        dhv = state.psi_w_head.T @ dr
+        dfeat = dhv * _silu_prime(feat)
+        grads.psi_w_t += np.outer(dfeat, sf)
+        grads.psi_b_t += dfeat
+        grads.psi_emb[layer] += dfeat
 
-def psi_backward(cache, state, grads, d_mod):
-    """d_mod: gradient wrt the six emitted scalars (post softplus)."""
-    raw = cache["raw"]
-    dr = np.array(d_mod, dtype=np.float64)
-    dr[4] *= tc.sigmoid(raw[4])
-    dr[5] *= tc.sigmoid(raw[5])
-    grads.psi_w_head += np.outer(dr, cache["hv"])
-    grads.psi_b_head += dr
-    dhv = state.psi_w_head.T @ dr
-    dfeat = dhv * _silu_prime(cache["feat"])
-    grads.psi_w_t += np.outer(dfeat, cache["sf"])
-    grads.psi_b_t += dfeat
-    grads.psi_emb[cache["layer"]] += dfeat
+    return mod, backward
 
 
 def pga_residual(state, phys_vec, r_spec, mod, cfg):
@@ -223,36 +223,34 @@ def pga_residual(state, phys_vec, r_spec, mod, cfg):
     ab = state.a_v @ state.b_v
     m = mod.alpha_pga * ab + mod.beta_pga * np.eye(cfg.d)
     r_mat = m * cs[None, :]
-    cache = {
-        "phys_vec": phys_vec, "r_spec": r_spec, "gate": gate, "u_spec": u_spec,
-        "gvec": gvec, "cs": cs, "ab": ab, "m": m, "mod": mod,
-    }
-    return r_mat, cache
 
+    def backward(grads, d_r):
+        """Returns gradients wrt (alpha_pga, beta_pga, n_spec)."""
+        dm = d_r * cs[None, :]
+        dcs = np.sum(d_r * m, axis=0)
+        d_alpha = float(np.sum(dm * ab))
+        grads.a_v += mod.alpha_pga * (dm @ state.b_v.T)
+        grads.b_v += mod.alpha_pga * (state.a_v.T @ dm)
+        d_beta = float(np.trace(dm))
+        dgate = dcs * (1.0 + mod.n_spec * gvec)
+        d_nspec = float(np.sum(dcs * gate * gvec))
+        dgvec = dcs * gate * mod.n_spec
+        du_gate = dgate * gate * (1.0 - gate)
+        grads.p_v += np.outer(du_gate, phys_vec)
+        grads.b_pv += du_gate
+        dsg = dgvec.reshape(HEADS, cfg.d // HEADS).sum(axis=1)
+        du_spec = dsg * tc.sigmoid(u_spec)
+        grads.w_r += np.outer(du_spec, r_spec)
+        return d_alpha, d_beta, d_nspec
 
-def pga_backward(cache, state, grads, d_r, cfg):
-    """Returns gradients wrt (alpha_pga, beta_pga, n_spec)."""
-    mod = cache["mod"]
-    dm = d_r * cache["cs"][None, :]
-    dcs = np.sum(d_r * cache["m"], axis=0)
-    d_alpha = float(np.sum(dm * cache["ab"]))
-    grads.a_v += mod.alpha_pga * (dm @ state.b_v.T)
-    grads.b_v += mod.alpha_pga * (state.a_v.T @ dm)
-    d_beta = float(np.trace(dm))
-    dgate = dcs * (1.0 + mod.n_spec * cache["gvec"])
-    d_nspec = float(np.sum(dcs * cache["gate"] * cache["gvec"]))
-    dgvec = dcs * cache["gate"] * mod.n_spec
-    du_gate = dgate * cache["gate"] * (1.0 - cache["gate"])
-    grads.p_v += np.outer(du_gate, cache["phys_vec"])
-    grads.b_pv += du_gate
-    dsg = dgvec.reshape(HEADS, cfg.d // HEADS).sum(axis=1)
-    du_spec = dsg * tc.sigmoid(cache["u_spec"])
-    grads.w_r += np.outer(du_spec, cache["r_spec"])
-    return d_alpha, d_beta, d_nspec
+    return r_mat, backward
 
 
 def pcm_film(h, t_perc, state, mod):
-    """FiLM on normalized activations, identity when all adapters are zero."""
+    """FiLM on normalized activations, identity when all adapters are zero.
+
+    Returns (out, conn, backward), `conn` the perceptual connector's output.
+    """
     if t_perc.shape[0] != h.shape[0]:
         raise DimensionError("perceptual tokens must match the latent token count")
     conn = t_perc @ state.w_cperc + state.b_cperc
@@ -262,25 +260,19 @@ def pcm_film(h, t_perc, state, mod):
     zeta = mod.alpha_pcm * fm[:, d:] + mod.beta_pcm
     xl = tc.layer_norm(h)
     out = (1.0 + gamma) * xl + zeta
-    cache = {"conn": conn, "fm": fm, "gamma": gamma, "xl": xl, "mod": mod, "d": d}
-    return out, cache
 
+    def backward(grads, d_out):
+        """Returns (d_conn, d_alpha_pcm, d_beta_pcm); connector grads deferred."""
+        d_gamma = d_out * xl
+        d_zeta = d_out
+        d_alpha = float(np.sum(d_gamma * fm[:, :d]) + np.sum(d_zeta * fm[:, d:]))
+        d_beta = float(np.sum(d_gamma) + np.sum(d_zeta))
+        d_fm = mod.alpha_pcm * np.concatenate([d_gamma, d_zeta], axis=1)
+        grads.w_film += conn.T @ d_fm
+        grads.b_film += d_fm.sum(axis=0)
+        return d_fm @ state.w_film.T, d_alpha, d_beta
 
-def pcm_backward(cache, state, grads, d_out):
-    """Returns (d_conn, d_xl, d_alpha_pcm, d_beta_pcm); connector grads deferred."""
-    mod = cache["mod"]
-    d = cache["d"]
-    fm = cache["fm"]
-    d_gamma = d_out * cache["xl"]
-    d_zeta = d_out
-    d_xl = d_out * (1.0 + cache["gamma"])
-    d_alpha = float(np.sum(d_gamma * fm[:, :d]) + np.sum(d_zeta * fm[:, d:]))
-    d_beta = float(np.sum(d_gamma) + np.sum(d_zeta))
-    d_fm = mod.alpha_pcm * np.concatenate([d_gamma, d_zeta], axis=1)
-    grads.w_film += cache["conn"].T @ d_fm
-    grads.b_film += d_fm.sum(axis=0)
-    d_conn = d_fm @ state.w_film.T
-    return d_conn, d_xl, d_alpha, d_beta
+    return out, conn, backward
 
 
 def coupler(z_res, t_phys_tokens, conn, state, mod):
@@ -291,13 +283,13 @@ def coupler(z_res, t_phys_tokens, conn, state, mod):
 
 def block_forward(z, t_phys_tokens, phys_vec, r_spec, t_perc, backbone, state, cfg,
                   t=0.5, layer=0):
-    """One adapted transformer block; returns (output, cache)."""
+    """One adapted transformer block; returns (output, backward)."""
     n, d = z.shape
     if d != cfg.d or n != cfg.n_tokens:
         raise DimensionError(f"latent must be {cfg.n_tokens}x{cfg.d}")
-    mod, psi_cache = psi(t, layer, state)
+    mod, psi_back = psi(t, layer, state)
 
-    r_mat, pga_cache = pga_residual(state, phys_vec, r_spec, mod, cfg)
+    r_mat, pga_back = pga_residual(state, phys_vec, r_spec, mod, cfg)
 
     x1 = tc.layer_norm(z)
     q = x1 @ backbone.wq
@@ -313,62 +305,47 @@ def block_forward(z, t_phys_tokens, phys_vec, r_spec, t_perc, backbone, state, c
     o = oh.transpose(1, 0, 2).reshape(n, d)
     attn_out = o @ backbone.wo
 
-    film_out, film_cache = pcm_film(z, t_perc, state, mod)
+    film_out, conn, pcm_back = pcm_film(z, t_perc, state, mod)
     u1 = film_out @ backbone.w1 + backbone.b1
     mlp_out = _silu(u1) @ backbone.w2 + backbone.b2
 
     z_res = z + attn_out + mlp_out
-    out, base = coupler(z_res, t_phys_tokens, film_cache["conn"], state, mod)
+    out, base = coupler(z_res, t_phys_tokens, conn, state, mod)
 
-    cache = {
-        "mod": mod, "psi_cache": psi_cache, "pga_cache": pga_cache,
-        "x1": x1, "attn_w": attn_w, "u1": u1,
-        "film_cache": film_cache, "base": base, "conn": film_cache["conn"],
-        "t_phys_tokens": t_phys_tokens, "t_perc": t_perc,
-        "n": n, "d": d, "dk": dk,
-    }
-    return out, cache
+    def backward(d_out):
+        """Reverse accumulation of adapter gradients; backbone stays frozen."""
+        grads = state.zeros_like()
 
+        # coupler
+        d_zres = d_out
+        d_lam = float(np.sum(d_out * base))
+        grads.w_p += mod.lam * (t_phys_tokens.T @ d_out)
+        grads.w_c += mod.lam * (conn.T @ d_out)
+        d_conn = mod.lam * (d_out @ state.w_c.T)
 
-def block_backward(cache, backbone, state, cfg, d_out):
-    """Reverse accumulation of adapter gradients; backbone stays frozen."""
-    grads = state.zeros_like()
-    mod = cache["mod"]
-    n, d, dk = cache["n"], cache["d"], cache["dk"]
+        # MLP branch
+        d_mlp = d_zres
+        d_a1 = d_mlp @ backbone.w2.T
+        d_u1 = d_a1 * _silu_prime(u1)
+        d_film_out = d_u1 @ backbone.w1.T
+        d_conn_film, d_alpha_pcm, d_beta_pcm = pcm_back(grads, d_film_out)
+        d_conn = d_conn + d_conn_film
+        grads.w_cperc += t_perc.T @ d_conn
+        grads.b_cperc += d_conn.sum(axis=0)
 
-    # coupler
-    d_zres = d_out
-    d_lam = float(np.sum(d_out * cache["base"]))
-    grads.w_p += mod.lam * (cache["t_phys_tokens"].T @ d_out)
-    grads.w_c += mod.lam * (cache["conn"].T @ d_out)
-    d_conn = mod.lam * (d_out @ state.w_c.T)
+        # attention branch (only the value path carries adapter parameters)
+        d_attn = d_zres
+        d_o = d_attn @ backbone.wo.T
+        d_oh = d_o.reshape(n, HEADS, dk).transpose(1, 0, 2)
+        d_vh = attn_w.transpose(0, 2, 1) @ d_oh
+        d_v = d_vh.transpose(1, 0, 2).reshape(n, d)
+        d_r = x1.T @ d_v
+        d_alpha_pga, d_beta_pga, d_nspec = pga_back(grads, d_r)
 
-    # MLP branch
-    d_mlp = d_zres
-    d_a1 = d_mlp @ backbone.w2.T
-    d_u1 = d_a1 * _silu_prime(cache["u1"])
-    d_film_out = d_u1 @ backbone.w1.T
-    d_conn_film, _, d_alpha_pcm, d_beta_pcm = pcm_backward(
-        cache["film_cache"], state, grads, d_film_out
-    )
-    d_conn = d_conn + d_conn_film
-    grads.w_cperc += cache["t_perc"].T @ d_conn
-    grads.b_cperc += d_conn.sum(axis=0)
+        psi_back(grads, [d_alpha_pga, d_beta_pga, d_alpha_pcm, d_beta_pcm, d_nspec, d_lam])
+        return grads
 
-    # attention branch (only the value path carries adapter parameters)
-    d_attn = d_zres
-    d_o = d_attn @ backbone.wo.T
-    d_oh = d_o.reshape(n, HEADS, dk).transpose(1, 0, 2)
-    d_vh = cache["attn_w"].transpose(0, 2, 1) @ d_oh
-    d_v = d_vh.transpose(1, 0, 2).reshape(n, d)
-    d_r = cache["x1"].T @ d_v
-    d_alpha_pga, d_beta_pga, d_nspec = pga_backward(cache["pga_cache"], state, grads, d_r, cfg)
-
-    psi_backward(
-        cache["psi_cache"], state, grads,
-        [d_alpha_pga, d_beta_pga, d_alpha_pcm, d_beta_pcm, d_nspec, d_lam],
-    )
-    return grads
+    return out, backward
 
 
 def vanilla_block_forward(z, backbone):
@@ -431,8 +408,8 @@ def grad_check_adapters(backbone, state, cfg, inputs):
             setattr(state, name, orig)
         return 0.5 * float(np.sum(out * out))
 
-    out, cache = block_forward(z, tpt, pv, rs, tp, backbone, state, cfg, t=t, layer=layer)
-    grads = block_backward(cache, backbone, state, cfg, out)
+    out, backward = block_forward(z, tpt, pv, rs, tp, backbone, state, cfg, t=t, layer=layer)
+    grads = backward(out)
 
     report = {"tolerance": GRAD_TOL, "groups": {}, "passed": True}
     for group, names in GRAD_GROUPS.items():

@@ -143,29 +143,10 @@ HDR_FORMAT = (cm.Transfer.PQ, cm.Primaries.BT2020)
 SDR_FORMAT = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
 
 
-def _check_format(path, tag, fmt):
-    """Raise FrameFormatError (exit 2) unless `tag` has the (transfer, primaries) `fmt`."""
-    got = (tag.transfer, tag.primaries)
-    if got != fmt:
-        raise FrameFormatError(f"{path}: expected a {fmt[0].value}/{fmt[1].value} frame, "
-                               f"got {got[0].value}/{got[1].value}")
-
-
-def _open_frame(path, fmt):
-    """Open a frame of (transfer, primaries) `fmt`, reading no sample; the caller closes it."""
-    frame = pfm.open_tagged(path)
-    try:
-        _check_format(path, frame.tag, fmt)
-    except FrameFormatError:
-        frame.close()
-        raise
-    return frame
-
-
 @contextlib.contextmanager
 def _open_pair(path_a, fmt_a, path_b, fmt_b):
-    """Two frames opened as `_open_frame` opens them, which must share one extent."""
-    with _open_frame(path_a, fmt_a) as a, _open_frame(path_b, fmt_b) as b:
+    """Two frames of the given (transfer, primaries) formats, which must share one extent."""
+    with pfm.open_tagged(path_a, fmt_a) as a, pfm.open_tagged(path_b, fmt_b) as b:
         if a.shape != b.shape:
             raise FrameFormatError(f"{path_a}: extent {a.shape} differs from "
                                    f"{path_b} {b.shape}")
@@ -175,7 +156,7 @@ def _open_pair(path_a, fmt_a, path_b, fmt_b):
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
-    with _open_frame(args.hdr_input, HDR_FORMAT) as hdr:
+    with pfm.open_tagged(args.hdr_input, HDR_FORMAT) as hdr:
         cm.check_encoded(hdr)
         os.makedirs(args.output_dir, exist_ok=True)
         # one decode into the one whole-frame array, shared by every job
@@ -385,7 +366,7 @@ def _map_summary(name, arr):
 def cmd_features(args):
     cfg = load_config(args.config)
     workers = _max_workers()
-    with _open_frame(args.frame, SDR_FORMAT) as sdr:
+    with pfm.open_tagged(args.frame, SDR_FORMAT) as sdr:
         feats = ft.extract_phys(sdr, workers)
     doc = {
         "s_g": feats.s_g.tolist(),

@@ -1,10 +1,10 @@
 """PFM image I/O plus the JSON sidecar carrying colorimetry and provenance.
 
-PFM stores float32 samples, rows bottom-up: little-endian under a
-negative scale, big-endian under a positive one. `open_tagged` checks a
-frame's header, payload size and sidecar tag without reading the payload;
-the frame it returns reads rows on demand, one band per positioned read,
-as native-order float32 rows top-down. `read_tagged` reads every row.
+PFM stores float32 samples, rows bottom-up: little-endian under a negative
+scale, big-endian under a positive one. `open_tagged` checks a frame's header,
+payload size, sidecar tag and, if asked, the tag's format without reading the
+payload; the frame it returns reads rows on demand, one band per positioned
+read, as native-order float32 rows top-down. `read_tagged` reads every row.
 PFM has no colorimetry header, so every frame travels with a sidecar JSON
 recording its color-space tag, the tool version, a config hash and its
 seed. Malformed input raises FrameFormatError. Every file is written
@@ -243,14 +243,19 @@ def _read_tag(frame_path):
         raise FrameFormatError(f"{side}: no valid color-space tag ({exc!r})") from None
 
 
-def open_tagged(frame_path):
+def open_tagged(frame_path, fmt=None):
     """Open a PFM and its sidecar tag, checked as read_tagged checks them; reads no samples.
 
-    Returns a PfmFrame whose `tag` is set; the caller closes it.
+    A tag whose (transfer, primaries) is not `fmt`, when given, raises
+    FrameFormatError. Returns a PfmFrame whose `tag` is set; the caller closes it.
     """
     frame = PfmFrame(frame_path)
     try:
         frame.tag = _read_tag(frame_path)
+        got = (frame.tag.transfer, frame.tag.primaries)
+        if fmt is not None and got != fmt:
+            raise FrameFormatError(f"{frame_path}: expected a {fmt[0].value}/{fmt[1].value} "
+                                   f"frame, got {got[0].value}/{got[1].value}")
     except BaseException:
         frame.close()
         raise

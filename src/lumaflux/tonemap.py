@@ -63,6 +63,15 @@ class ToneKind(enum.Enum):
     EXPERT_STUB = "ExpertStub"
 
 
+# each curve parameter's range, by its name's last word: a luminance is at least PU21's floor
+# (at 1e-320 nits a curve overflows to NaN); gamma and mix keep ExpertStub in [0, 1]
+_PARAM_RANGES = {
+    "nits": (lambda v: v >= cm.PU21_MIN_NITS, f">= {cm.PU21_MIN_NITS}"),
+    "gamma": (lambda v: v > 0, "> 0"),
+    "mix": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+}
+
+
 @dataclass(frozen=True)
 class ToneOperator:
     kind: ToneKind
@@ -80,9 +89,10 @@ class ToneOperator:
             if name not in declared:
                 raise ConfigError(f"{self.kind.value} has no parameter {name!r}; "
                                   f"it takes {', '.join(declared)}")
-            if not cm.is_finite_number(val) or name.endswith("_nits") and val <= 0:
-                raise ConfigError(f"{self.kind.value} {name} must be a finite number, "
-                                  f"> 0 for a luminance, got {val!r}")
+            in_range, text = _PARAM_RANGES[name.rsplit("_", 1)[-1]]
+            if not (cm.is_finite_number(val) and in_range(val)):
+                raise ConfigError(f"{self.kind.value} {name} must be a finite number "
+                                  f"{text}, got {val!r}")
         object.__setattr__(self, "params", dict(self.params))
 
     def to_json(self):

@@ -148,8 +148,8 @@ def test_a4_adapter_mechanics(capsys):
     rng = np.random.default_rng(3)
     h = rng.normal(size=(cfg.n_tokens, cfg.d))
     t_perc = rng.normal(size=(cfg.n_tokens, ad.D_P))
-    a, _ = ad.pcm_film(h, t_perc, state, mod)
-    b, _ = ad.pcm_film(10.0 * h, t_perc, state, mod)
+    a, _, _ = ad.pcm_film(h, t_perc, state, mod)
+    b, _, _ = ad.pcm_film(10.0 * h, t_perc, state, mod)
     scale_inv = float(np.max(np.abs(a - b)))  # limited only by LN eps
 
     mod0 = ad.ModulationParams(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)

@@ -782,8 +782,9 @@ class TestMismatchedInput:
 
 
 def files_under(root):
+    """Every directory under `root`, and every file with its size."""
     return {(d, f, os.path.getsize(os.path.join(d, f)))
-            for d, _, names in os.walk(root) for f in names}
+            for d, _, names in os.walk(root) for f in names} | {d for d, _, _ in os.walk(root)}
 
 
 # (command, config file text or None, fault, exit code): malformed configs, a
@@ -827,6 +828,16 @@ BAD_RUNS = [
     ("fit-expand", '{"crfs": [24]}', None, 3),
     ("features", '{"crfs": [24]}', None, 3),
     ("features", f'{{"k_bands": {ft.MAX_K_BANDS + 1}}}', None, 3),
+    # operators that once exited 0 and wrote NaN frames, refused before the output
+    # directory is made
+    ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": {"peak_in_nits": 1e-320}}], '
+     '"crfs": [23]}', "no_output_dir", 3),
+    ("synthesize", '{"tmos": [{"kind": "BT2446A", "params": {"peak_in_nits": 1e-320}}]}',
+     "no_output_dir", 3),
+    ("synthesize", '{"tmos": [{"kind": "BT2446A", "params": {"peak_out_nits": 1e-320}}]}',
+     "no_output_dir", 3),
+    ("synthesize", '{"tmos": [{"kind": "ExpertStub", "params": {"gamma": -1e308, "mix": 1}}]}',
+     "no_output_dir", 3),
 ]
 
 

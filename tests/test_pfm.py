@@ -280,9 +280,28 @@ def test_open_reads_no_samples(tmp_path, monkeypatch):
         assert frame.tag == SDR_TAG
 
 
+def test_refused_format_closes_the_frame(tmp_path, monkeypatch):
+    # the tag is refused after the frame's file is open; that file is closed, not leaked
+    path = str(tmp_path / "frame.pfm")
+    pfm.write_tagged(path, cm.TaggedImage(np.full((6, 5, 3), 0.5), SDR_TAG))
+    opened = []
+
+    def tracked(*args):
+        opened.append(open(*args))
+        return opened[-1]
+
+    monkeypatch.setattr(pfm, "open", tracked, raising=False)
+    with pytest.raises(FrameFormatError) as err:
+        pfm.open_tagged(path, (cm.Transfer.PQ, cm.Primaries.BT2020))
+    assert str(err.value) == f"{path}: expected a PQ/BT2020 frame, got Gamma709/BT709"
+    assert opened and all(fh.closed for fh in opened)
+    with pfm.open_tagged(path, (cm.Transfer.GAMMA709, cm.Primaries.BT709)) as frame:
+        assert frame.tag == SDR_TAG
+
+
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("band_rows", [None, 5, 10**6])
-def test_band_reads_equal_read_pfm_rows(tmp_path, band_rows, workers, monkeypatch):
+def test_band_reads_equal_the_payload_rows(tmp_path, band_rows, workers, monkeypatch):
     # 150 x 1027: at the default height six bands of 24 rows and a short one of 6;
     # at 5 rows thirty bands; at 10**6 one band of the whole frame
     px = np.random.default_rng(4).uniform(0.0, 1.0, (150, 1027, 3)).astype(np.float32)

@@ -130,8 +130,9 @@ class TestToneOperator:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
         for kind in tm.ToneKind:
             row = next(line for line in readme if line.startswith(f"| `{kind.value}` |"))
-            cells = ", ".join(f"`{name}` ({default:g})"
-                              for name, default in tm._CURVES[kind].__kwdefaults__.items())
+            cells = ", ".join(
+                f"`{name}` ({default:g}, {tm._PARAM_RANGES[name.rsplit('_', 1)[-1]][1]})"
+                for name, default in tm._CURVES[kind].__kwdefaults__.items())
             assert row == f"| `{kind.value}` | {cells} |"
 
     @pytest.mark.parametrize("kind,params", [
@@ -151,6 +152,15 @@ class TestToneOperator:
         ("Reinhard", {"peak_in_nits": -5.0}),
         ("HardClipGM", {"peak_out_nits": 0}),
         ("BT2390EETF_GM", {"peak_out_nits": -100.0}),
+        # outside each parameter's range; at 1e-320 nits or gamma -1e308 a curve gave NaN
+        ("Reinhard", {"peak_in_nits": 1e-320}),
+        ("BT2446A", {"peak_in_nits": 1e-320}),
+        ("BT2446A", {"peak_out_nits": 1e-320}),
+        ("LogC", {"peak_in_nits": 0.0049}),
+        ("ExpertStub", {"gamma": -1e308, "mix": 1}),
+        ("ExpertStub", {"gamma": 0}),
+        ("ExpertStub", {"mix": -0.01}),
+        ("ExpertStub", {"mix": 1.01}),
     ])
     def test_rejects(self, kind, params):
         with pytest.raises(ConfigError):
@@ -165,6 +175,24 @@ class TestToneOperator:
 
 
 class TestToneMap:
+    @pytest.mark.parametrize("kind", list(tm.ToneKind), ids=[k.value for k in tm.ToneKind])
+    def test_finite_at_the_parameter_bounds(self, kind):
+        # every combination of the parameters' range ends (and 1 and 10^4 nits), on
+        # coloured pixels over 0 to 10^4 nits, one channel of each 0
+        rng = np.random.default_rng(9)
+        px = rng.uniform(0.0, cm.PQ_PEAK_NITS, (64, 3))
+        px[np.arange(64), np.arange(64) % 3] = 0.0
+        px[:3] = [[0.0, 0.0, 0.0], [cm.PQ_PEAK_NITS, 0.0, 0.0], [1e-3, 0.0, 1e-3]]
+        img = cm.TaggedImage(px[None], cm.ColorSpaceTag(cm.Primaries.BT2020,
+                                                        cm.Transfer.LINEAR, cm.PQ_PEAK_NITS))
+        ends = {"nits": (cm.PU21_MIN_NITS, 1.0, 1e4, 1e308), "gamma": (5e-324, 1e308),
+                "mix": (0.0, 1.0)}
+        names = list(tm._CURVES[kind].__kwdefaults__)
+        for vals in itertools.product(*(ends[name.rsplit("_", 1)[-1]] for name in names)):
+            params = dict(zip(names, vals))
+            out = tm.tone_map(tm.ToneOperator(kind, params), img).pixels
+            assert np.all(np.isfinite(out)), params
+
     def test_hue_preserved(self):
         img = cm.TaggedImage(
             np.array([[[400.0, 200.0, 100.0]]]),

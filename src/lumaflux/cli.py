@@ -15,22 +15,23 @@ LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 `synthesize` runs at once. Each command that reads a frame opens it with
 `pfm.open_tagged` and reads it from disk band by band, twice: once to
 range-check it (fit-expand also gathers its fit samples then) and once to
-decode it. `synthesize` decodes its input once, over row bands of
-`tensorcore.band_rows` on that many threads, into the one linear frame
-that all operators read. Each operator then runs its chain up to one
-forward DCT once per band for all of its CRFs (`tonemap.degrade_variants`),
-from the bottom band up, and appends each CRF's band to that CRF's file;
-no output frame is held whole, and every frame derives its own seed.
-`fit-expand`, `metrics` and `features` run their per-pixel stages over the
-same row bands (`tensorcore.map_row_bands`) on that many threads, and
-hold no whole input frame. The spline fit sees every stride-th pixel of
-the frame, the chroma least squares solves the sum of per-row Gram
-blocks, each metric mean is a sum of per-row sums, reduced in row order,
-and each band of the log-gradient map reads one row of luminance beyond
-each of its edges. A band is the most rows, in a multiple of 8 and at
-least 8, that hold no more than `tensorcore.BAND_PIXELS` pixels. Band
-edges depend only on the frame's extent, so outputs are byte-identical at
-any worker count.
+decode it, one band at a time, with `colorimetry.decode`. `synthesize`
+decodes its input once, over row bands of `tensorcore.band_rows` on that
+many threads, into the one linear frame that all operators read. Each
+operator then runs its chain up to one forward DCT once per band for all
+of its CRFs (`tonemap.degrade_variants`), from the bottom band up, and
+appends each CRF's band to that CRF's file; no output frame is held
+whole. No stage draws random numbers: a frame's seed is provenance in its
+sidecar only. `fit-expand`, `metrics` and `features` run their per-pixel
+stages over the same row bands (`tensorcore.map_row_bands`) on that many
+threads, and hold no whole input frame. The spline fit sees every
+stride-th pixel of the frame, the chroma least squares solves the sum of
+per-row Gram blocks, each metric mean is a sum of per-row sums, reduced
+in row order, and each band of the log-gradient map reads one row of
+luminance beyond each of its edges. A band is the most rows, in a
+multiple of 8 and at least 8, that hold no more than
+`tensorcore.BAND_PIXELS` pixels. Band edges depend only on the frame's
+extent, so outputs are byte-identical at any worker count.
 """
 
 import argparse
@@ -164,7 +165,7 @@ def cmd_synthesize(args):
         nits = np.empty(hdr.shape)
 
         def decode(rows):
-            nits[rows] = cm._pq_eotf(hdr.band(rows))
+            nits[rows] = cm.decode(hdr, rows).pixels
 
         tc.map_row_bands(decode, h, w, workers)
         linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
@@ -247,8 +248,11 @@ def fit_pairs(sdr, ref, cfg):
 
     sdr_samples = gather(sdr)
     ref_samples = gather(ref)
-    y_sdr = cm.luma2020(ft.linearize_sdr(sdr_samples))
-    y_ref = np.clip(cm.luma2020(cm.apply_transfer(ref_samples)) / cfg["peak_nits"], 0.0, 1.0)
+    y_sdr = cm.luma2020(cm.decode(sdr_samples))
+    # capped at the peak before the divide, which a tiny peak would overflow; the bits of
+    # np.clip(luma / peak, 0.0, 1.0) on nonnegative luma
+    peak = cfg["peak_nits"]
+    y_ref = np.minimum(cm.luma2020(cm.decode(ref_samples)), peak) / peak
     return y_sdr.reshape(-1), y_ref.reshape(-1)
 
 
@@ -265,7 +269,10 @@ def fit_expand(sdr, ref, cfg, workers=1):
     PQ-encodes. Each row's block depends on that row alone, so the output
     does not depend on `workers` or the band height.
     """
-    if ref.tag.transfer is not cm.Transfer.PQ or ref.tag.primaries is not cm.Primaries.BT2020:
+    # each frame is decoded by its tag, so a frame of another format must not get that far
+    if (sdr.tag.transfer, sdr.tag.primaries) != SDR_FORMAT:
+        raise TagError("fit_expand expects a Gamma709/BT709 SDR frame")
+    if (ref.tag.transfer, ref.tag.primaries) != HDR_FORMAT:
         raise TagError("fit_expand expects a PQ/BT.2020 reference")
     h, w, _ = sdr.shape
     peak = cfg["peak_nits"]
@@ -273,7 +280,6 @@ def fit_expand(sdr, ref, cfg, workers=1):
                                      cfg=fit_config(cfg))
     yuv = np.empty((h, w, 3))  # expanded Y, B - Y, R - Y per pixel; then the PQ output
     gram = np.empty((h, 3, 5))  # per row: lhs^T [lhs | reference B - Y, R - Y]
-    ref_tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def operand(band):
         """[B - Y, R - Y, 1] per pixel of a band of yuv, the lhs of the chroma least squares."""
@@ -284,14 +290,13 @@ def fit_expand(sdr, ref, cfg, workers=1):
 
     def expand(rows):
         # both frames passed check_encoded in fit_pairs, so the bands decode unchecked
-        nits = expand_sdr(ft._linearize(sdr.band(rows), sdr.tag.peak_nits), params, peak)
+        nits = expand_sdr(cm.decode(sdr, rows), params, peak)
         band = yuv[rows]
         band[..., 0], band[..., 1], band[..., 2] = _yuv(nits)
         lhs = operand(band)
         both = np.empty(band.shape[:2] + (5,))
         both[..., :3] = lhs
-        ref_band = cm.TaggedImage(cm._pq_eotf(ref.band(rows)), ref_tag)
-        _, both[..., 3], both[..., 4] = _yuv(ref_band)
+        _, both[..., 3], both[..., 4] = _yuv(cm.decode(ref, rows))
         np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
 
     tc.map_row_bands(expand, h, w, workers)

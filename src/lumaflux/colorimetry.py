@@ -1,9 +1,10 @@
 """Physical color substrate: transfer functions, gamut matrices, ICtCp, PU21.
 
-Linear images carry absolute luminance in cd/m^2 (nits); encoded images
-carry samples in [0, 1]. Every image is tagged with its primaries,
-transfer curve, and peak luminance so operations can validate their
-inputs instead of guessing.
+Linear images carry absolute luminance in cd/m^2 (nits), or relative
+light for SDR; encoded images carry samples in [0, 1]. Every image is
+tagged with its primaries, transfer curve, and peak luminance so
+operations can validate their inputs instead of guessing. `decode` is
+the one path from an encoded frame, or a band of one, to linear light.
 """
 
 import enum
@@ -209,38 +210,26 @@ def check_encoded(img, visit=None):
             visit(rows, band)
 
 
-def apply_transfer(img):
-    """Decode encoded pixels to linear light with the tag's transfer curve.
+def decode(img, rows=slice(None)):
+    """Rows `rows` (a slice) of an encoded frame as tagged linear light.
 
-    Encoding takes an explicit target curve and lives in encode_transfer.
-    Samples must pass check_encoded.
+    `img` is a TaggedImage or an open `pfm.PfmFrame` whose samples have
+    passed check_encoded, so the band decodes unchecked. PQ gives absolute
+    nits in the tag's primaries. Gamma709 gives relative [0, 1] light in
+    BT.2020: the BT.709 EOTF, then the gamut conversion from the tag's
+    primaries. A linear frame has nothing to decode.
     """
     tag = img.tag
-    if tag.transfer is Transfer.LINEAR:
-        raise TagError("image is already linear")
-    check_encoded(img)
     if tag.transfer is Transfer.PQ:
-        out = _pq_eotf(img.pixels)
-    else:
-        # SDR: relative signal scaled to the tagged peak
-        out = bt709_eotf(img.pixels) * tag.peak_nits
-    return img.with_pixels(out, replace(tag, transfer=Transfer.LINEAR))
-
-
-def encode_transfer(img, transfer):
-    """Encode a linear image with an explicit target curve."""
-    tag = img.tag
-    if tag.transfer is not Transfer.LINEAR:
-        raise TagError("encode expects a linear-tagged image")
-    if np.any(img.pixels < 0.0):
-        raise DomainError("linear samples must be nonnegative before encoding")
-    if transfer is Transfer.PQ:
-        out = pq_encode(img.pixels)
-    elif transfer is Transfer.GAMMA709:
-        out = bt709_oetf(np.clip(img.pixels / tag.peak_nits, 0.0, 1.0))
-    else:
-        raise TagError(f"cannot encode with transfer {transfer}")
-    return img.with_pixels(out, replace(tag, transfer=transfer))
+        return TaggedImage(_pq_eotf(img.band(rows)), replace(tag, transfer=Transfer.LINEAR))
+    if tag.transfer is not Transfer.GAMMA709:
+        raise TagError("image is already linear")
+    # scaled to the tagged peak and back: the pinned digests were recorded with this round trip
+    relative = bt709_eotf(img.band(rows)) * tag.peak_nits
+    relative /= tag.peak_nits
+    linear = ColorSpaceTag(tag.primaries, Transfer.LINEAR, 1.0)
+    wide, _ = convert_gamut(TaggedImage(relative, linear), Primaries.BT2020)
+    return wide
 
 
 def _rgb_to_xyz_matrix(primaries):

@@ -41,17 +41,7 @@ def _check_sdr(sdr):
 def linearize_sdr(sdr):
     """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]."""
     _check_sdr(sdr)
-    return _linearize(sdr.pixels, sdr.tag.peak_nits)
-
-
-def _linearize(pixels, peak_nits):
-    """linearize_sdr's arithmetic on encoded samples already checked to lie in [0, 1]."""
-    # scaled to nits and back, as a decode to the tagged peak would, so the bits match
-    relative = cm.bt709_eotf(pixels) * peak_nits
-    relative /= peak_nits
-    tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 1.0)
-    wide, _ = cm.convert_gamut(cm.TaggedImage(relative, tag), cm.Primaries.BT2020)
-    return wide
+    return cm.decode(sdr)
 
 
 def gradient_magnitude(y_map):
@@ -105,7 +95,7 @@ def extract_phys(sdr, workers=1):
     y, sat, loggrad = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
 
     def linearize(rows):
-        wide = _linearize(sdr.band(rows), sdr.tag.peak_nits)
+        wide = cm.decode(sdr, rows)
         y[rows] = cm.luma2020(wide)
         sat[rows] = saturation(wide.pixels)
 

@@ -85,12 +85,11 @@ def metric_report(ref, test, workers=1):
         raise DimensionError("metric_report: image extents differ")
     h, w, _ = ref.shape
     sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
-    linear = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
 
     def band(rows):
         # both frames passed check_encoded above, so the bands decode unchecked
-        a = cm.TaggedImage(cm._pq_eotf(ref.band(rows)), linear)
-        b = cm.TaggedImage(cm._pq_eotf(test.band(rows)), linear)
+        a = cm.decode(ref, rows)
+        b = cm.decode(test, rows)
         se = cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)
         se *= se
         sums[rows, 0] = se.sum(axis=(1, 2))

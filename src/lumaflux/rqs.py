@@ -19,7 +19,6 @@ text that `fit-expand` writes; this module writes no file.
 
 import json
 import threading
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -431,7 +430,9 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     accepted step. The trace holds the start loss and the loss after each
     trial, so it is monotone non-increasing. The fit ends after a trial
     that moves the loss by less than REL_TOL of it, when no coordinate has
-    curvature left, or after cfg.iterations trials.
+    curvature left, or after cfg.iterations trials. Targets that spread
+    less than 1e-9 raise FitError: no spline through (0, 0) and (1, 1)
+    follows them, so any fit would be degenerate.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -442,7 +443,9 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     if y_in.size < MIN_SAMPLES:
         raise ConfigError(f"fit_rqs needs at least {MIN_SAMPLES} sample pairs")
     _check_bins(K)
-    degenerate = bool(np.ptp(target) < 1e-9)
+    if np.ptp(target) < 1e-9:
+        raise FitError("constant fit targets: no monotone spline through (0, 0) and (1, 1) "
+                       "follows them")
     # the gather also copies a strided view into a full frame contiguously
     order = np.lexsort((target, y_in))
     y_in = y_in[order]
@@ -476,10 +479,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
         trace.append(loss)
         if converged:
             break
-    params = constrain(raw, K)
-    if degenerate:
-        warnings.warn("constant fit targets; returned spline is data-degenerate")
-    return params, raw, np.array(trace)
+    return constrain(raw, K), raw, np.array(trace)
 
 
 def fit_json(params, raw, cfg):

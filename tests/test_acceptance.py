@@ -104,12 +104,12 @@ def test_a2_rqs_suite(capsys):
 def test_a3_end_to_end_tone_recovery(capsys):
     peak = 1000.0
     hdr = synthetic_hdr(size=256, peak=peak)
-    ref_lin = cm.apply_transfer(hdr)
+    ref_lin = cm.decode(hdr)
     op = tm.ToneOperator(tm.ToneKind.REINHARD, {"peak_in_nits": peak})
     sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
 
     cfg = dict(cli.DEFAULT_CONFIG, peak_nits=peak, fit_samples=8192, fit_iterations=400)
-    expanded = cm.apply_transfer(cli.fit_expand(sdr, hdr, cfg)[0])
+    expanded = cm.decode(cli.fit_expand(sdr, hdr, cfg)[0])
 
     l1 = float(np.mean(np.abs(cm.luma2020(expanded) - cm.luma2020(ref_lin))))
     de_fit = cm.delta_e_itp(ref_lin, expanded)
@@ -238,8 +238,8 @@ def test_a7_metrics_sanity(capsys):
     base = rng.uniform(10.0, 900.0, (16, 16, 3))
     x = cm.TaggedImage(cm.pq_encode(base), tag)
     y = cm.TaggedImage(cm.pq_encode(rng.uniform(10.0, 900.0, (16, 16, 3))), tag)
-    x_lin = cm.apply_transfer(x)
-    y_lin = cm.apply_transfer(y)
+    x_lin = cm.decode(x)
+    y_lin = cm.decode(y)
     de_self = cm.delta_e_itp(x_lin, x_lin)
     de_sym = abs(cm.delta_e_itp(x_lin, y_lin) - cm.delta_e_itp(y_lin, x_lin))
 

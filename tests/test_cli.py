@@ -374,7 +374,7 @@ class TestFitExpand:
         sdr, src = write_fit_pair(tmp_path)
         # the pairs cmd_fit_expand passes to fit_rqs; 4,096 pixels need no stride
         y = cm.luma2020(ft.linearize_sdr(pfm.read_tagged(sdr))).reshape(-1)
-        ref = cm.apply_transfer(pfm.read_tagged(src))
+        ref = cm.decode(pfm.read_tagged(src))
         t = np.clip(cm.luma2020(ref).reshape(-1) / 1000.0, 0.0, 1.0)
         warm_start_raw = rqs.warm_start_raw
         in_fit = []
@@ -422,20 +422,24 @@ class TestFitExpand:
         (coef, *_), = solved
         # the N x 3 system over the whole frame, as the per-row Gram blocks sum it
         _, bu, rv = cli._yuv(cli.expand_sdr(ft.linearize_sdr(sdr), params, cfg["peak_nits"]))
-        _, ref_bu, ref_rv = cli._yuv(cm.apply_transfer(hdr))
+        _, ref_bu, ref_rv = cli._yuv(cm.decode(hdr))
         lhs = np.stack([bu, rv, np.ones_like(bu)], axis=-1).reshape(-1, 3)
         want, *_ = lstsq(lhs, np.stack([ref_bu, ref_rv], axis=-1).reshape(-1, 2), rcond=None)
         assert np.max(np.abs(coef - want)) <= 1e-9 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("tag", [
-        cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.GAMMA709, cm.PQ_PEAK_NITS),
-        cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.PQ, cm.PQ_PEAK_NITS),
-    ], ids=["gamma709", "bt709"])
-    def test_rejects_reference_not_pq_bt2020(self, tag):
-        # the Gram pass PQ-decodes the reference, so the fit must not decode it by another tag
-        sdr, hdr = seeded_pair(0, 64, 64)
+    @pytest.mark.parametrize("frame,tag", [
+        ("ref", cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.GAMMA709, cm.PQ_PEAK_NITS)),
+        ("ref", cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.PQ, cm.PQ_PEAK_NITS)),
+        ("sdr", cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)),
+        ("sdr", cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.GAMMA709, 100.0)),
+    ], ids=["gamma709", "bt709", "sdr-pq", "sdr-bt2020"])
+    def test_rejects_reference_not_pq_bt2020(self, frame, tag):
+        # every band is decoded by its frame's tag, so the fit must refuse a frame of
+        # another format, the SDR frame as well as the reference
+        pair = dict(zip(("sdr", "ref"), seeded_pair(0, 64, 64)))
+        pair[frame] = pair[frame].with_pixels(pair[frame].pixels, tag)
         with pytest.raises(TagError):
-            cli.fit_expand(sdr, hdr.with_pixels(hdr.pixels, tag), cli.load_config())
+            cli.fit_expand(pair["sdr"], pair["ref"], cli.load_config())
 
     def test_peak_memory_is_bounded(self):
         # only the output and band-sized temporaries cover the frame; the
@@ -503,7 +507,7 @@ class TestFitPairs:
         h, w, _ = sdr.pixels.shape
         assert max(1, h * w // cfg["fit_samples"]) == stride
         want = (cm.luma2020(ft.linearize_sdr(sdr)).reshape(-1)[::stride],
-                np.clip(cm.luma2020(cm.apply_transfer(hdr)) / cfg["peak_nits"], 0.0, 1.0)
+                np.clip(cm.luma2020(cm.decode(hdr)) / cfg["peak_nits"], 0.0, 1.0)
                 .reshape(-1)[::stride])
         got = cli.fit_pairs(sdr, hdr, cfg)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
@@ -788,8 +792,8 @@ def files_under(root):
 
 
 # (command, config file text or None, fault, exit code): malformed configs, a
-# bad LUMAFLUX_THREADS and unusable outputs, each of which must exit 2 or 3
-# with no traceback and no output
+# bad LUMAFLUX_THREADS, unusable outputs and configs that leave nothing to fit,
+# each of which must exit 2, 3 or 4 with no traceback and no output
 BAD_RUNS = [
     ("synthesize", '{"crfs": [null]}', None, 3),
     ("synthesize", '{"tmos": [{"kind": "Reinhard", "params": 5}]}', None, 3),
@@ -838,6 +842,10 @@ BAD_RUNS = [
      "no_output_dir", 3),
     ("synthesize", '{"tmos": [{"kind": "ExpertStub", "params": {"gamma": -1e308, "mix": 1}}]}',
      "no_output_dir", 3),
+    # a peak below every reference luminance clips every fit target to 1; such runs once
+    # exited 0 with an expanded frame fitted to constant targets, and now fail the fit
+    ("fit-expand", '{"peak_nits": 0.001}', None, 4),
+    ("fit-expand", '{"peak_nits": 1e-320}', None, 4),
 ]
 
 
@@ -872,7 +880,8 @@ class TestBadConfigOrOutput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        label = "config error" if code == 3 else ("cannot read", "I/O failure")
+        label = {3: "config error", 4: "numerical failure"}.get(code, ("cannot read",
+                                                                       "I/O failure"))
         assert captured.err.startswith(label)
         assert files_under(tmp_path) == before
 

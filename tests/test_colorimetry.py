@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,11 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from lumaflux import colorimetry as cm
 from lumaflux import features as ft
+from lumaflux import pfm
+from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import DimensionError, DomainError, TagError
+from test_tensorcore import fix_band_rows
 
 # Published BT.2020 -> BT.709 matrix (ITU-R BT.2087) for cross checking
 BT2087_2020_TO_709 = np.array([
@@ -21,6 +26,10 @@ def tagged(pixels, primaries=cm.Primaries.BT2020, transfer=cm.Transfer.LINEAR,
            peak=cm.PQ_PEAK_NITS):
     return cm.TaggedImage(np.asarray(pixels, dtype=np.float64),
                           cm.ColorSpaceTag(primaries, transfer, peak))
+
+
+PQ_TAG = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
+SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
 
 class TestPQ:
@@ -160,32 +169,47 @@ class TestGamut:
 class TestTransferDispatch:
     def test_decode_uses_tag(self):
         img = tagged([[[0.5, 0.5, 0.5]]], transfer=cm.Transfer.PQ)
-        lin = cm.apply_transfer(img)
-        assert lin.tag.transfer is cm.Transfer.LINEAR
+        lin = cm.decode(img)
+        assert lin.tag == replace(img.tag, transfer=cm.Transfer.LINEAR)
         assert float(lin.pixels[0, 0, 0]) == pytest.approx(
             float(cm.pq_decode(np.array(0.5))))
-
-    def test_encode_round_trip_gamma709(self):
-        img = tagged([[[10.0, 40.0, 90.0]]], primaries=cm.Primaries.BT709, peak=100.0)
-        enc = cm.encode_transfer(img, cm.Transfer.GAMMA709)
-        dec = cm.apply_transfer(enc)
-        np.testing.assert_allclose(dec.pixels, img.pixels, atol=1e-9)
+        # Gamma709: relative light, moved from the tag's primaries to BT.2020
+        sdr = tagged([[[0.5, 0.25, 0.75]]], primaries=cm.Primaries.BT709,
+                     transfer=cm.Transfer.GAMMA709, peak=100.0)
+        lin = cm.decode(sdr)
+        assert lin.tag == cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)
+        want = cm.bt709_eotf(sdr.pixels) @ cm.gamut_matrix(cm.Primaries.BT709,
+                                                             cm.Primaries.BT2020).T
+        np.testing.assert_allclose(lin.pixels, want, rtol=1e-12)
 
     def test_decode_rejects_non_finite(self):
+        # decode reads samples that passed check_encoded, which names the first bad pixel
         img = tagged([[[0.5, 0.5, 0.5], [0.5, np.nan, 0.5]]], transfer=cm.Transfer.PQ)
         with pytest.raises(DomainError, match=r"pixel \(0, 1, 1\)"):
-            cm.apply_transfer(img)
+            cm.check_encoded(img)
         with pytest.raises(DomainError, match="flat index 4"):
             cm.pq_decode(img.pixels)
 
     def test_decode_rejects_linear(self):
         with pytest.raises(TagError):
-            cm.apply_transfer(tagged([[[1.0, 1.0, 1.0]]]))
+            cm.decode(tagged([[[1.0, 1.0, 1.0]]]))
 
-    def test_encode_requires_target(self):
-        # Linear is not an encoding curve
-        with pytest.raises(TagError):
-            cm.encode_transfer(tagged([[[1.0, 1.0, 1.0]]]), cm.Transfer.LINEAR)
+    @pytest.mark.parametrize("tag", [PQ_TAG, SDR_TAG], ids=["pq", "gamma709"])
+    def test_row_bands_decode_as_the_whole_frame(self, tag, tmp_path, monkeypatch):
+        # 37 x 53, no side a multiple of 8: four bands of 8 rows and a short last band,
+        # from memory and from a PFM read band by band
+        fix_band_rows(monkeypatch, 8)
+        img = cm.TaggedImage(TestFloat32Storage.frame(), tag)
+        want = cm.decode(img)
+        pfm.write_tagged(str(tmp_path / "frame.pfm"), img)
+        with pfm.open_tagged(str(tmp_path / "frame.pfm")) as frame:
+            for src in (img, frame):
+                got = np.full(img.shape, np.nan)
+                for rows in tc.row_bands(37, 53):
+                    band = cm.decode(src, rows)
+                    assert band.tag == want.tag
+                    got[rows] = band.pixels
+                assert got.tobytes() == want.pixels.tobytes()
 
 
 class TestLumaIctcp:
@@ -291,15 +315,12 @@ class TestTags:
                 cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0))
 
 
-PQ_TAG = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
-SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
-
 # name -> a decode of encoded samples as a frame read from a PFM stores them
 FLOAT_DECODES = {
     "pq_decode": cm.pq_decode,
     "_pq_eotf": cm._pq_eotf,
-    "apply_transfer PQ": lambda px: cm.apply_transfer(cm.TaggedImage(px, PQ_TAG)).pixels,
-    "apply_transfer Gamma709": lambda px: cm.apply_transfer(cm.TaggedImage(px, SDR_TAG)).pixels,
+    "decode PQ": lambda px: cm.decode(cm.TaggedImage(px, PQ_TAG)).pixels,
+    "decode Gamma709": lambda px: cm.decode(cm.TaggedImage(px, SDR_TAG)).pixels,
     "linearize_sdr": lambda px: ft.linearize_sdr(cm.TaggedImage(px, SDR_TAG)).pixels,
     "quantize": lambda px: tm.quantize(cm.TaggedImage(px, SDR_TAG), 8).pixels,
     "codec_proxy": lambda px: tm.codec_proxy(cm.TaggedImage(px, SDR_TAG), 23).pixels,

@@ -1,5 +1,4 @@
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from lumaflux import pfm
 from lumaflux import rqs
 from lumaflux import tensorcore as tc
-from lumaflux.errors import ConfigError, DimensionError
+from lumaflux.errors import ConfigError, DimensionError, FitError
 from test_tensorcore import fix_band_rows
 
 
@@ -498,17 +497,19 @@ class TestFit:
             x[:] = x[0]
         elif kind == "flat_target":
             t[:] = 0.3
+            with pytest.raises(FitError, match="constant fit targets"):
+                rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
+            return
         elif kind == "falling_target":
             x = 0.9 + 0.1 * x
             t = 1.0 - x
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            _, raw, trace = rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
+        _, raw, trace = rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
         assert np.all(np.isfinite(raw)) and np.all(np.diff(trace) <= 0.0)
 
-    def test_degenerate_targets_warn(self):
+    def test_degenerate_targets_raise(self):
+        # no spline through (0, 0) and (1, 1) follows constant targets
         x = np.linspace(0.0, 1.0, 128)
-        with pytest.warns(UserWarning):
+        with pytest.raises(FitError, match="constant fit targets"):
             rqs.fit_rqs(x, np.full(128, 0.3), K=4, cfg=rqs.FitConfig(iterations=10))
 
     def test_too_few_samples(self):

@@ -58,13 +58,12 @@ def per_block_codec(px, crf, basis=None):
 
 def whole_frame_encode(img_pq, op):
     """degrade up to the codec, each stage on the whole frame through the public functions."""
-    img = tm.tone_map(op, cm.apply_transfer(img_pq))
+    img = tm.tone_map(op, cm.decode(img_pq))
     img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
     px = np.clip(img.pixels, 0.0, 1.0) * 100.0
-    img = cm.encode_transfer(
-        img.with_pixels(px, cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0)),
-        cm.Transfer.GAMMA709)
-    return tm.quantize(img, 8).pixels
+    # BT.709 encoded from nits at the SDR nominal 100 nits
+    encoded = cm.bt709_oetf(np.clip(px / 100.0, 0.0, 1.0))
+    return tm.quantize(cm.TaggedImage(encoded, tm.SDR_TAG), 8).pixels
 
 
 def cropped_hdr(extent):
@@ -326,8 +325,9 @@ class TestDegrade:
         hdr = make_hdr(nits)
         op = tm.ToneOperator(tm.ToneKind.HARDCLIP_GM, {"peak_out_nits": 100.0})
         sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
-        lin = cm.apply_transfer(sdr)
-        np.testing.assert_allclose(lin.pixels, nits, atol=0.5)
+        # relative light, scaled to the SDR nominal 100 nits; gray keeps its value in BT.2020
+        lin = cm.decode(sdr)
+        np.testing.assert_allclose(lin.pixels * 100.0, nits, atol=0.5)
 
     @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
     def test_banded_chain_matches_whole_frame_reference(self, extent, monkeypatch):
@@ -358,7 +358,7 @@ class TestDegrade:
             # NaN until a band fills it, so a row no band covers fails the comparison
             frames = np.full((len(crfs),) + encoded.shape, np.nan)
             tops = []
-            for rows, bands in collect(tm.degrade_variants(cm.apply_transfer(hdr), op, crfs)):
+            for rows, bands in collect(tm.degrade_variants(cm.decode(hdr), op, crfs)):
                 assert len(bands) == len(crfs)
                 tops.append(rows.start)
                 for frame, band in zip(frames, bands):
@@ -376,7 +376,7 @@ class TestDegrade:
 
     @pytest.mark.parametrize("crfs", [(23, 30), (None, 24), ("23",)])
     def test_variants_reject_bad_crf_before_any_band(self, crfs, monkeypatch):
-        linear = cm.apply_transfer(textured_hdr())
+        linear = cm.decode(textured_hdr())
         monkeypatch.setattr(tm, "tone_map", self.no_band)
         with pytest.raises(ConfigError):
             tm.degrade_variants(linear, ALL_OPS[0], crfs)
@@ -470,7 +470,7 @@ class TestCodecPins:
         crfs = (23, None, 39)
         op = ALL_OPS[CODEC_EXTENTS.index(extent)]
         frames = np.full((len(crfs),) + extent + (3,), np.nan)
-        for rows, bands in tm.degrade_variants(cm.apply_transfer(cropped_hdr(extent)), op, crfs):
+        for rows, bands in tm.degrade_variants(cm.decode(cropped_hdr(extent)), op, crfs):
             for frame, band in zip(frames, bands):
                 frame[rows] = band
         assert hashlib.sha256(frames.tobytes()).hexdigest() == VARIANTS_SHA256[extent]

@@ -10,32 +10,37 @@ exceptions to codes: OSError -> 2, LumaFluxError -> its `exit_code`.
 Each frame command writes its outputs as one `pfm.Outputs` set, renamed
 into place together once all are written, and prints only after that, so
 a run that fails leaves none of its outputs and prints nothing on stdout.
+An output that would replace one of the run's inputs (a frame, its sidecar,
+the `--config` file) exits 3 and leaves every file as it was.
 
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
-`synthesize` runs at once. Each command that reads a frame opens it with
-`pfm.open_tagged` and reads it from disk band by band, twice: once to
-range-check it (fit-expand also gathers its fit samples then) and once to
-decode it, one band at a time, with `colorimetry.decode`. `synthesize`
-decodes its input once, over row bands of `tensorcore.band_rows` on that
-many threads, into the one linear frame that all operators read. Each
-operator then runs its chain up to one forward DCT once per band for all
-of its CRFs (`tonemap.degrade_variants`), from the bottom band up, and
-appends each CRF's band to that CRF's file; no output frame is held
-whole. No stage draws random numbers: a frame's seed is provenance in its
-sidecar only. `fit-expand`, `metrics` and `features` run their per-pixel
-stages over the same row bands (`tensorcore.map_row_bands`) on that many
-threads, and hold no whole input frame. The spline fit sees every
-stride-th pixel of the frame, the chroma least squares solves the sum of
-per-row Gram blocks, each metric mean is a sum of per-row sums, reduced
-in row order, and each band of the log-gradient map reads one row of
-luminance beyond each of its edges. A band is the most rows, in a
-multiple of 8 and at least 8, that hold no more than
-`tensorcore.BAND_PIXELS` pixels. Band edges depend only on the frame's
-extent, so outputs are byte-identical at any worker count.
+`synthesize` runs at once. `main` sets glibc's mmap and trim thresholds
+for its own process, so band temporaries reuse heap pages and do not fault
+in afresh every pass; library callers keep their allocator's defaults.
+Each command that reads a frame opens it with `pfm.open_tagged` and reads
+it from disk band by band, twice: once to range-check it (fit-expand also
+gathers its fit samples then) and once to decode it, one band at a time,
+with `colorimetry.decode`. `synthesize` decodes its input once, over row
+bands of `tensorcore.band_rows` on that many threads, into the one linear
+frame that all operators read. Each operator then runs its chain up to one
+forward DCT once per band for all of its CRFs
+(`tonemap.degrade_variants`), from the bottom band up, and appends each
+CRF's band to that CRF's file; no output frame is held whole. No stage
+draws random numbers: a frame's seed is provenance in its sidecar only.
+`fit-expand`, `metrics` and `features` run their per-pixel stages over the
+same row bands (`tensorcore.map_row_bands`) on that many threads, and hold
+no whole input frame. The spline fit sees every stride-th pixel of the
+frame, the chroma least squares solves the sum of per-row Gram blocks,
+each metric mean is a sum of per-row sums, reduced in row order, and each
+band of the log-gradient map reads one row of luminance beyond each of its
+edges. A band is the most rows, in a multiple of 8 and at least 8, that
+hold no more than `tensorcore.BAND_PIXELS` pixels. Band edges depend only
+on the frame's extent, so outputs are byte-identical at any worker count.
 """
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import sys
@@ -144,6 +149,12 @@ HDR_FORMAT = (cm.Transfer.PQ, cm.Primaries.BT2020)
 SDR_FORMAT = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
 
 
+def _reads(config, *frames):
+    """What a run reads, which none of its outputs may replace: frames, sidecars, --config."""
+    paths = [path for frame in frames for path in (frame, pfm.sidecar_path(frame))]
+    return paths + [config] if config else paths
+
+
 @contextlib.contextmanager
 def _open_pair(path_a, fmt_a, path_b, fmt_b):
     """Two frames of the given (transfer, primaries) formats, which must share one extent."""
@@ -179,7 +190,7 @@ def cmd_synthesize(args):
 
     paths = []
     jobs = []  # one per tone operator: its CRF variants share one chain up to the forward DCT
-    with pfm.Outputs() as outputs:
+    with pfm.Outputs(_reads(args.config, args.hdr_input)) as outputs:
         # every file is added here, on this thread; the pool writes the frames' bands
         for tmo_doc in cfg["tmos"]:
             op = tm.ToneOperator.from_json(tmo_doc)
@@ -209,8 +220,9 @@ def expand_sdr(wide, params, peak_nits):
     y_sdr = cm.luma2020(wide)
     y_hat = rqs.rqs_forward(params, y_sdr)
     ratio = np.where(y_sdr > 1e-8, y_hat / np.maximum(y_sdr, 1e-8), 0.0)
-    rgb = wide.pixels * ratio[..., None]
-    nits = np.clip(rgb * peak_nits, 0.0, cm.PQ_PEAK_NITS)
+    nits = cm.scale_channels(wide.pixels, ratio)
+    nits *= peak_nits
+    np.clip(nits, 0.0, cm.PQ_PEAK_NITS, out=nits)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
     return cm.TaggedImage(nits, tag)
 
@@ -329,7 +341,7 @@ def cmd_fit_expand(args):
                                    f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
         out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
     rows = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: every float64 round-trips
-    with pfm.Outputs() as outputs:
+    with pfm.Outputs(_reads(args.config, args.sdr, args.hdr_ref)) as outputs:
         outputs.tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
         outputs.file(args.output + ".rqs.json",
                      rqs.fit_json(params, raw, fit_config(cfg)).encode())
@@ -344,7 +356,7 @@ def cmd_metrics(args):
         report = mt.metric_report(ref, test, workers)
     doc = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.output:
-        with pfm.Outputs() as outputs:
+        with pfm.Outputs(_reads(None, args.ref, args.test)) as outputs:
             outputs.file(args.output, (doc + "\n").encode())
     print(doc)
     return 0
@@ -386,7 +398,7 @@ def cmd_features(args):
     if args.dump_maps:
         maps = (feats.y_map, feats.loggrad_map, feats.sat_map)
         h, w = feats.y_map.shape
-        with pfm.Outputs() as outputs:
+        with pfm.Outputs(_reads(args.config, args.frame)) as outputs:
             out = outputs.frame(os.path.splitext(args.frame)[0] + ".features.pfm", h, w)
             for rows in reversed(tc.row_bands(h, w)):
                 out.write(np.stack([m[rows] for m in maps], axis=-1))
@@ -464,7 +476,33 @@ def build_parser():
     return parser
 
 
+# glibc's mallopt parameters, from malloc.h, and the pair its dynamic rule settles on
+# once a block at its 64-bit ceiling is freed: the trim threshold twice the mmap one
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _set_heap_thresholds():
+    """Serve band temporaries from the heap, and keep what they free, where libc has mallopt.
+
+    Under glibc's 128 KiB default mmap threshold every band-sized array is a
+    fresh mapping whose pages fault in on first touch, in every pass. Setting
+    either threshold also turns off glibc's dynamic adjustment of both.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt  # the C library the interpreter links
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None):
+    _set_heap_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -186,7 +186,11 @@ def bt709_oetf(linear):
 def bt709_eotf(signal):
     """Inverse of the BT.709 OETF."""
     v = np.asarray(signal, dtype=np.float64)
-    return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))
+    y = np.add(v, 0.099, out=np.empty(np.shape(v)))  # our own array, also for a scalar
+    y /= 1.099
+    np.power(y, 1.0 / 0.45, out=y)
+    np.divide(v, 4.5, out=y, where=v < 4.5 * 0.018)  # the linear toe, below 0.0809...
+    return y[()]  # a scalar for a scalar input
 
 
 def check_encoded(img, visit=None):
@@ -225,7 +229,8 @@ def decode(img, rows=slice(None)):
     if tag.transfer is not Transfer.GAMMA709:
         raise TagError("image is already linear")
     # scaled to the tagged peak and back: the pinned digests were recorded with this round trip
-    relative = bt709_eotf(img.band(rows)) * tag.peak_nits
+    relative = bt709_eotf(img.band(rows))
+    relative *= tag.peak_nits
     relative /= tag.peak_nits
     linear = ColorSpaceTag(tag.primaries, Transfer.LINEAR, 1.0)
     wide, _ = convert_gamut(TaggedImage(relative, linear), Primaries.BT2020)
@@ -284,6 +289,14 @@ def luma2020(img):
     if img.tag.transfer is not Transfer.LINEAR or img.tag.primaries is not Primaries.BT2020:
         raise TagError("luma2020 expects a linear BT.2020 image")
     return img.pixels @ LUMA_WEIGHTS_2020
+
+
+def scale_channels(pixels, ratio):
+    """`pixels * ratio[..., None]` in float64, bit for bit, one channel at a time."""
+    out = np.empty(pixels.shape)
+    for c in range(pixels.shape[-1]):
+        np.multiply(pixels[..., c], ratio, out=out[..., c])
+    return out
 
 
 def rgb_to_ictcp(img):

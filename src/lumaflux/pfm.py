@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from . import colorimetry as cm
 from . import tensorcore as tc
-from .errors import DimensionError, FrameFormatError
+from .errors import ConfigError, DimensionError, FrameFormatError
 
 HEADER_LINE_BYTES = 256  # longest PFM header line read, newline included
 _IOV_MAX = 1024  # most buffers one positioned read takes: IOV_MAX on Linux and the BSDs
@@ -155,6 +155,15 @@ def sidecar_path(frame_path):
     return os.path.splitext(frame_path)[0] + ".json"
 
 
+def _identity(path):
+    """The file at `path` under any name: its device and inode, or its real path if missing."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 class Outputs:
     """The output files of one run, as a context manager: all renamed into place, or none.
 
@@ -164,13 +173,24 @@ class Outputs:
     every temporary file and every file already renamed is unlinked, and each
     earlier file a rename replaced comes back from a hard link made before it.
     Add files from one thread; a frame's bands may be written from another.
+    A file added at the name of one of `inputs`, the files the run reads, or
+    of a file added before, raises ConfigError before any of its bytes are
+    written, so the set fails and every file stays as it was.
     """
 
-    def __init__(self):
+    def __init__(self, inputs=()):
+        self._inputs = {_identity(path): path for path in inputs}
+        self._taken = set()  # the identity of every name added
         self._names = []  # (final name, temporary name), in the order added
         self._frames = []
 
     def _add(self, path):
+        key = _identity(path)
+        if key in self._inputs:
+            raise ConfigError(f"output {path} is the input {self._inputs[key]}")
+        if key in self._taken:
+            raise ConfigError(f"output {path} is written twice")
+        self._taken.add(key)
         head, tail = os.path.split(path)
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
         self._names.append((path, tmp))

@@ -399,9 +399,13 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
         # the knot coordinates of bin j's six partials, in the order of jac's columns
         idx = (np.arange(K)[:, None] + [0, 1, K + 1, K + 2, 2 * K + 2, 2 * K + 3]).ravel()
         g = np.bincount(idx, weights=_run_sums(jw * e[:, None], starts).ravel(), minlength=n)
+        # bin j's 6 x 6 block, one row of partials at a time: the run sums of one
+        # N x 36 product, element for element and in its row order, from N x 6 temporaries
+        block = np.empty((K, 6, 6))
+        for a in range(6):
+            block[:, a] = _run_sums(jw[:, a:a + 1] * jac, starts)
         h = np.bincount((idx.reshape(K, 6, 1) * n + idx.reshape(K, 1, 6)).ravel(),
-                        weights=_run_sums(jw[:, :, None] * jac[:, None, :], starts).ravel(),
-                        minlength=n * n).reshape(n, n)
+                        weights=block.ravel(), minlength=n * n).reshape(n, n)
         # the penalty lambda*|D s|^2, D the slope difference, is quadratic in the slopes
         diff = np.diff(np.eye(K + 1), axis=0)
         pen = 2.0 * cfg.lambda_smooth * diff.T @ diff

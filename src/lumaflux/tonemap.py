@@ -233,7 +233,7 @@ def tone_map(op, img):
     lum = cm.luma2020(img)
     y = _CURVES[op.kind](lum, **op.params)  # nonnegative: the pixels were checked above
     ratio = np.where(lum > 0.0, y / np.maximum(lum, 1e-12), 0.0)
-    out = img.pixels * ratio[..., None]
+    out = cm.scale_channels(img.pixels, ratio)
     tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, 1.0)
     return cm.TaggedImage(np.clip(out, 0.0, 1.0, out=out), tag)
 

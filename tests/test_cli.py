@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -786,8 +789,12 @@ class TestMismatchedInput:
 
 
 def files_under(root):
-    """Every directory under `root`, and every file with its size."""
-    return {(d, f, os.path.getsize(os.path.join(d, f)))
+    """Every directory under `root`, and every file with the SHA-256 of its bytes."""
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    return {(d, f, digest(os.path.join(d, f)))
             for d, _, names in os.walk(root) for f in names} | {d for d, _, _ in os.walk(root)}
 
 
@@ -846,6 +853,12 @@ BAD_RUNS = [
     # exited 0 with an expanded frame fitted to constant targets, and now fail the fit
     ("fit-expand", '{"peak_nits": 0.001}', None, 4),
     ("fit-expand", '{"peak_nits": 1e-320}', None, 4),
+    # outputs at an input's name, or a frame at its own sidecar's name, which once
+    # replaced the input or the frame and exited 0
+    ("fit-expand", None, "output_is_sdr", 3),
+    ("fit-expand", "{}", "output_beside_config", 3),
+    ("metrics", None, "output_is_hdr", 3),
+    ("fit-expand", None, "output_is_own_sidecar", 3),
 ]
 
 
@@ -868,6 +881,11 @@ class TestBadConfigOrOutput:
             "metrics": ["metrics", hdr, hdr, "--output", str(out / "r.json")],
             "features": ["features", sdr],
         }[command]
+        outputs = {"output_is_sdr": sdr, "output_is_hdr": hdr,
+                   "output_beside_config": str(tmp_path / "cfg.pfm"),  # its sidecar: the config
+                   "output_is_own_sidecar": str(out / "x.json")}
+        if fault in outputs:
+            argv[-1] = outputs[fault]
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)
             argv += ["--config", str(tmp_path / "cfg.json")]
@@ -1015,6 +1033,41 @@ class TestArgParsing:
         pfm.write_tagged(src, img)
         rc = cli.main(["synthesize", src, "--output-dir", str(tmp_path / "o")])
         assert rc == 2
+
+
+# after cli.main, a freed 4 MB array is reused from the heap, not mapped again: the
+# second round's minor page faults go to stderr
+HEAP_ROUNDS = """
+import resource, sys
+import numpy as np
+from lumaflux import cli
+
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+
+def round_trip():
+    a = np.empty((4 << 20) // 8)
+    a.fill(1.0)
+    del a
+
+round_trip()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+round_trip()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_main_keeps_freed_band_memory_on_the_heap():
+    # glibc's own defaults, not the environment's, are what cli.main replaces
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                         env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(run.stderr) < 50
 
 
 class TestAdapterDemo:

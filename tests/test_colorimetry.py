@@ -96,6 +96,21 @@ class TestBT709Transfer:
         for v in (0.5, 0.01):
             assert np.ndim(cm.bt709_oetf(v)) == 0 and cm.bt709_oetf(v) == cm.bt709_oetf([v])[0]
 
+    def test_eotf_bits_of_the_two_branch_formula(self):
+        # in place, the same operations in the same order; the knee is 4.5 * 0.018, one
+        # ulp below 0.081, and a float32 band widens exactly; a scalar stays a scalar
+        knee = 4.5 * 0.018
+        v = np.concatenate([np.linspace(0.0, 1.0, 5000),
+                            [knee, np.nextafter(knee, 0), np.nextafter(knee, 1), 0.081]])
+        band = v.reshape(-1, 6, 3)  # 278 rows of 6 pixels
+        for x in (v, band, band.astype(np.float32)):
+            w = np.asarray(x, dtype=np.float64)
+            want = np.where(w < knee, w / 4.5, np.power((w + 0.099) / 1.099, 1.0 / 0.45))
+            got = cm.bt709_eotf(x)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        for s in (0.5, 0.01, knee):
+            assert np.ndim(cm.bt709_eotf(s)) == 0 and cm.bt709_eotf(s) == cm.bt709_eotf([s])[0]
+
     @settings(max_examples=200, deadline=None)
     @given(x=arrays(np.float64, 16, elements=st.floats(0.0, 1.0)))
     def test_property_round_trip(self, x):
@@ -217,6 +232,15 @@ class TestLumaIctcp:
         img = tagged([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]])
         np.testing.assert_allclose(cm.luma2020(img), [[0.2627, 0.6780, 0.0593]])
 
+    def test_scale_channels_bits_of_the_broadcast_product(self):
+        rng = np.random.default_rng(0)
+        ratio = rng.uniform(0.0, 3.0, (5, 7))
+        for px in (rng.uniform(0.0, 1.0, (5, 7, 3)), rng.uniform(0.0, 1.0, (5, 7, 3)).astype(
+                np.float32)):
+            want = px * ratio[..., None]
+            got = cm.scale_channels(px, ratio)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_achromatic_has_zero_chroma(self):
         img = tagged(np.full((2, 2, 3), 100.0))
         ictcp = cm.rgb_to_ictcp(img)
@@ -273,9 +297,15 @@ def pu21_encode_closed_form(nits):
     return p[6] * (np.power((p[0] + p[1] * ym) / (1.0 + p[2] * ym), p[4]) - p[5])
 
 
+def bt709_eotf_closed_form(sig):
+    v = np.asarray(sig, dtype=np.float64)
+    return np.where(v < 4.5 * 0.018, v / 4.5, np.power((v + 0.099) / 1.099, 1.0 / 0.45))[()]
+
+
 # kernel -> (its out-of-place closed form, the samples it takes); the encoders
 # clip, so they also get samples outside their range
 IN_PLACE_KERNELS = {
+    "bt709_eotf": (cm.bt709_eotf, bt709_eotf_closed_form, st.floats(0.0, 1.0)),
     "pq_encode": (cm.pq_encode, pq_encode_closed_form, st.floats(-1e3, 2e4)),
     "pq_decode": (cm.pq_decode, pq_decode_closed_form, st.floats(0.0, 1.0)),
     "pu21_encode": (cm.pu21_encode, pu21_encode_closed_form, st.floats(-1e3, 2e4)),

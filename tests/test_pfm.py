@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from lumaflux import colorimetry as cm
 from lumaflux import pfm
 from lumaflux import tensorcore as tc
-from lumaflux.errors import DimensionError, FrameFormatError
+from lumaflux.errors import ConfigError, DimensionError, FrameFormatError
 from test_tensorcore import fix_band_rows
 
 SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
@@ -428,6 +428,26 @@ def test_outputs_failed_rename_puts_back_the_earlier_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == list(names)
     for name in names:
         assert (tmp_path / name).read_bytes() == b"later " + name.encode()
+
+
+def test_outputs_refuse_an_input_or_a_name_written_twice(tmp_path):
+    # the same file by another name: a hard link, a symlink, a path through ".."
+    (tmp_path / "in.pfm").write_bytes(b"input")
+    (tmp_path / "sub").mkdir()
+    os.link(tmp_path / "in.pfm", tmp_path / "hard.pfm")
+    os.symlink(tmp_path / "in.pfm", tmp_path / "soft.pfm")
+    inputs = [str(tmp_path / "in.pfm"), str(tmp_path / "in.json")]  # the sidecar is missing
+    before = sorted(os.listdir(tmp_path))
+    for name in ("in.pfm", "hard.pfm", "soft.pfm", "sub/../in.pfm", "in.json", "sub/../in.json"):
+        with pytest.raises(ConfigError), pfm.Outputs(inputs) as outputs:
+            outputs.file(str(tmp_path / "first.txt"), b"written before the refused name")
+            outputs.file(str(tmp_path / name), b"output")
+        assert sorted(os.listdir(tmp_path)) == before
+        assert (tmp_path / "in.pfm").read_bytes() == b"input"
+    with pytest.raises(ConfigError), pfm.Outputs() as outputs:
+        outputs.file(str(tmp_path / "out.txt"), b"a")
+        outputs.file(str(tmp_path / "sub" / ".." / "out.txt"), b"b")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_outputs_full_disk_on_a_file_leaves_nothing(tmp_path, monkeypatch):

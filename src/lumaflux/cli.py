@@ -18,19 +18,19 @@ LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 for its own process, so band temporaries reuse heap pages and do not fault
 in afresh every pass; library callers keep their allocator's defaults.
 Each command that reads a frame opens it with `pfm.open_tagged` and reads
-it from disk band by band, twice: once to range-check it (fit-expand also
-gathers its fit samples then) and once to decode it, one band at a time,
-with `colorimetry.decode`. `synthesize` decodes its input once, over row
-bands of `tensorcore.band_rows` on that many threads, into the one linear
-frame that all operators read. Each operator then runs its chain up to one
-forward DCT once per band for all of its CRFs
-(`tonemap.degrade_variants`), from the bottom band up, and appends each
-CRF's band to that CRF's file; no output frame is held whole. No stage
-draws random numbers: a frame's seed is provenance in its sidecar only.
-`fit-expand`, `metrics` and `features` run their per-pixel stages over the
-same row bands (`tensorcore.map_row_bands`) on that many threads, and hold
-no whole input frame. The spline fit sees every stride-th pixel of the
-frame, the chroma least squares solves the sum of per-row Gram blocks,
+it from disk band by band: once to range-check it (fit-expand also gathers
+its fit samples then) and once to decode it, one band at a time, with
+`colorimetry.decode`; fit-expand's reference is only read the first time.
+`synthesize` decodes its input once, over row bands of
+`tensorcore.band_rows` on that many threads, into the one linear frame that
+all operators read. Each operator then runs its chain up to one forward DCT
+once per band for all of its CRFs (`tonemap.degrade_variants`), and writes
+each CRF's band into that CRF's file. No stage draws random numbers: a
+frame's seed is provenance in its sidecar only. `fit-expand`, `metrics` and
+`features` run their per-pixel stages over the same row bands
+(`tensorcore.map_row_bands`) on that many threads, and hold no whole input
+frame; `synthesize` and `fit-expand` hold no whole output frame. The spline
+fit and the chroma least squares see every stride-th pixel of the frame,
 each metric mean is a sum of per-row sums, reduced in row order, and each
 band of the log-gradient map reads one row of luminance beyond each of its
 edges. A band is the most rows, in a multiple of 8 and at least 8, that
@@ -147,6 +147,7 @@ def _max_workers():
 
 HDR_FORMAT = (cm.Transfer.PQ, cm.Primaries.BT2020)
 SDR_FORMAT = (cm.Transfer.GAMMA709, cm.Primaries.BT709)
+PQ_TAG = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
 
 
 def _reads(config, *frames):
@@ -184,9 +185,9 @@ def cmd_synthesize(args):
     def run(job):
         # each CRF's bands go straight into its own file, the bottom band first
         op, outs = job
-        for _, bands in tm.degrade_variants(linear, op, cfg["crfs"]):
+        for rows, bands in tm.degrade_variants(linear, op, cfg["crfs"]):
             for out, band in zip(outs, bands):
-                out.write(band)
+                out.write(rows, band)
 
     paths = []
     jobs = []  # one per tone operator: its CRF variants share one chain up to the forward DCT
@@ -228,19 +229,21 @@ def expand_sdr(wide, params, peak_nits):
 
 
 def _yuv(img):
-    """BT.2020 luma and the B - Y, R - Y colour differences of a linear BT.2020 image."""
+    """Luma Y of a linear BT.2020 image, and the chroma lhs [B - Y, R - Y, 1] per pixel, N x 3."""
     y = cm.luma2020(img)
-    return y, img.pixels[..., 2] - y, img.pixels[..., 0] - y
+    px = img.pixels
+    return y, np.stack([px[..., 2] - y, px[..., 0] - y, np.ones_like(y)], axis=-1).reshape(-1, 3)
 
 
 def fit_pairs(sdr, ref, cfg):
-    """The (SDR luma, reference luma / peak_nits) pairs fit_rqs fits: every stride-th pixel.
+    """(SDR luma, ref luma / peak_nits, SDR samples, ref samples) at every stride-th pixel.
 
-    The stride keeps about `fit_samples` pixels. Both frames are
-    range-checked here: each is read once, band by band, and a band's
-    samples are gathered as it passes its check, so the checks fail as
-    whole-frame checks of `sdr`, then `ref`, would. Only the gathered pixels
-    are decoded, each exactly as a whole-frame decode would decode it.
+    fit_rqs fits the luma pairs; the samples are the decoded linear 1 x N
+    images they come from. The stride keeps about `fit_samples` pixels. Both
+    frames are range-checked here: each is read once, band by band, and a
+    band's samples are gathered as it passes its check, so the checks fail
+    as whole-frame checks of `sdr`, then `ref`, would. Only the gathered
+    pixels are decoded, each exactly as a whole-frame decode would decode it.
     """
     h, w, _ = sdr.shape
     stride = max(1, h * w // cfg["fit_samples"])
@@ -256,96 +259,75 @@ def fit_pairs(sdr, ref, cfg):
             samples[first:stop] = band.reshape(-1, 3)[first * stride - rows.start * w::stride]
 
         cm.check_encoded(img, visit)
-        return cm.TaggedImage(samples[None], img.tag)
+        return cm.decode(cm.TaggedImage(samples[None], img.tag))
 
-    sdr_samples = gather(sdr)
-    ref_samples = gather(ref)
-    y_sdr = cm.luma2020(cm.decode(sdr_samples))
+    sdr_lin = gather(sdr)
+    ref_lin = gather(ref)
+    y_sdr = cm.luma2020(sdr_lin)
     # capped at the peak before the divide, which a tiny peak would overflow; the bits of
     # np.clip(luma / peak, 0.0, 1.0) on nonnegative luma
     peak = cfg["peak_nits"]
-    y_ref = np.minimum(cm.luma2020(cm.decode(ref_samples)), peak) / peak
-    return y_sdr.reshape(-1), y_ref.reshape(-1)
+    y_ref = np.minimum(cm.luma2020(ref_lin), peak) / peak
+    return y_sdr.reshape(-1), y_ref.reshape(-1), sdr_lin, ref_lin
 
 
-def fit_expand(sdr, ref, cfg, workers=1):
-    """Fit a tone spline from `sdr` to `ref`, expand `sdr` with it, mix its chroma toward `ref`.
+def fit_expand(sdr, ref, cfg):
+    """Fit a tone spline from `sdr` to `ref`, and a chroma mix toward `ref`, on their samples.
 
-    `sdr` and `ref` are TaggedImages or open `pfm.PfmFrame`s; each is read
-    twice, band by band. Returns the PQ/BT.2020 frame and fit_rqs's
-    params, raw vector and loss trace. The spline fit sees the strided
-    samples `fit_pairs` gathers as it range-checks both frames. One pass
-    over tensorcore row bands on `workers` threads then expands `sdr` and
-    writes each row's 3 x 5 Gram block of the chroma least squares; one
-    3 x 3 solve takes the sum of those blocks, and a second pass mixes and
-    PQ-encodes. Each row's block depends on that row alone, so the output
-    does not depend on `workers` or the band height.
+    `sdr` and `ref` are TaggedImages or open `pfm.PfmFrame`s, read band by
+    band: `ref` once, `sdr` once more by each band(rows) call, which returns
+    rows `rows` of `sdr` expanded, mixed and PQ-encoded (PQ_TAG). Returns
+    (band, params, raw, trace), the last three fit_rqs's. The fit and the
+    chroma solve both see the strided samples `fit_pairs` gathers: one 3 x 3
+    Gram system of the expanded SDR samples' [B - Y, R - Y, 1] against the
+    reference's B - Y and R - Y, solved here. So a band depends on its own
+    rows alone, never on the worker count or band height; and colour that
+    lies only in pixels the stride skips does not reach the mix.
     """
     # each frame is decoded by its tag, so a frame of another format must not get that far
     if (sdr.tag.transfer, sdr.tag.primaries) != SDR_FORMAT:
         raise TagError("fit_expand expects a Gamma709/BT709 SDR frame")
     if (ref.tag.transfer, ref.tag.primaries) != HDR_FORMAT:
         raise TagError("fit_expand expects a PQ/BT.2020 reference")
-    h, w, _ = sdr.shape
     peak = cfg["peak_nits"]
-    params, raw, trace = rqs.fit_rqs(*fit_pairs(sdr, ref, cfg), K=cfg["spline_knots"],
-                                     cfg=fit_config(cfg))
-    yuv = np.empty((h, w, 3))  # expanded Y, B - Y, R - Y per pixel; then the PQ output
-    gram = np.empty((h, 3, 5))  # per row: lhs^T [lhs | reference B - Y, R - Y]
-
-    def operand(band):
-        """[B - Y, R - Y, 1] per pixel of a band of yuv, the lhs of the chroma least squares."""
-        lhs = np.empty(band.shape)
-        lhs[..., :2] = band[..., 1:]
-        lhs[..., 2] = 1.0
-        return lhs
-
-    def expand(rows):
-        # both frames passed check_encoded in fit_pairs, so the bands decode unchecked
-        nits = expand_sdr(cm.decode(sdr, rows), params, peak)
-        band = yuv[rows]
-        band[..., 0], band[..., 1], band[..., 2] = _yuv(nits)
-        lhs = operand(band)
-        both = np.empty(band.shape[:2] + (5,))
-        both[..., :3] = lhs
-        _, both[..., 3], both[..., 4] = _yuv(cm.decode(ref, rows))
-        np.matmul(lhs.transpose(0, 2, 1), both, out=gram[rows])
-
-    tc.map_row_bands(expand, h, w, workers)
-    sums = gram.sum(axis=0)
+    y_sdr, y_ref, sdr_lin, ref_lin = fit_pairs(sdr, ref, cfg)
+    params, raw, trace = rqs.fit_rqs(y_sdr, y_ref, K=cfg["spline_knots"], cfg=fit_config(cfg))
+    _, lhs = _yuv(expand_sdr(sdr_lin, params, peak))
+    _, ref_uv = _yuv(ref_lin)
+    gram = lhs.T @ np.column_stack([lhs, ref_uv[:, :2]])
     # minimum norm, so a zero-chroma frame's singular system still has an answer
-    coef, *_ = np.linalg.lstsq(sums[:, :3], sums[:, 3:], rcond=None)
+    coef, *_ = np.linalg.lstsq(gram[:, :3], gram[:, 3:], rcond=None)
     wr, wg, wb = cm.LUMA_WEIGHTS_2020
 
-    def mix(rows):
-        band = yuv[rows]
-        y = band[..., 0]
-        uv = (operand(band).reshape(-1, 3) @ coef).reshape(y.shape + (2,))
+    def band(rows):
+        # both frames passed check_encoded in fit_pairs, so the band decodes unchecked
+        y, lhs = _yuv(expand_sdr(cm.decode(sdr, rows), params, peak))
+        uv = (lhs @ coef).reshape(y.shape + (2,))
         r = y + uv[..., 1]
         b = y + uv[..., 0]
         g = (y - wr * r - wb * b) / wg
-        # the band is read above, before it is overwritten
-        band[...] = cm.pq_encode(np.clip(np.stack([r, g, b], axis=-1), 0.0, cm.PQ_PEAK_NITS))
+        return cm.pq_encode(np.stack([r, g, b], axis=-1))
 
-    tc.map_row_bands(mix, h, w, workers)
-    tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.PQ, cm.PQ_PEAK_NITS)
-    return cm.TaggedImage(yuv, tag), params, raw, trace
+    return band, params, raw, trace
 
 
 def cmd_fit_expand(args):
     cfg = load_config(args.config)
     workers = _max_workers()
-    with _open_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT) as (sdr, ref):
-        if sdr.shape[0] * sdr.shape[1] < rqs.MIN_SAMPLES:
+    with (_open_pair(args.sdr, SDR_FORMAT, args.hdr_ref, HDR_FORMAT) as (sdr, ref),
+          pfm.Outputs(_reads(args.config, args.sdr, args.hdr_ref)) as outputs):
+        h, w, _ = sdr.shape
+        if h * w < rqs.MIN_SAMPLES:
             raise FrameFormatError(f"{args.sdr}: extent {sdr.shape} has fewer than "
                                    f"{rqs.MIN_SAMPLES} pixels to fit a tone spline on")
-        out_pq, params, raw, trace = fit_expand(sdr, ref, cfg, workers)
-    rows = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: every float64 round-trips
-    with pfm.Outputs(_reads(args.config, args.sdr, args.hdr_ref)) as outputs:
-        outputs.tagged(args.output, out_pq, seed=cfg["seed"], config=cfg)
+        out = outputs.frame(args.output, h, w)
+        band, params, raw, trace = fit_expand(sdr, ref, cfg)
+        outputs.sidecar(args.output, PQ_TAG, seed=cfg["seed"], config=cfg)
         outputs.file(args.output + ".rqs.json",
                      rqs.fit_json(params, raw, fit_config(cfg)).encode())
-        outputs.file(args.output + ".trace.csv", f"loss\n{rows}".encode())
+        losses = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: each float64 round-trips
+        outputs.file(args.output + ".trace.csv", f"loss\n{losses}".encode())
+        tc.map_row_bands(lambda rows: out.write(rows, band(rows)), h, w, workers)
     print(json.dumps({"output": args.output, "final_loss": float(trace[-1])}, indent=2))
     return 0
 
@@ -400,8 +382,8 @@ def cmd_features(args):
         h, w = feats.y_map.shape
         with pfm.Outputs(_reads(args.config, args.frame)) as outputs:
             out = outputs.frame(os.path.splitext(args.frame)[0] + ".features.pfm", h, w)
-            for rows in reversed(tc.row_bands(h, w)):
-                out.write(np.stack([m[rows] for m in maps], axis=-1))
+            for rows in tc.row_bands(h, w):
+                out.write(rows, np.stack([m[rows] for m in maps], axis=-1))
     print(json.dumps(doc, indent=2))
     return 0
 

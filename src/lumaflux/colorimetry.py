@@ -303,8 +303,8 @@ def rgb_to_ictcp(img):
     """Linear BT.2020 nits -> ICtCp per ITU-R BT.2100 (PQ-encoded LMS)."""
     if img.tag.transfer is not Transfer.LINEAR or img.tag.primaries is not Primaries.BT2020:
         raise TagError("rgb_to_ictcp expects a linear BT.2020 image")
-    lms = img.pixels @ RGB2020_TO_LMS.T
-    lms_pq = pq_encode(np.maximum(lms, 0.0))
+    # pq_encode's own clip takes negative LMS, and -0.0, to +0.0
+    lms_pq = pq_encode(img.pixels @ RGB2020_TO_LMS.T)
     return lms_pq @ LMS_PQ_TO_ICTCP.T
 
 

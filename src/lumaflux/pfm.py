@@ -13,8 +13,8 @@ name, then, once all are written and every frame is whole, all renamed
 into place in the order added, each frame followed by its sidecar. A set
 that fails unlinks every temporary file and every file it had renamed, and
 puts back each earlier file one of its renames replaced. Frames are written
-little-endian, one row band at a time from the bottom up, each band cast to
-float32 alone.
+little-endian, one row band at a time in any order, each band cast to
+float32 alone and written in place with one positioned write.
 """
 
 import contextlib
@@ -37,7 +37,7 @@ _READ_BYTES = 1 << 30  # most bytes asked of one positioned read, well under Lin
 
 
 class PfmWriter:
-    """An h x w frame of an `Outputs` set, written one row band at a time, the bottom band first.
+    """An h x w frame of an `Outputs` set, written one row band at a time, from any thread.
 
     Its temporary file is open from the first band to the last row.
     """
@@ -45,26 +45,43 @@ class PfmWriter:
     def __init__(self, path, tmp, h, w):
         self.path = path
         self.shape = (h, w, 3)
-        self._left = h  # rows not yet written
+        self._written = bytearray(h)  # 1 for each row written
+        self._header = f"PF\n{w} {h}\n-1.0\n".encode()
         self._tmp = tmp
         self._fh = None
+        self._lock = threading.Lock()
 
-    def write(self, band):
-        """Append the (r, w, 3) band just above the rows written so far; its rows run top-down.
+    def write(self, rows, band):
+        """Write the (r, w, 3) band as rows `rows` (a slice) of the frame; its rows run top-down.
 
-        The band is flipped and cast to little-endian float32 in one pass.
+        It is flipped and cast to little-endian float32 in one pass, then
+        written at its place in the bottom-up payload. A band that does not
+        fit `rows`, or overlaps rows already written, raises DimensionError.
         """
-        r = len(band)
-        if band.shape[1:] != self.shape[1:] or r > self._left:
-            raise DimensionError(f"{self.path}: a {band.shape} band does not fit the "
-                                 f"{self._left} rows left of a {self.shape} frame")
-        if self._fh is None:
-            self._fh = open(self._tmp, "xb")
-            self._fh.write(f"PF\n{self.shape[1]} {self.shape[0]}\n-1.0\n".encode())
-        self._fh.write(memoryview(np.ascontiguousarray(band[::-1], dtype="<f4")).cast("B"))
-        self._left -= r
-        if not self._left:
-            self._fh.close()
+        h, w, _ = self.shape
+        top, stop, step = rows.indices(h)
+        if step != 1 or top >= stop or band.shape != (stop - top, w, 3):
+            raise DimensionError(f"{self.path}: a {band.shape} band does not fit rows "
+                                 f"{top}:{stop} of a {self.shape} frame")
+        data = memoryview(np.ascontiguousarray(band[::-1], dtype="<f4")).cast("B")
+        with self._lock:
+            if self._written.find(1, top, stop) != -1:
+                raise DimensionError(f"{self.path}: rows {top}:{stop} of a {self.shape} "
+                                     "frame overlap rows already written")
+            if self._fh is None:
+                self._fh = open(self._tmp, "xb")
+                _pwrite_all(self._fh.fileno(), self._header, 0)
+            _pwrite_all(self._fh.fileno(), data, len(self._header) + (h - stop) * w * 3 * 4)
+            self._written[top:stop] = b"\1" * (stop - top)
+            if self._written.find(0) == -1:
+                self._fh.close()
+
+
+def _pwrite_all(fd, data, offset):
+    """Write all of `data` at `offset` of the file `fd`, in as many positioned writes as needed."""
+    while data:
+        done = os.pwrite(fd, data, offset)
+        data, offset = data[done:], offset + done
 
 
 class PfmFrame:
@@ -172,7 +189,7 @@ class Outputs:
     added. On an exception, a frame with rows missing or a failed rename,
     every temporary file and every file already renamed is unlinked, and each
     earlier file a rename replaced comes back from a hard link made before it.
-    Add files from one thread; a frame's bands may be written from another.
+    Add files from one thread; a frame's bands may be written from any threads.
     A file added at the name of one of `inputs`, the files the run reads, or
     of a file added before, raises ConfigError before any of its bytes are
     written, so the set fails and every file stays as it was.
@@ -217,8 +234,8 @@ class Outputs:
         """Add the TaggedImage `img` as a frame at `frame_path`, then its sidecar."""
         h, w = img.pixels.shape[:2]
         out = self.frame(frame_path, h, w)
-        for rows in reversed(tc.row_bands(h, w)):
-            out.write(img.pixels[rows])
+        for rows in tc.row_bands(h, w):
+            out.write(rows, img.pixels[rows])
         self.sidecar(frame_path, img.tag, seed, config, extra)
 
     def __enter__(self):
@@ -232,8 +249,8 @@ class Outputs:
                     out._fh.close()
             if exc_type is None:
                 for out in self._frames:
-                    if out._left:
-                        raise DimensionError(f"{out.path}: {out._left} rows of a {out.shape} "
+                    if left := out._written.count(0):
+                        raise DimensionError(f"{out.path}: {left} rows of a {out.shape} "
                                              "frame were never written")
                 for path, tmp in self._names:
                     with contextlib.suppress(OSError):  # no earlier file there

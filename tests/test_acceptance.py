@@ -32,6 +32,15 @@ def report(name, checks, capsys=None):
     assert not failed, f"{name} failed: {failed}"
 
 
+def expanded_frame(sdr, ref, cfg):
+    """cli.fit_expand's bands of `sdr`, made into one PQ/BT.2020 frame."""
+    band, *_ = cli.fit_expand(sdr, ref, cfg)
+    px = np.empty(sdr.shape)
+    for rows in tc.row_bands(*sdr.shape[:2]):
+        px[rows] = band(rows)
+    return cm.TaggedImage(px, cli.PQ_TAG)
+
+
 def synthetic_hdr(size=256, peak=1000.0, seed=7):
     yy, xx = np.mgrid[0:size, 0:size] / size
     base = 0.05 + 0.95 * np.exp(-((yy - 0.5) ** 2 + (xx - 0.5) ** 2) * 4)
@@ -109,7 +118,7 @@ def test_a3_end_to_end_tone_recovery(capsys):
     sdr = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None, seed=0))
 
     cfg = dict(cli.DEFAULT_CONFIG, peak_nits=peak, fit_samples=8192, fit_iterations=400)
-    expanded = cm.decode(cli.fit_expand(sdr, hdr, cfg)[0])
+    expanded = cm.decode(expanded_frame(sdr, hdr, cfg))
 
     l1 = float(np.mean(np.abs(cm.luma2020(expanded) - cm.luma2020(ref_lin))))
     de_fit = cm.delta_e_itp(ref_lin, expanded)

@@ -17,6 +17,7 @@ from lumaflux import colorimetry as cm
 from lumaflux import features as ft
 from lumaflux import pfm
 from lumaflux import rqs
+from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
 from lumaflux.errors import ConfigError, TagError
 from test_acceptance import synthetic_hdr
@@ -413,21 +414,33 @@ class TestFitExpand:
                        for name in SINGULAR_CHROMA_SHA256[kind]}
             assert digests == SINGULAR_CHROMA_SHA256[kind]
 
-    @pytest.mark.parametrize("seed,extent", [(0, (150, 45)), (1, (200, 131)), (2, (129, 67))])
-    def test_gram_solve_matches_whole_frame_lstsq(self, seed, extent, monkeypatch):
+    @pytest.mark.parametrize("seed,extent,fit_samples,stride", [
+        (0, (150, 45), None, 1), (1, (200, 131), None, 1), (2, (129, 67), None, 1),
+        (3, (150, 45), 1000, 6), (4, (301, 91), 1000, 27)])
+    def test_chroma_solve_matches_lstsq_on_the_fit_samples(self, seed, extent, fit_samples,
+                                                            stride, monkeypatch):
         sdr, hdr = seeded_pair(seed, *extent)
-        cfg = cli.load_config()
+        cfg = cli.load_config(overrides={"fit_samples": fit_samples})
+        assert max(1, extent[0] * extent[1] // cfg["fit_samples"]) == stride
         lstsq = np.linalg.lstsq
         solved = []
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *args, **kw: solved.append(lstsq(*args, **kw)) or solved[-1])
-        _, params, _, _ = cli.fit_expand(sdr, hdr, cfg, workers=2)
+        _, params, _, _ = cli.fit_expand(sdr, hdr, cfg)
         (coef, *_), = solved
-        # the N x 3 system over the whole frame, as the per-row Gram blocks sum it
-        _, bu, rv = cli._yuv(cli.expand_sdr(ft.linearize_sdr(sdr), params, cfg["peak_nits"]))
-        _, ref_bu, ref_rv = cli._yuv(cm.decode(hdr))
-        lhs = np.stack([bu, rv, np.ones_like(bu)], axis=-1).reshape(-1, 3)
-        want, *_ = lstsq(lhs, np.stack([ref_bu, ref_rv], axis=-1).reshape(-1, 2), rcond=None)
+
+        # the N x 3 system over every stride-th pixel of the whole-frame decodes
+        def strided(img):
+            return img.with_pixels(img.pixels.reshape(1, -1, 3)[:, ::stride])
+
+        def chroma(img):
+            """B - Y and R - Y of a linear BT.2020 image, as N x 2."""
+            y = cm.luma2020(img)[..., None]
+            return (img.pixels[..., [2, 0]] - y).reshape(-1, 2)
+
+        uv = chroma(cli.expand_sdr(strided(ft.linearize_sdr(sdr)), params, cfg["peak_nits"]))
+        lhs = np.column_stack([uv, np.ones(len(uv))])
+        want, *_ = lstsq(lhs, chroma(strided(cm.decode(hdr))), rcond=None)
         assert np.max(np.abs(coef - want)) <= 1e-9 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("frame,tag", [
@@ -445,29 +458,29 @@ class TestFitExpand:
             cli.fit_expand(pair["sdr"], pair["ref"], cli.load_config())
 
     def test_peak_memory_is_bounded(self):
-        # only the output and band-sized temporaries cover the frame; the
-        # inputs are made before tracing starts
-        hdr = synthetic_hdr(size=960)
-        ref = hdr.with_pixels(hdr.pixels[:640].copy())
+        # the fit's samples and one band's temporaries at a time; each band is
+        # dropped once made, and the inputs are made before tracing starts
+        ref = synthetic_hdr(size=960)
         sdr = cm.TaggedImage(ref.pixels.copy(), SDR_TAG)
         cfg = cli.load_config()
         tracemalloc.start()
         try:
-            cli.fit_expand(sdr, ref, cfg, workers=1)
+            band, *_ = cli.fit_expand(sdr, ref, cfg)
+            tc.map_row_bands(band, 960, 960)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * ref.pixels.nbytes
+        assert peak <= 0.4 * ref.pixels.nbytes
 
     def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
         # a 960 x 960 pair in 30 bands of 32 rows on one thread. The inputs
-        # are read and the output written band by band, so only the float64
-        # output covers the frame: 1.22 frames. Whole float32 inputs alive
-        # through the expand pass would add one more
+        # are read and the output written band by band, and no array covers
+        # the frame. A float64 Y, B - Y, R - Y buffer for a second pass would
+        # add one frame, and a whole float32 output half of one
         sdr, src, frame = write_command_pair(tmp_path)
         monkeypatch.setenv("LUMAFLUX_THREADS", "1")
         peak = command_peak(["fit-expand", sdr, src, "--output", str(tmp_path / "x.pfm")])
-        assert peak <= 1.4 * frame
+        assert peak <= 0.4 * frame
 
     def test_frame_below_min_samples_is_io_error(self, tmp_path, capsys):
         sdr, src = write_fit_pair(tmp_path, size=7)
@@ -495,7 +508,8 @@ class TestFitExpand:
 
 
 class TestFitPairs:
-    """fit_pairs decodes only the pixels the fit reads, each as a whole-frame decode would."""
+    """fit_pairs decodes only the pixels the fit and the chroma solve read, each as a
+    whole-frame decode would."""
 
     # (extent, fit_samples, every other row as a non-contiguous view, stride)
     @pytest.mark.parametrize("extent,fit_samples,view,stride", [
@@ -509,11 +523,15 @@ class TestFitPairs:
         cfg = cli.load_config(overrides={"fit_samples": fit_samples})
         h, w, _ = sdr.pixels.shape
         assert max(1, h * w // cfg["fit_samples"]) == stride
-        want = (cm.luma2020(ft.linearize_sdr(sdr)).reshape(-1)[::stride],
-                np.clip(cm.luma2020(cm.decode(hdr)) / cfg["peak_nits"], 0.0, 1.0)
-                .reshape(-1)[::stride])
-        got = cli.fit_pairs(sdr, hdr, cfg)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        wide, ref = ft.linearize_sdr(sdr), cm.decode(hdr)
+        want = (cm.luma2020(wide).reshape(-1)[::stride],
+                np.clip(cm.luma2020(ref) / cfg["peak_nits"], 0.0, 1.0).reshape(-1)[::stride],
+                wide.pixels.reshape(1, -1, 3)[:, ::stride],
+                ref.pixels.reshape(1, -1, 3)[:, ::stride])
+        y_sdr, y_ref, sdr_lin, ref_lin = cli.fit_pairs(sdr, hdr, cfg)
+        assert (sdr_lin.tag, ref_lin.tag) == (wide.tag, ref.tag)
+        got = (y_sdr, y_ref, sdr_lin.pixels, ref_lin.pixels)
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
 
 
 class TestMetrics:

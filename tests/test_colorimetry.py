@@ -248,6 +248,21 @@ class TestLumaIctcp:
         # intensity equals the PQ encoding of the luminance
         np.testing.assert_allclose(ictcp[..., 0], float(cm.pq_encode(100.0)), atol=1e-9)
 
+    def test_ictcp_bits_of_the_lms_clamped_first(self):
+        # pq_encode's own clip takes the place of np.maximum(lms, 0.0): -0.0, NaN,
+        # the smallest subnormal and values past the PQ peak keep every bit
+        rng = np.random.default_rng(2)
+        lms = rng.uniform(-50.0, 1.2e4, 4096)
+        for k, special in enumerate((-0.0, 0.0, np.nan, 5e-324, -5e-324, 2e4, -2e4)):
+            lms[k::11] = special
+        assert cm.pq_encode(lms).tobytes() == cm.pq_encode(np.maximum(lms, 0.0)).tobytes()
+        # RGB with negative, non-finite and out-of-range samples
+        img = tagged(np.concatenate([rng.uniform(-5.0, 2e4, (8, 8, 3)),
+                                     lms[:192].reshape(8, 8, 3)]))
+        lms_of_img = img.pixels @ cm.RGB2020_TO_LMS.T
+        want = cm.pq_encode(np.maximum(lms_of_img, 0.0)) @ cm.LMS_PQ_TO_ICTCP.T
+        assert cm.rgb_to_ictcp(img).tobytes() == want.tobytes()
+
     def test_delta_e_properties(self):
         rng = np.random.default_rng(0)
         a = tagged(rng.uniform(1.0, 500.0, (4, 4, 3)))

@@ -94,21 +94,24 @@ def write_big_endian(path, px):
         fh.write(np.ascontiguousarray(px[::-1], dtype=">f4").tobytes())
 
 
-def write_frame(path, px):
-    """Write px as one frame of its own Outputs set, the bottom band first."""
+def write_frame(path, px, order=reversed):
+    """Write px as one frame of its own Outputs set, its row bands in `order`."""
     h, w = px.shape[:2]
     with pfm.Outputs() as outputs:
         out = outputs.frame(path, h, w)
-        for rows in reversed(tc.row_bands(h, w)):
-            out.write(px[rows])
+        for rows in order(tc.row_bands(h, w)):
+            out.write(rows, px[rows])
+
+
+ROOM = 40  # bytes a file takes on a full disk: a header plus part of a payload
 
 
 class FullDisk:
-    """File stand-in that accepts 40 bytes, then fails: a header plus part of a payload."""
+    """File stand-in that accepts ROOM bytes, then fails."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.room = 40
+        self.room = ROOM
 
     def __enter__(self):
         return self
@@ -122,14 +125,25 @@ class FullDisk:
             raise OSError(errno.ENOSPC, "no space left on device")
         self.room -= len(chunk)
 
+    def fileno(self):
+        return self.fh.fileno()
+
     def close(self):
         self.fh.close()
 
 
 def fill_disk(monkeypatch):
-    """Make every file pfm opens a FullDisk."""
-    real_open = open
+    """Make every file pfm opens a FullDisk, and fail every positioned write past ROOM bytes."""
+    real_open, real_pwrite = open, os.pwrite
+
+    def pwrite(fd, data, offset):
+        done = real_pwrite(fd, data[:max(ROOM - offset, 0)], offset)
+        if done < len(data):
+            raise OSError(errno.ENOSPC, "no space left on device")
+        return done
+
     monkeypatch.setattr(pfm, "open", lambda p, mode: FullDisk(real_open(p, mode)), raising=False)
+    monkeypatch.setattr(os, "pwrite", pwrite)
 
 
 def read_samples(path):
@@ -180,7 +194,7 @@ def test_pfm_header_format(tmp_path):
 
 def test_pfm_rejects_gray(tmp_path):
     with pytest.raises(DimensionError), pfm.Outputs() as outputs:
-        outputs.frame(str(tmp_path / "x.pfm"), 4, 4).write(np.zeros((4, 4)))
+        outputs.frame(str(tmp_path / "x.pfm"), 4, 4).write(slice(0, 4), np.zeros((4, 4)))
     assert os.listdir(tmp_path) == []
 
 
@@ -358,23 +372,78 @@ def test_write_replaces_existing_frame(tmp_path):
     assert os.listdir(tmp_path) == ["frame.pfm"]
 
 
-def test_writer_takes_bands_bottom_first_and_renames_only_a_whole_frame(tmp_path):
+def test_writer_renames_only_a_whole_frame(tmp_path):
     px = np.arange(7 * 5 * 3, dtype=np.float32).reshape(7, 5, 3)
     path = str(tmp_path / "frame.pfm")
     with pfm.Outputs() as outputs:
         out = outputs.frame(path, 7, 5)
         for rows in (slice(4, 7), slice(1, 4), slice(0, 1)):
-            out.write(px[rows])
+            out.write(rows, px[rows])
     assert read_samples(path).tobytes() == px.tobytes()
     assert os.listdir(tmp_path) == ["frame.pfm"]
-    # a band of the wrong width, one past the frame's height, or a frame with
-    # rows missing at the end of the block is refused, and its temporary file unlinked
-    for bands in ([px[:, :4]], [px, px[:1]], [px[1:]]):
+    # a band of the wrong width, one that does not match its rows, one past the
+    # frame's height, a strided one, or a frame with rows missing at the end of the
+    # block is refused, and its temporary file unlinked
+    for bands in ([(slice(0, 7), px[:, :4])], [(slice(0, 3), px[:4])],
+                  [(slice(5, 9), px[3:])], [(slice(0, 7, 2), px[::2])],
+                  [(slice(1, 7), px[1:])]):
         with pytest.raises(DimensionError), pfm.Outputs() as outputs:
             out = outputs.frame(str(tmp_path / "x.pfm"), 7, 5)
-            for band in bands:
-                out.write(band)
+            for rows, band in bands:
+                out.write(rows, band)
         assert os.listdir(tmp_path) == ["frame.pfm"]
+
+
+@pytest.mark.parametrize("order", ["reverse", "shuffled", "threads"])
+def test_writer_bands_in_any_order_give_the_bottom_up_bytes(tmp_path, order, monkeypatch):
+    # 150 x 1027 in bands of 8 rows: 19 bands, the last of 6 rows
+    px = np.random.default_rng(5).uniform(0.0, 1.0, (150, 1027, 3)).astype(np.float32)
+    px[149, 0] = [np.inf, -0.0, 1e-40]
+    fix_band_rows(monkeypatch, 8)
+    bottom_up = str(tmp_path / "bottom_up.pfm")
+    write_frame(bottom_up, px)
+    path = str(tmp_path / "frame.pfm")
+    if order == "threads":
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads that share the file interleave often
+        try:
+            with pfm.Outputs() as outputs:
+                out = outputs.frame(path, *px.shape[:2])
+                tc.map_row_bands(lambda rows: out.write(rows, px[rows]), *px.shape[:2], 3)
+        finally:
+            sys.setswitchinterval(switch)
+    else:
+        rng = np.random.default_rng(6)
+        orders = {"reverse": lambda bands: bands[::-1],
+                  "shuffled": lambda bands: [bands[i] for i in rng.permutation(len(bands))]}
+        write_frame(path, px, orders[order])
+    with open(path, "rb") as a, open(bottom_up, "rb") as b:
+        assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("bands", [
+    [slice(0, 4), slice(0, 4)], [slice(4, 7), slice(0, 5)], [slice(0, 7), slice(6, 7)],
+    [slice(2, 5), slice(0, 3), slice(5, 7)]], ids=["repeated", "overlap", "inside", "straddle"])
+def test_writer_refuses_a_band_over_rows_already_written(tmp_path, bands):
+    # a count of the rows left alone would take a repeated band for a missing one
+    px = np.zeros((7, 5, 3))
+    with pytest.raises(DimensionError, match="overlap"), pfm.Outputs() as outputs:
+        out = outputs.frame(str(tmp_path / "frame.pfm"), 7, 5)
+        for rows in bands:
+            out.write(rows, px[rows])
+    assert os.listdir(tmp_path) == []
+
+
+def test_outputs_frame_missing_one_band_fails_the_set(tmp_path, monkeypatch):
+    px = np.ones((40, 5, 3))
+    fix_band_rows(monkeypatch, 8)
+    with pytest.raises(DimensionError, match="8 rows"), pfm.Outputs() as outputs:
+        outputs.file(str(tmp_path / "first.txt"), b"whole")
+        out = outputs.frame(str(tmp_path / "frame.pfm"), 40, 5)
+        for rows in tc.row_bands(40, 5)[::-1]:
+            if rows.start != 16:
+                out.write(rows, px[rows])
+    assert os.listdir(tmp_path) == []
 
 
 def test_outputs_exception_keeps_earlier_files(tmp_path):
@@ -394,7 +463,7 @@ def test_outputs_exception_keeps_earlier_files(tmp_path):
 def test_outputs_frame_with_rows_missing_renames_nothing(tmp_path):
     with pytest.raises(DimensionError), pfm.Outputs() as outputs:
         outputs.file(str(tmp_path / "first.txt"), b"whole")
-        outputs.frame(str(tmp_path / "frame.pfm"), 7, 5).write(np.zeros((6, 5, 3)))
+        outputs.frame(str(tmp_path / "frame.pfm"), 7, 5).write(slice(0, 6), np.zeros((6, 5, 3)))
         outputs.file(str(tmp_path / "last.txt"), b"whole")
     assert os.listdir(tmp_path) == []
 
@@ -455,7 +524,7 @@ def test_outputs_full_disk_on_a_file_leaves_nothing(tmp_path, monkeypatch):
     # a file; the 100-byte file, added last, fails part-way
     fill_disk(monkeypatch)
     with pytest.raises(OSError) as err, pfm.Outputs() as outputs:
-        outputs.frame(str(tmp_path / "frame.pfm"), 1, 1).write(np.zeros((1, 1, 3)))
+        outputs.frame(str(tmp_path / "frame.pfm"), 1, 1).write(slice(0, 1), np.zeros((1, 1, 3)))
         outputs.file(str(tmp_path / "frame.pfm.rqs.json"), bytes(30))
         outputs.file(str(tmp_path / "frame.pfm.trace.csv"), bytes(100))
     assert err.value.errno == errno.ENOSPC

@@ -15,12 +15,17 @@ the `--config` file) exits 3 and leaves every file as it was.
 
 LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
 `synthesize` runs at once. `main` sets glibc's mmap and trim thresholds
-for its own process, so band temporaries reuse heap pages and do not fault
-in afresh every pass; library callers keep their allocator's defaults.
+and its arena count for its own process, so band temporaries reuse heap
+pages and do not fault in afresh every pass; library callers keep their
+allocator's defaults.
 Each command that reads a frame opens it with `pfm.open_tagged` and reads
-it from disk band by band: once to range-check it (fit-expand also gathers
-its fit samples then) and once to decode it, one band at a time, with
-`colorimetry.decode`; fit-expand's reference is only read the first time.
+it from disk band by band. `synthesize`, `metrics` and `features` read each
+band once, and range-check it in the pass that decodes it
+(`colorimetry.decode_checked`); if one fails, each input is checked whole,
+in order, so the error names the pixel a check of each input before the
+pass would name. `fit-expand` reads its SDR frame and reference once to
+range-check them and gather its fit samples, and its SDR frame once more
+to expand it with `colorimetry.decode`.
 `synthesize` decodes its input once, over row bands of
 `tensorcore.band_rows` on that many threads, into the one linear frame that
 all operators read. Each operator then runs its chain up to one forward DCT
@@ -170,17 +175,17 @@ def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
     with pfm.open_tagged(args.hdr_input, HDR_FORMAT) as hdr:
-        cm.check_encoded(hdr)
-        os.makedirs(args.output_dir, exist_ok=True)
-        # one decode into the one whole-frame array, shared by every job
+        # one range-checked decode into the one whole-frame array, shared by every job
         h, w, _ = hdr.shape
         nits = np.empty(hdr.shape)
 
         def decode(rows):
-            nits[rows] = cm.decode(hdr, rows).pixels
+            nits[rows] = cm.decode_checked(hdr, rows).pixels
 
-        tc.map_row_bands(decode, h, w, workers)
+        with cm.range_checked(hdr):
+            tc.map_row_bands(decode, h, w, workers)
         linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
+    os.makedirs(args.output_dir, exist_ok=True)
 
     def run(job):
         # each CRF's bands go straight into its own file, the bottom band first
@@ -462,6 +467,7 @@ def build_parser():
 # once a block at its 64-bit ceiling is freed: the trim threshold twice the mmap one
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20
 _TRIM_THRESHOLD_BYTES = 64 << 20
 
@@ -471,16 +477,22 @@ def _set_heap_thresholds():
 
     Under glibc's 128 KiB default mmap threshold every band-sized array is a
     fresh mapping whose pages fault in on first touch, in every pass. Setting
-    either threshold also turns off glibc's dynamic adjustment of both.
+    either threshold also turns off glibc's dynamic adjustment of both. Each
+    of glibc's heaps (arenas) keeps what its threads free, so there is at most
+    one per core the process may run on, plus the main thread's: a pool whose
+    threads start while the last pool's threads are still exiting then shares
+    their heaps instead of filling a new one.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt  # the C library the interpreter links
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library to ask
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError, TypeError):  # no mallopt, no C library, or no affinity
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, cores + 1)
 
 
 def main(argv=None):

@@ -7,6 +7,7 @@ operations can validate their inputs instead of guessing. `decode` is
 the one path from an encoded frame, or a band of one, to linear light.
 """
 
+import contextlib
 import enum
 import functools
 import sys
@@ -193,20 +194,26 @@ def bt709_eotf(signal):
     return y[()]  # a scalar for a scalar input
 
 
+def in_unit_range(band):
+    """True when every sample of `band` lies in [0, 1]; a NaN fails, and an empty band passes."""
+    # min and max carry a NaN through, and a NaN fails both comparisons
+    return band.size == 0 or bool(band.min() >= 0.0 and band.max() <= 1.0)
+
+
 def check_encoded(img, visit=None):
     """Raise DomainError naming the first pixel of an encoded image outside [0, 1].
 
     A non-finite sample fails the check too, and pixels are taken in
     row-major order. `img` is a TaggedImage or an open `pfm.PfmFrame`, read
     one tensorcore row band at a time on the calling thread; the check is
-    memory-bound, and a pool only adds hand-offs. `visit(rows, band)`, when
-    given, is called on every band that passes.
+    memory-bound, and a pool only adds hand-offs. Each band is tested with
+    `in_unit_range`, the test `decode_checked` makes. `visit(rows, band)`,
+    when given, is called on every band that passes.
     """
     h, w, _ = img.shape
     for rows in tc.row_bands(h, w):
         band = img.band(rows)
-        # min and max carry a NaN through, and a NaN fails both comparisons
-        if band.size and not (band.min() >= 0.0 and band.max() <= 1.0):
+        if not in_unit_range(band):
             bad = ~((band >= 0.0) & (band <= 1.0))
             r, c, k = (int(i) for i in np.argwhere(bad)[0])
             raise DomainError(f"encoded sample outside [0,1] at pixel {(rows.start + r, c, k)}")
@@ -221,7 +228,8 @@ def decode(img, rows=slice(None)):
     passed check_encoded, so the band decodes unchecked. PQ gives absolute
     nits in the tag's primaries. Gamma709 gives relative [0, 1] light in
     BT.2020: the BT.709 EOTF, then the gamut conversion from the tag's
-    primaries. A linear frame has nothing to decode.
+    primaries, negatives clamped as `convert_gamut` clamps them. A linear
+    frame has nothing to decode.
     """
     tag = img.tag
     if tag.transfer is Transfer.PQ:
@@ -232,9 +240,40 @@ def decode(img, rows=slice(None)):
     relative = bt709_eotf(img.band(rows))
     relative *= tag.peak_nits
     relative /= tag.peak_nits
-    linear = ColorSpaceTag(tag.primaries, Transfer.LINEAR, 1.0)
-    wide, _ = convert_gamut(TaggedImage(relative, linear), Primaries.BT2020)
-    return wide
+    wide = relative @ _gamut_matrix_t(tag.primaries, Primaries.BT2020)
+    np.maximum(wide, 0.0, out=wide)
+    return TaggedImage(wide, ColorSpaceTag(Primaries.BT2020, Transfer.LINEAR, 1.0))
+
+
+def decode_checked(img, rows=slice(None)):
+    """decode(img, rows) of a band read once, and range-checked by `in_unit_range` first.
+
+    A band with a sample outside [0, 1] raises DomainError naming its rows
+    only: a caller that reads several frames runs check_encoded on each in
+    turn, which names the first bad pixel (`range_checked`).
+    """
+    band = img.band(rows)
+    if not in_unit_range(band):
+        top, stop, _ = rows.indices(img.shape[0])
+        raise DomainError(f"encoded sample outside [0,1] in rows {top}:{stop}")
+    return decode(TaggedImage(band, img.tag))
+
+
+@contextlib.contextmanager
+def range_checked(*frames):
+    """Turn a DomainError out of a pass that reads `frames` by decode_checked into check_encoded's.
+
+    check_encoded runs on each frame in turn and raises the error naming the
+    first bad pixel of the first bad frame, as range-checking each frame
+    whole before the pass would. If every frame passes, the pass's own error
+    propagates.
+    """
+    try:
+        yield
+    except DomainError:
+        for img in frames:
+            check_encoded(img)
+        raise
 
 
 def _rgb_to_xyz_matrix(primaries):
@@ -261,11 +300,23 @@ def gamut_matrix(src, dst):
     return m
 
 
+def _frozen_transpose(m):
+    """m.T as a C-contiguous read-only copy: the right-hand side of a per-pixel product."""
+    t = np.ascontiguousarray(m.T)
+    t.flags.writeable = False
+    return t
+
+
+@functools.cache
+def _gamut_matrix_t(src, dst):
+    return _frozen_transpose(gamut_matrix(src, dst))
+
+
 def convert_gamut(img, dst):
     """Linear image to new primaries with negatives clamped; returns (image, clamp_fraction)."""
     if img.tag.transfer is not Transfer.LINEAR:
         raise TagError("gamut conversion operates on linear images")
-    out = img.pixels @ gamut_matrix(img.tag.primaries, dst).T
+    out = img.pixels @ _gamut_matrix_t(img.tag.primaries, dst)
     clamped = _clamp_fraction(out)
     np.maximum(out, 0.0, out=out)
     return img.with_pixels(out, replace(img.tag, primaries=dst)), clamped
@@ -299,13 +350,17 @@ def scale_channels(pixels, ratio):
     return out
 
 
+_RGB2020_TO_LMS_T = _frozen_transpose(RGB2020_TO_LMS)
+_LMS_PQ_TO_ICTCP_T = _frozen_transpose(LMS_PQ_TO_ICTCP)
+
+
 def rgb_to_ictcp(img):
     """Linear BT.2020 nits -> ICtCp per ITU-R BT.2100 (PQ-encoded LMS)."""
     if img.tag.transfer is not Transfer.LINEAR or img.tag.primaries is not Primaries.BT2020:
         raise TagError("rgb_to_ictcp expects a linear BT.2020 image")
     # pq_encode's own clip takes negative LMS, and -0.0, to +0.0
-    lms_pq = pq_encode(img.pixels @ RGB2020_TO_LMS.T)
-    return lms_pq @ LMS_PQ_TO_ICTCP.T
+    lms_pq = pq_encode(img.pixels @ _RGB2020_TO_LMS_T)
+    return lms_pq @ _LMS_PQ_TO_ICTCP_T
 
 
 def delta_e_itp_map(a, b):

@@ -3,8 +3,9 @@
 The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
 target. `extract_phys` takes an in-memory frame or an open PFM and reads
-it band by band: one pass over tensorcore row bands range-checks every
-sample, and the next ones build the per-pixel maps on a thread pool. The
+it band by band, once: one pass over tensorcore row bands range-checks and
+linearizes each band on a thread pool, and the next builds the
+log-gradient map from the luminance it wrote. The
 global stats and the spectral bands read the whole luminance plane.
 """
 
@@ -32,16 +33,16 @@ class PhysFeatures:
 
 
 def _check_sdr(sdr):
-    """Raise unless `sdr` is a Gamma709/BT709 frame whose samples lie in [0, 1]."""
+    """Raise unless `sdr` is tagged as a Gamma709/BT709 frame."""
     if sdr.tag.transfer is not cm.Transfer.GAMMA709 or sdr.tag.primaries is not cm.Primaries.BT709:
         raise TagError("expected a Gamma709/BT709 SDR frame")
-    cm.check_encoded(sdr)
 
 
 def linearize_sdr(sdr):
-    """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]."""
+    """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]; range-checked."""
     _check_sdr(sdr)
-    return cm.decode(sdr)
+    with cm.range_checked(sdr):
+        return cm.decode_checked(sdr)
 
 
 def gradient_magnitude(y_map):
@@ -82,20 +83,21 @@ def global_mlp(s_g, w1, b1, w2, b2):
 def extract_phys(sdr, workers=1):
     """Assemble physical maps and global stats.
 
-    `sdr` is a TaggedImage or an open `pfm.PfmFrame`, range-checked band by
-    band first. The per-pixel maps then run over tensorcore row bands on
-    `workers` threads: one pass linearizes each band and writes its
-    luminance and saturation, a second writes each band's log-gradient from
-    its rows of luminance and the row above and below it. Borders are
-    replicated only at the frame's edges, so the maps do not depend on
-    `workers` or the band height.
+    `sdr` is a TaggedImage or an open `pfm.PfmFrame`. The per-pixel maps
+    run over tensorcore row bands on `workers` threads: one pass reads each
+    band once, range-checks and linearizes it (`colorimetry.decode_checked`)
+    and writes its luminance and saturation, a second writes each band's
+    log-gradient from its rows of luminance and the row above and below it.
+    A sample outside [0, 1] names the first such pixel, as a range check of
+    the whole frame would. Borders are replicated only at the frame's
+    edges, so the maps do not depend on `workers` or the band height.
     """
-    _check_sdr(sdr)  # every band, so the bands decode unchecked
+    _check_sdr(sdr)
     h, w, _ = sdr.shape
     y, sat, loggrad = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
 
     def linearize(rows):
-        wide = cm.decode(sdr, rows)
+        wide = cm.decode_checked(sdr, rows)
         y[rows] = cm.luma2020(wide)
         sat[rows] = saturation(wide.pixels)
 
@@ -105,7 +107,8 @@ def extract_phys(sdr, workers=1):
         pad = ((int(rows.start == 0), int(rows.stop == h)), (1, 1))
         np.log1p(_gradient(np.pad(halo, pad, mode="edge")), out=loggrad[rows])
 
-    tc.map_row_bands(linearize, h, w, workers)
+    with cm.range_checked(sdr):
+        tc.map_row_bands(linearize, h, w, workers)
     tc.map_row_bands(gradient, h, w, workers)
     return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 

@@ -1,10 +1,10 @@
 """Full-reference HDR quality metrics in PU21 space plus DeltaE_ITP.
 
-There is one scoring path, `metric_report`: it range-checks both images,
-then PQ-decodes them to absolute nits over row bands,
-`tensorcore.band_rows` of the frame's width tall, and applies the PU21
+There is one scoring path, `metric_report`: it PQ-decodes both images to
+absolute nits over row bands, `tensorcore.band_rows` of the frame's width
+tall, range-checking each band as it decodes it, and applies the PU21
 perceptual encoding. Each image is an in-memory TaggedImage or an open
-`pfm.PfmFrame`, read band by band in each pass; the code range is the
+`pfm.PfmFrame`, read band by band in one pass; the code range is the
 PU21 value of 10^4 cd/m^2. Each row keeps only its error sums, and every
 mean reduces them in row order, so no whole-frame error plane is held.
 Callers read a score off the report, `psnr_pu21` or `psnr_y_pu21`.
@@ -69,27 +69,27 @@ def _psnr(mse):
 def metric_report(ref, test, workers=1):
     """Assemble every in-scope metric into a machine-readable report.
 
-    `ref` and `test` are TaggedImages or open `pfm.PfmFrame`s, range-checked
-    band by band first. Decoding and the per-pixel errors then run over row
-    bands on `workers` threads. Each row writes its sums of squared PU21
-    RGB error, squared PU21 luma error and DeltaE_ITP; each mean is the
-    row-order sum of those over the sample count, so the report does not
-    depend on `workers` or the band height.
+    `ref` and `test` are TaggedImages or open `pfm.PfmFrame`s, whose tags
+    and extents are checked first. Decoding and the per-pixel errors then run
+    over row bands on `workers` threads, each band of each frame read once
+    and range-checked as it is decoded (`colorimetry.decode_checked`); a
+    sample outside [0, 1] names the pixel a range check of `ref`, then of
+    `test`, would name. Each row writes its sums of squared PU21 RGB error,
+    squared PU21 luma error and DeltaE_ITP; each mean is the row-order sum
+    of those over the sample count, so the report does not depend on
+    `workers` or the band height.
     """
-    # each frame checked band by band, in the order a whole-frame decode of each would fail
     for img in (ref, test):
         if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
             raise TagError("metrics expect PQ/BT.2020 images")
-        cm.check_encoded(img)
     if ref.shape != test.shape:
         raise DimensionError("metric_report: image extents differ")
     h, w, _ = ref.shape
     sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
 
     def band(rows):
-        # both frames passed check_encoded above, so the bands decode unchecked
-        a = cm.decode(ref, rows)
-        b = cm.decode(test, rows)
+        a = cm.decode_checked(ref, rows)
+        b = cm.decode_checked(test, rows)
         se = cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)
         se *= se
         sums[rows, 0] = se.sum(axis=(1, 2))
@@ -98,7 +98,8 @@ def metric_report(ref, test, workers=1):
         sums[rows, 1] = se.sum(axis=1)
         sums[rows, 2] = cm.delta_e_itp_map(a, b).sum(axis=1)
 
-    tc.map_row_bands(band, h, w, workers)
+    with cm.range_checked(ref, test):
+        tc.map_row_bands(band, h, w, workers)
     # each column reduced alone, pairwise in row order; sums.sum(axis=0) would add row by row
     rgb, luma, de = (np.sum(sums[:, k]) for k in range(3))
     return MetricReport(

@@ -11,9 +11,10 @@ search. Fitting runs Levenberg-Marquardt on hand-derived analytic
 derivatives. The sample pairs are sorted once, so every knot bin is a
 contiguous run of samples: a loss evaluation repeats the table over the
 runs instead of searching for each sample's bin, and forms each
-sample's six partials wrt its bin's end knots; the gradient and the
-Gauss-Newton curvature are run sums of those partials, built only for
-the steps the fit accepts. `fit_json` renders a fit as the `.rqs.json`
+sample's six partials wrt its bin's end knots as six rows of N, so every
+product on them runs along one contiguous row; the gradient and the
+Gauss-Newton curvature are run sums of those rows, built only for the
+steps the fit accepts. `fit_json` renders a fit as the `.rqs.json`
 text that `fit-expand` writes; this module writes no file.
 """
 
@@ -199,7 +200,7 @@ def forward_param_grad(p, y):
     bin also y == 1), so in sorted samples each bin is one contiguous run
     that starts at starts[j]: the bin table's entries this kernel reads are
     repeated over their runs, and the values equal `rqs_forward` bit for
-    bit. Row i of the N x 6 partials holds df_i/d(knots_x[j],
+    bit. The partials are six rows of N: column i holds df_i/d(knots_x[j],
     knots_x[j+1], knots_y[j], knots_y[j+1], slopes[j], slopes[j+1]) for
     sample i's bin j, by the hand-derived chain rule through the
     rational-quadratic bin formula; pinned boundary knots still receive
@@ -223,14 +224,14 @@ def forward_param_grad(p, y):
     omu = 1.0 - 2.0 * u
     d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
     d_delta = r * u * u - m * (1.0 - 2.0 * t1)
-    jac = np.empty((y.size, 6))
+    jac = np.empty((6, y.size))
     # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
-    jac[:, 0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
-    jac[:, 1] = -delta_r * (d_u * u + delta_r * d_delta)
-    jac[:, 3] = num * r + delta_r * d_delta
-    jac[:, 2] = 1.0 - jac[:, 3]
-    jac[:, 4] = dy_r * (r - m) * t1
-    jac[:, 5] = -dy_r * m * t1
+    jac[0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
+    jac[1] = -delta_r * (d_u * u + delta_r * d_delta)
+    jac[3] = num * r + delta_r * d_delta
+    jac[2] = 1.0 - jac[3]
+    jac[4] = dy_r * (r - m) * t1
+    jac[5] = -dy_r * m * t1
     return c_r + dy_r * num / den, jac, starts
 
 
@@ -367,11 +368,13 @@ class FitConfig:
         return dict(self.__dict__)
 
 
-def _run_sums(v, starts):
-    # sums of v's rows over each bin's run of sorted samples; an empty run sums to zero
-    out = np.zeros((starts.size,) + v.shape[1:])
-    nonempty = np.diff(starts, append=v.shape[0]) > 0
-    out[nonempty] = np.add.reduceat(v, starts[nonempty], axis=0)
+def _run_sums(v, starts, nonempty):
+    # each row of v summed over each bin's run of sorted samples, (rows, K); an
+    # empty run sums to zero. nonempty marks the runs that hold a sample, None all
+    if nonempty is None:
+        return np.add.reduceat(v, starts, axis=1)
+    out = np.zeros((v.shape[0], starts.size))
+    out[:, nonempty] = np.add.reduceat(v, starts[nonempty], axis=1)
     return out
 
 
@@ -381,11 +384,12 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     Takes sample pairs sorted by y_in (see `forward_param_grad`).
     Returns (loss, derivs): calling derivs() returns the gradient wrt raw
     and the Gauss-Newton curvature, in which each sample's residual e
-    counts with its IRLS weight 1/sqrt(e^2 + delta^2). Both are run sums of
-    the six per-sample partials, assembled on the 3(K+1) knot coordinates
-    and pulled back by `constrain_backward`. The loss costs one spline
-    pass; the derivatives are built only when derivs is called, so a
-    refused trial never pays for them.
+    counts with its IRLS weight 1/sqrt(e^2 + delta^2). Both are run sums,
+    along each row, of the six rows of per-sample partials, assembled on
+    the 3(K+1) knot coordinates and pulled back by `constrain_backward`.
+    The loss costs one `forward_param_grad` pass, partials included; their
+    run sums are taken only when derivs is called, so a refused trial does
+    not pay for those.
     """
     p = constrain(raw, K)
     pred, jac, starts = forward_param_grad(p, y_in)
@@ -394,16 +398,18 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     loss = float(np.mean(root)) + cfg.lambda_smooth * smooth_penalty(p)
 
     def derivs():
-        jw = jac / (root * e.size)[:, None]
+        jw = jac / (root * e.size)
+        nonempty = np.diff(starts, append=e.size) > 0
+        nonempty = None if nonempty.all() else nonempty
         n = 3 * (K + 1)
-        # the knot coordinates of bin j's six partials, in the order of jac's columns
+        # the knot coordinates of bin j's six partials, in the order of jac's rows
         idx = (np.arange(K)[:, None] + [0, 1, K + 1, K + 2, 2 * K + 2, 2 * K + 3]).ravel()
-        g = np.bincount(idx, weights=_run_sums(jw * e[:, None], starts).ravel(), minlength=n)
+        g = np.bincount(idx, weights=_run_sums(jw * e, starts, nonempty).T.ravel(), minlength=n)
         # bin j's 6 x 6 block, one row of partials at a time: the run sums of one
-        # N x 36 product, element for element and in its row order, from N x 6 temporaries
+        # 36 x N product, element for element, from 6 x N temporaries
         block = np.empty((K, 6, 6))
         for a in range(6):
-            block[:, a] = _run_sums(jw[:, a:a + 1] * jac, starts)
+            block[:, a] = _run_sums(jw[a] * jac, starts, nonempty).T
         h = np.bincount((idx.reshape(K, 6, 1) * n + idx.reshape(K, 1, 6)).ravel(),
                         weights=block.ravel(), minlength=n * n).reshape(n, n)
         # the penalty lambda*|D s|^2, D the slope difference, is quadratic in the slopes

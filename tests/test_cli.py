@@ -671,6 +671,37 @@ class TestRowBands:
                                 "at pixel (197, 5, 1)\n")
         assert files_under(tmp_path) == before
 
+    def test_clean_inputs_are_read_band_by_band_once(self, tmp_path, monkeypatch, capsys):
+        # metrics, features and synthesize range-check each band in the pass that
+        # decodes it; fit-expand reads its SDR frame once to check it and gather its
+        # samples, then again to expand it, and its reference only the first time
+        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))
+        fix_band_rows(monkeypatch, 64)  # bands of 64, 64, 64 and 8 rows
+        monkeypatch.setenv("LUMAFLUX_THREADS", "2")
+        reads = []
+        band = pfm.PfmFrame.band
+
+        def counted(frame, rows):
+            reads.append((os.path.basename(frame.path), rows.indices(frame.shape[0])[:2]))
+            return band(frame, rows)
+
+        monkeypatch.setattr(pfm.PfmFrame, "band", counted)
+        config = tmp_path / "one.json"
+        config.write_text('{"tmos": [{"kind": "Reinhard", "params": {}}], "crfs": [23]}')
+        edges = [(0, 64), (64, 128), (128, 192), (192, 200)]
+        expanded = str(tmp_path / "x.pfm")
+        for argv, want in (
+                (["fit-expand", sdr, src, "--output", expanded], {"sdr.pfm": 2, "hdr.pfm": 1}),
+                (["metrics", src, expanded], {"hdr.pfm": 1, "x.pfm": 1}),
+                (["features", sdr], {"sdr.pfm": 1}),
+                (["synthesize", src, "--config", str(config), "--output-dir",
+                  str(tmp_path / "synth")], {"hdr.pfm": 1})):
+            reads.clear()
+            assert cli.main(argv) == 0
+            assert sorted(reads) == sorted((name, rows) for name, times in want.items()
+                                           for rows in edges for _ in range(times)), argv[0]
+        capsys.readouterr()
+
     @pytest.mark.parametrize("ref_bad,test_bad", [((197, 5, 1), None), (None, (197, 5, 1)),
                                                   ((197, 5, 1), (3, 5, 1))])
     def test_metrics_domain_error_in_last_band(self, tmp_path, ref_bad, test_bad, monkeypatch,
@@ -1086,6 +1117,57 @@ def test_main_keeps_freed_band_memory_on_the_heap():
     run = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env, capture_output=True,
                          text=True, check=True)
     assert int(run.stderr) < 50
+
+
+ARENA_ROUNDS = """
+import ctypes, os, re, sys, threading
+import numpy as np
+from lumaflux import cli
+
+try:
+    cli.main(["--version"])
+except SystemExit:
+    pass
+
+threads = len(os.sched_getaffinity(0)) + 2
+barrier = threading.Barrier(threads)
+
+def work():
+    band = np.ones(1 << 17)  # 1 MiB, below the mmap threshold: from the thread's heap
+    barrier.wait()
+    del band
+
+for _ in range(3):
+    pool = [threading.Thread(target=work) for _ in range(threads)]
+    for t in pool:
+        t.start()
+    for t in pool:
+        t.join(timeout=60)
+        assert not t.is_alive()
+
+libc = ctypes.CDLL(None)
+libc.open_memstream.restype = ctypes.c_void_p
+libc.open_memstream.argtypes = (ctypes.POINTER(ctypes.c_char_p), ctypes.POINTER(ctypes.c_size_t))
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+text, size = ctypes.c_char_p(), ctypes.c_size_t()
+stream = libc.open_memstream(ctypes.byref(text), ctypes.byref(size))
+libc.malloc_info(0, stream)
+libc.fclose(stream)
+print(len(re.findall(rb"<heap nr=", text.value)), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the arenas are glibc's")
+def test_main_caps_the_heaps_at_one_per_core_and_the_main_threads():
+    # more threads alive at once than cores, in three pools one after another:
+    # glibc's default would give each thread a heap of its own
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(os.path.dirname(cli.__file__)),
+                                         env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", ARENA_ROUNDS], env=env, capture_output=True,
+                         text=True, check=True)
+    assert int(run.stderr) <= len(os.sched_getaffinity(0)) + 1
 
 
 class TestAdapterDemo:

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,84 @@ class TestGamut:
         img = tagged([[[0.1, 0.2, 0.3]]], transfer=cm.Transfer.PQ)
         with pytest.raises(TagError):
             cm.convert_gamut(img, cm.Primaries.BT709)
+
+
+# height -> sha256 of Gamma709 decode, convert_gamut to BT.709 and delta_e_itp_map on
+# seeded (height, 1, 3) frames. A matrix product on a frame one pixel wide may round
+# otherwise than on a wider one: these pin the C-contiguous transposed matrices' bits there
+WIDTH_ONE_SHA256 = {
+    1: ("b585c1cdb03770aa13e241700accfe192d159ef8b02d9c5f8bfd05ff72904bd2",
+        "365e19a18ffad85666b245e93aa6d093e724e70d0a10623925ff4f59273250f6",
+        "842928352313e4848e9e5c15bd1aef70901b196f17818e9867fbd28c42cc07a7"),
+    7: ("5ae414802678f8c57176706402b1e5ec91ac92dff63c00524d8571f2326e881a",
+        "8634a0f35605c3d601eb946877dc4a91602ab79ff6404a3e12b70609b5c59bb9",
+        "dceb9d0f22bf94a9b08c9832a452fec47e6e6e1639398a727657a6ba76516c00"),
+    64: ("e73420fc512cf9d1f4eb627e0bb6bbcea40fa203ee03ce7afef73eedd7b4f4e4",
+         "7d09df75c52cd50524149518e51591a6e886273b1796b809166104c5f42820bf",
+         "f0b814fd42d27951a9d753217f943230c5fe9b028513d8fc8394603b9196e984"),
+}
+
+
+class TestColourProducts:
+    @pytest.mark.parametrize("seed,height", [(0, 1), (1, 7), (2, 64)])
+    def test_width_one_pins(self, seed, height):
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(0.0, 1.0, (2, height, 1, 3))
+        dec = cm.decode(tagged(a, cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)).pixels
+        gamut, _ = cm.convert_gamut(tagged(a, peak=1.0), cm.Primaries.BT709)
+        de = cm.delta_e_itp_map(tagged(a * 1000.0), tagged(b * 1000.0))
+        got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (dec, gamut.pixels, de))
+        assert got == WIDTH_ONE_SHA256[height]
+
+    def test_products_equal_the_transposed_view_beyond_one_pixel_wide(self):
+        rng = np.random.default_rng(9)
+        px = rng.uniform(0.0, 1.0, (5, 3, 3))
+        m = cm.gamut_matrix(cm.Primaries.BT2020, cm.Primaries.BT709)
+        out, _ = cm.convert_gamut(tagged(px, peak=1.0), cm.Primaries.BT709)
+        assert out.pixels.tobytes() == np.maximum(px @ m.T, 0.0).tobytes()
+        lms_pq = cm.pq_encode(px @ cm.RGB2020_TO_LMS.T)
+        assert cm.rgb_to_ictcp(tagged(px)).tobytes() == (lms_pq @ cm.LMS_PQ_TO_ICTCP.T).tobytes()
+
+    def test_transposes_are_cached_contiguous_and_read_only(self):
+        for src in cm.Primaries:
+            for dst in cm.Primaries:
+                t = cm._gamut_matrix_t(src, dst)
+                assert t is cm._gamut_matrix_t(src, dst)
+                assert t.flags.c_contiguous and not t.flags.writeable
+                assert np.array_equal(t, cm.gamut_matrix(src, dst).T)
+
+
+class TestDecodeChecked:
+    @pytest.mark.parametrize("tag", [PQ_TAG, SDR_TAG], ids=["pq", "gamma709"])
+    def test_bits_of_decode(self, tag):
+        img = cm.TaggedImage(TestFloat32Storage.frame(), tag)
+        for rows in (slice(None), slice(8, 24)):
+            got = cm.decode_checked(img, rows)
+            want = cm.decode(img, rows)
+            assert got.tag == want.tag and got.pixels.tobytes() == want.pixels.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, -0.25, 1.25, np.inf])
+    def test_out_of_range_band_raises(self, value):
+        px = TestFloat32Storage.frame()
+        px[20, 3, 2] = value
+        img = cm.TaggedImage(px, PQ_TAG)
+        assert cm.decode_checked(img, slice(0, 16)).pixels.shape == (16, 53, 3)
+        with pytest.raises(DomainError, match="rows 16:32"):
+            cm.decode_checked(img, slice(16, 32))
+        assert not cm.in_unit_range(px[16:32]) and cm.in_unit_range(px[:16])
+
+    def test_range_checked_names_the_first_bad_pixel_of_the_first_bad_frame(self):
+        first, second = TestFloat32Storage.frame(), TestFloat32Storage.frame()
+        first[30, 1, 0] = np.nan
+        second[2, 4, 1] = 1.5
+        frames = [cm.TaggedImage(px, PQ_TAG) for px in (first, second)]
+        with pytest.raises(DomainError, match=r"pixel \(30, 1, 0\)"):
+            with cm.range_checked(*frames):
+                cm.decode_checked(frames[1], slice(0, 8))
+        # an error whose frames all pass the check propagates as it was raised
+        with pytest.raises(DomainError, match="mine"):
+            with cm.range_checked(frames[0].with_pixels(second * 0.5)):
+                raise DomainError("mine")
 
 
 class TestTransferDispatch:

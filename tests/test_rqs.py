@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import numpy as np
@@ -294,7 +295,7 @@ def per_sample_partials(p, y, magnitude=False):
     return np.stack([A(d_u * (u - 1.0) / w) + A(d_delta * delta / w),
                      A(-d_u * u / w) + A(-d_delta * delta / w),
                      1.0 + A(-d_dy), d_dy,
-                     A(f_num + f_den) * t1, f_den * t1], axis=1)
+                     A(f_num + f_den) * t1, f_den * t1])
 
 
 class TestSortedKernel:
@@ -386,6 +387,44 @@ class TestFitGradients:
                                                         np.linspace(0.1, 0.9, 17))))
         jac = tc.finite_diff_grad(probe, theta, 1e-6)
         assert np.all(np.isfinite(jac))
+
+
+def pinned_fit_set(seed, K):
+    """Seeded unsorted (input, target) pairs; the K = 12 set leaves bins empty."""
+    rng = np.random.default_rng(seed)
+    n = {2: 700, 8: 3000, 12: 2000}[K]
+    if K == 12:
+        # no input in (0.2, 0.8): every loss evaluation of the fit has bins with no sample
+        y = np.concatenate((rng.uniform(0.0, 0.2, n // 2), rng.uniform(0.8, 1.0, n - n // 2)))
+    elif K == 8:
+        y = np.round(rng.uniform(0.0, 1.0, n) * 255.0) / 255.0  # 8-bit codes: many ties
+    else:
+        y = rng.uniform(0.0, 1.0, n)
+    t = np.clip(y ** 2.2 * 1.1 / (y ** 2.2 + 0.1) + rng.normal(0.0, 0.01, n), 0.0, 1.0)
+    return y, t
+
+
+# K -> (seed, trace length, float.hex of the final loss, sha256 of the float.hex
+# lines of the raw vector, then the trace); recorded when the partials were N x 6
+# rows, so they also pin that the partials' layout moves no bit of a fit
+FIT_PINS = {
+    2: (1, 51, "0x1.5666548560045p-7",
+        "732d785c63a95835a6e8b2e6f4e97161677c9f90d0ffe157650ed12243e3a4e3"),
+    8: (2, 51, "0x1.1555b03348454p-7",
+        "4fa6850989cd8dbe5bf0cbd41a72ef557d3e31fdf4984b4408d74d45e2686a28"),
+    12: (3, 51, "0x1.fdffc7da1d63cp-8",
+         "b7a25dfc731023361a7dc47a3262116cdb3b87c5ae469a1f62d152381becdf85"),
+}
+
+
+class TestFitPins:
+    @pytest.mark.parametrize("K", sorted(FIT_PINS))
+    def test_raw_vector_and_trace_bits(self, K):
+        seed, length, final, digest = FIT_PINS[K]
+        _, raw, trace = rqs.fit_rqs(*pinned_fit_set(seed, K), K=K)
+        text = "\n".join(float(v).hex() for v in (*raw, *trace))
+        assert (trace.size, float(trace[-1]).hex()) == (length, final)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFit:

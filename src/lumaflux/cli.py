@@ -21,11 +21,11 @@ allocator's defaults.
 Each command that reads a frame opens it with `pfm.open_tagged` and reads
 it from disk band by band. `synthesize`, `metrics` and `features` read each
 band once, and range-check it in the pass that decodes it
-(`colorimetry.decode_checked`); if one fails, each input is checked whole,
+(`colorimetry.decode`); if one fails, each input is checked whole,
 in order, so the error names the pixel a check of each input before the
 pass would name. `fit-expand` reads its SDR frame and reference once to
 range-check them and gather its fit samples, and its SDR frame once more
-to expand it with `colorimetry.decode`.
+to expand it.
 `synthesize` decodes its input once, over row bands of
 `tensorcore.band_rows` on that many threads, into the one linear frame that
 all operators read. Each operator then runs its chain up to one forward DCT
@@ -180,7 +180,7 @@ def cmd_synthesize(args):
         nits = np.empty(hdr.shape)
 
         def decode(rows):
-            nits[rows] = cm.decode_checked(hdr, rows).pixels
+            nits[rows] = cm.decode(hdr, rows).pixels
 
         with cm.range_checked(hdr):
             tc.map_row_bands(decode, h, w, workers)
@@ -305,7 +305,6 @@ def fit_expand(sdr, ref, cfg):
     wr, wg, wb = cm.LUMA_WEIGHTS_2020
 
     def band(rows):
-        # both frames passed check_encoded in fit_pairs, so the band decodes unchecked
         y, lhs = _yuv(expand_sdr(cm.decode(sdr, rows), params, peak))
         uv = (lhs @ coef).reshape(y.shape + (2,))
         r = y + uv[..., 1]

@@ -207,7 +207,7 @@ def check_encoded(img, visit=None):
     row-major order. `img` is a TaggedImage or an open `pfm.PfmFrame`, read
     one tensorcore row band at a time on the calling thread; the check is
     memory-bound, and a pool only adds hand-offs. Each band is tested with
-    `in_unit_range`, the test `decode_checked` makes. `visit(rows, band)`,
+    `in_unit_range`, the test `decode` makes. `visit(rows, band)`,
     when given, is called on every band that passes.
     """
     h, w, _ = img.shape
@@ -224,20 +224,26 @@ def check_encoded(img, visit=None):
 def decode(img, rows=slice(None)):
     """Rows `rows` (a slice) of an encoded frame as tagged linear light.
 
-    `img` is a TaggedImage or an open `pfm.PfmFrame` whose samples have
-    passed check_encoded, so the band decodes unchecked. PQ gives absolute
-    nits in the tag's primaries. Gamma709 gives relative [0, 1] light in
-    BT.2020: the BT.709 EOTF, then the gamut conversion from the tag's
-    primaries, negatives clamped as `convert_gamut` clamps them. A linear
-    frame has nothing to decode.
+    `img` is a TaggedImage or an open `pfm.PfmFrame`. The band is read once
+    and tested by `in_unit_range` before it decodes; a band with a sample
+    outside [0, 1] raises DomainError naming its rows only. A pass run
+    inside `range_checked` names the first bad pixel instead. PQ gives
+    absolute nits in the tag's primaries. Gamma709 gives relative [0, 1]
+    light in BT.2020: the BT.709 EOTF, then the gamut conversion from the
+    tag's primaries, negatives clamped as `convert_gamut` clamps them. A
+    linear frame has nothing to decode.
     """
     tag = img.tag
-    if tag.transfer is Transfer.PQ:
-        return TaggedImage(_pq_eotf(img.band(rows)), replace(tag, transfer=Transfer.LINEAR))
-    if tag.transfer is not Transfer.GAMMA709:
+    if tag.transfer is Transfer.LINEAR:
         raise TagError("image is already linear")
+    band = img.band(rows)
+    if not in_unit_range(band):
+        top, stop, _ = rows.indices(img.shape[0])
+        raise DomainError(f"encoded sample outside [0,1] in rows {top}:{stop}")
+    if tag.transfer is Transfer.PQ:
+        return TaggedImage(_pq_eotf(band), replace(tag, transfer=Transfer.LINEAR))
     # scaled to the tagged peak and back: the pinned digests were recorded with this round trip
-    relative = bt709_eotf(img.band(rows))
+    relative = bt709_eotf(band)
     relative *= tag.peak_nits
     relative /= tag.peak_nits
     wide = relative @ _gamut_matrix_t(tag.primaries, Primaries.BT2020)
@@ -245,23 +251,9 @@ def decode(img, rows=slice(None)):
     return TaggedImage(wide, ColorSpaceTag(Primaries.BT2020, Transfer.LINEAR, 1.0))
 
 
-def decode_checked(img, rows=slice(None)):
-    """decode(img, rows) of a band read once, and range-checked by `in_unit_range` first.
-
-    A band with a sample outside [0, 1] raises DomainError naming its rows
-    only: a caller that reads several frames runs check_encoded on each in
-    turn, which names the first bad pixel (`range_checked`).
-    """
-    band = img.band(rows)
-    if not in_unit_range(band):
-        top, stop, _ = rows.indices(img.shape[0])
-        raise DomainError(f"encoded sample outside [0,1] in rows {top}:{stop}")
-    return decode(TaggedImage(band, img.tag))
-
-
 @contextlib.contextmanager
 def range_checked(*frames):
-    """Turn a DomainError out of a pass that reads `frames` by decode_checked into check_encoded's.
+    """Turn a DomainError out of a pass that decodes `frames` into check_encoded's.
 
     check_encoded runs on each frame in turn and raises the error naming the
     first bad pixel of the first bad frame, as range-checking each frame

@@ -42,7 +42,7 @@ def linearize_sdr(sdr):
     """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]; range-checked."""
     _check_sdr(sdr)
     with cm.range_checked(sdr):
-        return cm.decode_checked(sdr)
+        return cm.decode(sdr)
 
 
 def gradient_magnitude(y_map):
@@ -85,7 +85,7 @@ def extract_phys(sdr, workers=1):
 
     `sdr` is a TaggedImage or an open `pfm.PfmFrame`. The per-pixel maps
     run over tensorcore row bands on `workers` threads: one pass reads each
-    band once, range-checks and linearizes it (`colorimetry.decode_checked`)
+    band once, range-checks and linearizes it (`colorimetry.decode`)
     and writes its luminance and saturation, a second writes each band's
     log-gradient from its rows of luminance and the row above and below it.
     A sample outside [0, 1] names the first such pixel, as a range check of
@@ -97,7 +97,7 @@ def extract_phys(sdr, workers=1):
     y, sat, loggrad = np.empty((h, w)), np.empty((h, w)), np.empty((h, w))
 
     def linearize(rows):
-        wide = cm.decode_checked(sdr, rows)
+        wide = cm.decode(sdr, rows)
         y[rows] = cm.luma2020(wide)
         sat[rows] = saturation(wide.pixels)
 

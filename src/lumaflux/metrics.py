@@ -72,7 +72,7 @@ def metric_report(ref, test, workers=1):
     `ref` and `test` are TaggedImages or open `pfm.PfmFrame`s, whose tags
     and extents are checked first. Decoding and the per-pixel errors then run
     over row bands on `workers` threads, each band of each frame read once
-    and range-checked as it is decoded (`colorimetry.decode_checked`); a
+    and range-checked as it is decoded (`colorimetry.decode`); a
     sample outside [0, 1] names the pixel a range check of `ref`, then of
     `test`, would name. Each row writes its sums of squared PU21 RGB error,
     squared PU21 luma error and DeltaE_ITP; each mean is the row-order sum
@@ -88,8 +88,8 @@ def metric_report(ref, test, workers=1):
     sums = np.empty((h, 3))  # per row: squared RGB error, squared luma error, DeltaE_ITP
 
     def band(rows):
-        a = cm.decode_checked(ref, rows)
-        b = cm.decode_checked(test, rows)
+        a = cm.decode(ref, rows)
+        b = cm.decode(test, rows)
         se = cm.pu21_encode(a.pixels) - cm.pu21_encode(b.pixels)
         se *= se
         sums[rows, 0] = se.sum(axis=(1, 2))

@@ -370,9 +370,7 @@ class FitConfig:
 
 def _run_sums(v, starts, nonempty):
     # each row of v summed over each bin's run of sorted samples, (rows, K); an
-    # empty run sums to zero. nonempty marks the runs that hold a sample, None all
-    if nonempty is None:
-        return np.add.reduceat(v, starts, axis=1)
+    # empty run sums to zero. nonempty marks the runs that hold a sample
     out = np.zeros((v.shape[0], starts.size))
     out[:, nonempty] = np.add.reduceat(v, starts[nonempty], axis=1)
     return out
@@ -400,7 +398,6 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     def derivs():
         jw = jac / (root * e.size)
         nonempty = np.diff(starts, append=e.size) > 0
-        nonempty = None if nonempty.all() else nonempty
         n = 3 * (K + 1)
         # the knot coordinates of bin j's six partials, in the order of jac's rows
         idx = (np.arange(K)[:, None] + [0, 1, K + 1, K + 2, 2 * K + 2, 2 * K + 3]).ravel()

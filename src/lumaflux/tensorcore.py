@@ -90,8 +90,9 @@ def map_row_bands(kernel, height, width, workers=1):
     arrays gives the same bytes at any `workers`, because the band edges
     depend on the frame's extent alone. With workers > 1 the bands run on
     a thread pool; an exception propagates from the first failing band in
-    row order. Call it from the main thread of a command, never from a
-    pool worker.
+    row order, and the pool's map cancels the bands not yet started when
+    it does. Call it from the main thread of a command, never from a pool
+    worker.
     """
     if workers < 1:
         raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")

@@ -370,8 +370,9 @@ def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
-    cm.check_encoded(img_pq)
+    with cm.range_checked(img_pq):
+        linear = cm.decode(img_pq)
     frame = np.empty(img_pq.shape)
-    for rows, (band,) in degrade_variants(cm.decode(img_pq), spec.tmo, (spec.crf,)):
+    for rows, (band,) in degrade_variants(linear, spec.tmo, (spec.crf,)):
         frame[rows] = band
     return cm.TaggedImage(frame, SDR_TAG)

@@ -227,23 +227,34 @@ class TestColourProducts:
                 assert np.array_equal(t, cm.gamut_matrix(src, dst).T)
 
 
-class TestDecodeChecked:
+class TestDecodeRangeCheck:
     @pytest.mark.parametrize("tag", [PQ_TAG, SDR_TAG], ids=["pq", "gamma709"])
-    def test_bits_of_decode(self, tag):
+    def test_band_is_read_once(self, tag):
         img = cm.TaggedImage(TestFloat32Storage.frame(), tag)
-        for rows in (slice(None), slice(8, 24)):
-            got = cm.decode_checked(img, rows)
-            want = cm.decode(img, rows)
-            assert got.tag == want.tag and got.pixels.tobytes() == want.pixels.tobytes()
+        reads = []
+
+        class Counted:
+            shape = img.shape
+
+            def __init__(self):
+                self.tag = img.tag
+
+            def band(self, rows):
+                reads.append(rows)
+                return img.band(rows)
+
+        got = cm.decode(Counted(), slice(8, 24))
+        assert reads == [slice(8, 24)]
+        assert got.pixels.tobytes() == cm.decode(img, slice(8, 24)).pixels.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, -0.25, 1.25, np.inf])
     def test_out_of_range_band_raises(self, value):
         px = TestFloat32Storage.frame()
         px[20, 3, 2] = value
         img = cm.TaggedImage(px, PQ_TAG)
-        assert cm.decode_checked(img, slice(0, 16)).pixels.shape == (16, 53, 3)
+        assert cm.decode(img, slice(0, 16)).pixels.shape == (16, 53, 3)
         with pytest.raises(DomainError, match="rows 16:32"):
-            cm.decode_checked(img, slice(16, 32))
+            cm.decode(img, slice(16, 32))
         assert not cm.in_unit_range(px[16:32]) and cm.in_unit_range(px[:16])
 
     def test_range_checked_names_the_first_bad_pixel_of_the_first_bad_frame(self):
@@ -253,7 +264,7 @@ class TestDecodeChecked:
         frames = [cm.TaggedImage(px, PQ_TAG) for px in (first, second)]
         with pytest.raises(DomainError, match=r"pixel \(30, 1, 0\)"):
             with cm.range_checked(*frames):
-                cm.decode_checked(frames[1], slice(0, 8))
+                cm.decode(frames[1], slice(0, 8))
         # an error whose frames all pass the check propagates as it was raised
         with pytest.raises(DomainError, match="mine"):
             with cm.range_checked(frames[0].with_pixels(second * 0.5)):

@@ -130,6 +130,21 @@ class TestMapRowBands:
             with pytest.raises(DomainError, match="band at row 64$"):
                 tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, workers)
 
+    def test_failing_band_skips_the_bands_not_yet_started(self):
+        # the pool's map cancels its pending bands once the failure propagates
+        bands = tc.row_bands(1080, 1920)
+        ran = []
+
+        def kernel(rows):
+            ran.append(rows.start)
+            if rows.start == 0:
+                raise DomainError("first band")
+            threading.Event().wait(0.05)
+
+        with pytest.raises(DomainError, match="first band"):
+            tc.map_row_bands(kernel, 1080, 1920, 2)
+        assert len(ran) < len(bands) // 2
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_is_config_error(self, workers):
         with pytest.raises(ConfigError):

@@ -194,17 +194,18 @@ def _require_sorted(y):
 
 
 def forward_param_grad(p, y):
-    """Spline values at sorted samples y, their partials wrt the knots, and the bin runs.
+    """(pred, partials, starts): spline values at sorted samples y, their partials, the bin runs.
 
     Bin j holds the samples with knots_x[j] <= y < knots_x[j+1] (the last
     bin also y == 1), so in sorted samples each bin is one contiguous run
     that starts at starts[j]: the bin table's entries this kernel reads are
     repeated over their runs, and the values equal `rqs_forward` bit for
-    bit. The partials are six rows of N: column i holds df_i/d(knots_x[j],
-    knots_x[j+1], knots_y[j], knots_y[j+1], slopes[j], slopes[j+1]) for
-    sample i's bin j, by the hand-derived chain rule through the
-    rational-quadratic bin formula; pinned boundary knots still receive
-    entries, the caller decides which coordinates are free.
+    bit. partials() builds, from the terms the values left, six rows of N:
+    column i holds df_i/d(knots_x[j], knots_x[j+1], knots_y[j],
+    knots_y[j+1], slopes[j], slopes[j+1]) for sample i's bin j, by the
+    hand-derived chain rule through the rational-quadratic bin formula;
+    pinned boundary knots still receive entries, the caller decides which
+    coordinates are free.
     """
     y = _clamp_input(y)
     _require_sorted(y)
@@ -217,22 +218,26 @@ def forward_param_grad(p, y):
     t1 = u * (1.0 - u)
     den = delta_r + q_r * t1
     num = delta_r * u * u + s0_r * t1
-    # f = c + dy*num/den; with the bin's dy factored out, d(num/den) is
-    # r*dnum - m*dden for r = 1/den and m = num/den^2
-    r = 1.0 / den
-    m = num * r * r
-    omu = 1.0 - 2.0 * u
-    d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
-    d_delta = r * u * u - m * (1.0 - 2.0 * t1)
-    jac = np.empty((6, y.size))
-    # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
-    jac[0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
-    jac[1] = -delta_r * (d_u * u + delta_r * d_delta)
-    jac[3] = num * r + delta_r * d_delta
-    jac[2] = 1.0 - jac[3]
-    jac[4] = dy_r * (r - m) * t1
-    jac[5] = -dy_r * m * t1
-    return c_r + dy_r * num / den, jac, starts
+
+    def partials():
+        # f = c + dy*num/den; with the bin's dy factored out, d(num/den) is
+        # r*dnum - m*dden for r = 1/den and m = num/den^2
+        r = 1.0 / den
+        m = num * r * r
+        omu = 1.0 - 2.0 * u
+        d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
+        d_delta = r * u * u - m * (1.0 - 2.0 * t1)
+        jac = np.empty((6, y.size))
+        # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
+        jac[0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
+        jac[1] = -delta_r * (d_u * u + delta_r * d_delta)
+        jac[3] = num * r + delta_r * d_delta
+        jac[2] = 1.0 - jac[3]
+        jac[4] = dy_r * (r - m) * t1
+        jac[5] = -dy_r * m * t1
+        return jac
+
+    return c_r + dy_r * num / den, partials, starts
 
 
 def constrain_backward(raw, K, gx, gy, gs):
@@ -385,17 +390,18 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     counts with its IRLS weight 1/sqrt(e^2 + delta^2). Both are run sums,
     along each row, of the six rows of per-sample partials, assembled on
     the 3(K+1) knot coordinates and pulled back by `constrain_backward`.
-    The loss costs one `forward_param_grad` pass, partials included; their
-    run sums are taken only when derivs is called, so a refused trial does
-    not pay for those.
+    The loss costs the values of one `forward_param_grad` pass; the
+    partials and their run sums are built only when derivs is called, so a
+    refused trial pays for the values alone.
     """
     p = constrain(raw, K)
-    pred, jac, starts = forward_param_grad(p, y_in)
+    pred, partials, starts = forward_param_grad(p, y_in)
     e = pred - target
     root = np.sqrt(e * e + L1_DELTA**2)
     loss = float(np.mean(root)) + cfg.lambda_smooth * smooth_penalty(p)
 
     def derivs():
+        jac = partials()
         jw = jac / (root * e.size)
         nonempty = np.diff(starts, append=e.size) > 0
         n = 3 * (K + 1)

@@ -20,12 +20,10 @@ pages and do not fault in afresh every pass; library callers keep their
 allocator's defaults.
 Each command that reads a frame opens it with `pfm.open_tagged` and reads
 it from disk band by band. `synthesize`, `metrics` and `features` read each
-band once, and range-check it in the pass that decodes it
-(`colorimetry.decode`); if one fails, each input is checked whole,
-in order, so the error names the pixel a check of each input before the
-pass would name. `fit-expand` reads its SDR frame and reference once to
-range-check them and gather its fit samples, and its SDR frame once more
-to expand it.
+band once, range-checked as `colorimetry.decode` decodes it, and name an
+input's first bad pixel, the reference's first in `metrics`. `fit-expand`
+reads its SDR frame and reference once to range-check them and gather its
+fit samples, and its SDR frame once more to expand it.
 `synthesize` decodes its input once, over row bands of
 `tensorcore.band_rows` on that many threads, into the one linear frame that
 all operators read. Each operator then runs its chain up to one forward DCT
@@ -182,8 +180,7 @@ def cmd_synthesize(args):
         def decode(rows):
             nits[rows] = cm.decode(hdr, rows).pixels
 
-        with cm.range_checked(hdr):
-            tc.map_row_bands(decode, h, w, workers)
+        tc.map_row_bands(decode, h, w, workers)
         linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
     os.makedirs(args.output_dir, exist_ok=True)
 

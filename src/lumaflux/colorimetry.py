@@ -7,7 +7,6 @@ operations can validate their inputs instead of guessing. `decode` is
 the one path from an encoded frame, or a band of one, to linear light.
 """
 
-import contextlib
 import enum
 import functools
 import sys
@@ -194,29 +193,27 @@ def bt709_eotf(signal):
     return y[()]  # a scalar for a scalar input
 
 
-def in_unit_range(band):
-    """True when every sample of `band` lies in [0, 1]; a NaN fails, and an empty band passes."""
+def _check_band(band, top):
+    """Raise DomainError naming `band`'s first pixel outside [0, 1] or NaN; `top` is its top row."""
     # min and max carry a NaN through, and a NaN fails both comparisons
-    return band.size == 0 or bool(band.min() >= 0.0 and band.max() <= 1.0)
+    if band.size and not (band.min() >= 0.0 and band.max() <= 1.0):
+        r, c, k = (int(i) for i in np.argwhere(~((band >= 0.0) & (band <= 1.0)))[0])
+        raise DomainError(f"encoded sample outside [0,1] at pixel {(top + r, c, k)}")
 
 
 def check_encoded(img, visit=None):
     """Raise DomainError naming the first pixel of an encoded image outside [0, 1].
 
-    A non-finite sample fails the check too, and pixels are taken in
-    row-major order. `img` is a TaggedImage or an open `pfm.PfmFrame`, read
-    one tensorcore row band at a time on the calling thread; the check is
-    memory-bound, and a pool only adds hand-offs. Each band is tested with
-    `in_unit_range`, the test `decode` makes. `visit(rows, band)`,
-    when given, is called on every band that passes.
+    A non-finite sample fails too. `img` is a TaggedImage or an open
+    `pfm.PfmFrame`, read one tensorcore row band at a time on the calling
+    thread (the check is memory-bound, and a pool only adds hand-offs),
+    each band checked as `decode` checks it. `visit(rows, band)`, when
+    given, is called on every band that passes.
     """
     h, w, _ = img.shape
     for rows in tc.row_bands(h, w):
         band = img.band(rows)
-        if not in_unit_range(band):
-            bad = ~((band >= 0.0) & (band <= 1.0))
-            r, c, k = (int(i) for i in np.argwhere(bad)[0])
-            raise DomainError(f"encoded sample outside [0,1] at pixel {(rows.start + r, c, k)}")
+        _check_band(band, rows.start)
         if visit is not None:
             visit(rows, band)
 
@@ -225,47 +222,24 @@ def decode(img, rows=slice(None)):
     """Rows `rows` (a slice) of an encoded frame as tagged linear light.
 
     `img` is a TaggedImage or an open `pfm.PfmFrame`. The band is read once
-    and tested by `in_unit_range` before it decodes; a band with a sample
-    outside [0, 1] raises DomainError naming its rows only. A pass run
-    inside `range_checked` names the first bad pixel instead. PQ gives
-    absolute nits in the tag's primaries. Gamma709 gives relative [0, 1]
-    light in BT.2020: the BT.709 EOTF, then the gamut conversion from the
-    tag's primaries, negatives clamped as `convert_gamut` clamps them. A
-    linear frame has nothing to decode.
+    and range-checked before it decodes: a sample outside [0, 1], or not
+    finite, raises DomainError naming the band's first such pixel in frame
+    coordinates, as `check_encoded` names it. PQ gives absolute nits in the
+    tag's primaries. Gamma709 gives relative [0, 1] light in BT.2020: the
+    BT.709 EOTF, then the gamut conversion from the tag's primaries,
+    negatives clamped as `convert_gamut` clamps them. A linear frame has
+    nothing to decode.
     """
     tag = img.tag
     if tag.transfer is Transfer.LINEAR:
         raise TagError("image is already linear")
     band = img.band(rows)
-    if not in_unit_range(band):
-        top, stop, _ = rows.indices(img.shape[0])
-        raise DomainError(f"encoded sample outside [0,1] in rows {top}:{stop}")
+    _check_band(band, rows.indices(img.shape[0])[0])
     if tag.transfer is Transfer.PQ:
         return TaggedImage(_pq_eotf(band), replace(tag, transfer=Transfer.LINEAR))
-    # scaled to the tagged peak and back: the pinned digests were recorded with this round trip
-    relative = bt709_eotf(band)
-    relative *= tag.peak_nits
-    relative /= tag.peak_nits
-    wide = relative @ _gamut_matrix_t(tag.primaries, Primaries.BT2020)
+    wide = bt709_eotf(band) @ _gamut_matrix_t(tag.primaries, Primaries.BT2020)
     np.maximum(wide, 0.0, out=wide)
     return TaggedImage(wide, ColorSpaceTag(Primaries.BT2020, Transfer.LINEAR, 1.0))
-
-
-@contextlib.contextmanager
-def range_checked(*frames):
-    """Turn a DomainError out of a pass that decodes `frames` into check_encoded's.
-
-    check_encoded runs on each frame in turn and raises the error naming the
-    first bad pixel of the first bad frame, as range-checking each frame
-    whole before the pass would. If every frame passes, the pass's own error
-    propagates.
-    """
-    try:
-        yield
-    except DomainError:
-        for img in frames:
-            check_encoded(img)
-        raise
 
 
 def _rgb_to_xyz_matrix(primaries):

@@ -41,8 +41,7 @@ def _check_sdr(sdr):
 def linearize_sdr(sdr):
     """Decode an encoded BT.709 SDR frame to linear BT.2020, relative [0, 1]; range-checked."""
     _check_sdr(sdr)
-    with cm.range_checked(sdr):
-        return cm.decode(sdr)
+    return cm.decode(sdr)
 
 
 def gradient_magnitude(y_map):
@@ -107,8 +106,7 @@ def extract_phys(sdr, workers=1):
         pad = ((int(rows.start == 0), int(rows.stop == h)), (1, 1))
         np.log1p(_gradient(np.pad(halo, pad, mode="edge")), out=loggrad[rows])
 
-    with cm.range_checked(sdr):
-        tc.map_row_bands(linearize, h, w, workers)
+    tc.map_row_bands(linearize, h, w, workers)
     tc.map_row_bands(gradient, h, w, workers)
     return PhysFeatures(y_map=y, loggrad_map=loggrad, sat_map=sat, s_g=global_stats(y))
 

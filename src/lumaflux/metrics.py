@@ -17,7 +17,7 @@ import numpy as np
 
 from . import colorimetry as cm
 from . import tensorcore as tc
-from .errors import DimensionError, EvaluationError, TagError
+from .errors import DimensionError, DomainError, EvaluationError, TagError
 
 PSNR_CAP_DB = 99.0
 REPORT_SCHEMA_VERSION = 2
@@ -72,12 +72,11 @@ def metric_report(ref, test, workers=1):
     `ref` and `test` are TaggedImages or open `pfm.PfmFrame`s, whose tags
     and extents are checked first. Decoding and the per-pixel errors then run
     over row bands on `workers` threads, each band of each frame read once
-    and range-checked as it is decoded (`colorimetry.decode`); a
-    sample outside [0, 1] names the pixel a range check of `ref`, then of
-    `test`, would name. Each row writes its sums of squared PU21 RGB error,
-    squared PU21 luma error and DeltaE_ITP; each mean is the row-order sum
-    of those over the sample count, so the report does not depend on
-    `workers` or the band height.
+    and range-checked as it is decoded (`colorimetry.decode`); a bad sample
+    names `ref`'s first bad pixel, or if it has none `test`'s. Each row
+    writes its sums of squared PU21 RGB error, squared PU21 luma error and
+    DeltaE_ITP; each mean is the row-order sum of those over the sample
+    count, so the report does not depend on `workers` or the band height.
     """
     for img in (ref, test):
         if img.tag.transfer is not cm.Transfer.PQ or img.tag.primaries is not cm.Primaries.BT2020:
@@ -98,8 +97,11 @@ def metric_report(ref, test, workers=1):
         sums[rows, 1] = se.sum(axis=1)
         sums[rows, 2] = cm.delta_e_itp_map(a, b).sum(axis=1)
 
-    with cm.range_checked(ref, test):
+    try:
         tc.map_row_bands(band, h, w, workers)
+    except DomainError:
+        cm.check_encoded(ref)  # a bad reference pixel is named before any of `test`'s
+        raise
     # each column reduced alone, pairwise in row order; sums.sum(axis=0) would add row by row
     rgb, luma, de = (np.sum(sums[:, k]) for k in range(3))
     return MetricReport(

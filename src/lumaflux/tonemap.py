@@ -338,10 +338,8 @@ def _encode_sdr(op, linear):
     """Tone map, gamut clamp, BT.709 encode and 8-bit quantize a linear BT.2020 frame's pixels."""
     img = tone_map(op, linear)
     img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
-    # convert_gamut returns a fresh array: clip it, and scale it to the SDR nominal 100
-    # nits and back, since the pinned digests were recorded with this round trip
+    # convert_gamut returns a fresh array, so it is clipped in place
     px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
-    np.divide(np.multiply(px, 100.0, out=px), 100.0, out=px)
     return quantize(img.with_pixels(cm.bt709_oetf(px), SDR_TAG), 8).pixels
 
 
@@ -370,8 +368,7 @@ def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
-    with cm.range_checked(img_pq):
-        linear = cm.decode(img_pq)
+    linear = cm.decode(img_pq)
     frame = np.empty(img_pq.shape)
     for rows, (band,) in degrade_variants(linear, spec.tmo, (spec.crf,)):
         frame[rows] = band

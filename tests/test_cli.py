@@ -36,9 +36,9 @@ BANDED_TREE_SHA256 = "44b82dfcc53d725b5a413ecf7a5cb3f197e8be68b10bba1d16e6786923
 # SHA-256 of each fit-expand output, default config, for the A5 input frame
 # and its Reinhard CRF-23 SDR frame; a change that moves one must say why
 FIT_EXPAND_SHA256 = {
-    "expanded.pfm": "238ed47c032e7b9fc1957e6c2297a54385ae06b9ce38fe1742f9736f497dbce6",
-    "expanded.pfm.rqs.json": "117221ba904fbe17bbea533a57ae5eb0ecce621f7add4438ff9be50f187fc8b0",
-    "expanded.pfm.trace.csv": "bb6772c7ff1ea58b527fb2262b917b36a7746a039b763b4accc7216ec3faab03",
+    "expanded.pfm": "c454ec8aff7b76a446d17d1d6be8b5c7eb9ea247ba90642c6ab79a283f889cca",
+    "expanded.pfm.rqs.json": "0136698e9b2f1815ca7ce1565830277141a7db09a0fd94f09334a7796ad7010a",
+    "expanded.pfm.trace.csv": "c71fb2c890382c31d72dc4e8e9969909e74c0795169996abc8e1601eb95731d8",
 }
 
 # SHA-256 of rqs.warm_start_raw(..., K=8).tobytes() on the sample pairs
@@ -56,9 +56,9 @@ WARM_START_SHA256 = {
 # moves one must say why
 SINGULAR_CHROMA_SHA256 = {
     "gray": {
-        "expanded.pfm": "1dc789e0d40fd38f076ae19762d684626ebf98845fb508fb092160c0b568d418",
-        "expanded.pfm.rqs.json": "10f29f33fe2131a334ff5913dbc1a5b44494f870cdad9cf1f4b4fcf3177268bd",
-        "expanded.pfm.trace.csv": "639b921909105267ced15f9dc4b507288422e484d3e758818bcc73de3ecc35af",
+        "expanded.pfm": "050aee875f347711b1db9328712c4f1fffe805586882b63cc1c4845d1ab3f644",
+        "expanded.pfm.rqs.json": "94213d9e81b48155ebd7dd60fecb7f9bfe90dc8aad1fabae441faa01791c92f4",
+        "expanded.pfm.trace.csv": "58944f5bb8445d0d864bf316d8cf82d1b2f53cbcb4486c269c18369521f4356c",
     },
     "flat": {
         "expanded.pfm": "e0424e5762eb62dce478a660bb03d3776c03a3b636a21047c68631605bb5bbc4",
@@ -670,6 +670,30 @@ class TestRowBands:
         assert captured.err == ("numerical failure: encoded sample outside [0,1] "
                                 "at pixel (197, 5, 1)\n")
         assert files_under(tmp_path) == before
+
+    def test_first_of_two_bad_bands_is_named(self, tmp_path, monkeypatch, capsys):
+        # the first failing band in row order names its first bad pixel, which is
+        # the frame's first, at any band height and thread count
+        sdr, src = write_fit_pair(tmp_path, extent=(200, 64))
+        for path in (sdr, src):
+            img = pfm.read_tagged(path)
+            px = img.pixels.copy()
+            px[70, 2, 0] = 1.5
+            px[197, 5, 1] = np.nan
+            pfm.write_tagged(path, img.with_pixels(px))
+        before = files_under(tmp_path)
+        for argv in (["synthesize", src, "--output-dir", str(tmp_path / "out")],
+                     ["features", sdr, "--dump-maps"]):
+            for band_rows in (None, 64, 16):
+                fix_band_rows(monkeypatch, band_rows)
+                for threads in ("1", "3"):
+                    monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+                    assert cli.main(argv) == 4
+                    captured = capsys.readouterr()
+                    assert captured.out == ""
+                    assert captured.err == ("numerical failure: encoded sample outside [0,1] "
+                                            "at pixel (70, 2, 0)\n"), (argv[0], band_rows, threads)
+                    assert files_under(tmp_path) == before
 
     def test_clean_inputs_are_read_band_by_band_once(self, tmp_path, monkeypatch, capsys):
         # metrics, features and synthesize range-check each band in the pass that

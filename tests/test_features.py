@@ -17,15 +17,15 @@ from test_tensorcore import fix_band_rows
 # config, on write_sdr's frame of each (rows, cols), recorded from the
 # whole-frame extract_phys; a change that moves one must say why
 FEATURES_SHA256 = {
-    (150, 45): ("09ee507936d7dd9b11d4c63776dddaef84aa3d79be59318a54251243cba3e565",
+    (150, 45): ("2799dd3214609ebccbf788908157120791bcda852a22f7d64e4ef354ac500dbb",
                 "c17d1a836004e6c278a7878fef451bf764b34fb44da347f85ebb60a83d96db1a"),
-    (200, 131): ("a7c858e1ad55fe5f5bc4703e6e66c6c571bf67d47fcd855950dd58dcec2e180e",
+    (200, 131): ("fe03b10e9115e2e3203bbef9f10f8a6f2ddc5aed82ac57fcc00766be2b7b6b50",
                  "097467570241723009cb33c9762840e87bee0d08367739c8fb074c54cef09b4e"),
-    (1, 64): ("001c560b0c546ab97074fc0f7685c82b6b2124af7447ea1f3c9fca0867496bb9",
+    (1, 64): ("cee1de1291217e8e059ef5586d206518f59bb592192c6d0712891c5b26acca30",
               "81ee497d783076cfe577da5ea6e5e60d18920b6d72b626c79db812d884ecc07c"),
-    (2, 64): ("5920278ae44fce1dc6468f495cbf46b71478d8cab9a233031f35329a3f9b2894",
+    (2, 64): ("e436c5e922d85a9529d1e6ee825cc45c7075bb6b3c1b8ec17a0e09014d321c6d",
               "f2ea7f2cdb37e832d31080be4269ee3da5fa7ee92c874a6f4d406a102deafa8d"),
-    (65, 33): ("799ad965967d2a7967438e762cc9c34e4dea650df3867b0affab8a740d333023",
+    (65, 33): ("1ad9d59965c6cbdd30fc2b30d78bacba5226a8dd4e2988ec8f184792e2e596fb",
                "50244dd1277f3268bc56d03ac3e5bd839d9c15e71a4ad5ac9ee6cac1fb8bd00c"),
 }
 

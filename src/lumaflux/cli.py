@@ -13,32 +13,28 @@ a run that fails leaves none of its outputs and prints nothing on stdout.
 An output that would replace one of the run's inputs (a frame, its sidecar,
 the `--config` file) exits 3 and leaves every file as it was.
 
-LUMAFLUX_THREADS sizes the worker pools. It caps how many tone operators
-`synthesize` runs at once. `main` sets glibc's mmap and trim thresholds
-and its arena count for its own process, so band temporaries reuse heap
-pages and do not fault in afresh every pass; library callers keep their
-allocator's defaults.
-Each command that reads a frame opens it with `pfm.open_tagged` and reads
-it from disk band by band. `synthesize`, `metrics` and `features` read each
-band once, range-checked as `colorimetry.decode` decodes it, and name an
-input's first bad pixel, the reference's first in `metrics`. `fit-expand`
-reads its SDR frame and reference once to range-check them and gather its
-fit samples, and its SDR frame once more to expand it.
-`synthesize` decodes its input once, over row bands of
-`tensorcore.band_rows` on that many threads, into the one linear frame that
-all operators read. Each operator then runs its chain up to one forward DCT
-once per band for all of its CRFs (`tonemap.degrade_variants`), and writes
-each CRF's band into that CRF's file. No stage draws random numbers: a
-frame's seed is provenance in its sidecar only. `fit-expand`, `metrics` and
-`features` run their per-pixel stages over the same row bands
-(`tensorcore.map_row_bands`) on that many threads, and hold no whole input
-frame; `synthesize` and `fit-expand` hold no whole output frame. The spline
-fit and the chroma least squares see every stride-th pixel of the frame,
-each metric mean is a sum of per-row sums, reduced in row order, and each
-band of the log-gradient map reads one row of luminance beyond each of its
-edges. A band is the most rows, in a multiple of 8 and at least 8, that
-hold no more than `tensorcore.BAND_PIXELS` pixels. Band edges depend only
-on the frame's extent, so outputs are byte-identical at any worker count.
+Every frame command runs its per-pixel stages over row bands
+(`tensorcore.map_row_bands`), LUMAFLUX_THREADS of them at once, and holds
+no whole input or output frame. `main` sets glibc's mmap and trim
+thresholds and its arena count for its own process, so band temporaries
+reuse heap pages and do not fault in afresh every pass; library callers
+keep their allocator's defaults. Each command that reads a frame opens it
+with `pfm.open_tagged` and reads it from disk band by band. `synthesize`,
+`metrics` and `features` read each band once, range-checked as
+`colorimetry.decode` decodes it, and name an input's first bad pixel, the
+reference's first in `metrics`. `fit-expand` reads its SDR frame and
+reference once to range-check them and gather its fit samples, and its SDR
+frame once more to expand it. `synthesize` adds every output first; each
+band is then decoded once, and each operator runs its chain up to one
+forward DCT once for all of its CRFs (`tonemap.sdr_bands`), writing each
+CRF's band into that CRF's file. No stage draws random numbers: a frame's
+seed is provenance in its sidecar only. The spline fit and the chroma least
+squares see every stride-th pixel of the frame, each metric mean is a sum
+of per-row sums, reduced in row order, and each band of the log-gradient
+map reads one row of luminance beyond each of its edges. A band is the most
+rows, in a multiple of 8 and at least 8, that hold no more than
+`tensorcore.BAND_PIXELS` pixels. Band edges depend only on the frame's
+extent, so outputs are byte-identical at any worker count.
 """
 
 import argparse
@@ -47,8 +43,9 @@ import ctypes
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+# used by no command: perfbench's tracer reads and swaps cli.ThreadPoolExecutor
+# to time pool threads, so the name stays until a run-stats record replaces that tracer
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 import numpy as np
 
@@ -172,29 +169,11 @@ def _open_pair(path_a, fmt_a, path_b, fmt_b):
 def cmd_synthesize(args):
     cfg = load_config(args.config, {"seed": args.seed})
     workers = _max_workers()
-    with pfm.open_tagged(args.hdr_input, HDR_FORMAT) as hdr:
-        # one range-checked decode into the one whole-frame array, shared by every job
+    with (pfm.open_tagged(args.hdr_input, HDR_FORMAT) as hdr,
+          pfm.Outputs(_reads(args.config, args.hdr_input)) as outputs):
         h, w, _ = hdr.shape
-        nits = np.empty(hdr.shape)
-
-        def decode(rows):
-            nits[rows] = cm.decode(hdr, rows).pixels
-
-        tc.map_row_bands(decode, h, w, workers)
-        linear = cm.TaggedImage(nits, replace(hdr.tag, transfer=cm.Transfer.LINEAR))
-    os.makedirs(args.output_dir, exist_ok=True)
-
-    def run(job):
-        # each CRF's bands go straight into its own file, the bottom band first
-        op, outs = job
-        for rows, bands in tm.degrade_variants(linear, op, cfg["crfs"]):
-            for out, band in zip(outs, bands):
-                out.write(rows, band)
-
-    paths = []
-    jobs = []  # one per tone operator: its CRF variants share one chain up to the forward DCT
-    with pfm.Outputs(_reads(args.config, args.hdr_input)) as outputs:
-        # every file is added here, on this thread; the pool writes the frames' bands
+        outputs.directory(args.output_dir)
+        paths, jobs = [], []  # jobs: (tone operator, the writer of each of its CRFs' frames)
         for tmo_doc in cfg["tmos"]:
             op = tm.ToneOperator.from_json(tmo_doc)
             outs = []
@@ -207,8 +186,15 @@ def cmd_synthesize(args):
                 outputs.sidecar(paths[-1], tm.SDR_TAG, seed=spec.seed, config=cfg,
                                 extra={"degradation": spec.to_json()})
             jobs.append((op, outs))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, jobs))
+
+        def band(rows):
+            # one range-checked decode of the band, read by every operator
+            linear = cm.decode(hdr, rows)
+            for op, outs in jobs:
+                for out, sdr in zip(outs, tm.sdr_bands(linear, op, cfg["crfs"])):
+                    out.write(rows, sdr)
+
+        tc.map_row_bands(band, h, w, workers)
     print(json.dumps({"frames": sorted(paths)}, indent=2))
     return 0
 

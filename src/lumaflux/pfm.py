@@ -11,10 +11,10 @@ seed. Malformed input raises FrameFormatError. Every file is written
 through `Outputs`, the set of one run's outputs: each under a temporary
 name, then, once all are written and every frame is whole, all renamed
 into place in the order added, each frame followed by its sidecar. A set
-that fails unlinks every temporary file and every file it had renamed, and
-puts back each earlier file one of its renames replaced. Frames are written
-little-endian, one row band at a time in any order, each band cast to
-float32 alone and written in place with one positioned write.
+that fails unlinks every temporary file and every file it had renamed,
+removes every directory it made, and puts back each earlier file one of its
+renames replaced. Frames are written little-endian, one row band at a time
+in any order, each band cast to float32 alone and written in place.
 """
 
 import contextlib
@@ -39,17 +39,20 @@ _READ_BYTES = 1 << 30  # most bytes asked of one positioned read, well under Lin
 class PfmWriter:
     """An h x w frame of an `Outputs` set, written one row band at a time, from any thread.
 
-    Its temporary file is open from the first band to the last row.
+    Its temporary file is made, holding the PFM header, when the frame is
+    added; each band opens it, writes its rows and closes it again.
     """
 
     def __init__(self, path, tmp, h, w):
         self.path = path
         self.shape = (h, w, 3)
         self._written = bytearray(h)  # 1 for each row written
-        self._header = f"PF\n{w} {h}\n-1.0\n".encode()
         self._tmp = tmp
-        self._fh = None
         self._lock = threading.Lock()
+        header = f"PF\n{w} {h}\n-1.0\n".encode()
+        with open(tmp, "xb") as fh:
+            fh.write(header)
+        self._payload = len(header)  # the payload's offset
 
     def write(self, rows, band):
         """Write the (r, w, 3) band as rows `rows` (a slice) of the frame; its rows run top-down.
@@ -68,13 +71,9 @@ class PfmWriter:
             if self._written.find(1, top, stop) != -1:
                 raise DimensionError(f"{self.path}: rows {top}:{stop} of a {self.shape} "
                                      "frame overlap rows already written")
-            if self._fh is None:
-                self._fh = open(self._tmp, "xb")
-                _pwrite_all(self._fh.fileno(), self._header, 0)
-            _pwrite_all(self._fh.fileno(), data, len(self._header) + (h - stop) * w * 3 * 4)
             self._written[top:stop] = b"\1" * (stop - top)
-            if self._written.find(0) == -1:
-                self._fh.close()
+        with open(self._tmp, "r+b") as fh:
+            _pwrite_all(fh.fileno(), data, self._payload + (h - stop) * w * 3 * 4)
 
 
 def _pwrite_all(fd, data, offset):
@@ -187,8 +186,9 @@ class Outputs:
     Each file is written under a temporary name next to its own. On a clean
     exit every frame must be whole, and every file is renamed in the order
     added. On an exception, a frame with rows missing or a failed rename,
-    every temporary file and every file already renamed is unlinked, and each
-    earlier file a rename replaced comes back from a hard link made before it.
+    every temporary file and every file already renamed is unlinked, each
+    directory `directory` made is removed, and each earlier file a rename
+    replaced comes back from a hard link made before it.
     Add files from one thread; a frame's bands may be written from any threads.
     A file added at the name of one of `inputs`, the files the run reads, or
     of a file added before, raises ConfigError before any of its bytes are
@@ -200,6 +200,7 @@ class Outputs:
         self._taken = set()  # the identity of every name added
         self._names = []  # (final name, temporary name), in the order added
         self._frames = []
+        self._dirs = []  # the directories made, each before its parent
 
     def _add(self, path):
         key = _identity(path)
@@ -212,6 +213,14 @@ class Outputs:
         tmp = os.path.join(head, f".{tail}.{os.getpid()}.{threading.get_ident()}.tmp")
         self._names.append((path, tmp))
         return tmp
+
+    def directory(self, path):
+        """Make the directory `path` and its missing parents; a set that fails removes them."""
+        head = os.path.abspath(path)
+        while not os.path.lexists(head):
+            self._dirs.append(head)
+            head = os.path.dirname(head)
+        os.makedirs(path, exist_ok=True)
 
     def file(self, path, data):
         """Add the file `path` holding the bytes `data`."""
@@ -244,9 +253,6 @@ class Outputs:
     def __exit__(self, exc_type, *exc):
         renamed, kept = [], []  # kept: (name, a hard link to the earlier file at that name)
         try:
-            for out in self._frames:
-                if out._fh is not None:
-                    out._fh.close()
             if exc_type is None:
                 for out in self._frames:
                     if left := out._written.count(0):
@@ -259,10 +265,13 @@ class Outputs:
                     os.replace(tmp, path)
                     renamed.append(path)
         finally:
-            if failed := len(renamed) < len(self._names):
+            if failed := exc_type is not None or len(renamed) < len(self._names):
                 for name in renamed + [tmp for _, tmp in self._names]:
                     with contextlib.suppress(OSError):
                         os.unlink(name)
+                for name in self._dirs:
+                    with contextlib.suppress(OSError):  # not empty: another's files are in it
+                        os.rmdir(name)
             for path, old in kept:
                 with contextlib.suppress(OSError):
                     if failed and path in renamed:

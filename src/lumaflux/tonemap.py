@@ -6,19 +6,15 @@ preserved. The full chain manufactures paired 8-bit BT.709 SDR frames
 from PQ/BT.2020 HDR input, with a deterministic DCT codec proxy standing
 in for real HEVC encodes at the three CRF working points.
 
-`degrade_variants` takes the decoded (linear) frame and serves every CRF
-of one operator from one pass over row bands of `tensorcore.band_rows`
-(at most `tensorcore.BAND_PIXELS` pixels, a multiple of 8 rows), from the
-bottom band up, the order in which a PFM stores rows: tone map, gamut
-clamp, encode, quantize and the forward DCT run once per band, and only
-the deadzone quantization and inverse DCT run per CRF. A band's
-coefficients are one array in (u, block row, channel, block column, v)
-order, so each transform is two GEMMs over the band, summing as the
-per-block DCT8 @ X @ DCT8.T does. It yields bands, so no caller needs a
-whole output frame. `degrade` and `codec_proxy` put one frame together
-from the same band generator, on PQ input and on an encoded frame.
-Banding never changes a bit: the bands hold whole 8x8 blocks and the
-last band's edge padding is the whole frame's.
+`sdr_bands` serves every CRF of one operator from one row band of the
+decoded (linear) frame: tone map, gamut clamp, encode, quantize and the
+forward DCT run once, and only the deadzone quantization and inverse DCT
+run per CRF. A band's coefficients are one array in (u, block row,
+channel, block column, v) order, so each transform is two GEMMs over the
+band, summing as the per-block DCT8 @ X @ DCT8.T does. `degrade` and
+`codec_proxy` put one frame together from bands of `tensorcore.row_bands`.
+Banding never changes a bit: the bands hold whole 8x8 blocks and the last
+band's edge padding is the whole frame's.
 """
 
 import enum
@@ -282,11 +278,14 @@ def _forward_dct(band):
     return (prod.reshape(-1, _DCT_N) @ _DCT8_T).reshape(x.shape[:2] + (-1,))
 
 
-def _inverse_dct(coefs, step, r, w):
-    """Deadzone-quantize by `step`; invert, DCT8.T @ Q then (.., 8) @ DCT8; clip to (r, w, 3)."""
+def _inverse_dct(coefs, crf, r, w):
+    """Deadzone-quantize at `crf`; invert, DCT8.T @ Q then (.., 8) @ DCT8; clip to (r, w, 3)."""
+    # the (u, v) step, tiled along a block row: a broadcast over (.., 8) runs slower
+    step = np.tile(JPEG_BASE / 255.0 * 0.25 * crf_quality_scale(crf), coefs.shape[2] // _DCT_N)
     # deadzone: round toward zero so AC energy never grows; DC kept
-    quant = np.trunc(coefs / step)
-    quant *= step
+    quant = coefs / step[:, None]
+    np.trunc(quant, out=quant)
+    quant *= step[:, None]
     quant[0, :, ::_DCT_N] = coefs[0, :, ::_DCT_N]
     prod = _DCT8_T @ quant.reshape(_DCT_N, -1)
     np.matmul(prod.reshape(-1, _DCT_N), DCT8, out=quant.reshape(-1, _DCT_N))
@@ -296,28 +295,6 @@ def _inverse_dct(coefs, step, r, w):
     return px[:r, :w]
 
 
-def _codec_bands(h, w, encode_band, crfs):
-    """(rows, bands) for each row band of an h x w frame, the bottom band first.
-
-    `bands` holds the band at each entry of `crfs`. Bands of tc.band_rows(w)
-    rows pass once through `encode_band(rows)` and the forward DCT; each CRF
-    then quantizes and inverts the band's coefficients, and a None CRF takes
-    the encoded band itself. Band edges are multiples of 8 that depend only
-    on the frame's extent, and the last band's edge padding is the whole
-    frame's.
-    """
-    per_row = -(-w // _DCT_N)  # blocks in one row of blocks
-    # each CRF's steps span one block row of coefficients at one u
-    steps = [None if crf is None else np.tile((JPEG_BASE / 255.0 * 0.25 * crf_quality_scale(crf))
-                                              [:, None], (1, per_row * 3, 1)).reshape(_DCT_N, 1, -1)
-             for crf in crfs]
-    for rows in reversed(tc.row_bands(h, w)):
-        band = encode_band(rows)
-        coefs = _forward_dct(band)
-        yield rows, [band if step is None else _inverse_dct(coefs, step, len(band), w)
-                     for step in steps]
-
-
 def codec_proxy(img, crf):
     """Deterministic stand-in for lossy encoding: per-channel 8x8 DCT quantization."""
     _check_crf(crf)
@@ -325,12 +302,13 @@ def codec_proxy(img, crf):
         return img
     h, w, _ = img.pixels.shape
     frame = np.empty((h, w, 3))
-    for rows, (band,) in _codec_bands(h, w, lambda rows: img.pixels[rows], (crf,)):
-        frame[rows] = band
+    for rows in tc.row_bands(h, w):
+        band = img.pixels[rows]
+        frame[rows] = _inverse_dct(_forward_dct(band), crf, len(band), w)
     return img.with_pixels(frame)
 
 
-# the tag of every SDR frame and band that degrade and degrade_variants make
+# the tag of every SDR frame and band that degrade and sdr_bands make
 SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
 
@@ -343,33 +321,29 @@ def _encode_sdr(op, linear):
     return quantize(img.with_pixels(cm.bt709_oetf(px), SDR_TAG), 8).pixels
 
 
-def degrade_variants(linear, op, crfs):
-    """The SDR bands of one tone operator at each of `crfs`, bottom band first; None skips the codec.
+def sdr_bands(linear, op, crfs):
+    """A row band of one tone operator's SDR frame at each of `crfs`; None skips the codec.
 
-    An iterator of (rows, bands), one per row band of tc.row_bands, where
-    bands[i] holds those rows at crfs[i] as float64 samples tagged SDR_TAG.
-    `linear` is the decoded PQ/BT.2020 input (linear BT.2020 nits). The
-    chain from the tone map to the forward DCT runs once per band for all
-    of `crfs`; only the codec quantization and the inverse DCT run per CRF.
-    The tag and every CRF are checked here, before any band runs.
+    `linear` is a band of decoded PQ/BT.2020 input (linear BT.2020 nits) whose
+    top row is a multiple of 8, as in tc.row_bands. Returns one float64 band of
+    SDR_TAG samples per entry of `crfs`. The tag and every CRF are checked first.
     """
     tag = linear.tag
     if tag.transfer is not cm.Transfer.LINEAR or tag.primaries is not cm.Primaries.BT2020:
-        raise TagError("degrade_variants expects a linear BT.2020 image")
-    crfs = tuple(crfs)
+        raise TagError("sdr_bands expects a linear BT.2020 image")
     for crf in crfs:
         _check_crf(crf)
-    h, w, _ = linear.pixels.shape
-    return _codec_bands(h, w, lambda rows: _encode_sdr(op, linear.with_pixels(linear.pixels[rows])),
-                        crfs)
+    band = _encode_sdr(op, linear)
+    coefs = _forward_dct(band)
+    r, w, _ = band.shape
+    return [band if crf is None else _inverse_dct(coefs, crf, r, w) for crf in crfs]
 
 
 def degrade(img_pq, spec):
     """Full HDR->SDR chain: PQ decode, tone map, gamut clamp, encode, quantize, codec."""
     if img_pq.tag.transfer is not cm.Transfer.PQ or img_pq.tag.primaries is not cm.Primaries.BT2020:
         raise TagError("degrade expects a PQ/BT.2020 image")
-    linear = cm.decode(img_pq)
     frame = np.empty(img_pq.shape)
-    for rows, (band,) in degrade_variants(linear, spec.tmo, (spec.crf,)):
-        frame[rows] = band
+    for rows in tc.row_bands(*img_pq.shape[:2]):
+        frame[rows], = sdr_bands(cm.decode(img_pq, rows), spec.tmo, (spec.crf,))
     return cm.TaggedImage(frame, SDR_TAG)

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -231,19 +232,19 @@ class TestSynthesize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "pixel (3, 5, 1)" in captured.err
-        assert not out.exists()  # made only once the input has passed its range check
+        assert not out.exists()  # made before the bands run, and removed as the run fails
 
     def test_command_peak_memory_is_bounded(self, tmp_path, monkeypatch, capsys):
-        # a 480 x 960 frame in 15 bands of 32 rows on one thread. The input is
-        # read band by band and each CRF's bands go straight to its file, so
-        # only the shared linear frame covers the frame: 1.73 frames. Whole
-        # codec coefficients and output frames per job would take it past 4
+        # a 480 x 960 frame in 15 bands of 32 rows on one thread. Each band is
+        # read, decoded and degraded alone, and each CRF's band goes straight
+        # to its file, so no array covers the frame: 0.63 frames. A whole
+        # decoded linear frame shared by every operator took it to 1.73
         hdr = synthetic_hdr(size=960)
         src = str(tmp_path / "hdr.pfm")
         pfm.write_tagged(src, hdr.with_pixels(hdr.pixels[:480]), seed=7)
         monkeypatch.setenv("LUMAFLUX_THREADS", "1")
         peak = command_peak(["synthesize", src, "--output-dir", str(tmp_path / "out")])
-        assert peak <= 2.2 * 480 * 960 * 3 * 8
+        assert peak <= 0.9 * 480 * 960 * 3 * 8
 
     def test_failed_rename_leaves_only_whole_frames(self, tmp_path, hdr_frame, capsys):
         # a directory under one output's name makes that frame's rename fail; the
@@ -276,25 +277,37 @@ class TestSynthesize:
         assert frame.read_bytes() == earlier
 
     def test_open_frame_files_are_bounded(self, tmp_path, hdr_frame, monkeypatch, capsys):
-        # one worker, 6 operators of 3 CRFs, 4 bands of 16 rows: a frame's file is
-        # open from its first band to its last row, so one operator's 3 at most
-        real_open = open
-        live, peak, opened = set(), [0], []
+        # 6 operators of 3 CRFs, 4 bands of 16 rows: each frame's file is made when it
+        # is added, then opened once per band written and closed again, so each
+        # worker holds at most one frame file open, however many frames the run has
+        real_open, real_os_open, real_close = open, os.open, os.close
+        lock = threading.Lock()
+        live = {}  # each open frame file, by file object or descriptor: its thread
+        most = {"run": 0, "thread": 0}  # frame files open at once, in a run and on one thread
+        counts = {"made": 0, "opened": 0}
+
+        def track(key, path, count):
+            if ".pfm." in os.path.basename(path):
+                with lock:
+                    counts[count] += 1
+                    live[key] = me = threading.get_ident()
+                    most["run"] = max(most["run"], len(live))
+                    most["thread"] = max(most["thread"], list(live.values()).count(me))
+
+        def untrack(key):
+            with lock:
+                live.pop(key, None)
 
         class Tracked:
-            def __init__(self, path, mode="r"):
-                self.fh = real_open(path, mode)
-                self.frame = "x" in mode and ".pfm." in os.path.basename(path)
-                if self.frame:
-                    opened.append(path)
-                    live.add(self)
-                    peak[0] = max(peak[0], len(live))
+            def __init__(self, path, mode="r", **kwargs):
+                self.fh = real_open(path, mode, **kwargs)
+                track(self, path, "made" if "x" in mode else "opened")
 
             def __getattr__(self, name):
                 return getattr(self.fh, name)
 
             def close(self):
-                live.discard(self)
+                untrack(self)
                 self.fh.close()
 
             def __enter__(self):
@@ -303,17 +316,51 @@ class TestSynthesize:
             def __exit__(self, *exc):
                 self.close()
 
+        def tracked_os_open(path, *args, **kwargs):
+            fd = real_os_open(path, *args, **kwargs)
+            track(fd, os.fspath(path), "opened")
+            return fd
+
+        def tracked_close(fd):
+            untrack(fd)  # before the number is free for another open
+            real_close(fd)
+
         monkeypatch.setattr(pfm, "open", Tracked, raising=False)
-        monkeypatch.setenv("LUMAFLUX_THREADS", "1")
+        monkeypatch.setattr(os, "open", tracked_os_open)
+        monkeypatch.setattr(os, "close", tracked_close)
         fix_band_rows(monkeypatch, 16)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tmos": cli.DEFAULT_CONFIG["tmos"][:6]}))
-        out = tmp_path / "out"
-        assert cli.main(["synthesize", hdr_frame, "--config", str(cfg),
-                         "--output-dir", str(out)]) == 0
-        assert len(opened) == 18 and not live
-        assert peak[0] == len(cli.DEFAULT_CONFIG["crfs"])
-        assert len(os.listdir(out)) == 36
+        for workers in (1, 3):
+            most.update(run=0, thread=0)
+            monkeypatch.setenv("LUMAFLUX_THREADS", str(workers))
+            out = tmp_path / f"out_{workers}"
+            assert cli.main(["synthesize", hdr_frame, "--config", str(cfg),
+                             "--output-dir", str(out)]) == 0
+            assert not live
+            assert most["thread"] == 1 and most["run"] <= workers, (workers, most)
+            assert len(os.listdir(out)) == 36
+        assert counts == {"made": 36, "opened": 36 * 4}
+
+    @pytest.mark.parametrize("band_rows", [None, 16])
+    def test_failure_leaves_no_directory(self, tmp_path, band_rows, monkeypatch, capsys):
+        # the NaN is in the last band, so the output directory and both missing
+        # parents are made before any band fails; each is removed as the run fails
+        hdr = synthetic_hdr(size=200)
+        px = hdr.pixels[:, :64].copy()
+        px[197, 5, 1] = np.nan
+        src = str(tmp_path / "nan.pfm")
+        pfm.write_tagged(src, hdr.with_pixels(px), seed=7)
+        fix_band_rows(monkeypatch, band_rows)
+        before = files_under(tmp_path)
+        for threads in ("1", "3"):
+            monkeypatch.setenv("LUMAFLUX_THREADS", threads)
+            argv = ["synthesize", src, "--output-dir", str(tmp_path / "fresh" / "a" / "b")]
+            assert cli.main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "pixel (197, 5, 1)" in captured.err
+            assert files_under(tmp_path) == before, threads
 
     def test_failed_sidecar_write_leaves_no_untagged_frame(self, tmp_path, hdr_frame, capsys):
         # a directory under one sidecar's name makes that sidecar's rename fail

@@ -461,9 +461,10 @@ def _set_heap_thresholds():
     fresh mapping whose pages fault in on first touch, in every pass. Setting
     either threshold also turns off glibc's dynamic adjustment of both. Each
     of glibc's heaps (arenas) keeps what its threads free, so there is at most
-    one per core the process may run on, plus the main thread's: a pool whose
-    threads start while the last pool's threads are still exiting then shares
-    their heaps instead of filling a new one.
+    one per core the process may run on, plus the main thread's. Each band
+    map starts its helper threads afresh, and one that starts before an
+    earlier map's helpers have released their heaps then shares those heaps
+    instead of filling a new one.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt  # the C library the interpreter links

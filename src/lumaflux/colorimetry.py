@@ -206,7 +206,7 @@ def check_encoded(img, visit=None):
 
     A non-finite sample fails too. `img` is a TaggedImage or an open
     `pfm.PfmFrame`, read one tensorcore row band at a time on the calling
-    thread (the check is memory-bound, and a pool only adds hand-offs),
+    thread (the check is memory-bound, and helper threads only add hand-offs),
     each band checked as `decode` checks it. `visit(rows, band)`, when
     given, is called on every band that passes.
     """

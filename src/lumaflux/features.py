@@ -4,7 +4,7 @@ The SDR input is linearized first (BT.709 EOTF, then gamut mapped to
 BT.2020) so every descriptor lives in the same physical space as the HDR
 target. `extract_phys` takes an in-memory frame or an open PFM and reads
 it band by band, once: one pass over tensorcore row bands range-checks and
-linearizes each band on a thread pool, and the next builds the
+linearizes each band, `workers` bands at once, and the next builds the
 log-gradient map from the luminance it wrote. The
 global stats and the spectral bands read the whole luminance plane.
 """

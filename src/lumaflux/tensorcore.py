@@ -3,10 +3,11 @@
 Softplus, sigmoid, row softmax, layer norm and the central-difference
 gradient oracle, all on float64 numpy arrays, and the row-band map that
 runs a per-pixel stage over a frame in bands of about BAND_PIXELS pixels
-each.
+each, on the calling thread and up to workers - 1 helper threads.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import collections
+import threading
 
 import numpy as np
 
@@ -88,11 +89,15 @@ def map_row_bands(kernel, height, width, workers=1):
 
     A kernel that reads and writes only its own rows of whole-frame
     arrays gives the same bytes at any `workers`, because the band edges
-    depend on the frame's extent alone. With workers > 1 the bands run on
-    a thread pool; an exception propagates from the first failing band in
-    row order, and the pool's map cancels the bands not yet started when
-    it does. Call it from the main thread of a command, never from a pool
-    worker.
+    depend on the frame's extent alone. With workers > 1 the calling
+    thread and min(workers, bands) - 1 helper threads take bands in row
+    order from one queue, so the caller's thread, and its heap, does band
+    work instead of waiting. An exception propagates from the first
+    failing band in row order, once every band before it has run; no band
+    starts after a failure, and the helpers are joined before this
+    returns or raises. An exception that is not an Exception (say
+    KeyboardInterrupt) raised on the calling thread propagates as itself.
+    Call it from the main thread of a command, never from a band kernel.
     """
     if workers < 1:
         raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")
@@ -101,6 +106,32 @@ def map_row_bands(kernel, height, width, workers=1):
         for rows in bands:
             kernel(rows)
         return
-    with ThreadPoolExecutor(max_workers=min(workers, len(bands))) as pool:
-        for _ in pool.map(kernel, bands):
-            pass
+    pending = collections.deque(enumerate(bands))  # popleft and clear are thread-safe
+    failures = {}  # band index -> what its kernel raised
+
+    def take_bands(caught):
+        while True:
+            try:
+                index, rows = pending.popleft()
+            except IndexError:
+                return
+            try:
+                kernel(rows)
+            except caught as exc:
+                pending.clear()
+                failures[index] = exc
+                return
+
+    # a helper hands whatever it catches to the caller, which raises it below
+    helpers = [threading.Thread(target=take_bands, args=(BaseException,))
+               for _ in range(min(workers, len(bands)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        take_bands(Exception)
+    finally:
+        pending.clear()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]

@@ -1,3 +1,4 @@
+import contextlib
 import threading
 
 import numpy as np
@@ -131,7 +132,7 @@ class TestMapRowBands:
                 tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, workers)
 
     def test_failing_band_skips_the_bands_not_yet_started(self):
-        # the pool's map cancels its pending bands once the failure propagates
+        # a failing band empties the queue, so no thread starts another band
         bands = tc.row_bands(1080, 1920)
         ran = []
 
@@ -144,6 +145,69 @@ class TestMapRowBands:
         with pytest.raises(DomainError, match="first band"):
             tc.map_row_bands(kernel, 1080, 1920, 2)
         assert len(ran) < len(bands) // 2
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_bands_run_on_the_caller_and_at_most_workers_minus_one_helpers(self, workers):
+        # twelve 64-row bands, each long enough that no one thread takes them all
+        before = threading.active_count()
+        threads = set()
+
+        def kernel(rows):
+            threads.add(threading.current_thread())
+            threading.Event().wait(0.005)
+            if fail and rows.start == 64 * 6:
+                raise DomainError("band 6")
+
+        for fail in (False, True):
+            threads.clear()
+            with pytest.raises(DomainError) if fail else contextlib.nullcontext():
+                tc.map_row_bands(kernel, 64 * 12, tc.BAND_PIXELS // 64, workers)
+            helpers = threads - {threading.main_thread()}
+            assert threading.main_thread() in threads
+            assert 1 <= len(helpers) <= workers - 1
+            assert not any(t.is_alive() for t in helpers)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_a_slow_failing_band_wins_over_a_later_fast_one(self, workers):
+        def kernel(rows):
+            if rows.start == 0:
+                threading.Event().wait(0.05)
+                raise DomainError("band 0")
+            if rows.start == 64:
+                raise DomainError("band 1")
+
+        with pytest.raises(DomainError, match="band 0$"):
+            tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, workers)
+
+    def test_interrupt_on_the_calling_thread_propagates_as_itself(self):
+        # the helper's band fails below the caller's band, and before the caller
+        # raises; the caller's KeyboardInterrupt still propagates, not the helper's error
+        before = threading.active_count()
+        helper_has_band, caller_in_band = threading.Event(), threading.Event()
+        helper_failed = threading.Event()
+        failed = {}  # thread -> (band start, its helper thread or None)
+
+        def kernel(rows):
+            if threading.current_thread() is not threading.main_thread():
+                helper_has_band.set()
+                assert caller_in_band.wait(5)
+                failed["helper"] = (rows.start, threading.current_thread())
+                helper_failed.set()
+                raise DomainError("helper band")
+            if rows.start == 0:
+                assert helper_has_band.wait(5)
+                return
+            caller_in_band.set()
+            assert helper_failed.wait(5)
+            failed["caller"] = (rows.start, None)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, 2)
+        assert failed["helper"][0] < failed["caller"][0]
+        assert not failed["helper"][1].is_alive()
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_is_config_error(self, workers):

@@ -94,8 +94,8 @@ def map_row_bands(kernel, height, width, workers=1):
     order from one queue, so the caller's thread, and its heap, does band
     work instead of waiting. An exception propagates from the first
     failing band in row order, once every band before it has run; no band
-    starts after a failure, and the helpers are joined before this
-    returns or raises. An exception that is not an Exception (say
+    starts once a failure is recorded, and the helpers are joined before
+    this returns or raises. An exception that is not an Exception (say
     KeyboardInterrupt) raised on the calling thread propagates as itself.
     Call it from the main thread of a command, never from a band kernel.
     """

@@ -1,4 +1,5 @@
 import contextlib
+import sys
 import threading
 
 import numpy as np
@@ -146,8 +147,9 @@ class TestMapRowBands:
             tc.map_row_bands(kernel, 1080, 1920, 2)
         assert len(ran) < len(bands) // 2
 
+    @pytest.mark.parametrize("fail", [False, True])
     @pytest.mark.parametrize("workers", [2, 3, 4])
-    def test_bands_run_on_the_caller_and_at_most_workers_minus_one_helpers(self, workers):
+    def test_bands_run_on_the_caller_and_at_most_workers_minus_one_helpers(self, workers, fail):
         # twelve 64-row bands, each long enough that no one thread takes them all
         before = threading.active_count()
         threads = set()
@@ -158,15 +160,39 @@ class TestMapRowBands:
             if fail and rows.start == 64 * 6:
                 raise DomainError("band 6")
 
-        for fail in (False, True):
-            threads.clear()
-            with pytest.raises(DomainError) if fail else contextlib.nullcontext():
-                tc.map_row_bands(kernel, 64 * 12, tc.BAND_PIXELS // 64, workers)
-            helpers = threads - {threading.main_thread()}
-            assert threading.main_thread() in threads
-            assert 1 <= len(helpers) <= workers - 1
-            assert not any(t.is_alive() for t in helpers)
-            assert threading.active_count() == before
+        with pytest.raises(DomainError) if fail else contextlib.nullcontext():
+            tc.map_row_bands(kernel, 64 * 12, tc.BAND_PIXELS // 64, workers)
+        helpers = threads - {threading.main_thread()}
+        assert threading.main_thread() in threads
+        assert 1 <= len(helpers) <= workers - 1
+        assert not any(t.is_alive() for t in helpers)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [None, 250])
+    def test_every_band_runs_once_under_contention(self, fail_at):
+        # 400 bands of 8 rows on 8 threads, more than the cores, switching as often
+        # as the interpreter allows; a band taken twice or lost shows in `ran`
+        ran = []
+
+        def kernel(rows):
+            ran.append(rows.start // 8)
+            if rows.start // 8 == fail_at:
+                raise DomainError(f"band {fail_at}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(DomainError) if fail_at else contextlib.nullcontext():
+                tc.map_row_bands(kernel, 8 * 400, tc.BAND_PIXELS // 8, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(ran) == len(set(ran))
+        if fail_at is None:
+            assert sorted(ran) == list(range(400))
+        else:
+            # every band up to the failing one ran; later ones taken before the
+            # failure was recorded may have run too
+            assert sorted(ran)[:fail_at + 1] == list(range(fail_at + 1))
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_a_slow_failing_band_wins_over_a_later_fast_one(self, workers):
@@ -186,7 +212,7 @@ class TestMapRowBands:
         before = threading.active_count()
         helper_has_band, caller_in_band = threading.Event(), threading.Event()
         helper_failed = threading.Event()
-        failed = {}  # thread -> (band start, its helper thread or None)
+        failed = {}  # "helper" or "caller" -> (first row of the band that raised, its thread)
 
         def kernel(rows):
             if threading.current_thread() is not threading.main_thread():
@@ -200,7 +226,7 @@ class TestMapRowBands:
                 return
             caller_in_band.set()
             assert helper_failed.wait(5)
-            failed["caller"] = (rows.start, None)
+            failed["caller"] = (rows.start, threading.current_thread())
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):

@@ -76,8 +76,8 @@ DEFAULT_CONFIG = {
     "spline_knots": 8,
     "k_bands": 8,
     "peak_nits": 1000.0,
-    "lambda_smooth": rqs.FitConfig().lambda_smooth,
-    "fit_iterations": rqs.FitConfig().iterations,
+    "lambda_smooth": rqs.LAMBDA_SMOOTH,
+    "fit_iterations": rqs.FIT_ITERATIONS,
     "fit_samples": 16384,
     "feature_seed": 7,
 }
@@ -199,11 +199,6 @@ def cmd_synthesize(args):
     return 0
 
 
-def fit_config(cfg):
-    """The rqs.FitConfig a loaded config asks for."""
-    return rqs.FitConfig(lambda_smooth=cfg["lambda_smooth"], iterations=cfg["fit_iterations"])
-
-
 def expand_sdr(wide, params, peak_nits):
     """Apply a fitted tone spline to a linearized SDR frame; returns linear BT.2020 nits."""
     y_sdr = cm.luma2020(wide)
@@ -279,7 +274,9 @@ def fit_expand(sdr, ref, cfg):
         raise TagError("fit_expand expects a PQ/BT.2020 reference")
     peak = cfg["peak_nits"]
     y_sdr, y_ref, sdr_lin, ref_lin = fit_pairs(sdr, ref, cfg)
-    params, raw, trace = rqs.fit_rqs(y_sdr, y_ref, K=cfg["spline_knots"], cfg=fit_config(cfg))
+    params, raw, trace = rqs.fit_rqs(y_sdr, y_ref, K=cfg["spline_knots"],
+                                     lambda_smooth=cfg["lambda_smooth"],
+                                     iterations=cfg["fit_iterations"])
     _, lhs = _yuv(expand_sdr(sdr_lin, params, peak))
     _, ref_uv = _yuv(ref_lin)
     gram = lhs.T @ np.column_stack([lhs, ref_uv[:, :2]])
@@ -310,8 +307,8 @@ def cmd_fit_expand(args):
         out = outputs.frame(args.output, h, w)
         band, params, raw, trace = fit_expand(sdr, ref, cfg)
         outputs.sidecar(args.output, PQ_TAG, seed=cfg["seed"], config=cfg)
-        outputs.file(args.output + ".rqs.json",
-                     rqs.fit_json(params, raw, fit_config(cfg)).encode())
+        fit = rqs.fit_json(params, raw, cfg["lambda_smooth"], cfg["fit_iterations"])
+        outputs.file(args.output + ".rqs.json", fit.encode())
         losses = "".join(f"{loss:.18e}\n" for loss in trace)  # 19 digits: each float64 round-trips
         outputs.file(args.output + ".trace.csv", f"loss\n{losses}".encode())
         tc.map_row_bands(lambda rows: out.write(rows, band(rows)), h, w, workers)

@@ -8,7 +8,8 @@ mapped onto valid knots by `constrain`, for 2 <= K <= MAX_BINS.
 Every evaluator reads one per-bin table of constants (`_bin_table`):
 forward, derivative and inverse gather it per sample after one bin
 search. Fitting runs Levenberg-Marquardt on hand-derived analytic
-derivatives. The sample pairs are sorted once, so every knot bin is a
+derivatives, under two settings whose defaults are LAMBDA_SMOOTH and
+FIT_ITERATIONS. The sample pairs are sorted once, so every knot bin is a
 contiguous run of samples: a loss evaluation repeats the table over the
 runs instead of searching for each sample's bin, and forms each
 sample's six partials wrt its bin's end knots as six rows of N, so every
@@ -361,16 +362,9 @@ L1_DELTA = 1e-6  # smoothing width of sqrt(e^2 + delta^2)
 REL_TOL = 1e-10  # a trial that moves the loss by less than this share of it ends the fit
 INIT_DAMPING = 1e-3  # Marquardt's damping mu at the warm start
 MIN_DAMPING = 1e-8  # keeps H + mu diag H invertible where H is singular (softmax shifts)
-
-
-@dataclass
-class FitConfig:
-    # the penalty's weight against the data term's 1: the minimiser depends only on the ratio
-    lambda_smooth: float = 1e-3
-    iterations: int = 50
-
-    def to_json(self):
-        return dict(self.__dict__)
+# the defaults of the fit's two settings, which a config may override
+LAMBDA_SMOOTH = 1e-3  # the penalty's weight against the data term's 1; only the ratio matters
+FIT_ITERATIONS = 50  # most Levenberg-Marquardt trials of one fit
 
 
 def _run_sums(v, starts, nonempty):
@@ -381,7 +375,7 @@ def _run_sums(v, starts, nonempty):
     return out
 
 
-def fit_loss_and_grad(raw, K, y_in, target, cfg):
+def fit_loss_and_grad(raw, K, y_in, target, lambda_smooth):
     """Smoothed-L1 data term plus slope-smoothness penalty, and its derivatives.
 
     Takes sample pairs sorted by y_in (see `forward_param_grad`).
@@ -398,7 +392,7 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     pred, partials, starts = forward_param_grad(p, y_in)
     e = pred - target
     root = np.sqrt(e * e + L1_DELTA**2)
-    loss = float(np.mean(root)) + cfg.lambda_smooth * smooth_penalty(p)
+    loss = float(np.mean(root)) + lambda_smooth * smooth_penalty(p)
 
     def derivs():
         jac = partials()
@@ -417,7 +411,7 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
                         weights=block.ravel(), minlength=n * n).reshape(n, n)
         # the penalty lambda*|D s|^2, D the slope difference, is quadratic in the slopes
         diff = np.diff(np.eye(K + 1), axis=0)
-        pen = 2.0 * cfg.lambda_smooth * diff.T @ diff
+        pen = 2.0 * lambda_smooth * diff.T @ diff
         g[2 * K + 2 :] += pen @ p.slopes
         h[2 * K + 2 :, 2 * K + 2 :] += pen
         half = constrain_backward(raw, K, *h.reshape(3, K + 1, n))
@@ -427,28 +421,26 @@ def fit_loss_and_grad(raw, K, y_in, target, cfg):
     return loss, derivs
 
 
-def fit_rqs(y_in, target, K=8, cfg=None):
+def fit_rqs(y_in, target, K=8, lambda_smooth=LAMBDA_SMOOTH, iterations=FIT_ITERATIONS):
     """Fit spline parameters to paired (sdr luma, normalized hdr luma) samples.
 
     Returns (RqsParams, raw vector, loss trace). The pairs are sorted once,
     by input and ties by target, so the sorted arrays, and every output,
     depend only on the multiset of pairs; the warm start and every loss
-    evaluation read each knot bin as a contiguous run. The fit is
+    evaluation read each knot bin as a contiguous run. The loss weighs the
+    slope penalty by lambda_smooth (see `fit_loss_and_grad`). The fit is
     Levenberg-Marquardt on the Gauss-Newton curvature (Marquardt 1963):
     each trial solves (H + mu diag H) step = -grad and costs one loss
     evaluation; it is accepted only if it lowers the loss, which divides
     the damping mu by 3 (down to MIN_DAMPING), and a refused trial
-    multiplies mu by 10. The
-    gradient and curvature are built at the start point and once per
-    accepted step. The trace holds the start loss and the loss after each
-    trial, so it is monotone non-increasing. The fit ends after a trial
-    that moves the loss by less than REL_TOL of it, when no coordinate has
-    curvature left, or after cfg.iterations trials. Targets that spread
-    less than 1e-9 raise FitError: no spline through (0, 0) and (1, 1)
-    follows them, so any fit would be degenerate.
+    multiplies mu by 10. The gradient and curvature are built at the start
+    point and once per accepted step. The trace holds the start loss and
+    the loss after each trial, so it is monotone non-increasing. The fit
+    ends after a trial that moves the loss by less than REL_TOL of it, when
+    no coordinate has curvature left, or after `iterations` trials. Targets
+    that spread less than 1e-9 raise FitError: no spline through (0, 0) and
+    (1, 1) follows them, so any fit would be degenerate.
     """
-    if cfg is None:
-        cfg = FitConfig()
     y_in = np.asarray(y_in, dtype=np.float64).reshape(-1)
     target = np.asarray(target, dtype=np.float64).reshape(-1)
     if y_in.shape != target.shape:
@@ -465,13 +457,13 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     target = target[order]
 
     raw = warm_start_raw(y_in, target, K)
-    loss, derivs = fit_loss_and_grad(raw, K, y_in, target, cfg)
+    loss, derivs = fit_loss_and_grad(raw, K, y_in, target, lambda_smooth)
     if not np.isfinite(loss):
         raise FitError("non-finite loss at the warm start")
     grad, curv = derivs()
     damping = INIT_DAMPING
     trace = [loss]
-    for _ in range(cfg.iterations):
+    for _ in range(iterations):
         scale = np.diag(curv)
         if not scale.max() > 0.0:
             break  # no coordinate moves the loss, as when every bin has saturated
@@ -481,7 +473,7 @@ def fit_rqs(y_in, target, K=8, cfg=None):
             cand = raw - np.linalg.solve(curv + np.diag(damping * scale), grad)
         except np.linalg.LinAlgError:
             break  # a subnormal curvature, whose floor and damping underflow to zero
-        cand_loss, derivs = fit_loss_and_grad(cand, K, y_in, target, cfg)
+        cand_loss, derivs = fit_loss_and_grad(cand, K, y_in, target, lambda_smooth)
         converged = abs(loss - cand_loss) <= REL_TOL * loss
         if cand_loss < loss:
             raw, loss = cand, cand_loss
@@ -495,10 +487,8 @@ def fit_rqs(y_in, target, K=8, cfg=None):
     return constrain(raw, K), raw, np.array(trace)
 
 
-def fit_json(params, raw, cfg):
-    """The `.rqs.json` text of a fit: its params, and its raw vector and config as provenance."""
-    doc = {
-        "params": params.to_json(),
-        "provenance": {"raw": np.asarray(raw).tolist(), "cfg": cfg.to_json()},
-    }
-    return json.dumps(doc, indent=2)
+def fit_json(params, raw, lambda_smooth, iterations):
+    """The `.rqs.json` text of a fit: its params, and its raw vector and settings as provenance."""
+    cfg = {"lambda_smooth": lambda_smooth, "iterations": iterations}
+    return json.dumps({"params": params.to_json(),
+                       "provenance": {"raw": np.asarray(raw).tolist(), "cfg": cfg}}, indent=2)

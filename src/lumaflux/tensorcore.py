@@ -89,23 +89,21 @@ def map_row_bands(kernel, height, width, workers=1):
 
     A kernel that reads and writes only its own rows of whole-frame
     arrays gives the same bytes at any `workers`, because the band edges
-    depend on the frame's extent alone. With workers > 1 the calling
-    thread and min(workers, bands) - 1 helper threads take bands in row
-    order from one queue, so the caller's thread, and its heap, does band
-    work instead of waiting. An exception propagates from the first
-    failing band in row order, once every band before it has run; no band
-    starts once a failure is recorded, and the helpers are joined before
-    this returns or raises. An exception that is not an Exception (say
-    KeyboardInterrupt) raised on the calling thread propagates as itself.
-    Call it from the main thread of a command, never from a band kernel.
+    depend on the frame's extent alone. The calling thread and
+    min(workers, bands) - 1 helper threads take bands in row order from
+    one queue, so the caller's thread, and its heap, does band work
+    instead of waiting. One loop serves every worker count: at one worker
+    or one band no helper starts and the caller takes every band. An
+    exception propagates from the first failing band in row order, once
+    every band before it has run; no band starts once a failure is
+    recorded, and the helpers are joined before this returns or raises.
+    An exception that is not an Exception (say KeyboardInterrupt) raised
+    on the calling thread propagates as itself. Call it from the main
+    thread of a command, never from a band kernel.
     """
     if workers < 1:
         raise ConfigError(f"map_row_bands needs workers >= 1, got {workers!r}")
     bands = row_bands(height, width)
-    if workers == 1 or len(bands) < 2:
-        for rows in bands:
-            kernel(rows)
-        return
     pending = collections.deque(enumerate(bands))  # popleft and clear are thread-safe
     failures = {}  # band index -> what its kernel raised
 

@@ -421,6 +421,19 @@ class TestFitExpand:
                    for name in FIT_EXPAND_SHA256}
         assert digests == FIT_EXPAND_SHA256
 
+    def test_provenance_keeps_a_non_default_config_as_given(self, tmp_path, capsys):
+        # FIT_EXPAND_SHA256 pins the default settings' bytes; these are written in the
+        # same key order, and lambda_smooth's int 0 stays an int
+        sdr, src = write_fit_pair(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_smooth": 0, "fit_iterations": 7}))
+        dst = tmp_path / "expanded.pfm"
+        assert cli.main(["fit-expand", sdr, src, "--output", str(dst), "--config", str(cfg)]) == 0
+        prov = json.loads((tmp_path / "expanded.pfm.rqs.json").read_text())["provenance"]
+        assert list(prov["cfg"].items()) == [("lambda_smooth", 0), ("iterations", 7)]
+        assert type(prov["cfg"]["lambda_smooth"]) is int
+        assert len(np.loadtxt(tmp_path / "expanded.pfm.trace.csv", skiprows=1)) <= 1 + 7
+
     def test_warm_start_is_pinned(self, tmp_path, monkeypatch):
         sdr, src = write_fit_pair(tmp_path)
         # the pairs cmd_fit_expand passes to fit_rqs; 4,096 pixels need no stride
@@ -437,7 +450,7 @@ class TestFitExpand:
             raw = warm_start_raw(luma[order], t[order], 8)
             digests[name] = hashlib.sha256(raw.tobytes()).hexdigest()
             # fit_rqs breaks ties the same way
-            rqs.fit_rqs(luma, t, K=8, cfg=rqs.FitConfig(iterations=1))
+            rqs.fit_rqs(luma, t, K=8, iterations=1)
             assert np.array_equal(in_fit[-1], raw)
         assert digests == WARM_START_SHA256
 
@@ -1074,8 +1087,8 @@ class TestLoadConfig:
 
     def test_fit_defaults_are_the_library_defaults(self):
         cfg = cli.load_config()
-        fit = rqs.FitConfig()
-        assert (cfg["lambda_smooth"], cfg["fit_iterations"]) == (fit.lambda_smooth, fit.iterations)
+        assert (cfg["lambda_smooth"], cfg["fit_iterations"]) == (rqs.LAMBDA_SMOOTH,
+                                                                  rqs.FIT_ITERATIONS)
 
     def test_values_kept_as_given(self, tmp_path):
         doc = {"peak_nits": 1000, "crfs": [39, 23], "fit_samples": 4096}

@@ -238,20 +238,20 @@ class TestFitLoss:
         tgt = rng.uniform(0.0, 1.0, 256)
         order = np.argsort(x)
         self.x, self.tgt = x[order], tgt[order]
-        self.cfg = rqs.FitConfig()
+        self.lam = rqs.LAMBDA_SMOOTH
 
     def test_loss_matches_forward_and_penalty(self):
         p = rqs.constrain(self.raw, 6)
         e = rqs.rqs_forward(p, self.x) - self.tgt
         data = float(np.mean(np.sqrt(e * e + rqs.L1_DELTA**2)))
-        expected = data + self.cfg.lambda_smooth * rqs.smooth_penalty(p)
-        assert rqs.fit_loss_and_grad(self.raw, 6, self.x, self.tgt, self.cfg)[0] == expected
+        expected = data + self.lam * rqs.smooth_penalty(p)
+        assert rqs.fit_loss_and_grad(self.raw, 6, self.x, self.tgt, self.lam)[0] == expected
 
     def test_one_evaluation_counts_each_clamp_once(self):
         x = self.x.copy()
         x[[0, 254, 255]] = [-0.2, 1.3, 2.0]
         before = rqs.clamp_counter["count"]
-        rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.cfg)
+        rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.lam)
         assert rqs.clamp_counter["count"] == before + 3
 
     def test_unsorted_samples_are_refused(self):
@@ -261,7 +261,7 @@ class TestFitLoss:
         with pytest.raises(DimensionError):
             rqs.forward_param_grad(rqs.constrain(self.raw, 6), x)
         with pytest.raises(DimensionError):
-            rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.cfg)
+            rqs.fit_loss_and_grad(self.raw, 6, x, self.tgt, self.lam)
         with pytest.raises(DimensionError):
             rqs.warm_start_raw(x, self.tgt, 6)
 
@@ -351,13 +351,13 @@ class TestFitGradients:
         rng = np.random.default_rng(7)
         x = np.linspace(0.0, 1.0, 256)
         tgt = x**2
-        cfg = rqs.FitConfig()
+        lam = rqs.LAMBDA_SMOOTH
         worst = 0.0
         for _ in range(5):
             theta = rng.normal(0.0, 0.5, 3 * 6 + 1)
-            g = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()[0]
+            g = rqs.fit_loss_and_grad(theta, 6, x, tgt, lam)[1]()[0]
             fd = tc.finite_diff_grad(
-                lambda th: rqs.fit_loss_and_grad(th, 6, x, tgt, cfg)[0], theta, 1e-6)
+                lambda th: rqs.fit_loss_and_grad(th, 6, x, tgt, lam)[0], theta, 1e-6)
             rel = np.max(np.abs(g - fd) / np.maximum(np.abs(g) + np.abs(fd), 1e-8))
             worst = max(worst, rel)
         assert worst <= 1e-5
@@ -368,7 +368,7 @@ class TestFitGradients:
         theta = np.random.default_rng(10).normal(0.0, 0.5, 3 * 6 + 1)
         x = np.linspace(0.0, 1.0, 256)
         tgt = x**2
-        cfg = rqs.FitConfig()
+        lam = rqs.LAMBDA_SMOOTH
 
         def central(f):
             steps = 1e-6 * np.eye(theta.size)
@@ -378,8 +378,8 @@ class TestFitGradients:
         dslopes = np.diff(central(lambda th: rqs.constrain(th, 6).slopes), axis=0)
         e = rqs.rqs_forward(rqs.constrain(theta, 6), x) - tgt
         w = 1.0 / (np.sqrt(e * e + rqs.L1_DELTA**2) * x.size)
-        ref = jac.T @ (w[:, None] * jac) + 2.0 * cfg.lambda_smooth * dslopes.T @ dslopes
-        curv = rqs.fit_loss_and_grad(theta, 6, x, tgt, cfg)[1]()[1]
+        ref = jac.T @ (w[:, None] * jac) + 2.0 * lam * dslopes.T @ dslopes
+        curv = rqs.fit_loss_and_grad(theta, 6, x, tgt, lam)[1]()[1]
         assert np.max(np.abs(curv - ref)) <= 1e-6 * np.max(np.abs(ref))
 
     def test_constrain_jacobian_finite(self):
@@ -464,14 +464,14 @@ class TestFit:
         p_star = rqs.constrain(rng.normal(0.0, 0.7, 3 * 6 + 1), 6)
         x = np.linspace(0.0, 1.0, 2048)
         tgt = rqs.rqs_forward(p_star, x)
-        p, _, _ = rqs.fit_rqs(x, tgt, K=6, cfg=rqs.FitConfig(lambda_smooth=0.0))
+        p, _, _ = rqs.fit_rqs(x, tgt, K=6, lambda_smooth=0.0)
         assert np.max(np.abs(rqs.rqs_forward(p, x) - tgt)) <= 1e-3
 
     def test_trace_monotone_nonincreasing(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(0.0, 1.0, 300)
         p, _, trace = rqs.fit_rqs(x, np.clip(x + rng.normal(0, 0.05, 300), 0, 1), K=6,
-                                  cfg=rqs.FitConfig(iterations=200))
+                                  iterations=200)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_gradient_pulled_back_only_for_accepted_steps(self, monkeypatch):
@@ -516,7 +516,7 @@ class TestFit:
     def test_empty_bins_without_penalty(self):
         # with lambda = 0 no sample or penalty reaches the slopes of the knots below 0.5
         x = np.linspace(0.5, 1.0, 300)
-        p, _, _ = rqs.fit_rqs(x, x**2, K=8, cfg=rqs.FitConfig(lambda_smooth=0.0))
+        p, _, _ = rqs.fit_rqs(x, x**2, K=8, lambda_smooth=0.0)
         assert np.max(np.abs(rqs.rqs_forward(p, x) - x**2)) <= 1e-3
 
     @settings(max_examples=40, deadline=None)
@@ -538,19 +538,19 @@ class TestFit:
         elif kind == "flat_target":
             t[:] = 0.3
             with pytest.raises(FitError, match="constant fit targets"):
-                rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
+                rqs.fit_rqs(x, t, K=K, lambda_smooth=lam)
             return
         elif kind == "falling_target":
             x = 0.9 + 0.1 * x
             t = 1.0 - x
-        _, raw, trace = rqs.fit_rqs(x, t, K=K, cfg=rqs.FitConfig(lambda_smooth=lam))
+        _, raw, trace = rqs.fit_rqs(x, t, K=K, lambda_smooth=lam)
         assert np.all(np.isfinite(raw)) and np.all(np.diff(trace) <= 0.0)
 
     def test_degenerate_targets_raise(self):
         # no spline through (0, 0) and (1, 1) follows constant targets
         x = np.linspace(0.0, 1.0, 128)
         with pytest.raises(FitError, match="constant fit targets"):
-            rqs.fit_rqs(x, np.full(128, 0.3), K=4, cfg=rqs.FitConfig(iterations=10))
+            rqs.fit_rqs(x, np.full(128, 0.3), K=4, iterations=10)
 
     def test_too_few_samples(self):
         with pytest.raises(ConfigError):
@@ -564,15 +564,16 @@ class TestFit:
 
 
 def test_failed_save_keeps_the_earlier_file(tmp_path):
-    # a config whose JSON cannot be encoded fails the save after params and raw;
+    # a setting whose JSON cannot be encoded fails the save after params and raw;
     # the file under the final name keeps the bytes of the earlier save
     path = tmp_path / "fit.rqs.json"
     raw = np.random.default_rng(0).normal(0.0, 1.0, 3 * 8 + 1)
     with pfm.Outputs() as out:
-        out.file(str(path), rqs.fit_json(rqs.constrain(raw, 8), raw, rqs.FitConfig()).encode())
+        fit = rqs.fit_json(rqs.constrain(raw, 8), raw, rqs.LAMBDA_SMOOTH, rqs.FIT_ITERATIONS)
+        out.file(str(path), fit.encode())
     before = path.read_bytes()
     with pytest.raises(TypeError), pfm.Outputs() as out:
-        fit = rqs.fit_json(rqs.constrain(-raw, 8), -raw, rqs.FitConfig(lambda_smooth=object()))
+        fit = rqs.fit_json(rqs.constrain(-raw, 8), -raw, object(), rqs.FIT_ITERATIONS)
         out.file(str(path), fit.encode())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.rqs.json"]

@@ -132,8 +132,10 @@ class TestMapRowBands:
             with pytest.raises(DomainError, match="band at row 64$"):
                 tc.map_row_bands(kernel, 300, tc.BAND_PIXELS // 64, workers)
 
-    def test_failing_band_skips_the_bands_not_yet_started(self):
-        # a failing band empties the queue, so no thread starts another band
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_band_skips_the_bands_not_yet_started(self, workers):
+        # a failing band empties the queue, so no thread starts another band; with
+        # one worker the caller raises before it takes a second band
         bands = tc.row_bands(1080, 1920)
         ran = []
 
@@ -144,13 +146,16 @@ class TestMapRowBands:
             threading.Event().wait(0.05)
 
         with pytest.raises(DomainError, match="first band"):
-            tc.map_row_bands(kernel, 1080, 1920, 2)
+            tc.map_row_bands(kernel, 1080, 1920, workers)
         assert len(ran) < len(bands) // 2
+        if workers == 1:
+            assert ran == [0]
 
     @pytest.mark.parametrize("fail", [False, True])
-    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_bands_run_on_the_caller_and_at_most_workers_minus_one_helpers(self, workers, fail):
-        # twelve 64-row bands, each long enough that no one thread takes them all
+        # twelve 64-row bands, each long enough that no one thread takes them all;
+        # with one worker the caller takes every band and no helper starts
         before = threading.active_count()
         threads = set()
 
@@ -160,11 +165,11 @@ class TestMapRowBands:
             if fail and rows.start == 64 * 6:
                 raise DomainError("band 6")
 
-        with pytest.raises(DomainError) if fail else contextlib.nullcontext():
+        with pytest.raises(DomainError, match="band 6$") if fail else contextlib.nullcontext():
             tc.map_row_bands(kernel, 64 * 12, tc.BAND_PIXELS // 64, workers)
         helpers = threads - {threading.main_thread()}
         assert threading.main_thread() in threads
-        assert 1 <= len(helpers) <= workers - 1
+        assert min(1, workers - 1) <= len(helpers) <= workers - 1
         assert not any(t.is_alive() for t in helpers)
         assert threading.active_count() == before
 

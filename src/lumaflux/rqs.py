@@ -195,13 +195,13 @@ def _require_sorted(y):
 
 
 def forward_param_grad(p, y):
-    """(pred, partials, starts): spline values at sorted samples y, their partials, the bin runs.
+    """(pred, jac, starts): spline values at sorted samples y, their partials, the bin runs.
 
     Bin j holds the samples with knots_x[j] <= y < knots_x[j+1] (the last
     bin also y == 1), so in sorted samples each bin is one contiguous run
     that starts at starts[j]: the bin table's entries this kernel reads are
     repeated over their runs, and the values equal `rqs_forward` bit for
-    bit. partials() builds, from the terms the values left, six rows of N:
+    bit. jac holds six rows of N, built from the terms the values leave:
     column i holds df_i/d(knots_x[j], knots_x[j+1], knots_y[j],
     knots_y[j+1], slopes[j], slopes[j+1]) for sample i's bin j, by the
     hand-derived chain rule through the rational-quadratic bin formula;
@@ -219,26 +219,22 @@ def forward_param_grad(p, y):
     t1 = u * (1.0 - u)
     den = delta_r + q_r * t1
     num = delta_r * u * u + s0_r * t1
-
-    def partials():
-        # f = c + dy*num/den; with the bin's dy factored out, d(num/den) is
-        # r*dnum - m*dden for r = 1/den and m = num/den^2
-        r = 1.0 / den
-        m = num * r * r
-        omu = 1.0 - 2.0 * u
-        d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
-        d_delta = r * u * u - m * (1.0 - 2.0 * t1)
-        jac = np.empty((6, y.size))
-        # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
-        jac[0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
-        jac[1] = -delta_r * (d_u * u + delta_r * d_delta)
-        jac[3] = num * r + delta_r * d_delta
-        jac[2] = 1.0 - jac[3]
-        jac[4] = dy_r * (r - m) * t1
-        jac[5] = -dy_r * m * t1
-        return jac
-
-    return c_r + dy_r * num / den, partials, starts
+    # f = c + dy*num/den; with the bin's dy factored out, d(num/den) is
+    # r*dnum - m*dden for r = 1/den and m = num/den^2
+    r = 1.0 / den
+    m = num * r * r
+    omu = 1.0 - 2.0 * u
+    d_u = r * (2.0 * delta_r * u + s0_r * omu) - m * q_r * omu
+    d_delta = r * u * u - m * (1.0 - 2.0 * t1)
+    jac = np.empty((6, y.size))
+    # knots j and j+1 of bin j, through u = (y - a)/w and delta = dy/w
+    jac[0] = delta_r * (d_u * (u - 1.0) + delta_r * d_delta)
+    jac[1] = -delta_r * (d_u * u + delta_r * d_delta)
+    jac[3] = num * r + delta_r * d_delta
+    jac[2] = 1.0 - jac[3]
+    jac[4] = dy_r * (r - m) * t1
+    jac[5] = -dy_r * m * t1
+    return c_r + dy_r * num / den, jac, starts
 
 
 def constrain_backward(raw, K, gx, gy, gs):
@@ -384,18 +380,17 @@ def fit_loss_and_grad(raw, K, y_in, target, lambda_smooth):
     counts with its IRLS weight 1/sqrt(e^2 + delta^2). Both are run sums,
     along each row, of the six rows of per-sample partials, assembled on
     the 3(K+1) knot coordinates and pulled back by `constrain_backward`.
-    The loss costs the values of one `forward_param_grad` pass; the
-    partials and their run sums are built only when derivs is called, so a
-    refused trial pays for the values alone.
+    The loss costs one `forward_param_grad` pass, values and partials; the
+    run sums are built only when derivs is called, so a refused trial pays
+    for that pass alone.
     """
     p = constrain(raw, K)
-    pred, partials, starts = forward_param_grad(p, y_in)
+    pred, jac, starts = forward_param_grad(p, y_in)
     e = pred - target
     root = np.sqrt(e * e + L1_DELTA**2)
     loss = float(np.mean(root)) + lambda_smooth * smooth_penalty(p)
 
     def derivs():
-        jac = partials()
         jw = jac / (root * e.size)
         nonempty = np.diff(starts, append=e.size) > 0
         n = 3 * (K + 1)
@@ -439,7 +434,9 @@ def fit_rqs(y_in, target, K=8, lambda_smooth=LAMBDA_SMOOTH, iterations=FIT_ITERA
     ends after a trial that moves the loss by less than REL_TOL of it, when
     no coordinate has curvature left, or after `iterations` trials. Targets
     that spread less than 1e-9 raise FitError: no spline through (0, 0) and
-    (1, 1) follows them, so any fit would be degenerate.
+    (1, 1) follows them, so any fit would be degenerate. So does the first
+    overflow, divide by zero or invalid operation of the fit, as a weight
+    near the float maximum makes, so no fit computes on with inf or NaN.
     """
     y_in = np.asarray(y_in, dtype=np.float64).reshape(-1)
     target = np.asarray(target, dtype=np.float64).reshape(-1)
@@ -453,9 +450,17 @@ def fit_rqs(y_in, target, K=8, lambda_smooth=LAMBDA_SMOOTH, iterations=FIT_ITERA
                        "follows them")
     # the gather also copies a strided view into a full frame contiguously
     order = np.lexsort((target, y_in))
-    y_in = y_in[order]
-    target = target[order]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _levenberg_marquardt(y_in[order], target[order], K, lambda_smooth,
+                                        iterations)
+    except FloatingPointError as exc:
+        raise FitError(f"the fit left the finite floats ({exc}) at lambda_smooth "
+                       f"{lambda_smooth!r}") from None
 
+
+def _levenberg_marquardt(y_in, target, K, lambda_smooth, iterations):
+    # fit_rqs's fit, from the warm start, on pairs it has sorted
     raw = warm_start_raw(y_in, target, K)
     loss, derivs = fit_loss_and_grad(raw, K, y_in, target, lambda_smooth)
     if not np.isfinite(loss):

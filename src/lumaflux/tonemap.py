@@ -11,8 +11,9 @@ decoded (linear) frame: tone map, gamut clamp, encode, quantize and the
 forward DCT run once, and only the deadzone quantization and inverse DCT
 run per CRF. A band's coefficients are one array in (u, block row,
 channel, block column, v) order, so each transform is two GEMMs over the
-band, summing as the per-block DCT8 @ X @ DCT8.T does. `degrade` and
-`codec_proxy` put one frame together from bands of `tensorcore.row_bands`.
+band, summing as the per-block DCT8 @ X @ DCT8.T does. `sdr_bands` is the
+one way into the codec: `degrade` puts one frame together from its bands
+over `tensorcore.row_bands`.
 Banding never changes a bit: the bands hold whole 8x8 blocks and the last
 band's edge padding is the whole frame's.
 """
@@ -234,16 +235,13 @@ def tone_map(op, img):
     return cm.TaggedImage(np.clip(out, 0.0, 1.0, out=out), tag)
 
 
-def quantize(img, bits):
-    """Snap encoded samples to the 2^bits - 1 uniform grid: floor(x * L + 0.5), half up."""
-    if bits not in (8, 10):
-        raise ConfigError(f"unsupported bit depth {bits}")
+def quantize(img):
+    """Snap encoded samples to the 8-bit grid: floor(x * 255 + 0.5) / 255, half up."""
     if img.tag.transfer is cm.Transfer.LINEAR:
         raise TagError("quantize expects an encoded image")
-    levels = float(2**bits - 1)
-    out = np.multiply(img.pixels, levels, dtype=np.float64)  # float64 whatever the storage
+    out = np.multiply(img.pixels, 255.0, dtype=np.float64)  # float64 whatever the storage
     np.floor(np.add(out, 0.5, out=out), out=out)
-    out /= levels
+    out /= 255.0
     return img.with_pixels(out)
 
 
@@ -295,19 +293,6 @@ def _inverse_dct(coefs, crf, r, w):
     return px[:r, :w]
 
 
-def codec_proxy(img, crf):
-    """Deterministic stand-in for lossy encoding: per-channel 8x8 DCT quantization."""
-    _check_crf(crf)
-    if crf is None:
-        return img
-    h, w, _ = img.pixels.shape
-    frame = np.empty((h, w, 3))
-    for rows in tc.row_bands(h, w):
-        band = img.pixels[rows]
-        frame[rows] = _inverse_dct(_forward_dct(band), crf, len(band), w)
-    return img.with_pixels(frame)
-
-
 # the tag of every SDR frame and band that degrade and sdr_bands make
 SDR_TAG = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
 
@@ -318,7 +303,7 @@ def _encode_sdr(op, linear):
     img, _ = cm.convert_gamut(img, cm.Primaries.BT709)
     # convert_gamut returns a fresh array, so it is clipped in place
     px = np.clip(img.pixels, 0.0, 1.0, out=img.pixels)
-    return quantize(img.with_pixels(cm.bt709_oetf(px), SDR_TAG), 8).pixels
+    return quantize(img.with_pixels(cm.bt709_oetf(px), SDR_TAG)).pixels
 
 
 def sdr_bands(linear, op, crfs):

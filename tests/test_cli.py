@@ -20,7 +20,7 @@ from lumaflux import pfm
 from lumaflux import rqs
 from lumaflux import tensorcore as tc
 from lumaflux import tonemap as tm
-from lumaflux.errors import ConfigError, TagError
+from lumaflux.errors import ConfigError, FitError, TagError
 from test_acceptance import synthetic_hdr
 from test_pfm import SDR_TAG, damaged_frame
 from test_tensorcore import fix_band_rows
@@ -565,6 +565,38 @@ class TestFitExpand:
         b = write_hdr(tmp_path / "b.pfm", size=64)
         rc = cli.main(["fit-expand", a, b, "--output", str(tmp_path / "x.pfm")])
         assert rc == 2
+
+    @staticmethod
+    def overflowing_pair(case):
+        """(sdr, hdr, lambda_smooth): a finite weight on which a fit once computed on with
+        inf or NaN and exited 0."""
+        if case == "blocks":
+            # the damped solve's damping * scale overflowed; final_loss read 1e274
+            return (*seeded_pair(0, 64, 64), 1e305)
+        # a gray ramp and the same ramp in nits: an overflow, then NaN in the softplus
+        ramp = 0.05 + 0.9 * np.arange(64 * 64).reshape(64, 64) / (64 * 64 - 1)
+        px = np.repeat(ramp[..., None], 3, axis=-1)
+        return (cm.TaggedImage(px, SDR_TAG), cm.TaggedImage(cm.pq_encode(px * 1000.0),
+                                                            cli.PQ_TAG), 1e307)
+
+    @pytest.mark.parametrize("case", ["blocks", "gray_ramp"])
+    def test_overflowing_fit_is_a_numerical_failure(self, tmp_path, case, capsys):
+        sdr, hdr, lam = self.overflowing_pair(case)
+        y_sdr, y_ref, _, _ = cli.fit_pairs(sdr, hdr, cli.load_config())
+        with pytest.raises(FitError, match="left the finite floats"):
+            rqs.fit_rqs(y_sdr, y_ref, lambda_smooth=lam)
+        paths = [str(tmp_path / "sdr.pfm"), str(tmp_path / "hdr.pfm")]
+        pfm.write_tagged(paths[0], sdr)
+        pfm.write_tagged(paths[1], hdr, seed=0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_smooth": lam}))
+        before = files_under(tmp_path)
+        argv = ["fit-expand", *paths, "--output", str(tmp_path / "x.pfm"), "--config", str(cfg)]
+        assert cli.main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure") and "lambda_smooth" in captured.err
+        assert files_under(tmp_path) == before
 
 
 class TestFitPairs:

@@ -447,11 +447,7 @@ FLOAT_DECODES = {
     "decode PQ": lambda px: cm.decode(cm.TaggedImage(px, PQ_TAG)).pixels,
     "decode Gamma709": lambda px: cm.decode(cm.TaggedImage(px, SDR_TAG)).pixels,
     "linearize_sdr": lambda px: ft.linearize_sdr(cm.TaggedImage(px, SDR_TAG)).pixels,
-    "quantize": lambda px: tm.quantize(cm.TaggedImage(px, SDR_TAG), 8).pixels,
-    "codec_proxy": lambda px: tm.codec_proxy(cm.TaggedImage(px, SDR_TAG), 23).pixels,
-    # whole 8x8 blocks, read unpadded from a view that is not C-contiguous
-    "codec_proxy whole blocks": lambda px: tm.codec_proxy(
-        cm.TaggedImage(px[:32, :48], SDR_TAG), 31).pixels,
+    "quantize": lambda px: tm.quantize(cm.TaggedImage(px, SDR_TAG)).pixels,
 }
 
 

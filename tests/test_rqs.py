@@ -315,8 +315,7 @@ class TestSortedKernel:
             y = np.concatenate((y, p.knots_x))
         y = np.sort(y)
 
-        pred, partials, starts = rqs.forward_param_grad(p, y)
-        jac = partials()
+        pred, jac, starts = rqs.forward_param_grad(p, y)
         assert np.array_equal(pred, rqs.rqs_forward(p, y))
         bins = np.clip(np.searchsorted(p.knots_x, y, side="right") - 1, 0, K - 1)
         assert np.array_equal(starts, np.searchsorted(bins, np.arange(K)))
@@ -545,6 +544,13 @@ class TestFit:
             t = 1.0 - x
         _, raw, trace = rqs.fit_rqs(x, t, K=K, lambda_smooth=lam)
         assert np.all(np.isfinite(raw)) and np.all(np.diff(trace) <= 0.0)
+
+    @pytest.mark.parametrize("lam", [9e307, 1.7e308])
+    def test_weight_that_overflows_the_penalty_raises(self, lam):
+        # 2 * lambda is inf, and inf times the penalty matrix's zeros is NaN
+        x = np.linspace(0.0, 1.0, 256)
+        with pytest.raises(FitError, match="left the finite floats"):
+            rqs.fit_rqs(x, x**2, K=8, lambda_smooth=lam)
 
     def test_degenerate_targets_raise(self):
         # no spline through (0, 0) and (1, 1) follows constant targets

@@ -33,14 +33,18 @@ BANDED_EXTENTS = [(150, 45), (129, 67), (7, 9)]
 BANDED_ROWS = (None, 64, 8)  # None: the default band height
 
 
-def per_block_codec(px, crf, basis=None):
-    """The codec proxy as a plain loop over edge-padded 8x8 blocks, by default with its own
-    DCT-II basis."""
+def random_linear(seed, extent, peak=1000.0):
+    """A linear BT.2020 band of uniform random nits in [0, peak]: AC energy in every block."""
+    tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
+    return cm.TaggedImage(np.random.default_rng(seed).uniform(0.0, peak, extent + (3,)), tag)
+
+
+def per_block_codec(px, crf):
+    """The codec as a plain loop over edge-padded 8x8 blocks. It takes the program's basis,
+    so a coefficient on a deadzone bin edge truncates the same way; TestCodec checks that
+    basis against the DCT-II's closed form."""
     h, w, _ = px.shape
-    if basis is None:
-        u = np.arange(8)[:, None]
-        n = np.arange(8)[None, :]
-        basis = np.cos(np.pi * (2 * n + 1) * u / 16) * np.where(u == 0, np.sqrt(1 / 8), 0.5)
+    basis = tm.DCT8
     step = tm.JPEG_BASE / 255.0 * 0.25 * tm.crf_quality_scale(crf)
     expected = np.empty_like(px)
     for ch in range(3):
@@ -63,7 +67,7 @@ def whole_frame_encode(img_pq, op):
     px = np.clip(img.pixels, 0.0, 1.0) * 100.0
     # BT.709 encoded from nits at the SDR nominal 100 nits
     encoded = cm.bt709_oetf(np.clip(px / 100.0, 0.0, 1.0))
-    return tm.quantize(cm.TaggedImage(encoded, tm.SDR_TAG), 8).pixels
+    return tm.quantize(cm.TaggedImage(encoded, tm.SDR_TAG)).pixels
 
 
 def cropped_hdr(extent):
@@ -232,64 +236,58 @@ class TestQuantize:
     def test_8bit_grid(self):
         tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
         img = cm.TaggedImage(np.array([[[0.0, 0.5, 1.0]]]), tag)
-        q = tm.quantize(img, 8)
+        q = tm.quantize(img)
         np.testing.assert_allclose(q.pixels * 255.0, np.round(q.pixels * 255.0), atol=1e-12)
         assert float(q.pixels[0, 0, 1]) == pytest.approx(128 / 255)
 
     def test_half_rounds_away_from_zero(self):
         tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
         img = cm.TaggedImage(np.full((1, 1, 3), 0.5 / 255.0), tag)
-        assert float(tm.quantize(img, 8).pixels[0, 0, 0]) == pytest.approx(1 / 255)
+        assert float(tm.quantize(img).pixels[0, 0, 0]) == pytest.approx(1 / 255)
 
-    def test_10bit_finer_than_8bit(self):
-        tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
-        img = cm.TaggedImage(np.random.default_rng(0).uniform(0, 1, (8, 8, 3)), tag)
-        e8 = np.abs(tm.quantize(img, 8).pixels - img.pixels).mean()
-        e10 = np.abs(tm.quantize(img, 10).pixels - img.pixels).mean()
-        assert e10 < e8
-
-    def test_rejects_linear_and_bad_depth(self):
+    def test_rejects_linear(self):
         lin = cm.TaggedImage(np.zeros((1, 1, 3)),
                              cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.LINEAR, 100.0))
         with pytest.raises(TagError):
-            tm.quantize(lin, 8)
-        enc = cm.TaggedImage(np.zeros((1, 1, 3)),
-                             cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0))
-        with pytest.raises(ConfigError):
-            tm.quantize(enc, 12)
+            tm.quantize(lin)
 
 
-class TestCodecProxy:
+class TestCodec:
+    """The codec where synthesize runs it: sdr_bands at crfs (None, crf), whose None band
+    is exactly the codec's input."""
+
     @staticmethod
-    def encoded(pixels):
-        tag = cm.ColorSpaceTag(cm.Primaries.BT709, cm.Transfer.GAMMA709, 100.0)
-        return cm.TaggedImage(np.asarray(pixels, dtype=np.float64), tag)
+    def coded(linear, crf):
+        """(the codec's input, its output at `crf`) for a band of linear BT.2020 nits."""
+        return tm.sdr_bands(linear, ALL_OPS[0], (None, crf))
 
-    def test_none_is_identity(self):
-        img = self.encoded(np.random.default_rng(0).uniform(0, 1, (16, 16, 3)))
-        assert tm.codec_proxy(img, None) is img
+    def test_basis_is_the_dct_ii(self):
+        u = np.arange(8)[:, None]
+        n = np.arange(8)[None, :]
+        basis = np.cos(np.pi * (2 * n + 1) * u / 16) * np.where(u == 0, np.sqrt(1 / 8), 0.5)
+        assert np.max(np.abs(tm.DCT8 - basis)) <= 1e-15
 
     def test_flat_blocks_survive(self):
-        img = self.encoded(np.full((16, 16, 3), 0.4))
-        out = tm.codec_proxy(img, 39)
-        np.testing.assert_allclose(out.pixels, img.pixels, atol=1e-12)
+        tag = cm.ColorSpaceTag(cm.Primaries.BT2020, cm.Transfer.LINEAR, cm.PQ_PEAK_NITS)
+        flat = cm.TaggedImage(np.broadcast_to([400.0, 200.0, 100.0], (16, 16, 3)), tag)
+        uncoded, coded = self.coded(flat, 39)
+        np.testing.assert_allclose(coded, uncoded, atol=1e-12)
 
     def test_ac_energy_never_grows(self):
-        img = self.encoded(np.random.default_rng(1).uniform(0, 1, (32, 32, 3)))
-        out = tm.codec_proxy(img, 31)
+        uncoded, coded = self.coded(random_linear(1, (32, 32)), 31)
         for ch in range(3):
             for br in range(4):
                 for bc in range(4):
-                    a = img.pixels[br * 8:br * 8 + 8, bc * 8:bc * 8 + 8, ch]
-                    b = out.pixels[br * 8:br * 8 + 8, bc * 8:bc * 8 + 8, ch]
+                    a = uncoded[br * 8:br * 8 + 8, bc * 8:bc * 8 + 8, ch]
+                    b = coded[br * 8:br * 8 + 8, bc * 8:bc * 8 + 8, ch]
                     ea = np.sum((a - a.mean()) ** 2)
                     eb = np.sum((b - b.mean()) ** 2)
                     assert eb <= ea + 1e-6
 
     def test_mae_monotone_in_crf(self):
-        img = self.encoded(np.random.default_rng(2).uniform(0, 1, (64, 64, 3)))
-        maes = [np.abs(tm.codec_proxy(img, crf).pixels - img.pixels).mean()
-                for crf in tm.VALID_CRF]
+        uncoded, *coded = tm.sdr_bands(random_linear(2, (64, 64)), ALL_OPS[0],
+                                       (None,) + tm.VALID_CRF)
+        maes = [np.abs(band - uncoded).mean() for band in coded]
         assert maes[0] < maes[1] < maes[2]
 
     def test_quality_scale(self):
@@ -297,22 +295,9 @@ class TestCodecProxy:
         assert tm.crf_quality_scale(29) == pytest.approx(2.0)
 
     def test_non_multiple_of_8_extent(self):
-        img = self.encoded(np.random.default_rng(3).uniform(0, 1, (19, 13, 3)))
-        out = tm.codec_proxy(img, 23)
-        assert out.pixels.shape == (19, 13, 3)
-        assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
-
-    def test_invalid_crf(self):
-        img = self.encoded(np.zeros((8, 8, 3)))
-        with pytest.raises(ConfigError):
-            tm.codec_proxy(img, 30)
-
-    def test_matches_per_block_reference(self):
-        # 37x53 needs padding on both axes and catches swapped transposes
-        px = np.random.default_rng(4).uniform(0, 1, (37, 53, 3))
-        for crf in tm.VALID_CRF:
-            got = tm.codec_proxy(self.encoded(px), crf).pixels
-            np.testing.assert_allclose(got, per_block_codec(px, crf), rtol=0, atol=1e-12)
+        _, coded = self.coded(random_linear(3, (19, 13)), 23)
+        assert coded.shape == (19, 13, 3)
+        assert coded.min() >= 0.0 and coded.max() <= 1.0
 
 
 class TestDegrade:
@@ -343,33 +328,22 @@ class TestDegrade:
         np.testing.assert_allclose(lin.pixels * 100.0, nits, atol=0.5)
 
     @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
-    def test_banded_chain_matches_whole_frame_reference(self, extent, monkeypatch):
+    @pytest.mark.parametrize("kind", list(tm.ToneKind), ids=[k.value for k in tm.ToneKind])
+    def test_banded_chain_matches_whole_frame_reference(self, kind, extent, monkeypatch):
+        # every CRF's frame is the per-block codec of the uncoded frame, bit for bit, in any
+        # order of crfs and at any band height; degrade is the same loop at one CRF
         hdr = cropped_hdr(extent)
-        op = tm.ToneOperator(tm.ToneKind.BT2446A, {})
-        encoded = whole_frame_encode(hdr, op)
-        # the program's basis: a coefficient on a deadzone boundary rounds the same way
-        want = {crf: per_block_codec(encoded, crf, tm.DCT8) for crf in tm.VALID_CRF}
-        for band_rows in BANDED_ROWS:
-            fix_band_rows(monkeypatch, band_rows)
-            got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None)).pixels
-            assert np.array_equal(got, encoded), band_rows
-            for crf in tm.VALID_CRF:
-                got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=crf)).pixels
-                assert np.array_equal(got, want[crf]), (band_rows, crf)
-
-    @pytest.mark.parametrize("extent", BANDED_EXTENTS, ids=str)
-    def test_variants_equal_codec_of_uncoded_frame(self, extent, monkeypatch):
-        hdr = cropped_hdr(extent)
-        op = tm.ToneOperator(tm.ToneKind.LOGC, {})
+        op = tm.ToneOperator(kind, {})
         crfs = (39, None, 23, 31)
-        encoded = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=None))
-        want = {crf: tm.codec_proxy(encoded, crf).pixels for crf in crfs}
-        assert encoded.tag == tm.SDR_TAG
+        encoded = whole_frame_encode(hdr, op)
+        want = {crf: encoded if crf is None else per_block_codec(encoded, crf) for crf in crfs}
         for band_rows in BANDED_ROWS:
             fix_band_rows(monkeypatch, band_rows)
-            frames = sdr_frames(hdr, op, crfs)
-            for crf, frame in zip(crfs, frames):
+            for crf, frame in zip(crfs, sdr_frames(hdr, op, crfs)):
                 assert np.array_equal(frame, want[crf]), (band_rows, crf)
+                got = tm.degrade(hdr, tm.DegradationSpec(tmo=op, crf=crf))
+                assert got.tag == tm.SDR_TAG
+                assert np.array_equal(got.pixels, want[crf]), (band_rows, crf)
 
     def test_bands_hold_whole_blocks(self):
         # the most rows, in whole 8x8 blocks, within the pixel budget; at least one block
@@ -435,17 +409,10 @@ class TestSpecJson:
             tm.DegradationSpec(tmo=ALL_OPS[0], crf=24)
 
 
-# SHA-256 of the codec's output bytes, recorded before the codec moved from per-block
-# matmuls to whole-band GEMMs: padded blocks on both axes, whole blocks, and a short
-# last band on a whole-block width
+# SHA-256 of the SDR frames sdr_bands makes at CRFs (23, None, 39), with one operator per
+# extent: padded blocks on both axes, whole blocks, and a short last band on a whole-block
+# width
 CODEC_EXTENTS = [(19, 13), (37, 53), (64, 64), (136, 64), (43, 72)]
-CODEC_PROXY_SHA256 = {
-    (19, 13): "2ef907f89cfe49ee1e17c140155eb56cfb79b7fafcb77c8042132c247cc7492e",
-    (37, 53): "9c27b8822a695b7cae8cb0100c535af17abd9f27d7051718989591160de129df",
-    (64, 64): "8a9111488d4151fef9f383dd81a16768b90b0e0a221441a6a73fd0b90ca9137f",
-    (136, 64): "3e751a77380f20790b96269bf8c4707a63eb4d121f87a2b719184a9fe77e2a62",
-    (43, 72): "c4bb4dc89901d5a6f1b3064abb485915cf2862dd1d9e61d974f1398faa44bc3b",
-}
 VARIANTS_SHA256 = {
     (19, 13): "bb2b3b7684ba47aba17161f0a1e1a7ad6aba9be90384968ce85680ca2e907f6b",
     (37, 53): "7d100ef4c715985784c7afbf6cad84908edf578d6ac4760034f809a6416dbe8b",
@@ -456,17 +423,6 @@ VARIANTS_SHA256 = {
 
 
 class TestCodecPins:
-    @pytest.mark.parametrize("extent", CODEC_EXTENTS, ids=str)
-    @pytest.mark.parametrize("band_rows", [None, 8, 16])
-    def test_codec_proxy_bytes(self, extent, band_rows, monkeypatch):
-        fix_band_rows(monkeypatch, band_rows)
-        px = np.random.default_rng(sum(extent)).uniform(0.0, 1.0, extent + (3,))
-        img = cm.TaggedImage(px, tm.SDR_TAG)
-        digest = hashlib.sha256()
-        for crf in tm.VALID_CRF:
-            digest.update(tm.codec_proxy(img, crf).pixels.tobytes())
-        assert digest.hexdigest() == CODEC_PROXY_SHA256[extent]
-
     @pytest.mark.parametrize("extent", CODEC_EXTENTS, ids=str)
     @pytest.mark.parametrize("band_rows", [None, 8, 16])
     def test_sdr_bands_bytes(self, extent, band_rows, monkeypatch):
